@@ -7,6 +7,14 @@ which is how evaluation avoids bookkeeping cost.
 
 The op set is deliberately small (standard transformer arithmetic) and every
 backward rule is covered by a finite-difference check in the test suite.
+Multi-head attention stays within rank 3 through ``split_heads``, which folds
+(B, S, H*dh) into (B*H, S, dh) so every head runs in one batched matmul and
+one softmax, and its inverse ``merge_heads``.
+
+Gradients are never updated in place. A backward rule may hand the same array,
+or a view of it, to several inputs (``add``, ``transpose``, the slice ops), so
+``Tensor.accumulate`` stores the first gradient as given and adds later ones
+out of place.
 """
 
 from __future__ import annotations
@@ -51,9 +59,8 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # g may be shared with other tensors' gradients: store it, never write into it
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -144,6 +151,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise GeometryError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise GeometryError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    if b.data.ndim == 2:
+        # a (..., k) @ weight (k, n): one 2-D GEMM over the flattened leading axes
+        k, n = b.shape
+        lead = a.shape[:-1]
+        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(*lead, n))
+
+        def backward(dout: np.ndarray) -> None:
+            flat = dout.reshape(-1, n)
+            a.accumulate((flat @ b.data.T).reshape(*lead, k))
+            b.accumulate(a.data.reshape(-1, k).T @ flat)
+
+        return _finish(out, backward, "matmul")
+
     out = Tensor(np.matmul(a.data, b.data))
 
     def backward(dout: np.ndarray) -> None:
@@ -194,17 +214,21 @@ def softmax(a: Tensor, allowed: np.ndarray | None = None) -> Tensor:
         raise GeometryError("softmax over an empty dimension")
     x = a.data
     if allowed is not None:
-        x = np.where(allowed, x, -np.inf)
         if not np.any(allowed, axis=-1).all():
             raise GeometryError("softmax row with every position masked")
-    x = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x)
-    y = e / np.sum(e, axis=-1, keepdims=True)
+        y = np.where(allowed, x, -np.inf)
+        y -= np.max(y, axis=-1, keepdims=True)
+    else:
+        y = x - np.max(x, axis=-1, keepdims=True)
+    # y is a fresh array: exponentiate and normalise it without further copies
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
     out = Tensor(y)
 
     def backward(dout: np.ndarray) -> None:
-        inner = np.sum(dout * y, axis=-1, keepdims=True)
-        a.accumulate(y * (dout - inner))
+        g = dout - np.sum(dout * y, axis=-1, keepdims=True)
+        g *= y
+        a.accumulate(g)
 
     return _finish(out, backward, "softmax")
 
@@ -246,13 +270,14 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU."""
-    u = _GELU_C * (x.data + 0.044715 * x.data**3)
-    th = np.tanh(u)
-    out = Tensor(0.5 * x.data * (1.0 + th))
+    xd = x.data
+    # x*x*x, not x**3: numpy's float power is ~40x slower than two multiplies
+    th = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
+    out = Tensor(0.5 * xd * (1.0 + th))
 
     def backward(dout: np.ndarray) -> None:
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
-        dx = 0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th**2) * du
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
+        dx = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
         x.accumulate(dout * dx)
 
     return _finish(out, backward, "gelu")
@@ -309,6 +334,38 @@ def axis_slice(a: Tensor, start: int, stop: int, axis: int) -> Tensor:
     return _finish(out, backward, "slice")
 
 
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """Fold heads into the batch: (B, S, H*dh) -> (B*H, S, dh).
+
+    Row ``b*H + h`` of the result is head ``h`` of batch item ``b``, i.e.
+    ``x[b, :, h*dh:(h+1)*dh]``.
+    """
+    if x.data.ndim != 3 or heads < 1 or x.shape[-1] % heads != 0:
+        raise GeometryError(f"split_heads: last axis of {x.shape} not divisible by {heads} heads")
+    b, s, d = x.shape
+    dh = d // heads
+    out = Tensor(x.data.reshape(b, s, heads, dh).transpose(0, 2, 1, 3).reshape(b * heads, s, dh))
+
+    def backward(dout: np.ndarray) -> None:
+        x.accumulate(dout.reshape(b, heads, s, dh).transpose(0, 2, 1, 3).reshape(b, s, d))
+
+    return _finish(out, backward, "split_heads")
+
+
+def merge_heads(x: Tensor, heads: int) -> Tensor:
+    """Inverse of ``split_heads``: (B*H, S, dh) -> (B, S, H*dh)."""
+    if x.data.ndim != 3 or heads < 1 or x.shape[0] % heads != 0:
+        raise GeometryError(f"merge_heads: leading axis of {x.shape} not divisible by {heads} heads")
+    bh, s, dh = x.shape
+    b, d = bh // heads, heads * dh
+    out = Tensor(x.data.reshape(b, heads, s, dh).transpose(0, 2, 1, 3).reshape(b, s, d))
+
+    def backward(dout: np.ndarray) -> None:
+        x.accumulate(dout.reshape(b, s, heads, dh).transpose(0, 2, 1, 3).reshape(bh, s, dh))
+
+    return _finish(out, backward, "merge_heads")
+
+
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice rows (second-to-last axis)."""
     return axis_slice(a, start, stop, axis=-2)
@@ -350,9 +407,14 @@ def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
-    payload = json.loads(path.read_text())
-    params = {
-        name: Parameter(np.array(entry["values"], dtype=np.float64).reshape(entry["shape"]), name)
-        for name, entry in payload["params"].items()
-    }
-    return params, payload.get("meta", {})
+    # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
+    try:
+        payload = json.loads(path.read_text())
+        params = {
+            name: Parameter(np.array(entry["values"], dtype=np.float64).reshape(entry["shape"]), name)
+            for name, entry in payload["params"].items()
+        }
+        meta = payload.get("meta", {})
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
+    return params, meta

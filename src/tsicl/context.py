@@ -316,29 +316,39 @@ def read_jsonl(path: str | Path) -> ContextDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such dataset file: {path}")
-    with path.open() as fh:
-        header = json.loads(fh.readline())
-        window = WindowSpec(header["lookback"], header["horizon"])
-        samples = []
-        for line in fh:
-            raw = json.loads(line)
-            samples.append(
-                ContextSample(
+    known = {"lookback", "horizon", "demo_count", "tasks", "seed", "stride", "skipped_windows", "samples"}
+    lineno = 1
+    # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
+    try:
+        with path.open() as fh:
+            header = json.loads(fh.readline())
+            dataset = ContextDataset(
+                samples=[],
+                window=WindowSpec(header["lookback"], header["horizon"]),
+                demo_count=header["demo_count"],
+                tasks=tuple(TaskKind(t) for t in header["tasks"]),
+                seed=header["seed"],
+                stride=header["stride"],
+                skipped_windows=header.get("skipped_windows", 0),
+                extra={k: v for k, v in header.items() if k not in known},
+            )
+            horizon = dataset.window.horizon
+            for lineno, line in enumerate(fh, start=2):
+                raw = json.loads(line)
+                sample = ContextSample(
                     task=TaskKind(raw["task"]),
                     tokens=np.array(raw["tokens"], dtype=np.float64),
                     target=np.array(raw["target"], dtype=np.float64),
                     query_span=Span.from_list(raw["provenance"]["query"]),
                     demo_spans=tuple(Span.from_list(x) for x in raw["provenance"]["demos"]),
                 )
-            )
-    known = {"lookback", "horizon", "demo_count", "tasks", "seed", "stride", "skipped_windows", "samples"}
-    return ContextDataset(
-        samples=samples,
-        window=window,
-        demo_count=header["demo_count"],
-        tasks=tuple(TaskKind(t) for t in header["tasks"]),
-        seed=header["seed"],
-        stride=header["stride"],
-        skipped_windows=header.get("skipped_windows", 0),
-        extra={k: v for k, v in header.items() if k not in known},
-    )
+                if sample.tokens.ndim != 2 or sample.tokens.shape[1] != 3:
+                    raise DataError(f"tokens of shape {sample.tokens.shape}, expected (n, 3)")
+                if sample.target.shape != (horizon,):
+                    raise DataError(f"target of shape {sample.target.shape}, expected ({horizon},)")
+                dataset.samples.append(sample)
+        if len(dataset.samples) != header["samples"]:
+            raise DataError(f"{len(dataset.samples)} samples, the header promises {header['samples']}")
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise DataError(f"malformed dataset {path}, line {lineno}: {exc!r}") from None
+    return dataset

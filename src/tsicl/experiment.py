@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .context import ContextDataset, build_context_dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evalharness import (
     baseline_path,
     context_path,
@@ -172,7 +172,8 @@ def evaluate_paths(
         p, _ = context_path(queries, wrong_demos, params, cfg.model, cfg.window.horizon)
         sums["wrong_task"].append(p)
         p, t_b = baseline_path(queries, params, cfg.model)
-        assert np.array_equal(t_b, t)
+        if not np.array_equal(t_b, t):
+            raise DataError(f"channel {ch}: baseline truths differ from the context path's truths")
         sums["baseline"].append(p)
     truth = np.concatenate(truth_ref)
     return {name: mse(np.concatenate(chunks), truth) for name, chunks in sums.items()}

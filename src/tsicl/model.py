@@ -138,21 +138,19 @@ def _causal_mask(n: int) -> np.ndarray:
 
 
 def _attention(x: ad.Tensor, params, prefix: str, config: ModelConfig, allowed) -> ad.Tensor:
-    d, heads = config.d_model, config.n_heads
-    dh = d // heads
-    q = ad.add(ad.matmul(x, params[prefix + "wq"]), params[prefix + "bq"])
-    k = ad.add(ad.matmul(x, params[prefix + "wk"]), params[prefix + "bk"])
-    v = ad.add(ad.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
-    mixed = []
-    for i in range(heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qh = ad.axis_slice(q, lo, hi, axis=-1)
-        kh = ad.axis_slice(k, lo, hi, axis=-1)
-        vh = ad.axis_slice(v, lo, hi, axis=-1)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        attn = ad.softmax(scores, allowed=allowed)
-        mixed.append(ad.matmul(attn, vh))
-    ctx = ad.concat(mixed, axis=-1)
+    """Multi-head self-attention with every head folded into the batch axis."""
+    heads = config.n_heads
+    dh = config.d_model // heads
+
+    def project(name: str) -> ad.Tensor:
+        y = ad.add(ad.matmul(x, params[prefix + "w" + name]), params[prefix + "b" + name])
+        return ad.split_heads(y, heads)
+
+    # scaling q (B*H, S, dh) is cheaper than scaling the (B*H, S, S) scores
+    q = ad.scale(project("q"), 1.0 / np.sqrt(dh))
+    k, v = project("k"), project("v")
+    attn = ad.softmax(ad.matmul(q, ad.transpose(k)), allowed=allowed)
+    ctx = ad.merge_heads(ad.matmul(attn, v), heads)
     return ad.add(ad.matmul(ctx, params[prefix + "wo"]), params[prefix + "bo"])
 
 

@@ -254,18 +254,22 @@ def load_store(path: str | Path) -> SplitStore:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such store: {path}")
-    payload = json.loads(path.read_text())
-    store = SplitStore(dataset=payload["dataset"], meta=payload.get("meta", {}))
-    for ch, entry in payload["channels"].items():
-        store.stats[ch] = NormStats(mean=entry["mean"], std=entry["std"])
-        store.splits[ch] = {
-            split: ChannelSeries(
-                dataset=store.dataset,
-                channel=ch,
-                values=np.array(sp["values"], dtype=np.float64),
-                origin_offset=sp["origin_offset"],
-                split=split,
-            )
-            for split, sp in entry["splits"].items()
-        }
+    # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
+    try:
+        payload = json.loads(path.read_text())
+        store = SplitStore(dataset=payload["dataset"], meta=payload.get("meta", {}))
+        for ch, entry in payload["channels"].items():
+            store.stats[ch] = NormStats(mean=entry["mean"], std=entry["std"])
+            store.splits[ch] = {
+                split: ChannelSeries(
+                    dataset=store.dataset,
+                    channel=ch,
+                    values=np.array(sp["values"], dtype=np.float64),
+                    origin_offset=sp["origin_offset"],
+                    split=split,
+                )
+                for split, sp in entry["splits"].items()
+            }
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"malformed store {path}: {exc!r}") from None
     return store

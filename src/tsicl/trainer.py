@@ -258,6 +258,10 @@ def train(
             if stale >= train_config.patience:
                 break
 
+    if record.best_epoch < 0:
+        raise NumericalError(
+            f"no finite validation loss in {len(record.valid_losses)} epochs: {record.valid_losses}"
+        )
     for name, p in params.items():
         p.data = best_state[name]
     record.wall_time_s = time.perf_counter() - start

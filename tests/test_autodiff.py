@@ -119,6 +119,26 @@ class TestForwardExamples:
         x = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(ad.transpose(ad.constant(x)).data, x.T)
 
+    def test_merge_heads_inverts_split_heads(self):
+        x = np.random.default_rng(2).normal(size=(3, 5, 12))
+        folded = ad.split_heads(ad.constant(x), 4)
+        assert folded.shape == (12, 5, 3)
+        assert np.array_equal(ad.merge_heads(folded, 4).data, x)
+
+    def test_split_heads_layout(self):
+        b, s, heads, dh = 2, 4, 3, 5
+        x = np.random.default_rng(3).normal(size=(b, s, heads * dh))
+        folded = ad.split_heads(ad.constant(x), heads).data
+        for i in range(b):
+            for h in range(heads):
+                assert np.array_equal(folded[i * heads + h], x[i, :, h * dh : (h + 1) * dh])
+
+    def test_split_heads_width_not_divisible(self):
+        with pytest.raises(GeometryError, match="not divisible by 4 heads"):
+            ad.split_heads(ad.constant(np.zeros((2, 3, 10))), 4)
+        with pytest.raises(GeometryError, match="not divisible by 4 heads"):
+            ad.merge_heads(ad.constant(np.zeros((6, 3, 2))), 4)
+
     def test_rank_cap(self):
         with pytest.raises(GeometryError, match="rank"):
             ad.Tensor(np.zeros((2, 2, 2, 2)))
@@ -170,6 +190,21 @@ class TestBackwardBasics:
             tape.backward(loss)
         # d(x^2)^2/dx = 4x^3 = 32
         assert np.allclose(x.grad, [[32.0]])
+
+    def test_shared_gradient_is_not_updated_in_place(self):
+        # add hands one dout to both a and b; a then receives a second gradient
+        # from the earlier scale op. Adding it in place would corrupt b's gradient.
+        for rng in [np.random.default_rng(seed) for seed in range(5)]:
+            a = ad.Parameter(rng.normal(size=(2, 3, 4)), "a")
+            b = ad.Parameter(rng.normal(size=(2, 3, 4)), "b")
+            target = rng.normal(size=(4, 3, 4))
+
+            def graph():
+                d = ad.scale(a, 2.0)
+                c = ad.add(a, b)
+                return ad.mse_loss(ad.concat([c, d], axis=0), target, np.ones(target.shape))
+
+            assert_grads_match(graph, {"a": a, "b": b})
 
 
 def x_t(x: ad.Parameter) -> ad.Tensor:
@@ -280,6 +315,27 @@ class TestFiniteDifferencePerOp:
         for rng in self.seeded_cases():
             a = ad.Parameter(rng.normal(size=(2, 6, 3)), "a")
             assert_grads_match(lambda: scalarize(ad.row_slice(a, 2, 5)), {"a": a})
+
+    def test_split_heads(self):
+        for rng in self.seeded_cases():
+            heads = int(rng.integers(1, 4))
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), heads * int(rng.integers(1, 4)))
+            a = ad.Parameter(rng.normal(size=shape), "a")
+            # a random target makes the loss sensitive to where each element lands
+            target = rng.normal(size=(shape[0] * heads, shape[1], shape[2] // heads))
+            assert_grads_match(
+                lambda: ad.mse_loss(ad.split_heads(a, heads), target, np.ones(target.shape)), {"a": a}
+            )
+
+    def test_merge_heads(self):
+        for rng in self.seeded_cases():
+            heads = int(rng.integers(1, 4))
+            shape = (heads * int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+            a = ad.Parameter(rng.normal(size=shape), "a")
+            target = rng.normal(size=(shape[0] // heads, shape[1], shape[2] * heads))
+            assert_grads_match(
+                lambda: ad.mse_loss(ad.merge_heads(a, heads), target, np.ones(target.shape)), {"a": a}
+            )
 
     def test_mse_loss_gradient(self):
         for rng in self.seeded_cases():

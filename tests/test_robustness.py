@@ -1,0 +1,159 @@
+"""Malformed inputs and failure paths end in the documented errors and exit codes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tsicl import autodiff as ad
+from tsicl import experiment, trainer
+from tsicl.cli import main
+from tsicl.context import build_context_dataset, read_jsonl
+from tsicl.errors import DataError, NumericalError
+from tsicl.model import ModelConfig, init_params
+from tsicl.series import load_store
+from tsicl.synthetic import SynthSpec, generate
+from tsicl.tasks import TaskKind, WindowSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+WINDOW = WindowSpec(8, 4)
+TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+TINY_CLI = {
+    "synth_count": "2",
+    "synth_length": "240",
+    "lookback": "8",
+    "horizon": "4",
+    "demo_counts": "0,1",
+    "demo_count": "1",
+    "d_model": "8",
+    "n_layers": "1",
+    "n_heads": "2",
+    "ff_mult": "2",
+    "max_epochs": "1",
+    "patience": "1",
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """A tiny run's artifacts: store, context files and checkpoint."""
+    out = tmp_path_factory.mktemp("pipeline")
+    for stage in ("synth", "ingest", "build", "train"):
+        assert main([stage, *overrides(out)]) == 0
+    return out
+
+
+def overrides(out_dir: Path) -> list[str]:
+    args = []
+    for key, value in {**TINY_CLI, "out_dir": str(out_dir)}.items():
+        args += ["--set", f"{key}={value}"]
+    return args
+
+
+def truncated_copy(src_dir: Path, dst_dir: Path, name: str) -> Path:
+    """Copy every artifact, then cut ``name`` to its first half."""
+    for f in src_dir.iterdir():
+        (dst_dir / f.name).write_bytes(f.read_bytes())
+    target = dst_dir / name
+    data = target.read_bytes()
+    target.write_bytes(data[: len(data) // 2])
+    return target
+
+
+@pytest.mark.parametrize(
+    "stage, artifact",
+    [("build", "store.json"), ("eval", "checkpoint.json"), ("train", "ctx_train_m1.jsonl")],
+)
+def test_cli_truncated_artifact_exits_3(pipeline_dir, tmp_path, stage, artifact):
+    target = truncated_copy(pipeline_dir, tmp_path, artifact)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsicl.cli", stage, *overrides(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert str(target) in proc.stderr
+
+
+class TestMalformedFiles:
+    def test_store(self, pipeline_dir, tmp_path):
+        payload = json.loads((pipeline_dir / "store.json").read_text())
+        split = {"origin_offset": 0, "values": [[1.0, 2.0]]}  # a 2-d channel
+        cases = {
+            "truncated": (pipeline_dir / "store.json").read_text()[:100],
+            "missing_key": json.dumps({k: v for k, v in payload.items() if k != "channels"}),
+            "bad_shape": json.dumps(
+                {**payload, "channels": {"c": {"mean": 0.0, "std": 1.0, "splits": {"train": split}}}}
+            ),
+        }
+        for name, text in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            with pytest.raises(DataError, match=f"malformed store .*{name}.json"):
+                load_store(path)
+
+    def test_checkpoint(self, pipeline_dir, tmp_path):
+        payload = json.loads((pipeline_dir / "checkpoint.json").read_text())
+        name = next(iter(payload["params"]))
+        cases = {
+            "truncated": (pipeline_dir / "checkpoint.json").read_text()[:100],
+            "missing_key": json.dumps({"meta": payload["meta"]}),
+            "bad_shape": json.dumps({"params": {name: {"shape": [3, 5], "values": [1.0, 2.0]}}}),
+        }
+        for case, text in cases.items():
+            path = tmp_path / f"{case}.json"
+            path.write_text(text)
+            with pytest.raises(DataError, match=f"malformed checkpoint .*{case}.json"):
+                ad.load_params(path)
+
+    def test_context_jsonl(self, pipeline_dir, tmp_path):
+        header, first, *rest = (pipeline_dir / "ctx_train_m1.jsonl").read_text().splitlines()
+        record = json.loads(first)
+        cases = {
+            "truncated": "\n".join([header, first, rest[0][:40]]),
+            "short": "\n".join([header, first]),
+            "missing_key": "\n".join([header, json.dumps({k: v for k, v in record.items() if k != "target"})]),
+            "bad_shape": "\n".join([header, json.dumps({**record, "tokens": [[0.0, 1.0]] * 4})]),
+        }
+        for case, text in cases.items():
+            path = tmp_path / f"{case}.jsonl"
+            path.write_text(text + "\n")
+            with pytest.raises(DataError, match=f"malformed dataset .*{case}.jsonl"):
+                read_jsonl(path)
+
+
+def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
+    series = generate(SynthSpec(count=1, length=240, seed=0))
+    data = build_context_dataset(series, [TaskKind.FORECAST], WINDOW, 0, seed=0)
+    monkeypatch.setattr(trainer, "evaluate_loss", lambda *args, **kwargs: float("nan"))
+    config = trainer.TrainConfig(batch_size=64, max_epochs=2, patience=2)
+    with pytest.raises(NumericalError, match="no finite validation loss"):
+        trainer.train(init_params(TINY_MODEL), data, data, TINY_MODEL, config)
+
+
+def test_evaluate_paths_rejects_mismatched_truths(monkeypatch):
+    cfg = experiment.UnseenTaskExperiment(
+        synth=SynthSpec(count=1, length=240), window=WINDOW, eval_demo_count=1, model=TINY_MODEL
+    )
+    store = experiment.store_from_channels(generate(cfg.synth), cfg.synth.name)
+    params = init_params(TINY_MODEL)
+    scores = experiment.evaluate_paths(cfg, store, params, seed=0)
+    assert all(np.isfinite(v) for v in scores.values())
+
+    real = experiment.baseline_path
+
+    def shifted(queries, params, config):
+        preds, truths = real(queries, params, config)
+        return preds, truths + 1.0
+
+    monkeypatch.setattr(experiment, "baseline_path", shifted)
+    with pytest.raises(DataError, match="truths differ"):
+        experiment.evaluate_paths(cfg, store, params, seed=0)
