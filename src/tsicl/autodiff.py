@@ -2,8 +2,10 @@
 
 Ops record themselves on the active ``Tape``; ``Tape.backward`` replays the
 records in exact reverse execution order and accumulates gradients into every
-reachable tensor. Without an active tape the same functions run forward-only,
-which is how evaluation avoids bookkeeping cost.
+reachable tensor. An op output's gradient is dropped as soon as its own rule
+has run, so after the pass only leaves (parameters, constants) hold one.
+Without an active tape the same functions run forward-only, which is how
+evaluation avoids bookkeeping cost.
 
 The op set is deliberately small (standard transformer arithmetic) and every
 backward rule is covered by a finite-difference check in the test suite.
@@ -115,6 +117,8 @@ class Tape:
         for out, backward_fn in reversed(self._nodes):
             if out.grad is not None:
                 backward_fn(out.grad)
+                # every consumer of out was recorded later, so its gradient is final and now dead
+                out.grad = None
         self._nodes.clear()
         self._consumed = True
 
@@ -281,22 +285,6 @@ def gelu(x: Tensor) -> Tensor:
         x.accumulate(dout * dx)
 
     return _finish(out, backward, "gelu")
-
-
-def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids)
-    if table.data.ndim != 2:
-        raise GeometryError(f"embedding table must be rank 2, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise GeometryError("embedding id out of range")
-    out = Tensor(table.data[ids])
-
-    def backward(dout: np.ndarray) -> None:
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids, dout)
-        table.accumulate(g)
-
-    return _finish(out, backward, "embedding_lookup")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

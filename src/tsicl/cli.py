@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .context import build_context_dataset, read_jsonl, write_jsonl
+from .context import build_train_valid, read_jsonl, write_jsonl
 from .errors import ConfigError, DataError, GeometryError, NumericalError
 from .evalharness import EvalProtocol, EvalReport, improvement_ratio, run_unseen_eval
 from .experiment import merge_datasets
@@ -225,34 +225,22 @@ def cmd_ingest(cfg: dict) -> None:
 
 
 def cmd_build(cfg: dict) -> None:
-    store_path = _path(cfg, "store", "store.json")
-    store = load_store(store_path)
-    window = _window(cfg)
-    tasks = _tasks(cfg["tasks"])
-    stride = cfg["stride"] or None
-    valid_stride = cfg["valid_stride"] or cfg["stride"] or None
-    train_series = [store.series(ch, "train") for ch in store.channels]
-    valid_series = [store.series(ch, "valid") for ch in store.channels]
+    store = load_store(_path(cfg, "store", "store.json"))
     total = 0
-    for k, m in enumerate(cfg["demo_counts"]):
-        for part, series, part_stride, demo_pool, sub in (
-            ("train", train_series, stride, None, 2 * k),
-            ("valid", valid_series, valid_stride, train_series, 2 * k + 1),
-        ):
-            dataset = build_context_dataset(
-                series,
-                tasks,
-                window,
-                m,
-                stride=part_stride,
-                seed=cfg["seed"] * 1000 + sub,
-                demo_pool=demo_pool,
-                pairwise_disjoint_demos=cfg["pairwise_disjoint_demos"],
-                cross_channel_demos=cfg["cross_channel_demos"],
-            )
+    for m, *parts in build_train_valid(
+        store,
+        _tasks(cfg["tasks"]),
+        _window(cfg),
+        cfg["demo_counts"],
+        cfg["seed"],
+        stride=cfg["stride"] or None,
+        valid_stride=cfg["valid_stride"] or None,
+        pairwise_disjoint_demos=cfg["pairwise_disjoint_demos"],
+        cross_channel_demos=cfg["cross_channel_demos"],
+    ):
+        for part, dataset in zip(("train", "valid"), parts):
             dataset.extra["config"] = cfg
-            out = Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl"
-            write_jsonl(dataset, out)
+            write_jsonl(dataset, Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl")
             total += len(dataset)
     print(f"build: wrote {total} samples across demo counts {cfg['demo_counts']} -> {cfg['out_dir']}")
 
@@ -297,17 +285,16 @@ def cmd_eval(cfg: dict) -> None:
         raise ConfigError(f"checkpoint model {meta['model']} does not match configured model")
     store = load_store(_path(cfg, "store", "store.json"))
     protocol = EvalProtocol(
-        eval_task=TaskKind(cfg["eval_task"]),
+        eval_task=_tasks([cfg["eval_task"]])[0],
         pretrain_tasks=tuple(_tasks(cfg["tasks"])),
         window=_window(cfg),
         demo_count=cfg["demo_count"],
-        dataset_ids=(store.dataset,),
-        seeds=(cfg["seed"],),
     )
     report = run_unseen_eval(
         protocol,
-        {model_cfg.variant: (model_cfg, params)},
-        [store],
+        model_cfg,
+        params,
+        store,
         seed=cfg["seed"],
         stride=cfg["eval_stride"] or None,
     )
@@ -333,7 +320,6 @@ def cmd_report(cfg: dict) -> None:
     cells: dict[tuple, dict[str, list]] = {}
     for r in merged.rows:
         cells.setdefault((r.backbone, r.task, r.dataset, r.horizon), {}).setdefault(r.method, []).append(r)
-    print("backbone,task,dataset,horizon,method,seeds,mean_mse,mean_mae")
     lines = ["backbone,task,dataset,horizon,method,seeds,mean_mse,mean_mae"]
     for key in sorted(cells):
         for method in ("baseline", "ictp"):
@@ -342,12 +328,9 @@ def cmd_report(cfg: dict) -> None:
                 continue
             mean_mse = float(np.mean([r.mse for r in rows]))
             mean_mae = float(np.mean([r.mae for r in rows]))
-            line = f"{key[0]},{key[1]},{key[2]},{key[3]},{method},{len(rows)},{mean_mse!r},{mean_mae!r}"
-            print(line)
-            lines.append(line)
-    ratio = improvement_ratio(merged)
-    print(f"# improvement_ratio,{ratio!r}")
-    lines.append(f"# improvement_ratio,{ratio!r}")
+            lines.append(f"{key[0]},{key[1]},{key[2]},{key[3]},{method},{len(rows)},{mean_mse!r},{mean_mae!r}")
+    lines.append(f"# improvement_ratio,{improvement_ratio(merged)!r}")
+    print("\n".join(lines))
     lines.append(f"# config,{json.dumps(cfg, separators=(',', ':'))}")
     out = _path(cfg, "summary", "summary.csv")
     out.write_text("\n".join(lines) + "\n")

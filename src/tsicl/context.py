@@ -10,13 +10,14 @@ segment_flag=1 so the encoding stays invertible without separator tokens.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, GeometryError
-from .series import ChannelSeries
+from .series import ChannelSeries, SplitStore
 from .tasks import (
     TASK_ORDER,
     Span,
@@ -89,23 +90,29 @@ def answer_tokens(target: np.ndarray) -> np.ndarray:
     return token_array(target, segment=1)
 
 
+def build_stream(demos: Sequence[TaskExample], query: TaskExample) -> np.ndarray:
+    """Flatten (demo input, demo answer)* followed by the query input.
+
+    No task-match check: ``assemble`` adds one for ``build_context_dataset``, while
+    evaluation also flattens deliberate wrong-task contexts.
+    """
+    parts = [part for d in demos for part in (d.input, answer_tokens(d.target))]
+    return np.concatenate([*parts, query.input], axis=0)
+
+
 def assemble(context: ContextSequence, query: TaskExample) -> ContextSample:
-    """Flatten (demo input, demo answer)* followed by the query input."""
+    """One sample: the flattened context and query, with provenance spans."""
     if context.task is not query.task:
         raise DataError(f"context task {context.task} does not match query task {query.task}")
     L, h = query.lookback, query.horizon
-    parts = []
     for demo in context.demos:
         if demo.lookback != L or demo.horizon != h:
             raise GeometryError(
                 f"demo geometry {demo.lookback}/{demo.horizon} does not match query {L}/{h}"
             )
-        parts.append(demo.input)
-        parts.append(answer_tokens(demo.target))
-    parts.append(query.input)
     return ContextSample(
         task=query.task,
-        tokens=np.concatenate(parts, axis=0) if len(parts) > 1 else query.input.copy(),
+        tokens=build_stream(context.demos, query),
         target=query.target.copy(),
         query_span=query.source_span,
         demo_spans=tuple(d.source_span for d in context.demos),
@@ -278,6 +285,35 @@ def build_context_dataset(
         stride=stride,
         skipped_windows=skipped,
     )
+
+
+def build_train_valid(
+    store: SplitStore,
+    tasks: set[TaskKind] | list[TaskKind],
+    w: WindowSpec,
+    demo_counts: Sequence[int],
+    seed: int,
+    stride: int | None = None,
+    valid_stride: int | None = None,
+    **options,
+) -> Iterator[tuple[int, ContextDataset, ContextDataset]]:
+    """Yield (m, train, valid) per demo count m, the k-th seeded ``seed*1000 + 2k`` and ``+ 1``.
+
+    Valid queries come from the valid split and draw their demos from the
+    train split; ``valid_stride`` falls back to ``stride``. ``options`` go to
+    ``build_context_dataset``.
+    """
+    train_series = [store.series(ch, "train") for ch in store.channels]
+    valid_series = [store.series(ch, "valid") for ch in store.channels]
+    for k, m in enumerate(demo_counts):
+        train = build_context_dataset(
+            train_series, tasks, w, m, stride=stride, seed=seed * 1000 + 2 * k, **options
+        )
+        valid = build_context_dataset(
+            valid_series, tasks, w, m, stride=valid_stride or stride,
+            seed=seed * 1000 + 2 * k + 1, demo_pool=train_series, **options,
+        )
+        yield m, train, valid
 
 
 def _sample_record(sample: ContextSample) -> dict:

@@ -3,8 +3,11 @@
 The protocol mirrors the pre-training split: a model trained on some task set
 is evaluated on a task it never saw. The context path prepends demonstrations
 of the unseen task (train-split data only); the baseline path rewrites each
-query with the matching non-fine-tuning adapter. Parameters are checksummed
-around the whole stage to enforce that evaluation never updates them.
+query with the matching non-fine-tuning adapter. ``score_probes`` is the only
+eval loop, called by the CLI (``run_unseen_eval``) and by the ablations
+(``experiment.evaluate_paths``); ``batched_predict`` is the only readout, also
+behind the trainer's validation loss. ``score_probes`` checksums the
+parameters around the loop to enforce that evaluation never updates them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .adapters import AdaptedQuery, adapter_for, apply_adapter
-from .context import answer_tokens
+from .context import build_stream
 from .errors import ConfigError, DataError
 from .model import (
     DECODER_CAUSAL,
@@ -31,24 +34,25 @@ from .series import SplitStore
 from .tasks import TaskExample, TaskKind, WindowSpec, generate_example, valid_start_range
 
 
-def mse(pred: np.ndarray, truth: np.ndarray) -> float:
+def _errors(pred: np.ndarray, truth: np.ndarray, metric: str) -> np.ndarray:
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
-        raise DataError(f"mse length mismatch: {pred.shape} vs {truth.shape}")
+        raise DataError(f"{metric} length mismatch: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
-        raise DataError("mse of empty arrays")
-    return float(np.mean((pred - truth) ** 2))
+        raise DataError(f"{metric} of empty arrays")
+    return pred - truth
+
+
+def mse(pred: np.ndarray, truth: np.ndarray) -> float:
+    return float(np.mean(_errors(pred, truth, "mse") ** 2))
 
 
 def mae(pred: np.ndarray, truth: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise DataError(f"mae length mismatch: {pred.shape} vs {truth.shape}")
-    if pred.size == 0:
-        raise DataError("mae of empty arrays")
-    return float(np.mean(np.abs(pred - truth)))
+    return float(np.mean(np.abs(_errors(pred, truth, "mae"))))
+
+
+PROBES = ("ictp", "no_context", "wrong_task", "baseline")
 
 
 def params_checksum(params: dict[str, ad.Parameter]) -> str:
@@ -66,8 +70,6 @@ class EvalProtocol:
     pretrain_tasks: tuple[TaskKind, ...]
     window: WindowSpec
     demo_count: int = 4
-    dataset_ids: tuple[str, ...] = ()
-    seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
         if self.eval_task in self.pretrain_tasks:
@@ -108,12 +110,21 @@ class EvalReport:
     @staticmethod
     def read_csv(path: str | Path) -> "EvalReport":
         report = EvalReport()
-        text = Path(path).read_text().splitlines()
-        for line in text[1:]:
-            if not line or line.startswith("#"):
-                continue
-            bk, task, ds, hz, method, m_, a_, seed = line.split(",")
-            report.rows.append(EvalRow(bk, task, ds, int(hz), method, float(m_), float(a_), int(seed)))
+        lineno = 0
+        # a bad field count or number, or undecodable bytes, are ValueErrors
+        try:
+            text = Path(path).read_text()
+            lines = text.splitlines()
+            lineno = len(lines)
+            if not text.endswith("\n"):
+                raise ValueError("no trailing newline: the file was cut short")
+            for lineno, line in enumerate(lines[1:], start=2):
+                if not line or line.startswith("#"):
+                    continue
+                bk, task, ds, hz, method, m_, a_, seed = line.split(",")
+                report.rows.append(EvalRow(bk, task, ds, int(hz), method, float(m_), float(a_), int(seed)))
+        except ValueError as exc:
+            raise DataError(f"malformed report {path}, line {lineno}: {exc}") from None
         return report
 
 
@@ -161,20 +172,6 @@ def select_eval_demos(
         available = max(0, (hi - lo) // width + 1) if hi >= lo else 0
         raise DataError(f"train split admits only {available} disjoint demo windows, need {m}")
     return [generate_example(task, train_s, t, w, rng) for t in reversed(starts)]
-
-
-def build_stream(demos: list[TaskExample], query: TaskExample) -> np.ndarray:
-    """Flatten demos and query into one token stream (no task-match check).
-
-    The dataset builder goes through ``assemble`` which enforces matching
-    tasks; this variant also serves deliberate wrong-task-context probes.
-    """
-    parts = []
-    for d in demos:
-        parts.append(d.input)
-        parts.append(answer_tokens(d.target))
-    parts.append(query.input)
-    return np.concatenate(parts, axis=0)
 
 
 def batched_predict(
@@ -248,11 +245,7 @@ def baseline_path(
     adapted = [apply_adapter(kind, q) for q in queries]
     fitted = [_fit_adapted(a, config) for a in adapted]
     raw = batched_predict([f[0] for f in fitted], [f[1] for f in fitted], params, config)
-    preds, truths = [], []
-    for a, r in zip(adapted, raw):
-        got, want = a.score_prediction(r)
-        preds.append(got)
-        truths.append(want)
+    preds, truths = zip(*(a.score_prediction(r) for a, r in zip(adapted, raw)))
     return np.stack(preds), np.stack(truths)
 
 
@@ -265,57 +258,80 @@ def enumerate_queries(
     return [generate_example(task, test_s, t, w, rng) for t in range(lo, hi + 1, stride)]
 
 
+def _rng(seed: int, stream: int, ch_idx: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, stream, ch_idx)))
+
+
+def _probe_demos(probe: str, protocol: EvalProtocol, train_s, seed: int, ch_idx: int) -> list[TaskExample]:
+    if probe == "no_context":
+        return []
+    task, stream = {"ictp": (protocol.eval_task, 3), "wrong_task": (protocol.pretrain_tasks[0], 4)}[probe]
+    return select_eval_demos(train_s, task, protocol.window, protocol.demo_count, _rng(seed, stream, ch_idx))
+
+
+def score_probes(
+    protocol: EvalProtocol,
+    probes: tuple[str, ...],
+    store: SplitStore,
+    params: dict[str, ad.Parameter],
+    config: ModelConfig,
+    seed: int = 0,
+    stride: int | None = None,
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Pooled predictions per probe and the one set of truths they are scored against.
+
+    Per channel, the test-split queries (rng stream 2) are scored by each
+    probe: ``ictp`` with the eval task's demos (stream 3), ``no_context``
+    with none, ``wrong_task`` with demos of the first pre-training task
+    (stream 4), and ``baseline`` through the reprogramming adapter. Demos come
+    from the train split only. Raises if the parameters change on the way.
+    """
+    stride = stride or protocol.window.horizon
+    before = params_checksum(params)
+    preds: dict[str, list[np.ndarray]] = {probe: [] for probe in probes}
+    truths = []
+    for ch_idx, ch in enumerate(store.channels):
+        test_s = store.series(ch, "test")
+        queries = enumerate_queries(test_s, protocol.eval_task, protocol.window, stride, _rng(seed, 2, ch_idx))
+        truth = None
+        for probe in probes:
+            if probe == "baseline":
+                p, t = baseline_path(queries, params, config)
+            else:
+                demos = _probe_demos(probe, protocol, store.series(ch, "train"), seed, ch_idx)
+                p, t = context_path(queries, demos, params, config, protocol.window.horizon)
+            if truth is None:
+                truth = t
+            elif not np.array_equal(t, truth):
+                raise DataError(f"channel {ch}: {probe} truths differ from the {probes[0]} truths")
+            preds[probe].append(p)
+        truths.append(truth)
+    if params_checksum(params) != before:
+        raise RuntimeError(f"frozen-model contract violated for backbone {config.variant}")
+    return {probe: np.concatenate(chunks) for probe, chunks in preds.items()}, np.concatenate(truths)
+
+
 def run_unseen_eval(
     protocol: EvalProtocol,
-    backbones: dict[str, tuple[ModelConfig, dict[str, ad.Parameter]]],
-    stores: list[SplitStore],
+    config: ModelConfig,
+    params: dict[str, ad.Parameter],
+    store: SplitStore,
     seed: int = 0,
     stride: int | None = None,
 ) -> EvalReport:
-    """Score every (backbone, dataset) cell with both methods on frozen weights."""
-    stride = protocol.window.horizon if stride is None else stride
-    wanted = set(protocol.dataset_ids) if protocol.dataset_ids else None
-    report = EvalReport()
-    for backbone, (config, params) in backbones.items():
-        before = params_checksum(params)
-        for store in stores:
-            if wanted is not None and store.dataset not in wanted:
-                continue
-            ctx_preds, ctx_truths, base_preds, base_truths = [], [], [], []
-            for ch_idx, ch in enumerate(store.channels):
-                train_s = store.series(ch, "train")
-                test_s = store.series(ch, "test")
-                query_rng = np.random.default_rng(np.random.SeedSequence((seed, 2, ch_idx)))
-                queries = enumerate_queries(test_s, protocol.eval_task, protocol.window, stride, query_rng)
-                demo_rng = np.random.default_rng(np.random.SeedSequence((seed, 3, ch_idx)))
-                demos = select_eval_demos(
-                    train_s, protocol.eval_task, protocol.window, protocol.demo_count, demo_rng
-                )
-                p, t = context_path(queries, demos, params, config, protocol.window.horizon)
-                ctx_preds.append(p)
-                ctx_truths.append(t)
-                p, t = baseline_path(queries, params, config)
-                base_preds.append(p)
-                base_truths.append(t)
-            for method, preds, truths in (
-                ("baseline", base_preds, base_truths),
-                ("ictp", ctx_preds, ctx_truths),
-            ):
-                pred = np.concatenate(preds)
-                truth = np.concatenate(truths)
-                report.rows.append(
-                    EvalRow(
-                        backbone=backbone,
-                        task=str(protocol.eval_task),
-                        dataset=store.dataset,
-                        horizon=protocol.window.horizon,
-                        method=method,
-                        mse=mse(pred, truth),
-                        mae=mae(pred, truth),
-                        seed=seed,
-                    )
-                )
-        after = params_checksum(params)
-        if before != after:
-            raise RuntimeError(f"frozen-model contract violated for backbone {backbone}")
-    return report
+    """Baseline and ICTP rows for one backbone on one store."""
+    preds, truth = score_probes(protocol, ("ictp", "baseline"), store, params, config, seed, stride)
+    rows = [
+        EvalRow(
+            backbone=config.variant,
+            task=str(protocol.eval_task),
+            dataset=store.dataset,
+            horizon=protocol.window.horizon,
+            method=method,
+            mse=mse(preds[method], truth),
+            mae=mae(preds[method], truth),
+            seed=seed,
+        )
+        for method in ("baseline", "ictp")
+    ]
+    return EvalReport(rows)

@@ -3,7 +3,8 @@
 One run: generate a synthetic corpus, pre-train a backbone on context data for
 a subset of tasks, then probe the held-out task four ways on the same frozen
 weights: with correct demonstrations, with none, with wrong-task
-demonstrations, and through the reprogramming baseline.
+demonstrations, and through the reprogramming baseline. The probes run in
+``evalharness.score_probes``, the same loop the CLI's ``eval`` uses.
 """
 
 from __future__ import annotations
@@ -12,16 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .context import ContextDataset, build_context_dataset
-from .errors import ConfigError, DataError
-from .evalharness import (
-    baseline_path,
-    context_path,
-    enumerate_queries,
-    mse,
-    params_checksum,
-    select_eval_demos,
-)
+from .context import ContextDataset, build_train_valid
+from .errors import ConfigError
+from .evalharness import PROBES, EvalProtocol, mse, score_probes
 from .model import ModelConfig, init_params
 from .series import RawDataset, SplitStore, build_store
 from .synthetic import SynthSpec, generate
@@ -55,7 +49,6 @@ class SeedOutcome:
     mse_no_context: float  # same queries, zero demonstrations
     mse_wrong_task: float  # demonstrations of a pre-training task instead
     mse_baseline: float  # reprogramming adapter on bare queries
-    checksum_unchanged: bool
     record: TrainRecord
 
     @property
@@ -119,24 +112,11 @@ def merge_datasets(datasets: list[ContextDataset]) -> ContextDataset:
 def build_training_data(
     store: SplitStore, cfg: UnseenTaskExperiment, seed: int
 ) -> tuple[ContextDataset, ContextDataset]:
-    train_series = [store.series(ch, "train") for ch in store.channels]
-    valid_series = [store.series(ch, "valid") for ch in store.channels]
-    train_parts, valid_parts = [], []
-    for k, m in enumerate(cfg.train_demo_counts):
-        train_parts.append(
-            build_context_dataset(
-                train_series, cfg.pretrain_tasks, cfg.window, m,
-                stride=cfg.train_stride, seed=seed * 1000 + 2 * k,
-            )
-        )
-        valid_parts.append(
-            build_context_dataset(
-                valid_series, cfg.pretrain_tasks, cfg.window, m,
-                stride=cfg.valid_stride or cfg.train_stride, seed=seed * 1000 + 2 * k + 1,
-                demo_pool=train_series,
-            )
-        )
-    return merge_datasets(train_parts), merge_datasets(valid_parts)
+    parts = list(build_train_valid(
+        store, cfg.pretrain_tasks, cfg.window, cfg.train_demo_counts, seed,
+        stride=cfg.train_stride, valid_stride=cfg.valid_stride,
+    ))
+    return merge_datasets([t for _, t, _ in parts]), merge_datasets([v for _, _, v in parts])
 
 
 def pretrain(cfg: UnseenTaskExperiment, store: SplitStore, seed: int):
@@ -150,48 +130,21 @@ def evaluate_paths(
     cfg: UnseenTaskExperiment, store: SplitStore, params, seed: int
 ) -> dict[str, float]:
     """Pooled MSE of the four probe paths over every channel's test windows."""
-    stride = cfg.eval_stride or cfg.window.horizon
-    wrong_task = cfg.pretrain_tasks[0]
-    sums = {"context": [], "no_context": [], "wrong_task": [], "baseline": []}
-    truth_ref = []
-    for ch_idx, ch in enumerate(store.channels):
-        train_s = store.series(ch, "train")
-        test_s = store.series(ch, "test")
-        query_rng = np.random.default_rng(np.random.SeedSequence((seed, 2, ch_idx)))
-        queries = enumerate_queries(test_s, cfg.eval_task, cfg.window, stride, query_rng)
-        demo_rng = np.random.default_rng(np.random.SeedSequence((seed, 3, ch_idx)))
-        demos = select_eval_demos(train_s, cfg.eval_task, cfg.window, cfg.eval_demo_count, demo_rng)
-        wrong_rng = np.random.default_rng(np.random.SeedSequence((seed, 4, ch_idx)))
-        wrong_demos = select_eval_demos(train_s, wrong_task, cfg.window, cfg.eval_demo_count, wrong_rng)
-
-        p, t = context_path(queries, demos, params, cfg.model, cfg.window.horizon)
-        sums["context"].append(p)
-        truth_ref.append(t)
-        p, _ = context_path(queries, [], params, cfg.model, cfg.window.horizon)
-        sums["no_context"].append(p)
-        p, _ = context_path(queries, wrong_demos, params, cfg.model, cfg.window.horizon)
-        sums["wrong_task"].append(p)
-        p, t_b = baseline_path(queries, params, cfg.model)
-        if not np.array_equal(t_b, t):
-            raise DataError(f"channel {ch}: baseline truths differ from the context path's truths")
-        sums["baseline"].append(p)
-    truth = np.concatenate(truth_ref)
-    return {name: mse(np.concatenate(chunks), truth) for name, chunks in sums.items()}
+    protocol = EvalProtocol(cfg.eval_task, cfg.pretrain_tasks, cfg.window, cfg.eval_demo_count)
+    preds, truth = score_probes(protocol, PROBES, store, params, cfg.model, seed, cfg.eval_stride)
+    return {("context" if probe == "ictp" else probe): mse(p, truth) for probe, p in preds.items()}
 
 
 def run_seed(cfg: UnseenTaskExperiment, seed: int) -> SeedOutcome:
     store = store_from_channels(generate(replace(cfg.synth, seed=seed)), cfg.synth.name)
     params, record = pretrain(cfg, store, seed)
-    before = params_checksum(params)
     scores = evaluate_paths(cfg, store, params, seed)
-    unchanged = params_checksum(params) == before
     return SeedOutcome(
         seed=seed,
         mse_context=scores["context"],
         mse_no_context=scores["no_context"],
         mse_wrong_task=scores["wrong_task"],
         mse_baseline=scores["baseline"],
-        checksum_unchanged=unchanged,
         record=record,
     )
 

@@ -29,10 +29,6 @@ DECODER_CAUSAL = "decoder_causal"
 ENCODER_MASKED = "encoder_masked"
 VARIANTS = (DECODER_CAUSAL, ENCODER_MASKED)
 
-# Answer-region input encodings.
-TRAIN_MODE = "train"  # ground-truth values (decoder teacher forcing)
-EVAL_MODE = "eval"  # placeholder tokens (value 0, mask 1, segment 1)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -207,67 +203,3 @@ def horizon_patch_count(horizon: int, config: ModelConfig) -> int:
     if horizon % config.patch_size != 0:
         raise GeometryError(f"horizon {horizon} not divisible by patch size {config.patch_size}")
     return horizon // config.patch_size
-
-
-def forward_values(
-    batch_tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig, horizon: int
-) -> ad.Tensor:
-    """Predictions for the appended answer region, shape (B, h/p, p)."""
-    hp = horizon_patch_count(horizon, config)
-    preds = forward_patch_predictions(batch_tokens, params, config)
-    s = preds.shape[1]
-    if hp + 1 > s:
-        raise GeometryError(f"answer region of {hp} patches does not fit in {s} total patches")
-    r0, r1 = readout_rows(config, s, hp)
-    return ad.row_slice(preds, r0, r1)
-
-
-def _forward_single(tokens: np.ndarray, params, config: ModelConfig, horizon: int) -> np.ndarray:
-    out = forward_values(tokens[None, :, :], params, config, horizon)
-    return out.data[0].reshape(-1)
-
-
-def _check_trailing_region(tokens: np.ndarray, horizon: int) -> None:
-    tail = tokens[-horizon:]
-    if not np.all(tail[:, SEGMENT_FLAG] == 1.0):
-        raise GeometryError("last horizon steps must be answer-region tokens (segment_flag 1)")
-    masked = tail[:, MASK_FLAG] == 1.0
-    if not np.all(tail[masked, VALUE] == 0.0):
-        raise GeometryError("masked answer-region tokens must carry value 0")
-
-
-def forward_decoder(
-    tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig, horizon: int
-) -> np.ndarray:
-    """Single-pass readout of the trailing answer region (causal variant)."""
-    if config.variant != DECODER_CAUSAL:
-        raise ConfigError(f"forward_decoder called with variant {config.variant!r}")
-    _check_trailing_region(tokens, horizon)
-    return _forward_single(np.asarray(tokens, dtype=np.float64), params, config, horizon)
-
-
-def forward_encoder(
-    tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig, horizon: int
-) -> np.ndarray:
-    """Reconstruction readout of the trailing masked region (bidirectional variant)."""
-    if config.variant != ENCODER_MASKED:
-        raise ConfigError(f"forward_encoder called with variant {config.variant!r}")
-    _check_trailing_region(tokens, horizon)
-    return _forward_single(np.asarray(tokens, dtype=np.float64), params, config, horizon)
-
-
-def predict(
-    sample_tokens: np.ndarray,
-    params: dict[str, ad.Parameter],
-    config: ModelConfig,
-    horizon: int,
-) -> np.ndarray:
-    """Evaluation entry point: append placeholders, run the right variant."""
-    stream = np.concatenate([np.asarray(sample_tokens, dtype=np.float64), answer_region(horizon)])
-    if config.variant == DECODER_CAUSAL:
-        return forward_decoder(stream, params, config, horizon)
-    return forward_encoder(stream, params, config, horizon)
-
-
-def clone_params(params: dict[str, ad.Parameter]) -> dict[str, ad.Parameter]:
-    return {name: ad.Parameter(p.data.copy(), name) for name, p in params.items()}

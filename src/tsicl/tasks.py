@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +30,6 @@ class TaskKind(enum.Enum):
 
 # Canonical ordering used wherever a task set must be iterated deterministically.
 TASK_ORDER = (TaskKind.FORECAST, TaskKind.IMPUTE, TaskKind.BACKTRACE)
-
-
-class Token(NamedTuple):
-    """One time step of model input."""
-
-    value: float
-    mask_flag: int
-    segment_flag: int
-
-
-def as_tokens(arr: np.ndarray) -> list[Token]:
-    """View an ``(n, 3)`` token array as Token tuples (tests, serialization)."""
-    return [Token(float(v), int(m), int(s)) for v, m, s in arr]
 
 
 def token_array(values: np.ndarray, mask: np.ndarray | None = None, segment: int = 0) -> np.ndarray:

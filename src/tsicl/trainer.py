@@ -4,7 +4,8 @@ Loss is masked MSE over the query's answer region only; demonstration answers
 inside the context carry no loss unless ``supervise_demo_outputs`` is set.
 Samples are bucketed by token length (context size varies with demo count) and
 both bucket-internal order and batch order are reshuffled per epoch from the
-run seed, so training is fully reproducible.
+run seed, so training is fully reproducible. The validation loss reads the
+model out through ``evalharness.batched_predict``, as evaluation does.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .context import ContextDataset
 from .errors import ConfigError, GeometryError, NumericalError
+from .evalharness import batched_predict, mse
 from .model import (
     DECODER_CAUSAL,
-    EVAL_MODE,
-    TRAIN_MODE,
     ModelConfig,
     answer_region,
     forward_patch_predictions,
@@ -114,22 +114,13 @@ def _check_geometry(dataset: ContextDataset, config: ModelConfig) -> None:
             raise GeometryError("token stream not divisible by patch size")
 
 
-def _length_buckets(dataset: ContextDataset) -> dict[int, list[int]]:
-    buckets: dict[int, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        buckets.setdefault(len(s.tokens), []).append(i)
-    return buckets
-
-
-def _batch_streams(dataset: ContextDataset, idxs: list[int], mode: str, variant: str) -> np.ndarray:
+def _batch_streams(dataset: ContextDataset, idxs: list[int], variant: str) -> np.ndarray:
+    """Training streams: the decoder is teacher-forced, the encoder sees placeholders."""
     h = dataset.window.horizon
     streams = []
     for i in idxs:
         s = dataset.samples[i]
-        if variant == DECODER_CAUSAL and mode == TRAIN_MODE:
-            region = answer_region(h, values=s.target)
-        else:
-            region = answer_region(h)
+        region = answer_region(h, values=s.target if variant == DECODER_CAUSAL else None)
         streams.append(np.concatenate([s.tokens, region]))
     return np.stack(streams)
 
@@ -166,7 +157,7 @@ def _batch_loss_graph(
     config: ModelConfig,
     supervise_demos: bool,
 ) -> ad.Tensor:
-    streams = _batch_streams(dataset, idxs, TRAIN_MODE, config.variant)
+    streams = _batch_streams(dataset, idxs, config.variant)
     preds = forward_patch_predictions(streams, params, config)
     regions = _loss_regions(dataset, idxs, config, preds.shape[1], supervise_demos)
     slices = [ad.row_slice(preds, r0, r1) for r0, r1, _ in regions]
@@ -179,23 +170,12 @@ def evaluate_loss(
     dataset: ContextDataset,
     params: dict[str, ad.Parameter],
     config: ModelConfig,
-    batch_size: int = 64,
 ) -> float:
-    """Deployment-mode MSE over the answer region (placeholder inputs, no tape)."""
+    """Deployment-mode MSE over the answer region: one ``batched_predict`` call, no tape."""
     h = dataset.window.horizon
-    hp = horizon_patch_count(h, config)
-    sq_sum, count = 0.0, 0
-    for _, idxs in sorted(_length_buckets(dataset).items()):
-        for lo in range(0, len(idxs), batch_size):
-            chunk = idxs[lo : lo + batch_size]
-            streams = _batch_streams(dataset, chunk, EVAL_MODE, config.variant)
-            preds = forward_patch_predictions(streams, params, config)
-            r0, r1 = readout_rows(config, preds.shape[1], hp)
-            got = preds.data[:, r0:r1, :].reshape(len(chunk), h)
-            truth = np.stack([dataset.samples[i].target for i in chunk])
-            sq_sum += float(np.sum((got - truth) ** 2))
-            count += truth.size
-    return sq_sum / count
+    streams = [np.concatenate([s.tokens, answer_region(h)]) for s in dataset.samples]
+    preds = batched_predict(streams, [h] * len(streams), params, config)
+    return mse(np.stack(preds), np.stack([s.target for s in dataset.samples]))
 
 
 def train(
@@ -214,7 +194,9 @@ def train(
     start = time.perf_counter()
     record = TrainRecord()
     optimizer = Adam(params, train_config)
-    buckets = _length_buckets(dataset)
+    buckets: dict[int, list[int]] = {}
+    for i, s in enumerate(dataset.samples):
+        buckets.setdefault(len(s.tokens), []).append(i)
     best_valid = np.inf
     best_state: dict[str, np.ndarray] = {}
     stale = 0

@@ -1,0 +1,38 @@
+"""A tiny CLI configuration and one shared run of it, for pipeline-level tests."""
+
+from pathlib import Path
+
+import pytest
+
+from tsicl.cli import main
+
+TINY_CLI = {
+    "synth_count": "2",
+    "synth_length": "240",
+    "lookback": "8",
+    "horizon": "4",
+    "demo_counts": "0,1",
+    "demo_count": "1",
+    "d_model": "8",
+    "n_layers": "1",
+    "n_heads": "2",
+    "ff_mult": "2",
+    "max_epochs": "1",
+    "patience": "1",
+}
+
+
+def overrides(out_dir: Path) -> list[str]:
+    args = []
+    for key, value in {**TINY_CLI, "out_dir": str(out_dir)}.items():
+        args += ["--set", f"{key}={value}"]
+    return args
+
+
+@pytest.fixture(scope="session")
+def pipeline_dir(tmp_path_factory):
+    """A tiny run's artifacts: store, context files, checkpoint and eval report."""
+    out = tmp_path_factory.mktemp("pipeline")
+    for stage in ("synth", "ingest", "build", "train", "eval"):
+        assert main([stage, *overrides(out)]) == 0
+    return out

@@ -99,13 +99,6 @@ class TestForwardExamples:
         with pytest.raises(GeometryError, match="add shape mismatch"):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 1))))
 
-    def test_embedding_lookup(self):
-        table = ad.Parameter(np.arange(12.0).reshape(4, 3), "emb")
-        out = ad.embedding_lookup(table, np.array([0, 2, 2]))
-        assert np.array_equal(out.data, table.data[[0, 2, 2]])
-        with pytest.raises(GeometryError, match="out of range"):
-            ad.embedding_lookup(table, np.array([4]))
-
     def test_concat_and_slice(self):
         a, b = ad.constant(np.ones((2, 3))), ad.constant(np.zeros((1, 3)))
         out = ad.concat([a, b], axis=0)
@@ -190,6 +183,23 @@ class TestBackwardBasics:
             tape.backward(loss)
         # d(x^2)^2/dx = 4x^3 = 32
         assert np.allclose(x.grad, [[32.0]])
+
+    def test_op_outputs_release_gradients(self):
+        # only leaves keep a gradient after backward; every op output's is freed
+        rng = np.random.default_rng(0)
+        w = ad.Parameter(rng.normal(size=(3, 4)), "w")
+        b = ad.Parameter(rng.normal(size=4), "b")
+        x = ad.constant(rng.normal(size=(2, 5, 3)))
+        with ad.Tape() as tape:
+            outputs = [ad.matmul(x, w)]
+            outputs.append(ad.add(outputs[-1], b))
+            outputs.append(ad.gelu(outputs[-1]))
+            outputs.append(ad.softmax(outputs[-1]))
+            y = outputs[-1]
+            outputs.append(ad.mse_loss(y, np.zeros(y.shape), np.ones(y.shape)))
+            tape.backward(outputs[-1])
+        assert all(out.grad is None for out in outputs)
+        assert w.grad.shape == w.shape and b.grad.shape == b.shape
 
     def test_shared_gradient_is_not_updated_in_place(self):
         # add hands one dout to both a and b; a then receives a second gradient
@@ -293,12 +303,6 @@ class TestFiniteDifferencePerOp:
         for rng in self.seeded_cases():
             x = ad.Parameter(rng.normal(size=(3, 5)) * 2, "x")
             assert_grads_match(lambda: scalarize(ad.gelu(x)), {"x": x})
-
-    def test_embedding_lookup(self):
-        for rng in self.seeded_cases():
-            table = ad.Parameter(rng.normal(size=(5, 3)), "table")
-            ids = rng.integers(0, 5, size=4)
-            assert_grads_match(lambda: scalarize(ad.embedding_lookup(table, ids)), {"table": table})
 
     def test_concat_and_slice(self):
         for rng in self.seeded_cases():

@@ -78,3 +78,34 @@ def test_decoder_is_causal():
         out = forward_patch_predictions(perturbed, params, config).data
         assert np.abs(out[:, :j] - base[:, :j]).max(initial=0.0) <= 1e-12, f"patch {j} leaked backwards"
         assert np.max(np.abs(out[:, j] - base[:, j])) > 1e-6, f"patch {j} did not reach its own row"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_whole_model_matches_finite_differences(variant):
+    config = ModelConfig(variant=variant, patch_size=2, d_model=4, n_layers=2, n_heads=2, ff_mult=2)
+    rng = np.random.default_rng(7)
+    params = init_params(config, seed=2)
+    for p in params.values():  # non-trivial biases and gains
+        p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+    tokens = random_tokens(rng, batch=2, patches=5, patch_size=config.patch_size)
+    target = rng.normal(size=(2, 5, config.patch_size))
+
+    def loss() -> float:
+        preds = forward_patch_predictions(tokens, params, config)
+        return float(ad.mse_loss(preds, target, np.ones(target.shape)).data)
+
+    _, exact = outputs_and_grads(tokens, params, config, target)
+    eps = 1e-6
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        approx = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss()
+            flat[i] = orig - eps
+            down = loss()
+            flat[i] = orig
+            approx[i] = (up - down) / (2 * eps)
+        err = np.abs(exact[name].reshape(-1) - approx) / np.maximum(np.abs(approx), 1e-3)
+        assert err.max() <= 1e-5, f"{name}: rel err {err.max():.2e}"

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import overrides
 from tsicl import autodiff as ad
-from tsicl import experiment, trainer
+from tsicl import evalharness, experiment, trainer
 from tsicl.cli import main
 from tsicl.context import build_context_dataset, read_jsonl
 from tsicl.errors import DataError, NumericalError
@@ -22,36 +23,6 @@ from tsicl.tasks import TaskKind, WindowSpec
 SRC = Path(__file__).resolve().parents[1] / "src"
 WINDOW = WindowSpec(8, 4)
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-TINY_CLI = {
-    "synth_count": "2",
-    "synth_length": "240",
-    "lookback": "8",
-    "horizon": "4",
-    "demo_counts": "0,1",
-    "demo_count": "1",
-    "d_model": "8",
-    "n_layers": "1",
-    "n_heads": "2",
-    "ff_mult": "2",
-    "max_epochs": "1",
-    "patience": "1",
-}
-
-
-@pytest.fixture(scope="module")
-def pipeline_dir(tmp_path_factory):
-    """A tiny run's artifacts: store, context files and checkpoint."""
-    out = tmp_path_factory.mktemp("pipeline")
-    for stage in ("synth", "ingest", "build", "train"):
-        assert main([stage, *overrides(out)]) == 0
-    return out
-
-
-def overrides(out_dir: Path) -> list[str]:
-    args = []
-    for key, value in {**TINY_CLI, "out_dir": str(out_dir)}.items():
-        args += ["--set", f"{key}={value}"]
-    return args
 
 
 def truncated_copy(src_dir: Path, dst_dir: Path, name: str) -> Path:
@@ -66,7 +37,12 @@ def truncated_copy(src_dir: Path, dst_dir: Path, name: str) -> Path:
 
 @pytest.mark.parametrize(
     "stage, artifact",
-    [("build", "store.json"), ("eval", "checkpoint.json"), ("train", "ctx_train_m1.jsonl")],
+    [
+        ("build", "store.json"),
+        ("eval", "checkpoint.json"),
+        ("train", "ctx_train_m1.jsonl"),
+        ("report", "eval_report.csv"),
+    ],
 )
 def test_cli_truncated_artifact_exits_3(pipeline_dir, tmp_path, stage, artifact):
     target = truncated_copy(pipeline_dir, tmp_path, artifact)
@@ -129,6 +105,24 @@ class TestMalformedFiles:
             with pytest.raises(DataError, match=f"malformed dataset .*{case}.jsonl"):
                 read_jsonl(path)
 
+    def test_eval_report(self, pipeline_dir, tmp_path):
+        header, first, *_ = (pipeline_dir / "eval_report.csv").read_text().splitlines()
+        cases = {
+            "cut_row": "\n".join([header, first[:30]]),
+            "missing_field": "\n".join([header, first.rsplit(",", 1)[0]]) + "\n",
+            "bad_number": "\n".join([header, first.rsplit(",", 1)[0] + ",zero"]) + "\n",
+        }
+        for case, text in cases.items():
+            path = tmp_path / f"{case}.csv"
+            path.write_text(text)
+            with pytest.raises(DataError, match=f"malformed report .*{case}.csv, line 2"):
+                evalharness.EvalReport.read_csv(path)
+
+
+def test_unknown_eval_task_exits_2(pipeline_dir, capsys):
+    assert main(["eval", *overrides(pipeline_dir), "--set", "eval_task=bogus"]) == 2
+    assert "unknown task name" in capsys.readouterr().err
+
 
 def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
     series = generate(SynthSpec(count=1, length=240, seed=0))
@@ -148,12 +142,12 @@ def test_evaluate_paths_rejects_mismatched_truths(monkeypatch):
     scores = experiment.evaluate_paths(cfg, store, params, seed=0)
     assert all(np.isfinite(v) for v in scores.values())
 
-    real = experiment.baseline_path
+    real = evalharness.baseline_path
 
     def shifted(queries, params, config):
         preds, truths = real(queries, params, config)
         return preds, truths + 1.0
 
-    monkeypatch.setattr(experiment, "baseline_path", shifted)
+    monkeypatch.setattr(evalharness, "baseline_path", shifted)
     with pytest.raises(DataError, match="truths differ"):
         experiment.evaluate_paths(cfg, store, params, seed=0)
