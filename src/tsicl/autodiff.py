@@ -3,15 +3,17 @@
 Ops record themselves on the active ``Tape``; ``Tape.backward`` replays the
 records in exact reverse execution order and accumulates gradients into every
 reachable tensor. An op output's gradient is dropped as soon as its own rule
-has run, so after the pass only leaves (parameters, constants) hold one.
+has run, so after the pass only parameters hold one. Constants (model inputs,
+built with ``constant``) never hold one, and ops skip the work of computing it.
 Without an active tape the same functions run forward-only, which is how
 evaluation avoids bookkeeping cost.
 
 The op set is deliberately small (standard transformer arithmetic) and every
 backward rule is covered by a finite-difference check in the test suite.
 Multi-head attention stays within rank 3 through ``split_heads``, which folds
-(B, S, H*dh) into (B*H, S, dh) so every head runs in one batched matmul and
-one softmax, and its inverse ``merge_heads``.
+(B, S, H*dh) into (B*H, S, dh), its inverse ``merge_heads``, and ``attention``,
+one fused, row-tiled op over the folded heads that scores a causal row only
+against the keys it can see.
 
 Gradients are never updated in place. A backward rule may hand the same array,
 or a view of it, to several inputs (``add``, ``transpose``, the slice ops), so
@@ -66,6 +68,15 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
+
+
+class Constant(Tensor):
+    """Input data: flows through ops but never accumulates a gradient."""
+
+    __slots__ = ()
+
+    def accumulate(self, g: np.ndarray) -> None:
+        pass
 
 
 class Parameter(Tensor):
@@ -146,8 +157,8 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
+def constant(data) -> Constant:
+    return Constant(data)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -163,7 +174,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(dout: np.ndarray) -> None:
             flat = dout.reshape(-1, n)
-            a.accumulate((flat @ b.data.T).reshape(*lead, k))
+            if not isinstance(a, Constant):  # input data needs no gradient GEMM
+                a.accumulate((flat @ b.data.T).reshape(*lead, k))
             b.accumulate(a.data.reshape(-1, k).T @ flat)
 
         return _finish(out, backward, "matmul")
@@ -185,8 +197,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(dout: np.ndarray) -> None:
-        a.accumulate(_sum_to_shape(dout, a.data.shape))
-        b.accumulate(_sum_to_shape(dout, b.data.shape))
+        for t in (a, b):
+            if not isinstance(t, Constant):
+                t.accumulate(_sum_to_shape(dout, t.data.shape))
 
     return _finish(out, backward, "add")
 
@@ -352,6 +365,63 @@ def merge_heads(x: Tensor, heads: int) -> Tensor:
         x.accumulate(dout.reshape(b, s, heads, dh).transpose(0, 2, 1, 3).reshape(bh, s, dh))
 
     return _finish(out, backward, "merge_heads")
+
+
+_ATTENTION_TILE = 64
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
+    """Scaled dot-product attention ``softmax(q k^T / sqrt(dh)) v`` over (B*H, S, dh).
+
+    Query rows run in tiles of ``_ATTENTION_TILE``. A causal tile of rows
+    [r0, r1) scores only keys [0, r1) and masks the upper triangle of its
+    diagonal block, so no row pays for keys it cannot see. Only the
+    probability tiles are kept for the backward pass, which takes the softmax
+    row term as rowsum(dO * O), (S, dh), instead of rowsum(dP * P), (S, S), as
+    FlashAttention (Dao et al., 2022) does.
+    """
+    if q.data.ndim != 3 or k.shape != q.shape or v.data.ndim != 3 or v.shape[:2] != q.shape[:2]:
+        raise GeometryError(f"attention needs (B*H, S, dh) operands, got {q.shape}, {k.shape}, {v.shape}")
+    s, dh = q.shape[1], q.shape[2]
+    c = 1.0 / np.sqrt(dh)
+    qs, kd, vd = q.data * c, k.data, v.data
+    rows = [(r0, min(r0 + _ATTENTION_TILE, s)) for r0 in range(0, s, _ATTENTION_TILE)]
+    upper = np.triu(np.full((_ATTENTION_TILE, _ATTENTION_TILE), -np.inf), 1)
+    o = np.empty(q.shape[:2] + v.shape[2:])
+    # only a recorded op needs its probability tiles again; evaluation drops each one
+    keep = _tape() is not None
+    tiles = []
+    for r0, r1 in rows:
+        n = r1 if causal else s
+        p = np.matmul(qs[:, r0:r1], np.swapaxes(kd[:, :n], -1, -2))
+        if causal:
+            p[:, :, r0:] += upper[: r1 - r0, : r1 - r0]
+        p -= np.max(p, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.sum(p, axis=-1, keepdims=True)
+        o[:, r0:r1] = np.matmul(p, vd[:, :n])
+        if keep:
+            tiles.append(p)
+    out = Tensor(o)
+
+    def backward(dout: np.ndarray) -> None:
+        delta = np.sum(dout * o, axis=-1, keepdims=True)
+        dq, dk, dv = np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
+        for (r0, r1), p in zip(rows, tiles):
+            n = p.shape[-1]
+            do = dout[:, r0:r1]
+            dv[:, :n] += np.matmul(np.swapaxes(p, -1, -2), do)
+            ds = np.matmul(do, np.swapaxes(vd[:, :n], -1, -2))
+            ds -= delta[:, r0:r1]
+            ds *= p
+            dq[:, r0:r1] = np.matmul(ds, kd[:, :n])
+            dk[:, :n] += np.matmul(np.swapaxes(ds, -1, -2), qs[:, r0:r1])
+        dq *= c
+        q.accumulate(dq)
+        k.accumulate(dk)
+        v.accumulate(dv)
+
+    return _finish(out, backward, "attention")
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:

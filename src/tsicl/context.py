@@ -90,14 +90,18 @@ def answer_tokens(target: np.ndarray) -> np.ndarray:
     return token_array(target, segment=1)
 
 
-def build_stream(demos: Sequence[TaskExample], query: TaskExample) -> np.ndarray:
+def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None) -> np.ndarray:
     """Flatten (demo input, demo answer)* followed by the query input.
 
-    No task-match check: ``assemble`` adds one for ``build_context_dataset``, while
-    evaluation also flattens deliberate wrong-task contexts.
+    Without a query this is the demo prefix alone, which evaluation flattens
+    once and appends every query to. No task-match check: ``assemble`` adds
+    one for ``build_context_dataset``, while evaluation also flattens
+    deliberate wrong-task contexts.
     """
     parts = [part for d in demos for part in (d.input, answer_tokens(d.target))]
-    return np.concatenate([*parts, query.input], axis=0)
+    if query is not None:
+        parts.append(query.input)
+    return np.concatenate(parts, axis=0) if parts else np.zeros((0, 3))
 
 
 def assemble(context: ContextSequence, query: TaskExample) -> ContextSample:

@@ -230,7 +230,8 @@ def context_path(
     horizon: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and truths, stacked (N, h), for the demonstration path."""
-    streams = [np.concatenate([build_stream(demos, q), answer_region(horizon)]) for q in queries]
+    prefix, region = build_stream(demos), answer_region(horizon)
+    streams = [np.concatenate([prefix, q.input, region]) for q in queries]
     preds = batched_predict(streams, [horizon] * len(streams), params, config)
     return np.stack(preds), np.stack([q.target for q in queries])
 

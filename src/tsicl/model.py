@@ -124,29 +124,16 @@ def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return _PE_CACHE[key]
 
 
-_CAUSAL_CACHE: dict[int, np.ndarray] = {}
-
-
-def _causal_mask(n: int) -> np.ndarray:
-    if n not in _CAUSAL_CACHE:
-        _CAUSAL_CACHE[n] = np.tril(np.ones((n, n), dtype=bool))
-    return _CAUSAL_CACHE[n]
-
-
-def _attention(x: ad.Tensor, params, prefix: str, config: ModelConfig, allowed) -> ad.Tensor:
+def _attention(x: ad.Tensor, params, prefix: str, config: ModelConfig) -> ad.Tensor:
     """Multi-head self-attention with every head folded into the batch axis."""
     heads = config.n_heads
-    dh = config.d_model // heads
 
     def project(name: str) -> ad.Tensor:
         y = ad.add(ad.matmul(x, params[prefix + "w" + name]), params[prefix + "b" + name])
         return ad.split_heads(y, heads)
 
-    # scaling q (B*H, S, dh) is cheaper than scaling the (B*H, S, S) scores
-    q = ad.scale(project("q"), 1.0 / np.sqrt(dh))
-    k, v = project("k"), project("v")
-    attn = ad.softmax(ad.matmul(q, ad.transpose(k)), allowed=allowed)
-    ctx = ad.merge_heads(ad.matmul(attn, v), heads)
+    mixed = ad.attention(project("q"), project("k"), project("v"), causal=config.variant == DECODER_CAUSAL)
+    ctx = ad.merge_heads(mixed, heads)
     return ad.add(ad.matmul(ctx, params[prefix + "wo"]), params[prefix + "bo"])
 
 
@@ -163,11 +150,10 @@ def forward_patch_predictions(
     s = patches.shape[1]
     x = ad.add(ad.matmul(ad.constant(patches), params["in.w"]), params["in.b"])
     x = ad.add(x, ad.constant(positional_encoding(s, config.d_model)))
-    allowed = _causal_mask(s) if config.variant == DECODER_CAUSAL else None
     for layer in range(config.n_layers):
         pre = f"l{layer}."
         h = ad.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        x = ad.add(x, _attention(h, params, pre + "attn.", config, allowed))
+        x = ad.add(x, _attention(h, params, pre + "attn.", config))
         f = ad.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         f = ad.add(ad.matmul(f, params[pre + "ff.w1"]), params[pre + "ff.b1"])
         f = ad.gelu(f)

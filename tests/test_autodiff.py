@@ -132,6 +132,13 @@ class TestForwardExamples:
         with pytest.raises(GeometryError, match="not divisible by 4 heads"):
             ad.merge_heads(ad.constant(np.zeros((6, 3, 2))), 4)
 
+    def test_attention_rejects_mismatched_operands(self):
+        q = ad.constant(np.zeros((2, 5, 3)))
+        with pytest.raises(GeometryError, match="attention"):
+            ad.attention(q, ad.constant(np.zeros((2, 4, 3))), q, causal=True)
+        with pytest.raises(GeometryError, match="attention"):
+            ad.attention(q, q, ad.constant(np.zeros((2, 5))), causal=False)
+
     def test_rank_cap(self):
         with pytest.raises(GeometryError, match="rank"):
             ad.Tensor(np.zeros((2, 2, 2, 2)))
@@ -350,18 +357,76 @@ class TestFiniteDifferencePerOp:
             assert_grads_match(lambda: ad.mse_loss(x_t_like(a), target, mask), {"a": a})
 
 
+# longer than one attention row tile and not a multiple of it
+ATTENTION_ROWS = ad._ATTENTION_TILE + 7
+
+
+def attention_operands(rng):
+    return [ad.Parameter(rng.normal(size=(2, ATTENTION_ROWS, 3)), name) for name in "qkv"]
+
+
+def attention_chain(q, k, v, causal):
+    """Reference attention from FD-checked ops: scale, transpose, matmul, softmax."""
+    s = q.shape[1]
+    allowed = np.tril(np.ones((s, s), dtype=bool)) if causal else None
+    scores = ad.matmul(ad.scale(q, 1.0 / np.sqrt(q.shape[-1])), ad.transpose(k))
+    return ad.matmul(ad.softmax(scores, allowed=allowed), v)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_matches_finite_differences(self, causal):
+        for rng in [np.random.default_rng(seed) for seed in range(2)]:
+            q, k, v = attention_operands(rng)
+            target = rng.normal(size=q.shape)
+            assert_grads_match(
+                lambda: ad.mse_loss(ad.attention(q, k, v, causal), target, np.ones(target.shape)),
+                {"q": q, "k": k, "v": v},
+            )
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_matches_the_softmax_chain(self, causal):
+        for rng in [np.random.default_rng(seed) for seed in range(3)]:
+            q, k, v = attention_operands(rng)
+            q.data = q.data * 3.0  # peaked rows: some probabilities far below others
+            target = rng.normal(size=q.shape)
+            results = []
+            for op in (ad.attention, attention_chain):
+                grads = analytic(lambda: ad.mse_loss(op(q, k, v, causal), target, np.ones(target.shape)),
+                                 {"q": q, "k": k, "v": v})
+                results.append((op(q, k, v, causal).data, grads))
+            (got, got_grads), (want, want_grads) = results
+            assert np.max(np.abs(got - want)) <= 1e-12
+            for name in "qkv":
+                assert np.max(np.abs(got_grads[name] - want_grads[name])) <= 1e-12, name
+
+    def test_causal_rows_never_see_later_keys(self):
+        rng = np.random.default_rng(4)
+        q, k, v = attention_operands(rng)
+        base = ad.attention(q, k, v, causal=True).data
+        tile = ad._ATTENTION_TILE
+        for j in (0, 1, tile - 1, tile, tile + 1, ATTENTION_ROWS - 1):
+            k2, v2 = k.data.copy(), v.data.copy()
+            k2[:, j] += rng.normal(size=k2[:, j].shape)
+            v2[:, j] += rng.normal(size=v2[:, j].shape)
+            out = ad.attention(q, ad.constant(k2), ad.constant(v2), causal=True).data
+            assert np.array_equal(out[:, :j], base[:, :j]), f"key {j} leaked backwards"
+            assert np.max(np.abs(out[:, j] - base[:, j])) > 1e-6, f"key {j} did not reach its own row"
+
+
 def x_t_like(a):
     return ad.scale(a, 1.0)
 
 
 class TestFiniteChecks:
     def test_non_finite_output_raises(self):
-        with ad.finite_checks():
+        with ad.finite_checks(), pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericalError, match="non-finite"):
                 ad.scale(ad.constant([1e308]), 1e308)
 
     def test_disabled_by_default(self):
-        out = ad.scale(ad.constant([1e308]), 1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = ad.scale(ad.constant([1e308]), 1e308)
         assert np.isinf(out.data).any()
 
 

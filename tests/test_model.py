@@ -6,10 +6,12 @@ from tsicl import model
 from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, forward_patch_predictions, init_params
 
 
-def per_head_attention(x, params, prefix, config, allowed):
+def per_head_attention(x, params, prefix, config):
     """Reference attention: one slice, score matmul and softmax per head, then concat."""
     d, heads = config.d_model, config.n_heads
     dh = d // heads
+    s = x.shape[1]
+    allowed = np.tril(np.ones((s, s), dtype=bool)) if config.variant == DECODER_CAUSAL else None
     q = ad.add(ad.matmul(x, params[prefix + "wq"]), params[prefix + "bq"])
     k = ad.add(ad.matmul(x, params[prefix + "wk"]), params[prefix + "bk"])
     v = ad.add(ad.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
@@ -45,15 +47,14 @@ def outputs_and_grads(tokens, params, config, target):
     return preds.data, {name: p.grad for name, p in params.items()}
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_folded_heads_match_per_head_reference(variant, monkeypatch):
+def assert_folded_heads_match_reference(variant, patches, monkeypatch):
     config = tiny(variant)
     rng = np.random.default_rng(11)
     params = init_params(config, seed=3)
     for p in params.values():  # non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
-    tokens = random_tokens(rng, batch=3, patches=7, patch_size=config.patch_size)
-    target = rng.normal(size=(3, 7, config.patch_size))
+    tokens = random_tokens(rng, batch=3, patches=patches, patch_size=config.patch_size)
+    target = rng.normal(size=(3, patches, config.patch_size))
 
     got, got_grads = outputs_and_grads(tokens, params, config, target)
     monkeypatch.setattr(model, "_attention", per_head_attention)
@@ -65,11 +66,21 @@ def test_folded_heads_match_per_head_reference(variant, monkeypatch):
         assert np.max(np.abs(got_grads[name] - g)) <= 1e-10 * max(1.0, np.max(np.abs(g))), name
 
 
-def test_decoder_is_causal():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_folded_heads_match_per_head_reference(variant, monkeypatch):
+    assert_folded_heads_match_reference(variant, 7, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_folded_heads_match_per_head_reference_past_one_tile(variant, monkeypatch):
+    assert_folded_heads_match_reference(variant, ad._ATTENTION_TILE + 7, monkeypatch)
+
+
+def assert_decoder_is_causal(patches):
     config = tiny(DECODER_CAUSAL)
     rng = np.random.default_rng(5)
     params = init_params(config, seed=1)
-    patches, p = 8, config.patch_size
+    p = config.patch_size
     tokens = random_tokens(rng, batch=2, patches=patches, patch_size=p)
     base = forward_patch_predictions(tokens, params, config).data
     for j in range(patches):
@@ -78,6 +89,43 @@ def test_decoder_is_causal():
         out = forward_patch_predictions(perturbed, params, config).data
         assert np.abs(out[:, :j] - base[:, :j]).max(initial=0.0) <= 1e-12, f"patch {j} leaked backwards"
         assert np.max(np.abs(out[:, j] - base[:, j])) > 1e-6, f"patch {j} did not reach its own row"
+
+
+def test_decoder_is_causal():
+    assert_decoder_is_causal(8)
+
+
+def test_decoder_is_causal_past_one_tile():
+    assert_decoder_is_causal(ad._ATTENTION_TILE + 7)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_constants_hold_no_gradient(variant, monkeypatch):
+    config = tiny(variant)
+    rng = np.random.default_rng(2)
+    params = init_params(config, seed=4)
+    tokens = random_tokens(rng, batch=2, patches=6, patch_size=config.patch_size)
+    target = rng.normal(size=(2, 6, config.patch_size))
+
+    def run(make):
+        """Gradients, and the two inputs (patches, positional table) built by ``make``."""
+        inputs = []
+
+        def recording(data):
+            inputs.append(make(data))
+            return inputs[-1]
+
+        monkeypatch.setattr(ad, "constant", recording)
+        _, grads = outputs_and_grads(tokens, params, config, target)
+        return inputs, grads
+
+    constants, got = run(ad.constant)
+    # reference: the same inputs as plain tensors, which accumulate a gradient like any other
+    tensors, want = run(ad.Tensor)
+    assert len(constants) == 2 and all(t.grad is None for t in constants)
+    assert len(tensors) == 2 and all(t.grad is not None for t in tensors)
+    for name, g in want.items():
+        assert np.array_equal(got[name], g), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -9,8 +9,16 @@ from conftest import overrides
 from tsicl import autodiff as ad
 from tsicl import evalharness, experiment
 from tsicl.cli import main
-from tsicl.context import build_train_valid
-from tsicl.evalharness import PROBES, EvalProtocol, EvalReport, batched_predict, score_probes
+from tsicl.context import build_stream, build_train_valid
+from tsicl.evalharness import (
+    PROBES,
+    EvalProtocol,
+    EvalReport,
+    batched_predict,
+    enumerate_queries,
+    score_probes,
+    select_eval_demos,
+)
 from tsicl.model import VARIANTS, ModelConfig, answer_region, init_params
 from tsicl.series import load_store
 from tsicl.synthetic import SynthSpec, generate
@@ -77,6 +85,29 @@ def test_eval_demos_and_queries_do_not_leak(monkeypatch):
             lo, hi = bounds(q.source_span.channel, "test")
             assert lo <= q.source_span.start and q.source_span.end <= hi
             assert not any(d.source_span.overlaps(q.source_span) for d in demos)
+
+
+@pytest.mark.parametrize("demo_count", [0, 3])
+def test_context_path_streams_are_demos_then_query(demo_count, monkeypatch):
+    store = tiny_store()
+    channel = store.channels[0]
+    rng = np.random.default_rng(0)
+    demos = select_eval_demos(store.series(channel, "train"), TaskKind.IMPUTE, WINDOW, demo_count, rng)
+    queries = enumerate_queries(store.series(channel, "test"), TaskKind.IMPUTE, WINDOW, 4, rng)
+    fed = []
+    real = evalharness.batched_predict
+
+    def recording(streams, horizons, params, config):
+        fed.extend(streams)
+        return real(streams, horizons, params, config)
+
+    monkeypatch.setattr(evalharness, "batched_predict", recording)
+    evalharness.context_path(queries, demos, init_params(TINY_MODEL), TINY_MODEL, WINDOW.horizon)
+    assert len(fed) == len(queries) > 1
+    for stream, q in zip(fed, queries):
+        want = np.concatenate([build_stream(demos, q), answer_region(WINDOW.horizon)])
+        assert stream.dtype == want.dtype and stream.shape == want.shape
+        assert stream.tobytes() == want.tobytes()
 
 
 def test_eval_that_moves_a_weight_is_refused(monkeypatch):
