@@ -19,10 +19,22 @@ Gradients are never updated in place. A backward rule may hand the same array,
 or a view of it, to several inputs (``add``, ``transpose``, the slice ops), so
 ``Tensor.accumulate`` stores the first gradient as given and adds later ones
 out of place.
+
+The process never hands freed heap memory back to the kernel. A training step
+frees its whole tape at the end, and glibc's default is to trim the top of the
+heap and to serve large arrays from fresh ``mmap`` calls, so the next step
+faults every activation back in page by page. At import, ``_keep_freed_memory``
+therefore sets glibc's ``M_TRIM_THRESHOLD`` to -1 (never trim) and its
+``M_MMAP_THRESHOLD`` to glibc's own cap on the dynamic threshold, so that the
+heap stays at its high-water mark, which peak RSS counts anyway. Both settings
+go together: any ``mallopt`` call switches off glibc's dynamic threshold, so a
+lone setting is worse than none. Where the C library has no ``mallopt`` (not
+glibc) this is a no-op.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,6 +45,28 @@ from .errors import DataError, GeometryError, NumericalError
 
 _ACTIVE_TAPE = None
 _CHECK_FINITE = False
+
+# glibc's mallopt parameters (malloc.h) and DEFAULT_MMAP_THRESHOLD_MAX, its cap
+# on the dynamic mmap threshold: 4 MiB * sizeof(long), so 32 MiB on 64-bit
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+
+def _keep_freed_memory() -> bool:
+    """Keep freed memory in the heap; True when both ``mallopt`` calls succeed."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no libc handle, or no mallopt in it
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (
+        mallopt(_M_TRIM_THRESHOLD, -1) == 1
+        and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
+    )
+
+
+_keep_freed_memory()
 
 
 @contextmanager
@@ -262,11 +296,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise GeometryError(f"layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.var(x.data, axis=-1, keepdims=True)
+    # centre each row once; mean(xc * xc) is the same sum np.var computes
+    xhat = x.data - np.mean(x.data, axis=-1, keepdims=True)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     above = var >= eps
     inv = 1.0 / np.sqrt(np.maximum(var, eps))
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     out = Tensor(gain.data * xhat + bias.data)
 
     def backward(dout: np.ndarray) -> None:
@@ -286,16 +321,41 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximation GELU."""
+    """Tanh-approximation GELU, ``0.5 x (1 + tanh(C (x + 0.044715 x^3)))``.
+
+    Forward and backward each work in place in two arrays of the input's shape.
+    They keep the operation order of the closed form, apart from applying its
+    factor 0.5 last; scaling by 0.5 is exact, so every bit is the same.
+    """
     xd = x.data
     # x*x*x, not x**3: numpy's float power is ~40x slower than two multiplies
-    th = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
-    out = Tensor(0.5 * xd * (1.0 + th))
+    th = xd * xd
+    th *= xd
+    th *= 0.044715
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    y = th + 1.0
+    y *= xd
+    y *= 0.5
+    out = Tensor(y)
 
     def backward(dout: np.ndarray) -> None:
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
-        dx = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
-        x.accumulate(dout * dx)
+        # du = C (1 + 3 * 0.044715 x^2)
+        du = xd * xd
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        # dx = 0.5 (1 + th) + 0.5 x (1 - th^2) du, with the 0.5 taken out of the sum
+        t = th * th
+        np.subtract(1.0, t, out=t)
+        t *= xd
+        t *= du
+        np.add(th, 1.0, out=du)
+        du += t
+        du *= 0.5
+        du *= dout
+        x.accumulate(du)
 
     return _finish(out, backward, "gelu")
 

@@ -99,9 +99,13 @@ class Adam:
         correction = np.sqrt(1.0 - c.beta2**t) / (1.0 - c.beta1**t)
         for name, p in self.params.items():
             g = grads[name]
-            self.m[name] = c.beta1 * self.m[name] + (1 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1 - c.beta2) * g * g
-            p.data -= c.learning_rate * correction * self.m[name] / (np.sqrt(self.v[name]) + c.eps)
+            # moments update in place, so a step allocates no state of its own
+            m, v = self.m[name], self.v[name]
+            m *= c.beta1
+            m += (1 - c.beta1) * g
+            v *= c.beta2
+            v += (1 - c.beta2) * g * g
+            p.data -= c.learning_rate * correction * m / (np.sqrt(v) + c.eps)
 
 
 def _check_geometry(dataset: ContextDataset, config: ModelConfig) -> None:

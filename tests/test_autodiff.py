@@ -143,6 +143,21 @@ class TestForwardExamples:
         with pytest.raises(GeometryError, match="rank"):
             ad.Tensor(np.zeros((2, 2, 2, 2)))
 
+    def test_gelu_is_bit_identical_to_the_closed_form(self):
+        c = np.sqrt(2.0 / np.pi)
+        rng = np.random.default_rng(4)
+        x = ad.Parameter(rng.normal(size=(4, 9, 16)) * 2, "x")
+        with ad.Tape() as tape:
+            out = ad.gelu(x)
+            tape.backward(scalarize(out))
+        xd = x.data
+        th = np.tanh(c * (xd + 0.044715 * (xd * xd * xd)))
+        du = c * (1.0 + 3 * 0.044715 * (xd * xd))
+        assert np.array_equal(out.data, 0.5 * xd * (1.0 + th))
+        # the upstream gradient of mean(out**2), exactly as mse_loss forms it
+        dout = np.ones(()) * 2.0 * out.data / out.data.size
+        assert np.array_equal(x.grad, dout * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du))
+
 
 class TestBackwardBasics:
     def test_square_gradient(self):

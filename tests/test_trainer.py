@@ -1,0 +1,72 @@
+import math
+
+import numpy as np
+
+from tsicl import autodiff as ad
+from tsicl.trainer import Adam, TrainConfig
+
+CONFIG = TrainConfig(learning_rate=0.01, clip_norm=1.0)
+
+
+def reference_step(values, grads, m, v, t, config):
+    """Adam as Kingma & Ba (2015), Algorithm 1, written element by element.
+
+    The bias corrections are folded into the step size (the paper's section 2
+    form), so ``eps`` is added to the uncorrected sqrt(v). A ``None`` gradient
+    counts as zero, and the global norm over every gradient is clipped to
+    ``clip_norm``.
+    """
+    grads = {name: [0.0] * len(values[name]) if g is None else list(g) for name, g in grads.items()}
+    norm = math.sqrt(sum(x * x for g in grads.values() for x in g))
+    clip = config.clip_norm / norm if norm > config.clip_norm else 1.0
+    step = config.learning_rate * math.sqrt(1 - config.beta2**t) / (1 - config.beta1**t)
+    for name, g in grads.items():
+        for i, gi in enumerate(g):
+            gi *= clip
+            m[name][i] = config.beta1 * m[name][i] + (1 - config.beta1) * gi
+            v[name][i] = config.beta2 * v[name][i] + (1 - config.beta2) * gi * gi
+            values[name][i] -= step * m[name][i] / (math.sqrt(v[name][i]) + config.eps)
+
+
+def flat(a):
+    return [float(x) for x in np.ravel(a)]
+
+
+def test_adam_matches_the_reference_over_two_steps():
+    rng = np.random.default_rng(0)
+    params = {
+        "w": ad.Parameter(rng.normal(size=(2, 3)), "w"),
+        "b": ad.Parameter(rng.normal(size=3), "b"),
+    }
+    optimizer = Adam(params, CONFIG)
+    values = {name: flat(p.data) for name, p in params.items()}
+    m = {name: [0.0] * len(x) for name, x in values.items()}
+    v = {name: [0.0] * len(x) for name, x in values.items()}
+
+    # step 1: a small gradient, global norm < clip_norm; step 2: norm > clip_norm and no gradient for b
+    steps = [
+        {"w": 0.05 * rng.normal(size=(2, 3)), "b": 0.05 * rng.normal(size=3)},
+        {"w": 3.0 * rng.normal(size=(2, 3)), "b": None},
+    ]
+    assert math.sqrt(sum(np.sum(g * g) for g in steps[0].values())) < CONFIG.clip_norm
+    assert np.sqrt(np.sum(steps[1]["w"] ** 2)) > CONFIG.clip_norm
+
+    for t, grads in enumerate(steps, start=1):
+        before = {name: p.data.copy() for name, p in params.items()}
+        for name, g in grads.items():
+            params[name].grad = g
+        optimizer.step()
+        reference_step(values, {name: None if g is None else flat(g) for name, g in grads.items()}, m, v, t, CONFIG)
+
+        assert optimizer.step_count == t
+        for name, p in params.items():
+            np.testing.assert_allclose(flat(p.data), values[name], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(flat(optimizer.m[name]), m[name], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(flat(optimizer.v[name]), v[name], rtol=1e-13, atol=0)
+        if t == 1:
+            # bias correction at t = 1: the first step moves every weight by ~lr against its gradient
+            for name, p in params.items():
+                moved = before[name] - p.data
+                assert np.allclose(moved, CONFIG.learning_rate * np.sign(grads[name]), rtol=1e-3, atol=0)
+    # b had no gradient at t = 2 but still moved on its first moment
+    assert not np.array_equal(before["b"], params["b"].data)
