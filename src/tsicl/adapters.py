@@ -1,25 +1,23 @@
 """Non-fine-tuning baselines: coerce an unseen task into a model's native one.
 
-Each adapter rewrites a single task example into a query the frozen model can
-answer natively, plus the bookkeeping needed to score the model output against
-the example's chronological target. Adapters never touch model parameters.
+Each adapter rewrites a task example into a history the frozen model can
+forecast from, plus the bookkeeping to score the output against the example's
+chronological target. Adapters never touch model parameters nor build an
+answer region: ``evalharness._fit_adapted`` appends one to every history.
+``adapter_for`` holds the table: flip for backtrace on either backbone,
+truncate for decoder impute, identity for encoder forecast. The native cells,
+(decoder, forecast) and (encoder, impute), have no entry.
 """
 
 from __future__ import annotations
 
-import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .tasks import TaskExample, TaskKind, token_array
-
-
-class AdapterKind(enum.Enum):
-    BACKTRACE_FLIP = "backtrace_flip"
-    IMPUTE_TRUNCATE = "impute_truncate"
-    ENCODER_CONCAT_MASK = "encoder_concat_mask"
 
 
 @dataclass(frozen=True)
@@ -29,8 +27,6 @@ class AdaptedQuery:
     ``predict_steps`` values are requested from the model; if
     ``reverse_output`` they are flipped back into chronological order, then
     ``score_offsets`` (or all of them) are compared against ``truth``.
-    ``includes_region`` marks token streams that already carry their masked
-    answer region (encoder concat) rather than needing one appended.
     """
 
     tokens: np.ndarray
@@ -38,7 +34,6 @@ class AdaptedQuery:
     truth: np.ndarray
     reverse_output: bool = False
     score_offsets: np.ndarray | None = None
-    includes_region: bool = False
 
     def score_prediction(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map a raw model output onto (prediction, truth) pairs to score."""
@@ -105,46 +100,18 @@ def adapt_impute_truncate(example: TaskExample) -> AdaptedQuery:
     )
 
 
-def adapt_encoder_concat(example: TaskExample) -> AdaptedQuery:
-    """Concatenate input and masked answer region for the encoder variant.
-
-    Backtrace examples pass through the flip first, so the encoder always sees
-    a forecasting-shaped stream of length L+h with the last h steps masked.
-    """
-    if example.task is TaskKind.BACKTRACE:
-        flip = adapt_backtrace_flip(example)
-        base_tokens, reverse = flip.tokens, True
-    elif example.task is TaskKind.FORECAST:
-        base_tokens, reverse = token_array(example.input[:, 0]), False
-    else:
-        raise DataError(f"encoder concat applied to a {example.task} example")
-    h = example.horizon
-    masked_tail = token_array(np.zeros(h), mask=np.ones(h), segment=1)
-    return AdaptedQuery(
-        tokens=np.concatenate([base_tokens, masked_tail]),
-        predict_steps=h,
-        truth=example.target.copy(),
-        reverse_output=reverse,
-        includes_region=True,
-    )
+def adapt_identity(example: TaskExample) -> AdaptedQuery:
+    """Forecast from the input as it stands."""
+    return AdaptedQuery(example.input, example.horizon, example.target.copy())
 
 
-def adapter_for(variant_is_decoder: bool, task: TaskKind) -> AdapterKind:
+def adapter_for(variant_is_decoder: bool, task: TaskKind) -> Callable[[TaskExample], AdaptedQuery]:
     """Baseline adapter table by (backbone family, evaluated task)."""
-    if variant_is_decoder:
-        if task is TaskKind.BACKTRACE:
-            return AdapterKind.BACKTRACE_FLIP
-        if task is TaskKind.IMPUTE:
-            return AdapterKind.IMPUTE_TRUNCATE
-        raise DataError("no baseline adapter for (decoder, forecast): forecasting is native")
-    if task in (TaskKind.FORECAST, TaskKind.BACKTRACE):
-        return AdapterKind.ENCODER_CONCAT_MASK
-    raise DataError("no baseline adapter for (encoder, impute)")
-
-
-def apply_adapter(kind: AdapterKind, example: TaskExample) -> AdaptedQuery:
-    if kind is AdapterKind.BACKTRACE_FLIP:
-        return adapt_backtrace_flip(example)
-    if kind is AdapterKind.IMPUTE_TRUNCATE:
-        return adapt_impute_truncate(example)
-    return adapt_encoder_concat(example)
+    if task is TaskKind.BACKTRACE:
+        return adapt_backtrace_flip
+    if variant_is_decoder and task is TaskKind.IMPUTE:
+        return adapt_impute_truncate
+    if not variant_is_decoder and task is TaskKind.FORECAST:
+        return adapt_identity
+    backbone = "decoder" if variant_is_decoder else "encoder"
+    raise DataError(f"no baseline adapter for ({backbone}, {task}): {task} is native")

@@ -283,6 +283,12 @@ def cmd_eval(cfg: dict) -> None:
     model_cfg = _model_config(cfg)
     if meta.get("model") and ModelConfig.from_dict(meta["model"]) != model_cfg:
         raise ConfigError(f"checkpoint model {meta['model']} does not match configured model")
+    want = {name: p.data.shape for name, p in init_params(model_cfg).items()}
+    got = {name: p.data.shape for name, p in params.items()}
+    bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    if bad:
+        raise DataError(f"checkpoint {ckpt} does not fit the configured model: parameter {bad[0]} "
+                        f"has shape {got.get(bad[0], 'missing')}, expected {want.get(bad[0], 'none')}")
     store = load_store(_path(cfg, "store", "store.json"))
     protocol = EvalProtocol(
         eval_task=_tasks([cfg["eval_task"]])[0],

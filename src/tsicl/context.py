@@ -3,8 +3,9 @@
 For each query window the builder draws a task, generates the query example,
 samples demonstration examples of the same task whose source spans are
 disjoint from the query's, and concatenates them (demo input, demo answer,
-..., query input) into one token stream. Demo answers are tagged with
-segment_flag=1 so the encoding stays invertible without separator tokens.
+..., query input) into one token stream. Demo answers are
+``model.answer_region`` tokens carrying their true values: tagged with
+segment_flag=1, so the encoding stays invertible without separator tokens.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, GeometryError
+from .model import answer_region
 from .series import ChannelSeries, SplitStore
 from .tasks import (
     TASK_ORDER,
@@ -25,24 +27,10 @@ from .tasks import (
     TaskKind,
     WindowSpec,
     generate_example,
-    token_array,
     valid_start_range,
 )
 
 DEMO_ATTEMPTS = 1000
-
-
-@dataclass(frozen=True)
-class ContextSequence:
-    """Ordered demonstrations of one task, ready to prefix a query."""
-
-    task: TaskKind
-    demos: tuple[TaskExample, ...]
-
-    def __post_init__(self) -> None:
-        for d in self.demos:
-            if d.task is not self.task:
-                raise DataError(f"demo task {d.task} does not match context task {self.task}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +73,6 @@ def sample_task(rng: np.random.Generator, tasks: set[TaskKind] | list[TaskKind])
     return ordered[int(rng.integers(0, len(ordered)))]
 
 
-def answer_tokens(target: np.ndarray) -> np.ndarray:
-    """Encode a demo's answer values as segment-1 tokens."""
-    return token_array(target, segment=1)
-
-
 def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None) -> np.ndarray:
     """Flatten (demo input, demo answer)* followed by the query input.
 
@@ -98,28 +81,31 @@ def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None)
     one for ``build_context_dataset``, while evaluation also flattens
     deliberate wrong-task contexts.
     """
-    parts = [part for d in demos for part in (d.input, answer_tokens(d.target))]
+    parts = [part for d in demos for part in (d.input, answer_region(d.horizon, d.target))]
     if query is not None:
         parts.append(query.input)
     return np.concatenate(parts, axis=0) if parts else np.zeros((0, 3))
 
 
-def assemble(context: ContextSequence, query: TaskExample) -> ContextSample:
-    """One sample: the flattened context and query, with provenance spans."""
-    if context.task is not query.task:
-        raise DataError(f"context task {context.task} does not match query task {query.task}")
+def assemble(demos: Sequence[TaskExample], query: TaskExample) -> ContextSample:
+    """One sample: the flattened demos and query, with provenance spans.
+
+    Every demo must share the query's task and geometry.
+    """
     L, h = query.lookback, query.horizon
-    for demo in context.demos:
+    for demo in demos:
+        if demo.task is not query.task:
+            raise DataError(f"demo task {demo.task} does not match query task {query.task}")
         if demo.lookback != L or demo.horizon != h:
             raise GeometryError(
                 f"demo geometry {demo.lookback}/{demo.horizon} does not match query {L}/{h}"
             )
     return ContextSample(
         task=query.task,
-        tokens=build_stream(context.demos, query),
+        tokens=build_stream(demos, query),
         target=query.target.copy(),
         query_span=query.source_span,
-        demo_spans=tuple(d.source_span for d in context.demos),
+        demo_spans=tuple(d.source_span for d in demos),
     )
 
 
@@ -277,7 +263,7 @@ def build_context_dataset(
             except DataError:
                 skipped += 1
                 continue
-            samples.append(assemble(ContextSequence(task, tuple(demos)), query))
+            samples.append(assemble(demos, query))
     if not samples:
         raise DataError(f"empty dataset: all {skipped} windows skipped")
     return ContextDataset(

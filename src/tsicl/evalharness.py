@@ -3,11 +3,14 @@
 The protocol mirrors the pre-training split: a model trained on some task set
 is evaluated on a task it never saw. The context path prepends demonstrations
 of the unseen task (train-split data only); the baseline path rewrites each
-query with the matching non-fine-tuning adapter. ``score_probes`` is the only
-eval loop, called by the CLI (``run_unseen_eval``) and by the ablations
-(``experiment.evaluate_paths``); ``batched_predict`` is the only readout, also
-behind the trainer's validation loss. ``score_probes`` checksums the
-parameters around the loop to enforce that evaluation never updates them.
+query with the adapter ``adapters.adapter_for`` picks. Every stream ends in
+``model.answer_region`` placeholders: ``context_path`` appends them after the
+query, ``_fit_adapted`` (rounded up to whole patches) after every adapted
+history. ``score_probes`` is the only eval loop, called by the CLI
+(``run_unseen_eval``) and by the ablations (``experiment.evaluate_paths``);
+``batched_predict`` is the only readout, also behind the trainer's validation
+loss. ``score_probes`` checksums the parameters around the loop to enforce
+that evaluation never updates them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import AdaptedQuery, adapter_for, apply_adapter
+from .adapters import AdaptedQuery, adapter_for
 from .context import build_stream
 from .errors import ConfigError, DataError
 from .model import (
@@ -204,16 +207,13 @@ def batched_predict(
 
 
 def _fit_adapted(adapted: AdaptedQuery, config: ModelConfig) -> tuple[np.ndarray, int]:
-    """Make an adapted query's geometry patch-divisible for the model.
+    """An adapted history plus its answer region, patch-divisible for the model.
 
-    The answer region is rounded up to whole patches; surplus history is
-    trimmed from the oldest end. Extra predicted steps are simply unread.
+    The only place a baseline stream gets its answer region. The region is
+    rounded up to whole patches; surplus history is trimmed from the oldest
+    end. Extra predicted steps are simply unread.
     """
     p = config.patch_size
-    if adapted.includes_region:
-        if len(adapted.tokens) % p != 0:
-            raise DataError(f"adapted stream length {len(adapted.tokens)} not patch-divisible")
-        return adapted.tokens, adapted.predict_steps
     model_h = -(-adapted.predict_steps // p) * p
     trim = (len(adapted.tokens) + model_h) % p
     history = adapted.tokens[trim:]
@@ -242,8 +242,8 @@ def baseline_path(
     config: ModelConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and truths for the matching reprogramming adapter."""
-    kind = adapter_for(config.variant == DECODER_CAUSAL, queries[0].task)
-    adapted = [apply_adapter(kind, q) for q in queries]
+    adapt = adapter_for(config.variant == DECODER_CAUSAL, queries[0].task)
+    adapted = [adapt(q) for q in queries]
     fitted = [_fit_adapted(a, config) for a in adapted]
     raw = batched_predict([f[0] for f in fitted], [f[1] for f in fitted], params, config)
     preds, truths = zip(*(a.score_prediction(r) for a, r in zip(adapted, raw)))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsicl.context import (
-    ContextSequence,
     assemble,
     build_context_dataset,
     count_disjoint_starts,
@@ -88,7 +87,7 @@ class TestSampleDemos:
 class TestAssemble:
     def test_empty_context_identity(self):
         q = gen_forecast(series_of(10), 0, W42)
-        out = assemble(ContextSequence(TaskKind.FORECAST, ()), q)
+        out = assemble((), q)
         assert np.array_equal(out.tokens, q.input)
         assert np.array_equal(out.target, q.target)
 
@@ -97,14 +96,14 @@ class TestAssemble:
         s = series_of(288 * 6)
         demos = tuple(gen_forecast(s, 288 * (i + 1), w) for i in range(4))
         q = gen_forecast(s, 0, w)
-        out = assemble(ContextSequence(TaskKind.FORECAST, demos), q)
+        out = assemble(demos, q)
         assert len(out.tokens) == 4 * 288 + 192 == 1344
 
     def test_hand_built_concatenation(self):
         s = series_of(40)
         d1, d2 = gen_forecast(s, 10, W42), gen_forecast(s, 20, W42)
         q = gen_forecast(s, 0, W42)
-        out = assemble(ContextSequence(TaskKind.FORECAST, (d1, d2)), q)
+        out = assemble((d1, d2), q)
         expected_values = np.concatenate(
             [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4]]
         )
@@ -119,13 +118,13 @@ class TestAssemble:
 
         q = gen_backtrace(s, 5, W42)
         with pytest.raises(DataError, match="does not match"):
-            assemble(ContextSequence(TaskKind.FORECAST, (demo,)), q)
+            assemble((demo,), q)
 
     def test_geometry_mismatch(self):
         sm = gen_forecast(series_of(20), 0, W42)
         big = gen_forecast(series_of(40), 0, WindowSpec(8, 4))
         with pytest.raises(Exception, match="geometry"):
-            assemble(ContextSequence(TaskKind.FORECAST, (sm,)), big)
+            assemble((sm,), big)
 
 
 class TestBuildDataset:

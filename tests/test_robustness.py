@@ -151,3 +151,22 @@ def test_evaluate_paths_rejects_mismatched_truths(monkeypatch):
     monkeypatch.setattr(evalharness, "baseline_path", shifted)
     with pytest.raises(DataError, match="truths differ"):
         experiment.evaluate_paths(cfg, store, params, seed=0)
+
+
+@pytest.mark.parametrize(
+    "case, edit",
+    [
+        ("missing", lambda params: params.pop("head.b")),
+        ("misshapen", lambda params: params.update({"head.b": {"shape": [5], "values": [0.0] * 5}})),
+    ],
+)
+def test_eval_on_a_checkpoint_that_does_not_fit_the_model_exits_3(pipeline_dir, tmp_path, capsys, case, edit):
+    for f in pipeline_dir.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    ckpt = tmp_path / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    edit(payload["params"])
+    ckpt.write_text(json.dumps(payload))
+    assert main(["eval", *overrides(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "parameter head.b" in err
