@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 missing/invalid input,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from .errors import ConfigError, DataError, GeometryError, NumericalError
 from .evalharness import EvalProtocol, EvalReport, improvement_ratio, run_unseen_eval
 from .experiment import merge_datasets
 from .model import ModelConfig, init_params
-from .series import build_store, load_csv, load_store, save_store
+from .series import SplitStore, build_store, load_csv, load_store, save_store
 from .synthetic import SynthSpec, generate, write_csv
 from .tasks import TaskKind, WindowSpec
 from .trainer import TrainConfig, train
@@ -225,7 +226,9 @@ def cmd_ingest(cfg: dict) -> None:
 
 
 def cmd_build(cfg: dict) -> None:
-    store = load_store(_path(cfg, "store", "store.json"))
+    store_path = _path(cfg, "store", "store.json")
+    store = load_store(store_path)
+    digest = hashlib.sha256(store_path.read_bytes()).hexdigest()
     total = 0
     for m, *parts in build_train_valid(
         store,
@@ -239,23 +242,29 @@ def cmd_build(cfg: dict) -> None:
         cross_channel_demos=cfg["cross_channel_demos"],
     ):
         for part, dataset in zip(("train", "valid"), parts):
-            dataset.extra["config"] = cfg
+            dataset.extra.update(config=cfg, store_sha256=digest)
             write_jsonl(dataset, Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl")
             total += len(dataset)
     print(f"build: wrote {total} samples across demo counts {cfg['demo_counts']} -> {cfg['out_dir']}")
 
 
-def _read_context_files(cfg: dict, part: str):
+def _read_context_files(cfg: dict, part: str, store: SplitStore):
     paths = [Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl" for m in cfg["demo_counts"]]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         raise DataError(f"missing context data: {missing} (run `build` first)")
-    return merge_datasets([read_jsonl(p) for p in paths])
+    digest = hashlib.sha256(_path(cfg, "store", "store.json").read_bytes()).hexdigest()
+    datasets = [read_jsonl(p, store) for p in paths]
+    stale = [str(p) for p, d in zip(paths, datasets) if d.extra.get("store_sha256") != digest]
+    if stale:
+        raise DataError(f"{stale} not built from {_path(cfg, 'store', 'store.json')} (run `build` again)")
+    return merge_datasets(datasets)
 
 
 def cmd_train(cfg: dict) -> None:
-    train_ds = _read_context_files(cfg, "train")
-    valid_ds = _read_context_files(cfg, "valid")
+    store = load_store(_path(cfg, "store", "store.json"))
+    train_ds = _read_context_files(cfg, "train", store)
+    valid_ds = _read_context_files(cfg, "valid", store)
     model_cfg = _model_config(cfg)
     params = init_params(model_cfg, seed=cfg["seed"])
     params, record = train(params, train_ds, valid_ds, model_cfg, _train_config(cfg))

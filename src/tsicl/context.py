@@ -6,6 +6,10 @@ disjoint from the query's, and concatenates them (demo input, demo answer,
 ..., query input) into one token stream. Demo answers are
 ``model.answer_region`` tokens carrying their true values: tagged with
 segment_flag=1, so the encoding stays invertible without separator tokens.
+
+A context file stores decisions, not values: a header line, then per sample
+``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``, demos
+then query; spans are absolute, masked positions window-relative. ``read_jsonl`` replays them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .tasks import (
     TaskKind,
     WindowSpec,
     generate_example,
+    impute_at,
     valid_start_range,
 )
 
@@ -35,17 +40,14 @@ DEMO_ATTEMPTS = 1000
 
 @dataclass(frozen=True)
 class ContextSample:
-    """One training/eval record: flattened context + query tokens and the query target."""
+    """One record: its demos and query, ``query.target`` the truth; ``tokens`` are built on each access."""
 
-    task: TaskKind
-    tokens: np.ndarray  # (m*(L+h) + L, 3)
-    target: np.ndarray  # (h,)
-    query_span: Span
-    demo_spans: tuple[Span, ...]
+    demos: tuple[TaskExample, ...]
+    query: TaskExample
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.float64))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64))
+    @property
+    def tokens(self) -> np.ndarray:  # (m*(L+h) + L, 3); not cached, so samples hold no second copy
+        return build_stream(self.demos, self.query)
 
 
 @dataclass
@@ -88,7 +90,7 @@ def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None)
 
 
 def assemble(demos: Sequence[TaskExample], query: TaskExample) -> ContextSample:
-    """One sample: the flattened demos and query, with provenance spans.
+    """One sample of the demos and the query.
 
     Every demo must share the query's task and geometry.
     """
@@ -100,13 +102,7 @@ def assemble(demos: Sequence[TaskExample], query: TaskExample) -> ContextSample:
             raise GeometryError(
                 f"demo geometry {demo.lookback}/{demo.horizon} does not match query {L}/{h}"
             )
-    return ContextSample(
-        task=query.task,
-        tokens=build_stream(demos, query),
-        target=query.target.copy(),
-        query_span=query.source_span,
-        demo_spans=tuple(d.source_span for d in demos),
-    )
+    return ContextSample(tuple(demos), query)
 
 
 def _candidate_starts(pool: list[ChannelSeries], task: TaskKind, w: WindowSpec):
@@ -183,7 +179,7 @@ def sample_demos(
 def count_disjoint_starts(
     pool: list[ChannelSeries], query_span: Span, task: TaskKind, w: WindowSpec
 ) -> int:
-    """Number of admissible demo starts (brute force; used in error paths/tests)."""
+    """Number of admissible demo starts (brute force; used by tests)."""
     n = 0
     rng = np.random.default_rng(0)
     for s in pool:
@@ -306,21 +302,13 @@ def build_train_valid(
         yield m, train, valid
 
 
-def _sample_record(sample: ContextSample) -> dict:
-    tokens = [[float(v), int(m), int(s)] for v, m, s in sample.tokens]
-    return {
-        "task": str(sample.task),
-        "tokens": tokens,
-        "target": [float(x) for x in sample.target],
-        "provenance": {
-            "query": sample.query_span.as_list(),
-            "demos": [sp.as_list() for sp in sample.demo_spans],
-        },
-    }
+def _example_record(e: TaskExample) -> list:
+    span = e.source_span
+    return [span.dataset, span.channel, span.start, span.end, e.masked_positions.tolist()]
 
 
 def write_jsonl(dataset: ContextDataset, path: str | Path) -> None:
-    """One header line (config echo) followed by one record per sample."""
+    """One header line (config echo), then per sample its task and each example's span and mask."""
     header = {
         "lookback": dataset.window.lookback,
         "horizon": dataset.window.horizon,
@@ -334,17 +322,40 @@ def write_jsonl(dataset: ContextDataset, path: str | Path) -> None:
     }
     with Path(path).open("w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for sample in dataset.samples:
-            fh.write(json.dumps(_sample_record(sample), separators=(",", ":")) + "\n")
+        for s in dataset.samples:
+            record = {"task": str(s.query.task), "examples": [_example_record(e) for e in (*s.demos, s.query)]}
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def read_jsonl(path: str | Path) -> ContextDataset:
+def _replay(raw: list, task: TaskKind, w: WindowSpec, store: SplitStore) -> TaskExample:
+    _, channel, start, end, positions = raw
+    for s in store.splits[channel].values():
+        if s.origin_offset <= start and end <= s.origin_offset + len(s):
+            break
+    else:
+        raise ValueError(f"span {raw[:4]} lies in no split of channel {channel!r}")
+    t = start - s.origin_offset + (w.horizon if task is TaskKind.BACKTRACE else 0)
+    if task is TaskKind.IMPUTE:
+        example = impute_at(s, t, w, positions)
+    else:
+        example = generate_example(task, s, t, w, rng=None)
+    if _example_record(example) != raw or example.horizon != w.horizon:
+        raise ValueError(f"example {raw} does not replay from the store")
+    return example
+
+
+def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
+    """Read a context file, regenerating each example from ``store`` as ``build`` did, then ``assemble``.
+
+    The window starts at the span start minus its split's ``origin_offset`` (plus h for
+    backtrace). An example must give back its span and mask, else ``DataError`` names the line.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such dataset file: {path}")
     known = {"lookback", "horizon", "demo_count", "tasks", "seed", "stride", "skipped_windows", "samples"}
     lineno = 1
-    # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
+    # JSONDecodeError is a ValueError; a bad key, type or span is a malformed file too
     try:
         with path.open() as fh:
             header = json.loads(fh.readline())
@@ -358,21 +369,11 @@ def read_jsonl(path: str | Path) -> ContextDataset:
                 skipped_windows=header.get("skipped_windows", 0),
                 extra={k: v for k, v in header.items() if k not in known},
             )
-            horizon = dataset.window.horizon
             for lineno, line in enumerate(fh, start=2):
                 raw = json.loads(line)
-                sample = ContextSample(
-                    task=TaskKind(raw["task"]),
-                    tokens=np.array(raw["tokens"], dtype=np.float64),
-                    target=np.array(raw["target"], dtype=np.float64),
-                    query_span=Span.from_list(raw["provenance"]["query"]),
-                    demo_spans=tuple(Span.from_list(x) for x in raw["provenance"]["demos"]),
-                )
-                if sample.tokens.ndim != 2 or sample.tokens.shape[1] != 3:
-                    raise DataError(f"tokens of shape {sample.tokens.shape}, expected (n, 3)")
-                if sample.target.shape != (horizon,):
-                    raise DataError(f"target of shape {sample.target.shape}, expected ({horizon},)")
-                dataset.samples.append(sample)
+                task = TaskKind(raw["task"])
+                *demos, query = [_replay(e, task, dataset.window, store) for e in raw["examples"]]
+                dataset.samples.append(assemble(demos, query))
         if len(dataset.samples) != header["samples"]:
             raise DataError(f"{len(dataset.samples)} samples, the header promises {header['samples']}")
     except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:

@@ -79,13 +79,6 @@ class Span:
             return False
         return self.start < other.end and other.start < self.end
 
-    def as_list(self) -> list:
-        return [self.dataset, self.channel, self.start, self.end]
-
-    @staticmethod
-    def from_list(raw: list) -> "Span":
-        return Span(raw[0], raw[1], int(raw[2]), int(raw[3]))
-
 
 @dataclass(frozen=True)
 class TaskExample:
@@ -181,15 +174,19 @@ def gen_impute(s: ChannelSeries, t: int, w: WindowSpec, rng: np.random.Generator
     if h >= L:
         raise GeometryError(f"mask count {h} must be smaller than window {L}")
     _check_window(s, t, t + L)
-    positions = sample_mask_positions(rng, L, h)
-    mask = np.zeros(L)
+    return impute_at(s, t, w, sample_mask_positions(rng, L, h))
+
+
+def impute_at(s: ChannelSeries, t: int, w: WindowSpec, positions: list[int]) -> TaskExample:
+    """The impute example of the window at t that masks ``positions`` (window-relative)."""
+    mask = np.zeros(w.lookback)
     mask[positions] = 1.0
-    window = s.values[t : t + L]
+    window = s.values[t : t + w.lookback]
     return TaskExample(
         task=TaskKind.IMPUTE,
         input=token_array(window, mask=mask),
         target=window[positions].copy(),
-        source_span=_span(s, t, t + L),
+        source_span=_span(s, t, t + w.lookback),
     )
 
 

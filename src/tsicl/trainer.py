@@ -2,7 +2,7 @@
 
 Loss is masked MSE over the query's answer region only; demonstration answers
 inside the context carry no loss unless ``supervise_demo_outputs`` is set.
-Samples are bucketed by token length (context size varies with demo count) and
+Samples are bucketed by demo count, which sets their token length, and
 both bucket-internal order and batch order are reshuffled per epoch from the
 run seed, so training is fully reproducible. The validation loss reads the
 model out through ``evalharness.batched_predict``, as evaluation does.
@@ -113,9 +113,6 @@ def _check_geometry(dataset: ContextDataset, config: ModelConfig) -> None:
     p = config.patch_size
     if L % p != 0 or h % p != 0:
         raise GeometryError(f"window {L}/{h} not divisible by patch size {p}")
-    for s in dataset.samples[:1]:
-        if (len(s.tokens) + h) % p != 0:
-            raise GeometryError("token stream not divisible by patch size")
 
 
 def _batch_streams(dataset: ContextDataset, idxs: list[int], variant: str) -> np.ndarray:
@@ -124,7 +121,7 @@ def _batch_streams(dataset: ContextDataset, idxs: list[int], variant: str) -> np
     streams = []
     for i in idxs:
         s = dataset.samples[i]
-        region = answer_region(h, values=s.target if variant == DECODER_CAUSAL else None)
+        region = answer_region(h, values=s.query.target if variant == DECODER_CAUSAL else None)
         streams.append(np.concatenate([s.tokens, region]))
     return np.stack(streams)
 
@@ -138,19 +135,14 @@ def _loss_regions(
     hp = horizon_patch_count(h, config)
     regions = []
     r0, r1 = readout_rows(config, total_patches, hp)
-    truth = np.stack([dataset.samples[i].target for i in idxs]).reshape(len(idxs), hp, p)
+    truth = np.stack([dataset.samples[i].query.target for i in idxs]).reshape(len(idxs), hp, p)
     regions.append((r0, r1, truth))
     if supervise_demos:
-        n_tokens = len(dataset.samples[idxs[0]].tokens)
-        m = (n_tokens - L) // (L + h)
         shift = 1 if config.variant == DECODER_CAUSAL else 0
-        for k in range(m):
-            lo = (k * (L + h) + L) // p
-            hi = ((k + 1) * (L + h)) // p
-            vals = np.stack(
-                [dataset.samples[i].tokens[k * (L + h) + L : (k + 1) * (L + h), 0] for i in idxs]
-            ).reshape(len(idxs), hp, p)
-            regions.append((lo - shift, hi - shift, vals))
+        for k in range(len(dataset.samples[idxs[0]].demos)):
+            lo = (k * (L + h) + L) // p - shift
+            vals = np.stack([dataset.samples[i].demos[k].target for i in idxs]).reshape(len(idxs), hp, p)
+            regions.append((lo, lo + hp, vals))
     return regions
 
 
@@ -179,7 +171,7 @@ def evaluate_loss(
     h = dataset.window.horizon
     streams = [np.concatenate([s.tokens, answer_region(h)]) for s in dataset.samples]
     preds = batched_predict(streams, [h] * len(streams), params, config)
-    return mse(np.stack(preds), np.stack([s.target for s in dataset.samples]))
+    return mse(np.stack(preds), np.stack([s.query.target for s in dataset.samples]))
 
 
 def train(
@@ -200,7 +192,7 @@ def train(
     optimizer = Adam(params, train_config)
     buckets: dict[int, list[int]] = {}
     for i, s in enumerate(dataset.samples):
-        buckets.setdefault(len(s.tokens), []).append(i)
+        buckets.setdefault(len(s.demos), []).append(i)
     best_valid = np.inf
     best_state: dict[str, np.ndarray] = {}
     stale = 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tsicl.context import (
     assemble,
     build_context_dataset,
+    build_train_valid,
     count_disjoint_starts,
     read_jsonl,
     sample_demos,
@@ -13,8 +14,10 @@ from tsicl.context import (
     write_jsonl,
 )
 from tsicl.errors import DataError
+from tsicl.experiment import store_from_channels
 from tsicl.series import ChannelSeries
-from tsicl.tasks import MASK_FLAG, SEGMENT_FLAG, VALUE, Span, TaskKind, WindowSpec, gen_forecast
+from tsicl.synthetic import SynthSpec, generate
+from tsicl.tasks import MASK_FLAG, SEGMENT_FLAG, TASK_ORDER, VALUE, Span, TaskKind, WindowSpec, gen_forecast
 
 W42 = WindowSpec(4, 2)
 
@@ -89,7 +92,7 @@ class TestAssemble:
         q = gen_forecast(series_of(10), 0, W42)
         out = assemble((), q)
         assert np.array_equal(out.tokens, q.input)
-        assert np.array_equal(out.target, q.target)
+        assert np.array_equal(out.query.target, q.target)
 
     def test_paper_scale_token_count(self):
         w = WindowSpec(192, 96)
@@ -155,7 +158,7 @@ class TestBuildDataset:
         ds = build_context_dataset([series_of(30)], {TaskKind.BACKTRACE}, W42, 0, stride=2, seed=1)
         assert ds.skipped_windows >= 1
         for s in ds.samples:
-            assert s.task is TaskKind.BACKTRACE
+            assert s.query.task is TaskKind.BACKTRACE
 
     def test_empty_result(self):
         # forecast never fits: series shorter than L+h windows at every stride start
@@ -170,26 +173,36 @@ class TestBuildDataset:
             )
 
     def test_jsonl_round_trip(self, tmp_path):
-        ds = build_context_dataset(
-            [series_of(60)], {TaskKind.FORECAST, TaskKind.IMPUTE}, W42, 2, stride=5, seed=4
-        )
-        path = tmp_path / "ds.jsonl"
-        write_jsonl(ds, path)
-        loaded = read_jsonl(path)
-        assert len(loaded) == len(ds)
-        assert loaded.window == ds.window
-        assert (loaded.demo_count, loaded.seed, loaded.stride) == (ds.demo_count, ds.seed, ds.stride)
-        for a, b in zip(loaded.samples, ds.samples):
-            assert a.task is b.task
-            assert np.array_equal(a.tokens, b.tokens)
-            assert np.array_equal(a.target, b.target)
-            assert a.query_span == b.query_span
-            assert a.demo_spans == b.demo_spans
-        # serialization is value-exact, so a second write is byte-identical
-        path2 = tmp_path / "ds2.jsonl"
-        loaded.extra = ds.extra
-        write_jsonl(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
+        """Store-built train and valid parts, with and without cross-channel demos, replay exactly."""
+        store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+        for cross_channel_demos in (False, True):
+            parts = build_train_valid(
+                store, TASK_ORDER, WindowSpec(8, 4), [0, 2], seed=4, stride=3, cross_channel_demos=cross_channel_demos
+            )
+            foreign_demos = 0
+            for m, train, valid in parts:
+                for name, ds in (("train", train), ("valid", valid)):
+                    assert {s.query.task for s in ds.samples} == set(TASK_ORDER)
+                    path = tmp_path / f"{name}_m{m}.jsonl"
+                    write_jsonl(ds, path)
+                    loaded = read_jsonl(path, store)
+                    assert len(loaded) == len(ds)
+                    assert loaded.window == ds.window
+                    assert (loaded.demo_count, loaded.seed, loaded.stride) == (ds.demo_count, ds.seed, ds.stride)
+                    for a, b in zip(loaded.samples, ds.samples):
+                        assert np.array_equal(a.tokens, b.tokens)
+                        assert np.array_equal(a.query.target, b.query.target)
+                        assert len(a.demos) == len(b.demos) == m
+                        for x, y in zip((*a.demos, a.query), (*b.demos, b.query)):
+                            assert x.task is y.task and x.source_span == y.source_span
+                            assert np.array_equal(x.masked_positions, y.masked_positions)
+                            assert np.array_equal(x.target, y.target)
+                        foreign_demos += sum(d.source_span.channel != b.query.source_span.channel for d in b.demos)
+                    # replay is value-exact, so a second write is byte-identical
+                    again = tmp_path / f"{name}_m{m}_again.jsonl"
+                    write_jsonl(loaded, again)
+                    assert path.read_bytes() == again.read_bytes()
+            assert (foreign_demos > 0) == cross_channel_demos
 
 
 @st.composite
@@ -219,9 +232,9 @@ class TestStructuralInvariants:
         L, h = w.lookback, w.horizon
         for sample in ds.samples:
             assert len(sample.tokens) == m * (L + h) + L
-            assert len(sample.target) == h
-            assert len(sample.demo_spans) == m
-            for span in sample.demo_spans:
-                assert not span.overlaps(sample.query_span)
+            assert len(sample.query.target) == h
+            assert len(sample.demos) == m
+            for span in (d.source_span for d in sample.demos):
+                assert not span.overlaps(sample.query.source_span)
                 # demos must come from the train-split pool
                 assert span.start >= 0 and span.end <= n

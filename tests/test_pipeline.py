@@ -1,5 +1,6 @@
 """Contracts of the whole pipeline: one eval loop and readout, frozen weights, no leakage, determinism."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import overrides
 from tsicl import autodiff as ad
 from tsicl import evalharness, experiment
 from tsicl.cli import main
-from tsicl.context import build_stream, build_train_valid
+from tsicl.context import build_stream, build_train_valid, read_jsonl
 from tsicl.evalharness import (
     PROBES,
     EvalProtocol,
@@ -44,8 +45,19 @@ def test_evaluate_loss_is_the_mse_of_batched_predict(variant):
     assert len({len(s.tokens) for s in valid.samples}) == 2 and len(valid.samples) > 64
     streams = [np.concatenate([s.tokens, answer_region(4)]) for s in valid.samples]
     preds = np.stack(batched_predict(streams, [4] * len(streams), params, config))
-    truth = np.stack([s.target for s in valid.samples])
+    truth = np.stack([s.query.target for s in valid.samples])
     assert evaluate_loss(valid, params, config) == np.mean((preds - truth) ** 2)
+
+
+def test_context_headers_count_the_replayed_samples(pipeline_dir):
+    """perfbench's train_samples_per_s reads each train file's header ``samples``."""
+    store = load_store(pipeline_dir / "store.json")
+    paths = sorted(pipeline_dir.glob("ctx_train_m*.jsonl"))
+    assert [p.name for p in paths] == ["ctx_train_m0.jsonl", "ctx_train_m1.jsonl"]
+    for path in paths:
+        with path.open() as fh:
+            header = json.loads(fh.readline())
+        assert header["samples"] == len(read_jsonl(path, store)) > 0
 
 
 def test_cli_rows_equal_evaluate_paths(pipeline_dir):

@@ -39,6 +39,7 @@ def truncated_copy(src_dir: Path, dst_dir: Path, name: str) -> Path:
     "stage, artifact",
     [
         ("build", "store.json"),
+        ("train", "store.json"),
         ("eval", "checkpoint.json"),
         ("train", "ctx_train_m1.jsonl"),
         ("report", "eval_report.csv"),
@@ -91,19 +92,34 @@ class TestMalformedFiles:
                 ad.load_params(path)
 
     def test_context_jsonl(self, pipeline_dir, tmp_path):
+        store = load_store(pipeline_dir / "store.json")
         header, first, *rest = (pipeline_dir / "ctx_train_m1.jsonl").read_text().splitlines()
         record = json.loads(first)
-        cases = {
-            "truncated": "\n".join([header, first, rest[0][:40]]),
-            "short": "\n".join([header, first]),
-            "missing_key": "\n".join([header, json.dumps({k: v for k, v in record.items() if k != "target"})]),
-            "bad_shape": "\n".join([header, json.dumps({**record, "tokens": [[0.0, 1.0]] * 4})]),
+        impute = next(json.loads(line) for line in rest if json.loads(line)["task"] == "impute")
+        train = store.series(store.channels[0], "train")
+        split_end = train.origin_offset + len(train)
+
+        def edited(raw, query):
+            """The whole file with its first record replaced by ``raw`` whose query is ``query``."""
+            return "\n".join([header, json.dumps({**raw, "examples": [*raw["examples"][:-1], query]}), *rest])
+
+        dataset, channel, start, end, positions = record["examples"][-1]
+        *span, mask = impute["examples"][-1]
+        past_end = [dataset, store.channels[0], split_end - 2, split_end - 2 + end - start, positions]
+        cases = {  # case -> (text, line named in the error)
+            "truncated": ("\n".join([header, first, rest[0][:40]]), 3),
+            "short": ("\n".join([header, first]), 2),
+            "missing_key": ("\n".join([header, json.dumps({k: v for k, v in record.items() if k != "examples"})]), 2),
+            "past_split_end": (edited(record, past_end), 2),
+            "unknown_channel": (edited(record, [dataset, "no_such_channel", start, end, positions]), 2),
+            "duplicate_mask": (edited(impute, [*span, [mask[0], *mask[:-1]]]), 2),
+            "mask_out_of_range": (edited(impute, [*span, [*mask[:-1], 99]]), 2),
         }
-        for case, text in cases.items():
+        for case, (text, line) in cases.items():
             path = tmp_path / f"{case}.jsonl"
             path.write_text(text + "\n")
-            with pytest.raises(DataError, match=f"malformed dataset .*{case}.jsonl"):
-                read_jsonl(path)
+            with pytest.raises(DataError, match=f"malformed dataset .*{case}.jsonl, line {line}:"):
+                read_jsonl(path, store)
 
     def test_eval_report(self, pipeline_dir, tmp_path):
         header, first, *_ = (pipeline_dir / "eval_report.csv").read_text().splitlines()
@@ -117,6 +133,15 @@ class TestMalformedFiles:
             path.write_text(text)
             with pytest.raises(DataError, match=f"malformed report .*{case}.csv, line 2"):
                 evalharness.EvalReport.read_csv(path)
+
+
+def test_train_on_context_built_from_another_store_exits_3(pipeline_dir, tmp_path, capsys):
+    for f in pipeline_dir.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    assert main(["ingest", *overrides(tmp_path), "--set", "seed=1"]) == 0
+    assert main(["train", *overrides(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "ctx_train_m0.jsonl") in err and str(tmp_path / "store.json") in err
 
 
 def test_unknown_eval_task_exits_2(pipeline_dir, capsys):

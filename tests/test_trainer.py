@@ -1,8 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from tsicl import autodiff as ad
+from tsicl import trainer
+from tsicl.context import ContextDataset, assemble
+from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, init_params, readout_rows
+from tsicl.series import ChannelSeries
+from tsicl.tasks import VALUE, TaskKind, WindowSpec, gen_forecast
 from tsicl.trainer import Adam, TrainConfig
 
 CONFIG = TrainConfig(learning_rate=0.01, clip_norm=1.0)
@@ -70,3 +77,37 @@ def test_adam_matches_the_reference_over_two_steps():
                 assert np.allclose(moved, CONFIG.learning_rate * np.sign(grads[name]), rtol=1e-3, atol=0)
     # b had no gradient at t = 2 but still moved on its first moment
     assert not np.array_equal(before["b"], params["b"].data)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
+    w, m, p = WindowSpec(16, 8), 2, 4
+    L, h, hp = w.lookback, w.horizon, w.horizon // p
+    config = ModelConfig(variant=variant, patch_size=p, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+    series = ChannelSeries("d", "c", np.random.default_rng(0).normal(size=300))
+    queries = [gen_forecast(series, 24 * i, w) for i in range(3)]
+    demos = [[gen_forecast(series, 100 + 24 * (m * i + k), w) for k in range(m)] for i in range(3)]
+    dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w, m, (TaskKind.FORECAST,), 0, 24)
+    idxs = [0, 1, 2]
+    total_patches = (m * (L + h) + L + h) // p
+
+    regions = trainer._loss_regions(dataset, idxs, config, total_patches, supervise_demos=True)
+    assert len(regions) == 1 + m
+    assert regions[0][:2] == readout_rows(config, total_patches, hp)
+    assert all(np.array_equal(regions[0][2][i].ravel(), queries[i].target) for i in idxs)
+    shift = 1 if variant == DECODER_CAUSAL else 0
+    for k, (r0, r1, truth) in enumerate(regions[1:]):
+        start = k * (L + h) + L
+        assert (r0, r1) == (start // p - shift, start // p + hp - shift)
+        assert truth.shape == (len(idxs), hp, p)
+        for i in idxs:
+            assert np.array_equal(truth[i].ravel(), demos[i][k].target)
+            assert np.array_equal(truth[i].ravel(), dataset.samples[i].tokens[start : start + h, VALUE])
+
+    one_step = TrainConfig(batch_size=8, max_epochs=1, patience=1)
+    losses = []
+    for supervise in (False, True):
+        run = replace(one_step, supervise_demo_outputs=supervise)
+        _, record = trainer.train(init_params(config, seed=0), dataset, dataset, config, run)
+        losses.append(record.train_losses[0])
+    assert np.isfinite(losses[1]) and losses[1] != losses[0]
