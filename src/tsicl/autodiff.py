@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff over dense rank-<=3 float64 tensors.
+"""Minimal reverse-mode autodiff over dense rank-<=3 float32 or float64 tensors.
 
 Ops record themselves on the active ``Tape``; ``Tape.backward`` replays the
 records in exact reverse execution order and accumulates gradients into every
@@ -14,6 +14,11 @@ Multi-head attention stays within rank 3 through ``split_heads``, which folds
 (B, S, H*dh) into (B*H, S, dh), its inverse ``merge_heads``, and ``attention``,
 one fused, row-tiled op over the folded heads that scores a causal row only
 against the keys it can see.
+
+Every op keeps its inputs' dtype: float32 inputs give float32 outputs and
+gradients, float64 inputs float64 ones. Scalars inside the ops are Python
+floats, never numpy float64 scalars or 0-d arrays, which would promote a
+float32 operand to float64 under numpy >= 2 (NEP 50).
 
 Gradients are never updated in place. A backward rule may hand the same array,
 or a view of it, to several inputs (``add``, ``transpose``, the slice ops), so
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -82,12 +88,17 @@ def finite_checks(enabled: bool = True):
 
 
 class Tensor:
-    """A float64 ndarray plus an accumulated gradient of the same shape."""
+    """A float32 or float64 ndarray plus an accumulated gradient of the same shape.
+
+    float32 data is kept as it is; anything else (float64, integers, lists) is
+    stored as float64.
+    """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         if self.data.ndim > 3:
             raise GeometryError(f"tensors are rank <= 3, got shape {self.data.shape}")
         self.grad: np.ndarray | None = None
@@ -158,7 +169,7 @@ class Tape:
             raise GeometryError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if not self._nodes or self._nodes[-1][0] is not loss:
             raise RuntimeError("loss is not the last op recorded on this tape")
-        loss.grad = np.ones(())
+        loss.grad = np.ones_like(loss.data)
         for out, backward_fn in reversed(self._nodes):
             if out.grad is not None:
                 backward_fn(out.grad)
@@ -443,11 +454,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
     if q.data.ndim != 3 or k.shape != q.shape or v.data.ndim != 3 or v.shape[:2] != q.shape[:2]:
         raise GeometryError(f"attention needs (B*H, S, dh) operands, got {q.shape}, {k.shape}, {v.shape}")
     s, dh = q.shape[1], q.shape[2]
-    c = 1.0 / np.sqrt(dh)
+    c = 1.0 / math.sqrt(dh)
     qs, kd, vd = q.data * c, k.data, v.data
     rows = [(r0, min(r0 + _ATTENTION_TILE, s)) for r0 in range(0, s, _ATTENTION_TILE)]
-    upper = np.triu(np.full((_ATTENTION_TILE, _ATTENTION_TILE), -np.inf), 1)
-    o = np.empty(q.shape[:2] + v.shape[2:])
+    upper = np.triu(np.full((_ATTENTION_TILE, _ATTENTION_TILE), -np.inf, dtype=qs.dtype), 1)
+    o = np.empty(q.shape[:2] + v.shape[2:], dtype=qs.dtype)
     # only a recorded op needs its probability tiles again; evaluation drops each one
     keep = _tape() is not None
     tiles = []
@@ -490,9 +501,9 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def mse_loss(pred: Tensor, target: np.ndarray, element_mask: np.ndarray) -> Tensor:
-    """Mean squared error over positions where element_mask == 1."""
-    target = np.asarray(target, dtype=np.float64)
-    mask = np.asarray(element_mask, dtype=np.float64)
+    """Mean squared error over positions where element_mask == 1, in ``pred``'s dtype."""
+    target = np.asarray(target, dtype=pred.data.dtype)
+    mask = np.asarray(element_mask, dtype=pred.data.dtype)
     if target.shape != pred.shape or mask.shape != pred.shape:
         raise GeometryError(
             f"mse_loss shape mismatch: pred {pred.shape}, target {target.shape}, mask {mask.shape}"
@@ -509,10 +520,22 @@ def mse_loss(pred: Tensor, target: np.ndarray, element_mask: np.ndarray) -> Tens
     return _finish(out, backward, "mse_loss")
 
 
+_CHECKPOINT_DTYPES = ("float32", "float64")
+
+
 def save_params(params: dict[str, Parameter], path: str | Path, meta: dict | None = None) -> None:
-    """JSON checkpoint: name -> shape + flat values. Round-trips exactly."""
+    """JSON checkpoint: the parameters' one dtype, then name -> shape + flat values.
+
+    Every value is written as the shortest decimal that reads back as the same
+    float64, which holds every float32 too, so the file round-trips exactly.
+    A dict that mixes dtypes is refused.
+    """
+    dtypes = sorted({p.data.dtype.name for p in params.values()}) or ["float64"]
+    if len(dtypes) > 1:
+        raise DataError(f"cannot checkpoint parameters of mixed dtypes {dtypes}")
     payload = {
         "meta": meta or {},
+        "dtype": dtypes[0],
         "params": {
             name: {"shape": list(p.data.shape), "values": p.data.reshape(-1).tolist()}
             for name, p in params.items()
@@ -522,14 +545,21 @@ def save_params(params: dict[str, Parameter], path: str | Path, meta: dict | Non
 
 
 def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:
+    """Parameters and meta of a ``save_params`` file, in the dtype it records.
+
+    A file without a dtype (written before checkpoints carried one) is float64.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
     # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
     try:
         payload = json.loads(path.read_text())
+        dtype = payload.get("dtype", "float64")
+        if dtype not in _CHECKPOINT_DTYPES:
+            raise ValueError(f"dtype {dtype!r} is not one of {_CHECKPOINT_DTYPES}")
         params = {
-            name: Parameter(np.array(entry["values"], dtype=np.float64).reshape(entry["shape"]), name)
+            name: Parameter(np.array(entry["values"], dtype=dtype).reshape(entry["shape"]), name)
             for name, entry in payload["params"].items()
         }
         meta = payload.get("meta", {})

@@ -59,7 +59,7 @@ PROBES = ("ictp", "no_context", "wrong_task", "baseline")
 
 
 def params_checksum(params: dict[str, ad.Parameter]) -> str:
-    """SHA-256 over parameter names and raw float64 bytes (order-independent)."""
+    """SHA-256 over parameter names and raw data bytes, in their dtype (order-independent)."""
     digest = hashlib.sha256()
     for name in sorted(params):
         digest.update(name.encode())

@@ -13,6 +13,11 @@ Two variants cover the two pre-training families the pipeline compares:
 Input tokens are (value, mask_flag, segment_flag) triples; ``patch_size``
 consecutive steps are flattened into one 3*patch_size feature vector before a
 linear projection into the model width.
+
+``init_params`` stores float32 parameters, and the model runs in its
+parameters' dtype: ``forward_patch_predictions`` casts its inputs to it, so
+float64 parameters (as the gradient checks build) give a float64 run. Token
+streams, targets and the metrics that score predictions stay float64.
 """
 
 from __future__ import annotations
@@ -72,16 +77,22 @@ def patchify(tokens: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, ad.Parameter]:
-    """Xavier-normal weights, zero biases, unit layer-norm gains."""
+    """Xavier-normal weights, zero biases, unit layer-norm gains, stored as float32.
+
+    Values are drawn in float64, then rounded to float32.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11C)))
     params: dict[str, ad.Parameter] = {}
 
+    def put(name: str, values: np.ndarray) -> None:
+        params[name] = ad.Parameter(values.astype(np.float32), name)
+
     def weight(name: str, fan_in: int, fan_out: int) -> None:
         std = np.sqrt(2.0 / (fan_in + fan_out))
-        params[name] = ad.Parameter(rng.normal(0.0, std, size=(fan_in, fan_out)), name)
+        put(name, rng.normal(0.0, std, size=(fan_in, fan_out)))
 
     def bias(name: str, n: int) -> None:
-        params[name] = ad.Parameter(np.zeros(n), name)
+        put(name, np.zeros(n))
 
     d, p = config.d_model, config.patch_size
     weight("in.w", 3 * p, d)
@@ -92,15 +103,15 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, ad.Parameter]:
             weight(pre + "attn." + nm, d, d)
         for nm in ("bq", "bk", "bv", "bo"):
             bias(pre + "attn." + nm, d)
-        params[pre + "ln1.g"] = ad.Parameter(np.ones(d), pre + "ln1.g")
+        put(pre + "ln1.g", np.ones(d))
         bias(pre + "ln1.b", d)
-        params[pre + "ln2.g"] = ad.Parameter(np.ones(d), pre + "ln2.g")
+        put(pre + "ln2.g", np.ones(d))
         bias(pre + "ln2.b", d)
         weight(pre + "ff.w1", d, config.ff_mult * d)
         bias(pre + "ff.b1", config.ff_mult * d)
         weight(pre + "ff.w2", config.ff_mult * d, d)
         bias(pre + "ff.b2", d)
-    params["lnf.g"] = ad.Parameter(np.ones(d), "lnf.g")
+    put("lnf.g", np.ones(d))
     bias("lnf.b", d)
     weight("head.w", d, p)
     bias("head.b", p)
@@ -140,16 +151,20 @@ def _attention(x: ad.Tensor, params, prefix: str, config: ModelConfig) -> ad.Ten
 def forward_patch_predictions(
     batch_tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig
 ) -> ad.Tensor:
-    """Per-patch predictions (B, S, p) for a batch of token streams (B, n, 3)."""
+    """Per-patch predictions (B, S, p) for a batch of token streams (B, n, 3).
+
+    The streams and the positional table enter in the parameters' dtype.
+    """
     if batch_tokens.ndim != 3 or batch_tokens.shape[-1] != 3:
         raise GeometryError(f"expected batch tokens of shape (B, n, 3), got {batch_tokens.shape}")
     n = batch_tokens.shape[1]
     if n > config.max_tokens:
         raise GeometryError(f"token length {n} exceeds max_tokens {config.max_tokens}")
-    patches = patchify(batch_tokens, config.patch_size)
+    dtype = params["in.w"].data.dtype
+    patches = patchify(batch_tokens, config.patch_size).astype(dtype, copy=False)
     s = patches.shape[1]
     x = ad.add(ad.matmul(ad.constant(patches), params["in.w"]), params["in.b"])
-    x = ad.add(x, ad.constant(positional_encoding(s, config.d_model)))
+    x = ad.add(x, ad.constant(positional_encoding(s, config.d_model).astype(dtype, copy=False)))
     for layer in range(config.n_layers):
         pre = f"l{layer}."
         h = ad.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])

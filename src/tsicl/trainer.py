@@ -1,7 +1,9 @@
 """Adam training loop over context datasets with early stopping.
 
 Loss is masked MSE over the query's answer region only; demonstration answers
-inside the context carry no loss unless ``supervise_demo_outputs`` is set.
+inside the context carry no loss unless ``supervise_demo_outputs`` is set. That
+option is refused on ``encoder_masked``: a demo's answer sits unmasked in the
+encoder's own input, so supervising it teaches the model to copy.
 Samples are bucketed by demo count, which sets their token length, and
 both bucket-internal order and batch order are reshuffled per epoch from the
 run seed, so training is fully reproducible. The validation loss reads the
@@ -10,6 +12,7 @@ model out through ``evalharness.batched_predict``, as evaluation does.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +25,7 @@ from .errors import ConfigError, GeometryError, NumericalError
 from .evalharness import batched_predict, mse
 from .model import (
     DECODER_CAUSAL,
+    ENCODER_MASKED,
     ModelConfig,
     answer_region,
     forward_patch_predictions,
@@ -73,7 +77,11 @@ class TrainRecord:
 
 
 class Adam:
-    """Adam with global-norm gradient clipping; state keyed by parameter name."""
+    """Adam with global-norm gradient clipping; state keyed by parameter name.
+
+    The moments take the parameters' dtype. The clip scale and the bias
+    correction are Python floats, so a float32 step stays float32 (NEP 50).
+    """
 
     def __init__(self, params: dict[str, ad.Parameter], config: TrainConfig):
         self.params = params
@@ -90,13 +98,13 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             grads[name] = g
             sq_sum += float(np.sum(g * g))
-        norm = np.sqrt(sq_sum)
+        norm = math.sqrt(sq_sum)
         if norm > c.clip_norm:
             scale = c.clip_norm / norm
             grads = {name: g * scale for name, g in grads.items()}
         self.step_count += 1
         t = self.step_count
-        correction = np.sqrt(1.0 - c.beta2**t) / (1.0 - c.beta1**t)
+        correction = math.sqrt(1.0 - c.beta2**t) / (1.0 - c.beta1**t)
         for name, p in self.params.items():
             g = grads[name]
             # moments update in place, so a step allocates no state of its own
@@ -184,6 +192,11 @@ def train(
     """Optimize in place; restore and return the best-validation parameters."""
     if not dataset.samples or not valid.samples:
         raise ConfigError("train/valid datasets must be non-empty")
+    if train_config.supervise_demo_outputs and model_config.variant == ENCODER_MASKED:
+        raise ConfigError(
+            "supervise_demo_outputs is refused on encoder_masked: demo answers are unmasked "
+            "in its input, so the encoder would learn to copy them"
+        )
     _check_geometry(dataset, model_config)
     _check_geometry(valid, model_config)
 

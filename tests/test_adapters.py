@@ -8,10 +8,29 @@ import pytest
 from tsicl import adapters, evalharness, experiment
 from tsicl.errors import DataError
 from tsicl.evalharness import EvalProtocol, _fit_adapted, score_probes
-from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, ModelConfig, answer_region, init_params
+from tsicl.model import (
+    DECODER_CAUSAL,
+    ENCODER_MASKED,
+    VARIANTS,
+    ModelConfig,
+    answer_region,
+    horizon_patch_count,
+    init_params,
+    patchify,
+    readout_rows,
+)
 from tsicl.series import ChannelSeries
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import Span, TaskExample, TaskKind, WindowSpec, gen_backtrace, gen_forecast, token_array
+from tsicl.tasks import (
+    MASK_FLAG,
+    Span,
+    TaskExample,
+    TaskKind,
+    WindowSpec,
+    gen_backtrace,
+    gen_forecast,
+    token_array,
+)
 
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 WINDOWS = (WindowSpec(24, 12), WindowSpec(12, 6))
@@ -138,3 +157,44 @@ def test_encoder_forecast_baseline_is_the_no_context_probe():
     preds, _ = score_probes(protocol, ("no_context", "baseline"), store, init_params(config, seed=1), config)
     assert len(preds["baseline"]) > 1
     assert np.array_equal(preds["baseline"], preds["no_context"])
+
+
+def masked_tail(stream: np.ndarray, p: int) -> tuple[int, int]:
+    """Patch rows [first, total) of the longest run of final patches whose every token is masked."""
+    masked = patchify(stream, p)[:, MASK_FLAG::3].min(axis=1) == 1
+    first = len(masked)
+    while first > 0 and masked[first - 1]:
+        first -= 1
+    return first, len(masked)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
+    """The encoder reads the masked tail's own rows; the decoder reads them one row earlier."""
+    store = experiment.store_from_channels(generate(SynthSpec(count=1, length=240, seed=0)), "synth")
+    w = WindowSpec(24, 12)
+    config = replace(TINY_MODEL, variant=variant)
+    rng = np.random.default_rng(0)
+    channel = store.channels[0]
+    demos = evalharness.select_eval_demos(store.series(channel, "train"), TaskKind.BACKTRACE, w, 2, rng)
+    queries = evalharness.enumerate_queries(store.series(channel, "test"), TaskKind.BACKTRACE, w, 6, rng)
+    fed = []
+    real = evalharness.batched_predict
+
+    def recording(streams, horizons, params, config):
+        fed.append(list(zip(streams, horizons)))
+        return real(streams, horizons, params, config)
+
+    monkeypatch.setattr(evalharness, "batched_predict", recording)
+    params = init_params(config)
+    evalharness.context_path(queries, demos, params, config, w.horizon)
+    evalharness.baseline_path(queries, params, config)
+    assert [len(streams) for streams in fed] == [len(queries)] * 2 and len(queries) > 1
+
+    p = config.patch_size
+    shift = 1 if variant == DECODER_CAUSAL else 0
+    for stream, horizon in (pair for streams in fed for pair in streams):
+        lo, hi = masked_tail(stream, p)
+        hp = horizon_patch_count(horizon, config)
+        assert hi - lo == hp
+        assert readout_rows(config, len(stream) // p, hp) == (lo - shift, hi - shift)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -463,3 +465,43 @@ class TestCheckpoint:
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(DataError, match="no such checkpoint"):
             ad.load_params(tmp_path / "missing.json")
+
+    def test_float32_round_trip(self, tmp_path):
+        rng = np.random.default_rng(6)
+        params = {
+            "w": ad.Parameter(rng.normal(size=(3, 4)).astype(np.float32), "w"),
+            "b": ad.Parameter((rng.normal(size=4) * 1e-30).astype(np.float32), "b"),
+        }
+        path = tmp_path / "ckpt.json"
+        ad.save_params(params, path)
+        assert json.loads(path.read_text())["dtype"] == "float32"
+        loaded, _ = ad.load_params(path)
+        for name in params:
+            assert loaded[name].data.dtype == np.float32
+            assert np.array_equal(loaded[name].data, params[name].data)  # bit-exact
+
+    def test_a_file_without_a_dtype_is_float64(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        ad.save_params({"w": ad.Parameter(np.array([0.1, -2.5]), "w")}, path)
+        payload = json.loads(path.read_text())
+        del payload["dtype"]
+        path.write_text(json.dumps(payload))
+        loaded, _ = ad.load_params(path)
+        assert loaded["w"].data.dtype == np.float64
+        assert np.array_equal(loaded["w"].data, [0.1, -2.5])
+
+    def test_an_unknown_dtype_names_the_file(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        ad.save_params({"w": ad.Parameter(np.ones(2, dtype=np.float32), "w")}, path)
+        path.write_text(path.read_text().replace('"float32"', '"int8"'))
+        with pytest.raises(DataError, match=f"malformed checkpoint {path}.*int8"):
+            ad.load_params(path)
+
+    def test_mixed_dtypes_are_refused(self, tmp_path):
+        params = {
+            "w": ad.Parameter(np.ones(2, dtype=np.float32), "w"),
+            "b": ad.Parameter(np.ones(2), "b"),
+        }
+        with pytest.raises(DataError, match="mixed dtypes"):
+            ad.save_params(params, tmp_path / "ckpt.json")
+        assert not (tmp_path / "ckpt.json").exists()

@@ -144,6 +144,16 @@ def test_train_on_context_built_from_another_store_exits_3(pipeline_dir, tmp_pat
     assert str(tmp_path / "ctx_train_m0.jsonl") in err and str(tmp_path / "store.json") in err
 
 
+def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, capsys):
+    for f in pipeline_dir.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    before = (tmp_path / "checkpoint.json").read_bytes()
+    args = ["--set", "variant=encoder_masked", "--set", "supervise_demo_outputs=true"]
+    assert main(["train", *overrides(tmp_path), *args]) == 2
+    assert "supervise_demo_outputs is refused on encoder_masked" in capsys.readouterr().err
+    assert (tmp_path / "checkpoint.json").read_bytes() == before
+
+
 def test_unknown_eval_task_exits_2(pipeline_dir, capsys):
     assert main(["eval", *overrides(pipeline_dir), "--set", "eval_task=bogus"]) == 2
     assert "unknown task name" in capsys.readouterr().err

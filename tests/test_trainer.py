@@ -7,7 +7,9 @@ import pytest
 from tsicl import autodiff as ad
 from tsicl import trainer
 from tsicl.context import ContextDataset, assemble
-from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, init_params, readout_rows
+from tsicl.errors import ConfigError
+from tsicl.evalharness import batched_predict
+from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, answer_region, init_params, readout_rows
 from tsicl.series import ChannelSeries
 from tsicl.tasks import VALUE, TaskKind, WindowSpec, gen_forecast
 from tsicl.trainer import Adam, TrainConfig
@@ -79,15 +81,21 @@ def test_adam_matches_the_reference_over_two_steps():
     assert not np.array_equal(before["b"], params["b"].data)
 
 
+def forecast_dataset(w: WindowSpec, m: int):
+    """Three forecast samples with m demos each, demos after every query and disjoint from each other."""
+    series = ChannelSeries("d", "c", np.random.default_rng(0).normal(size=300))
+    queries = [gen_forecast(series, 24 * i, w) for i in range(3)]
+    demos = [[gen_forecast(series, 100 + 24 * (m * i + k), w) for k in range(m)] for i in range(3)]
+    dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w, m, (TaskKind.FORECAST,), 0, 24)
+    return dataset, queries, demos
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     w, m, p = WindowSpec(16, 8), 2, 4
     L, h, hp = w.lookback, w.horizon, w.horizon // p
     config = ModelConfig(variant=variant, patch_size=p, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-    series = ChannelSeries("d", "c", np.random.default_rng(0).normal(size=300))
-    queries = [gen_forecast(series, 24 * i, w) for i in range(3)]
-    demos = [[gen_forecast(series, 100 + 24 * (m * i + k), w) for k in range(m)] for i in range(3)]
-    dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w, m, (TaskKind.FORECAST,), 0, 24)
+    dataset, queries, demos = forecast_dataset(w, m)
     idxs = [0, 1, 2]
     total_patches = (m * (L + h) + L + h) // p
 
@@ -105,9 +113,81 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
             assert np.array_equal(truth[i].ravel(), dataset.samples[i].tokens[start : start + h, VALUE])
 
     one_step = TrainConfig(batch_size=8, max_epochs=1, patience=1)
+    if variant != DECODER_CAUSAL:
+        # the encoder sees each demo answer in its input: supervising it would teach a copy
+        with pytest.raises(ConfigError, match="refused on encoder_masked"):
+            trainer.train(init_params(config, seed=0), dataset, dataset, config,
+                          replace(one_step, supervise_demo_outputs=True))
+        return
     losses = []
     for supervise in (False, True):
         run = replace(one_step, supervise_demo_outputs=supervise)
         _, record = trainer.train(init_params(config, seed=0), dataset, dataset, config, run)
         losses.append(record.train_losses[0])
     assert np.isfinite(losses[1]) and losses[1] != losses[0]
+
+
+class StrictArray(np.ndarray):
+    """Parameter data that fails any ufunc given an array or numpy scalar of another dtype.
+
+    Python scalars pass: they never change a result's dtype. An in-place update
+    such as ``p.data -= step`` casts a wider ``step`` back silently, so this is
+    what catches a float64 temporary inside ``Adam.step``.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        operands = inputs + (out or ())
+        others = {np.asarray(x).dtype.name for x in operands if type(x) not in (bool, int, float)}
+        assert others == {self.dtype.name}, f"{ufunc.__name__}.{method} mixes {sorted(others)}"
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, StrictArray) else x for x in xs)
+
+        if out is None:
+            return getattr(ufunc, method)(*plain(inputs), **kwargs)
+        getattr(ufunc, method)(*plain(inputs), out=plain(out), **kwargs)
+        return out[0]  # ``m *= b`` rebinds m to this: keep it strict
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypatch):
+    """Forward, backward, Adam and readout all run in the parameters' dtype: nothing upcasts silently."""
+    w, p = WindowSpec(16, 8), 4
+    config = ModelConfig(variant=variant, patch_size=p, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
+    dataset, _, _ = forecast_dataset(w, m=2)
+    params = init_params(config, seed=0)
+    assert {q.data.dtype for q in params.values()} == {np.dtype(np.float32)}
+    for q in params.values():
+        q.data = q.data.astype(dtype).view(StrictArray)
+    optimizer = Adam(params, TrainConfig(clip_norm=1e-3))  # the clip fires
+
+    seen = []  # (op, "out" or "dout", dtype) for every recorded op and every call of its rule
+    real_finish = ad._finish
+
+    def recording_finish(out, backward_fn, op):
+        seen.append((op, "out", out.data.dtype))
+
+        def backward(dout):
+            seen.append((op, "dout", dout.dtype))
+            backward_fn(dout)
+
+        return real_finish(out, backward, op)
+
+    monkeypatch.setattr(ad, "_finish", recording_finish)
+    with ad.Tape() as tape:
+        loss = trainer._batch_loss_graph(dataset, [0, 1, 2], params, config, variant == DECODER_CAUSAL)
+        tape.backward(loss)
+    kinds = [kind for _, kind, _ in seen]
+    # every op recorded for the loss ran its rule once
+    assert kinds.count("dout") == kinds.count("out") > 0
+    optimizer.step()
+    streams = [np.concatenate([s.tokens, answer_region(w.horizon)]) for s in dataset.samples]
+    preds = batched_predict(streams, [w.horizon] * len(streams), params, config)
+
+    assert {"matmul", "attention", "gelu", "layer_norm", "mse_loss"} <= {op for op, _, _ in seen}
+    assert [entry for entry in seen if entry[2] != dtype] == []
+    for name, q in params.items():
+        assert q.grad.dtype == dtype, name
+        assert q.data.dtype == optimizer.m[name].dtype == optimizer.v[name].dtype == dtype, name
+    assert {pred.dtype for pred in preds} == {np.dtype(dtype)}
