@@ -13,7 +13,9 @@ backward rule is covered by a finite-difference check in the test suite.
 Multi-head attention stays within rank 3 through ``split_heads``, which folds
 (B, S, H*dh) into (B*H, S, dh), its inverse ``merge_heads``, and ``attention``,
 one fused, row-tiled op over the folded heads that scores a causal row only
-against the keys it can see.
+against the keys it can see. Its queries may cover only the last rows of its
+keys, aligned to the last keys, so a caller that reads a few output rows
+computes only those.
 
 Every op keeps its inputs' dtype: float32 inputs give float32 outputs and
 gradients, float64 inputs float64 ones. Scalars inside the ops are Python
@@ -444,29 +446,42 @@ _ATTENTION_TILE = 64
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
     """Scaled dot-product attention ``softmax(q k^T / sqrt(dh)) v`` over (B*H, S, dh).
 
+    ``q`` may hold fewer rows than ``k`` and ``v``: S_q <= S_k. Its rows are the
+    last S_q positions, so query row i sits at key position off + i with
+    off = S_k - S_q, the bottom-right-aligned causal mask of FlashAttention-2
+    (Dao, 2023). S_q = S_k is plain self-attention.
+
     Query rows run in tiles of ``_ATTENTION_TILE``. A causal tile of rows
-    [r0, r1) scores only keys [0, r1) and masks the upper triangle of its
-    diagonal block, so no row pays for keys it cannot see. Only the
-    probability tiles are kept for the backward pass, which takes the softmax
-    row term as rowsum(dO * O), (S, dh), instead of rowsum(dP * P), (S, S), as
-    FlashAttention (Dao et al., 2022) does.
+    [r0, r1) scores only keys [0, off + r1) and masks the upper triangle of
+    its block at key columns [off + r0, off + r1), so no row pays for keys it
+    cannot see. Only the probability tiles are kept for the backward pass,
+    which takes the softmax row term as rowsum(dO * O), (S_q, dh), instead of
+    rowsum(dP * P), (S_q, S_k), as FlashAttention (Dao et al., 2022) does.
     """
-    if q.data.ndim != 3 or k.shape != q.shape or v.data.ndim != 3 or v.shape[:2] != q.shape[:2]:
-        raise GeometryError(f"attention needs (B*H, S, dh) operands, got {q.shape}, {k.shape}, {v.shape}")
-    s, dh = q.shape[1], q.shape[2]
+    if (
+        q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3
+        or k.shape[0] != q.shape[0] or k.shape[2] != q.shape[2] or v.shape[:2] != k.shape[:2]
+        or q.shape[1] > k.shape[1]
+    ):
+        raise GeometryError(
+            f"attention needs (B*H, S_q, dh) queries over (B*H, S_k, dh) keys and values with "
+            f"S_q <= S_k, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    sq, sk, dh = q.shape[1], k.shape[1], q.shape[2]
+    off = sk - sq
     c = 1.0 / math.sqrt(dh)
     qs, kd, vd = q.data * c, k.data, v.data
-    rows = [(r0, min(r0 + _ATTENTION_TILE, s)) for r0 in range(0, s, _ATTENTION_TILE)]
+    rows = [(r0, min(r0 + _ATTENTION_TILE, sq)) for r0 in range(0, sq, _ATTENTION_TILE)]
     upper = np.triu(np.full((_ATTENTION_TILE, _ATTENTION_TILE), -np.inf, dtype=qs.dtype), 1)
     o = np.empty(q.shape[:2] + v.shape[2:], dtype=qs.dtype)
     # only a recorded op needs its probability tiles again; evaluation drops each one
     keep = _tape() is not None
     tiles = []
     for r0, r1 in rows:
-        n = r1 if causal else s
+        n = off + r1 if causal else sk
         p = np.matmul(qs[:, r0:r1], np.swapaxes(kd[:, :n], -1, -2))
         if causal:
-            p[:, :, r0:] += upper[: r1 - r0, : r1 - r0]
+            p[:, :, off + r0:] += upper[: r1 - r0, : r1 - r0]
         p -= np.max(p, axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= np.sum(p, axis=-1, keepdims=True)
@@ -548,6 +563,8 @@ def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:
     """Parameters and meta of a ``save_params`` file, in the dtype it records.
 
     A file without a dtype (written before checkpoints carried one) is float64.
+    A meta that is not an object, or a non-finite value (JSON's ``NaN`` and
+    ``Infinity``), makes the file malformed.
     """
     path = Path(path)
     if not path.exists():
@@ -562,7 +579,12 @@ def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:
             name: Parameter(np.array(entry["values"], dtype=dtype).reshape(entry["shape"]), name)
             for name, entry in payload["params"].items()
         }
+        for name, p in params.items():
+            if not np.all(np.isfinite(p.data)):
+                raise ValueError(f"parameter {name} holds a non-finite value")
         meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta is a {type(meta).__name__}, not an object")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
     return params, meta

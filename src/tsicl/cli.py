@@ -290,8 +290,13 @@ def cmd_eval(cfg: dict) -> None:
         raise DataError(f"missing checkpoint: {ckpt} (run `train` first)")
     params, meta = ad.load_params(ckpt)
     model_cfg = _model_config(cfg)
-    if meta.get("model") and ModelConfig.from_dict(meta["model"]) != model_cfg:
-        raise ConfigError(f"checkpoint model {meta['model']} does not match configured model")
+    if meta.get("model"):
+        try:
+            trained_cfg = ModelConfig.from_dict(meta["model"])
+        except (TypeError, ConfigError) as exc:
+            raise DataError(f"malformed checkpoint {ckpt}: meta model {meta['model']!r}: {exc}") from None
+        if trained_cfg != model_cfg:
+            raise ConfigError(f"checkpoint model {meta['model']} does not match configured model")
     want = {name: p.data.shape for name, p in init_params(model_cfg).items()}
     got = {name: p.data.shape for name, p in params.items()}
     bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))

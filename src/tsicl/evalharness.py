@@ -187,20 +187,20 @@ def batched_predict(
     """Evaluation-mode predictions for streams that already end in answer regions.
 
     Streams are grouped by (length, horizon) so each batch is rectangular;
-    outputs come back in input order.
+    outputs come back in input order. The model runs its last block only from
+    the first readout row.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (s, h) in enumerate(zip(streams, horizons)):
         groups.setdefault((len(s), h), []).append(i)
     out: list[np.ndarray | None] = [None] * len(streams)
-    for (_, h), idxs in sorted(groups.items()):
-        hp = horizon_patch_count(h, config)
+    for (n, h), idxs in sorted(groups.items()):
+        r0, r1 = readout_rows(config, n // config.patch_size, horizon_patch_count(h, config))
         for lo in range(0, len(idxs), batch_size):
             chunk = idxs[lo : lo + batch_size]
             batch = np.stack([streams[i] for i in chunk])
-            preds = forward_patch_predictions(batch, params, config)
-            r0, r1 = readout_rows(config, preds.shape[1], hp)
-            values = preds.data[:, r0:r1, :].reshape(len(chunk), h)
+            preds = forward_patch_predictions(batch, params, config, first_row=r0)
+            values = preds.data[:, : r1 - r0, :].reshape(len(chunk), h)
             for row, i in enumerate(chunk):
                 out[i] = values[row]
     return out

@@ -10,6 +10,12 @@ Two variants cover the two pre-training families the pipeline compares:
   patch's own values, and the answer region is always appended as masked
   placeholder tokens.
 
+Only a few patch rows are ever read: the query's answer region, in the loss
+and in evaluation, and the demos' answer regions when those are supervised.
+So the last block computes its queries, its feed-forward and the head only at
+the rows from the first one read (``first_row``); its keys and values, and
+every earlier block, still cover the whole stream.
+
 Input tokens are (value, mask_flag, segment_flag) triples; ``patch_size``
 consecutive steps are flattened into one 3*patch_size feature vector before a
 linear projection into the model width.
@@ -101,7 +107,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, ad.Parameter]:
         pre = f"l{layer}."
         for nm in ("wq", "wk", "wv", "wo"):
             weight(pre + "attn." + nm, d, d)
-        for nm in ("bq", "bk", "bv", "bo"):
+        for nm in ("bq", "bv", "bo"):
             bias(pre + "attn." + nm, d)
         put(pre + "ln1.g", np.ones(d))
         bias(pre + "ln1.b", d)
@@ -135,25 +141,34 @@ def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return _PE_CACHE[key]
 
 
-def _attention(x: ad.Tensor, params, prefix: str, config: ModelConfig) -> ad.Tensor:
-    """Multi-head self-attention with every head folded into the batch axis."""
+def _attention(x: ad.Tensor, params, prefix: str, config: ModelConfig, first_row: int) -> ad.Tensor:
+    """Multi-head self-attention with every head folded into the batch axis.
+
+    Queries, and so the output rows, cover rows [first_row, S) of ``x``; keys
+    and values cover every row. The key projection has no bias: it would add
+    q_i . b_k to every score of row i, a shift that softmax ignores.
+    """
     heads = config.n_heads
-
-    def project(name: str) -> ad.Tensor:
-        y = ad.add(ad.matmul(x, params[prefix + "w" + name]), params[prefix + "b" + name])
-        return ad.split_heads(y, heads)
-
-    mixed = ad.attention(project("q"), project("k"), project("v"), causal=config.variant == DECODER_CAUSAL)
+    xq = ad.row_slice(x, first_row, x.shape[1]) if first_row else x
+    q = ad.add(ad.matmul(xq, params[prefix + "wq"]), params[prefix + "bq"])
+    k = ad.matmul(x, params[prefix + "wk"])
+    v = ad.add(ad.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
+    causal = config.variant == DECODER_CAUSAL
+    mixed = ad.attention(*(ad.split_heads(t, heads) for t in (q, k, v)), causal=causal)
     ctx = ad.merge_heads(mixed, heads)
     return ad.add(ad.matmul(ctx, params[prefix + "wo"]), params[prefix + "bo"])
 
 
 def forward_patch_predictions(
-    batch_tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig
+    batch_tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig, first_row: int = 0
 ) -> ad.Tensor:
-    """Per-patch predictions (B, S, p) for a batch of token streams (B, n, 3).
+    """Predictions (B, S - first_row, p) at patch rows [first_row, S) of streams (B, n, 3).
 
-    The streams and the positional table enter in the parameters' dtype.
+    Every block but the last runs on all S rows, because its outputs are the
+    last block's keys and values. The last block computes its queries, and
+    everything after them, only at rows >= ``first_row``. Row i of the result
+    equals row first_row + i of the full forward. The streams and the
+    positional table enter in the parameters' dtype.
     """
     if batch_tokens.ndim != 3 or batch_tokens.shape[-1] != 3:
         raise GeometryError(f"expected batch tokens of shape (B, n, 3), got {batch_tokens.shape}")
@@ -163,12 +178,17 @@ def forward_patch_predictions(
     dtype = params["in.w"].data.dtype
     patches = patchify(batch_tokens, config.patch_size).astype(dtype, copy=False)
     s = patches.shape[1]
+    if not 0 <= first_row < s:
+        raise GeometryError(f"first_row {first_row} outside the {s} patch rows")
     x = ad.add(ad.matmul(ad.constant(patches), params["in.w"]), params["in.b"])
     x = ad.add(x, ad.constant(positional_encoding(s, config.d_model).astype(dtype, copy=False)))
     for layer in range(config.n_layers):
         pre = f"l{layer}."
+        start = first_row if layer == config.n_layers - 1 else 0
         h = ad.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        x = ad.add(x, _attention(h, params, pre + "attn.", config))
+        if start:
+            x = ad.row_slice(x, start, s)
+        x = ad.add(x, _attention(h, params, pre + "attn.", config, start))
         f = ad.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         f = ad.add(ad.matmul(f, params[pre + "ff.w1"]), params[pre + "ff.b1"])
         f = ad.gelu(f)

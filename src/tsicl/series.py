@@ -98,58 +98,69 @@ def load_csv(path: str | Path, channels: list[str] | None = None, name: str | No
     """Load a CSV with a timestamp column 0 and real-valued channel columns.
 
     ``channels`` optionally selects a subset of columns by header name;
-    default is every column after the timestamp, in file order.
+    default is every column after the timestamp, in file order. Every error
+    names the file; undecodable bytes are a ``DataError`` too.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("no data rows") from None
-        if len(header) < 2:
-            raise DataError("need a timestamp column and at least one channel column")
-        available = [h.strip() for h in header[1:]]
-        if channels is None:
-            selected = available
-        else:
-            missing = [c for c in channels if c not in available]
-            if missing:
-                raise DataError(f"channels not in file: {missing}")
-            selected = list(channels)
-        col_idx = [available.index(c) + 1 for c in selected]
-
-        timestamps = []
-        rows: list[list[float]] = []
-        for i, raw in enumerate(reader):
-            if len(raw) != len(header):
-                raise DataError(f"row {i}: expected {len(header)} cells, got {len(raw)}")
-            timestamps.append(_parse_timestamp(raw[0], i))
-            parsed = []
-            for j in col_idx:
-                cell = raw[j].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(f"row {i}, column {header[j]!r}: non-numeric cell {cell!r}") from None
-                if not np.isfinite(v):
-                    raise DataError(f"row {i}, column {header[j]!r}: non-finite cell {cell!r}")
-                parsed.append(v)
-            rows.append(parsed)
-
-    if not rows:
-        raise DataError("no data rows")
-    for i in range(1, len(timestamps)):
-        if not timestamps[i] > timestamps[i - 1]:
-            raise DataError(f"row {i}: timestamps not strictly increasing")
+    try:
+        with path.open(newline="") as fh:
+            selected, timestamps, rows = _read_csv(csv.reader(fh), channels)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"malformed csv {path}: undecodable bytes at byte {exc.start}: {exc.reason}") from None
+    except (DataError, csv.Error) as exc:
+        raise DataError(f"malformed csv {path}: {exc}") from None
     return RawDataset(
         name=name or path.stem,
         timestamps=tuple(timestamps),
         channels=tuple(selected),
         values=np.array(rows, dtype=np.float64),
     )
+
+
+def _read_csv(reader, channels: list[str] | None) -> tuple[list[str], list, list[list[float]]]:
+    """Selected channel names, timestamps and value rows of a CSV reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("no data rows") from None
+    if len(header) < 2:
+        raise DataError("need a timestamp column and at least one channel column")
+    available = [h.strip() for h in header[1:]]
+    if channels is None:
+        selected = available
+    else:
+        missing = [c for c in channels if c not in available]
+        if missing:
+            raise DataError(f"channels not in file: {missing}")
+        selected = list(channels)
+    col_idx = [available.index(c) + 1 for c in selected]
+
+    timestamps = []
+    rows: list[list[float]] = []
+    for i, raw in enumerate(reader):
+        if len(raw) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(raw)}")
+        timestamps.append(_parse_timestamp(raw[0], i))
+        parsed = []
+        for j in col_idx:
+            cell = raw[j].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(f"row {i}, column {header[j]!r}: non-numeric cell {cell!r}") from None
+            if not np.isfinite(v):
+                raise DataError(f"row {i}, column {header[j]!r}: non-finite cell {cell!r}")
+            parsed.append(v)
+        rows.append(parsed)
+
+    if not rows:
+        raise DataError("no data rows")
+    for i in range(1, len(timestamps)):
+        if not timestamps[i] > timestamps[i - 1]:
+            raise DataError(f"row {i}: timestamps not strictly increasing")
+    return selected, timestamps, rows
 
 
 def expand_channels(d: RawDataset) -> list[ChannelSeries]:

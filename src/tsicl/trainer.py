@@ -161,10 +161,12 @@ def _batch_loss_graph(
     config: ModelConfig,
     supervise_demos: bool,
 ) -> ad.Tensor:
+    """MSE over the supervised regions; the model runs its last block from the first of them."""
     streams = _batch_streams(dataset, idxs, config.variant)
-    preds = forward_patch_predictions(streams, params, config)
-    regions = _loss_regions(dataset, idxs, config, preds.shape[1], supervise_demos)
-    slices = [ad.row_slice(preds, r0, r1) for r0, r1, _ in regions]
+    regions = _loss_regions(dataset, idxs, config, streams.shape[1] // config.patch_size, supervise_demos)
+    first = min(r0 for r0, _, _ in regions)
+    preds = forward_patch_predictions(streams, params, config, first_row=first)
+    slices = [ad.row_slice(preds, r0 - first, r1 - first) for r0, r1, _ in regions]
     pred_cat = slices[0] if len(slices) == 1 else ad.concat(slices, axis=1)
     truth = np.concatenate([t for _, _, t in regions], axis=1)
     return ad.mse_loss(pred_cat, truth, np.ones_like(truth))

@@ -382,6 +382,16 @@ def attention_operands(rng):
     return [ad.Parameter(rng.normal(size=(2, ATTENTION_ROWS, 3)), name) for name in "qkv"]
 
 
+# query counts against ATTENTION_ROWS keys: inside the first tile, at its edge and past it
+SHORT_QUERY_ROWS = [1, 3, ad._ATTENTION_TILE - 1, ad._ATTENTION_TILE + 3]
+
+
+def short_query_operands(rng, rows):
+    """Queries for the last ``rows`` positions, and keys and values over all ATTENTION_ROWS."""
+    counts = (rows, ATTENTION_ROWS, ATTENTION_ROWS)
+    return [ad.Parameter(rng.normal(size=(2, n, 3)), name) for name, n in zip("qkv", counts)]
+
+
 def attention_chain(q, k, v, causal):
     """Reference attention from FD-checked ops: scale, transpose, matmul, softmax."""
     s = q.shape[1]
@@ -429,6 +439,62 @@ class TestAttention:
             out = ad.attention(q, ad.constant(k2), ad.constant(v2), causal=True).data
             assert np.array_equal(out[:, :j], base[:, :j]), f"key {j} leaked backwards"
             assert np.max(np.abs(out[:, j] - base[:, j])) > 1e-6, f"key {j} did not reach its own row"
+
+    @pytest.mark.parametrize("rows", SHORT_QUERY_ROWS)
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_short_queries_match_finite_differences(self, causal, rows):
+        rng = np.random.default_rng(rows)
+        q, k, v = short_query_operands(rng, rows)
+        target = rng.normal(size=q.shape)
+        assert_grads_match(
+            lambda: ad.mse_loss(ad.attention(q, k, v, causal), target, np.ones(target.shape)),
+            {"q": q, "k": k, "v": v},
+        )
+
+    @pytest.mark.parametrize("rows", SHORT_QUERY_ROWS)
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_short_queries_match_the_last_rows_of_the_full_op(self, causal, rows):
+        rng = np.random.default_rng(rows + 100)
+        q, k, v = short_query_operands(rng, rows)
+        off = ATTENTION_ROWS - rows
+        full_q = ad.Parameter(np.concatenate([rng.normal(size=(2, off, 3)), q.data], axis=1), "q")
+        target = rng.normal(size=q.shape)
+
+        def loss(out):
+            return ad.mse_loss(out, target, np.ones(target.shape))
+
+        got = ad.attention(q, k, v, causal).data
+        got_grads = analytic(lambda: loss(ad.attention(q, k, v, causal)), {"q": q, "k": k, "v": v})
+        want = ad.attention(full_q, k, v, causal).data[:, off:]
+        want_grads = analytic(lambda: loss(ad.row_slice(ad.attention(full_q, k, v, causal), off, ATTENTION_ROWS)),
+                              {"q": full_q, "k": k, "v": v})
+        want_grads["q"] = want_grads["q"][:, off:]
+        assert np.max(np.abs(got - want)) <= 1e-12
+        for name in "qkv":
+            assert got_grads[name].shape == want_grads[name].shape, name
+            assert np.max(np.abs(got_grads[name] - want_grads[name])) <= 1e-12, name
+
+    @pytest.mark.parametrize("rows", SHORT_QUERY_ROWS)
+    def test_short_causal_queries_never_see_later_keys(self, rows):
+        rng = np.random.default_rng(rows + 200)
+        q, k, v = short_query_operands(rng, rows)
+        off = ATTENTION_ROWS - rows
+        base = ad.attention(q, k, v, causal=True).data
+        for j in sorted({0, off - 1, off, off + rows // 2, ATTENTION_ROWS - 1}):
+            k2, v2 = k.data.copy(), v.data.copy()
+            k2[:, j] += rng.normal(size=k2[:, j].shape)
+            v2[:, j] += rng.normal(size=v2[:, j].shape)
+            out = ad.attention(q, ad.constant(k2), ad.constant(v2), causal=True).data
+            # query row i sits at key position off + i
+            seen = max(0, j - off)
+            assert np.array_equal(out[:, :seen], base[:, :seen]), f"key {j} leaked backwards"
+            assert np.max(np.abs(out[:, seen:] - base[:, seen:])) > 1e-6, f"key {j} reached no later row"
+
+    def test_more_queries_than_keys_are_refused(self):
+        q = ad.constant(np.zeros((2, 6, 3)))
+        k = ad.constant(np.zeros((2, 5, 3)))
+        with pytest.raises(GeometryError, match="S_q <= S_k"):
+            ad.attention(q, k, k, causal=False)
 
 
 def x_t_like(a):

@@ -7,18 +7,22 @@ import pytest
 
 from tsicl import autodiff as ad
 from tsicl import model
+from tsicl.errors import GeometryError
 from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, forward_patch_predictions, init_params
 from tsicl.trainer import Adam, TrainConfig
 
 
-def per_head_attention(x, params, prefix, config):
-    """Reference attention: one slice, score matmul and softmax per head, then concat."""
+def per_head_attention(x, params, prefix, config, first_row=0):
+    """Reference attention: one slice, score matmul and softmax per head, then concat.
+
+    Queries cover rows [first_row, S) and see the rows of the full causal mask.
+    """
     d, heads = config.d_model, config.n_heads
     dh = d // heads
     s = x.shape[1]
-    allowed = np.tril(np.ones((s, s), dtype=bool)) if config.variant == DECODER_CAUSAL else None
-    q = ad.add(ad.matmul(x, params[prefix + "wq"]), params[prefix + "bq"])
-    k = ad.add(ad.matmul(x, params[prefix + "wk"]), params[prefix + "bk"])
+    allowed = np.tril(np.ones((s, s), dtype=bool))[first_row:] if config.variant == DECODER_CAUSAL else None
+    q = ad.add(ad.matmul(ad.row_slice(x, first_row, s), params[prefix + "wq"]), params[prefix + "bq"])
+    k = ad.matmul(x, params[prefix + "wk"])
     v = ad.add(ad.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
     mixed = []
     for i in range(heads):
@@ -43,27 +47,27 @@ def random_tokens(rng, batch: int, patches: int, patch_size: int) -> np.ndarray:
     return tokens
 
 
-def outputs_and_grads(tokens, params, config, target):
+def outputs_and_grads(tokens, params, config, target, first_row=0):
     for p in params.values():
         p.zero_grad()
     with ad.Tape() as tape:
-        preds = forward_patch_predictions(tokens, params, config)
+        preds = forward_patch_predictions(tokens, params, config, first_row=first_row)
         tape.backward(ad.mse_loss(preds, target, np.ones(target.shape)))
     return preds.data, {name: p.grad for name, p in params.items()}
 
 
-def assert_folded_heads_match_reference(variant, patches, monkeypatch):
+def assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row=0):
     config = tiny(variant)
     rng = np.random.default_rng(11)
     params = init_params(config, seed=3)
     for p in params.values():  # non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     tokens = random_tokens(rng, batch=3, patches=patches, patch_size=config.patch_size)
-    target = rng.normal(size=(3, patches, config.patch_size))
+    target = rng.normal(size=(3, patches - first_row, config.patch_size))
 
-    got, got_grads = outputs_and_grads(tokens, params, config, target)
+    got, got_grads = outputs_and_grads(tokens, params, config, target, first_row)
     monkeypatch.setattr(model, "_attention", per_head_attention)
-    want, want_grads = outputs_and_grads(tokens, params, config, target)
+    want, want_grads = outputs_and_grads(tokens, params, config, target, first_row)
 
     assert np.max(np.abs(got - want)) <= 1e-10
     for name, g in want_grads.items():
@@ -79,6 +83,46 @@ def test_folded_heads_match_per_head_reference(variant, monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_folded_heads_match_per_head_reference_past_one_tile(variant, monkeypatch):
     assert_folded_heads_match_reference(variant, ad._ATTENTION_TILE + 7, monkeypatch)
+
+
+@pytest.mark.parametrize("patches", [7, ad._ATTENTION_TILE + 7])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_folded_heads_match_per_head_reference_on_the_last_rows(variant, patches, monkeypatch):
+    assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row=patches - 4)
+
+
+@pytest.mark.parametrize("patches", [7, ad._ATTENTION_TILE + 7])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tail_forward_equals_the_full_forward_tail(variant, patches):
+    config = tiny(variant)
+    rng = np.random.default_rng(13)
+    params = init_params(config, seed=5)
+    for p in params.values():  # float64, with non-trivial biases and gains
+        p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+    tokens = random_tokens(rng, batch=3, patches=patches, patch_size=config.patch_size)
+    for first_row in (1, patches - 4, patches - 1):
+        target = rng.normal(size=(3, patches - first_row, config.patch_size))
+        got, got_grads = outputs_and_grads(tokens, params, config, target, first_row)
+        for p in params.values():
+            p.zero_grad()
+        with ad.Tape() as tape:
+            full = forward_patch_predictions(tokens, params, config)
+            tail = ad.row_slice(full, first_row, patches)
+            tape.backward(ad.mse_loss(tail, target, np.ones(target.shape)))
+        assert got.shape == tail.shape
+        assert np.max(np.abs(got - tail.data)) <= 1e-12, first_row
+        for name, p in params.items():
+            assert got_grads[name] is not None and p.grad is not None, (first_row, name)
+            assert np.max(np.abs(got_grads[name] - p.grad)) <= 1e-12 * max(1.0, np.max(np.abs(p.grad))), (
+                first_row, name)
+
+
+@pytest.mark.parametrize("first_row", [-1, 7])
+def test_first_row_outside_the_stream_is_refused(first_row):
+    config = tiny(DECODER_CAUSAL)
+    tokens = random_tokens(np.random.default_rng(0), batch=1, patches=7, patch_size=config.patch_size)
+    with pytest.raises(GeometryError, match="first_row"):
+        forward_patch_predictions(tokens, init_params(config), config, first_row=first_row)
 
 
 def assert_decoder_is_causal(patches):
@@ -179,8 +223,7 @@ def assert_float32_tracks_float64(variant, patches):
 
     assert got.dtype == np.float32 and want.dtype == np.float64
     # measured: <= 5.7e-7 for outputs and <= 5.0e-7 for gradients. The gradient bound is
-    # relative to the largest gradient of any parameter, not per parameter: the key bias's
-    # true gradient is 0 (softmax ignores a shift per row), read as ~1e-17 or ~1e-8.
+    # relative to the largest gradient of any parameter, not per parameter.
     assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
     largest = max(np.max(np.abs(g)) for g in want_grads.values())
     for name, g in want_grads.items():

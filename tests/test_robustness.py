@@ -25,14 +25,30 @@ WINDOW = WindowSpec(8, 4)
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 
 
-def truncated_copy(src_dir: Path, dst_dir: Path, name: str) -> Path:
-    """Copy every artifact, then cut ``name`` to its first half."""
+def copy_artifacts(src_dir: Path, dst_dir: Path) -> None:
     for f in src_dir.iterdir():
         (dst_dir / f.name).write_bytes(f.read_bytes())
+
+
+def truncated_copy(src_dir: Path, dst_dir: Path, name: str) -> Path:
+    """Copy every artifact, then cut ``name`` to its first half."""
+    copy_artifacts(src_dir, dst_dir)
     target = dst_dir / name
     data = target.read_bytes()
     target.write_bytes(data[: len(data) // 2])
     return target
+
+
+def run_stage(stage: str, out_dir: Path) -> subprocess.CompletedProcess:
+    """One CLI stage of the tiny configuration, as its own process."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tsicl.cli", stage, *overrides(out_dir)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -47,14 +63,52 @@ def truncated_copy(src_dir: Path, dst_dir: Path, name: str) -> Path:
 )
 def test_cli_truncated_artifact_exits_3(pipeline_dir, tmp_path, stage, artifact):
     target = truncated_copy(pipeline_dir, tmp_path, artifact)
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tsicl.cli", stage, *overrides(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    proc = run_stage(stage, tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert str(target) in proc.stderr
+
+
+def edit_checkpoint(edit):
+    def garble(out_dir: Path) -> Path:
+        ckpt = out_dir / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        edit(payload)
+        ckpt.write_text(json.dumps(payload))  # json writes nan and inf as NaN and Infinity
+        return ckpt
+
+    return garble
+
+
+def set_first_value(value):
+    def edit(payload):
+        next(iter(payload["params"].values()))["values"][0] = value
+
+    return edit
+
+
+def undecodable_csv(out_dir: Path) -> Path:
+    """synth.csv behind a UTF-16 byte-order mark, which is not UTF-8."""
+    path = out_dir / "synth.csv"
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    return path
+
+
+@pytest.mark.parametrize(
+    "stage, garble",
+    [
+        pytest.param("eval", edit_checkpoint(lambda payload: payload.update(meta=[])), id="meta_not_an_object"),
+        pytest.param("eval", edit_checkpoint(lambda payload: payload["meta"].update(model={"bogus": 1})),
+                     id="meta_model_unknown_key"),
+        pytest.param("eval", edit_checkpoint(set_first_value(float("nan"))), id="nan_value"),
+        pytest.param("eval", edit_checkpoint(set_first_value(float("inf"))), id="infinity_value"),
+        pytest.param("ingest", undecodable_csv, id="undecodable_csv"),
+    ],
+)
+def test_cli_garbled_artifact_exits_3(pipeline_dir, tmp_path, stage, garble):
+    copy_artifacts(pipeline_dir, tmp_path)
+    target = garble(tmp_path)
+    proc = run_stage(stage, tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert str(target) in proc.stderr
@@ -136,8 +190,7 @@ class TestMalformedFiles:
 
 
 def test_train_on_context_built_from_another_store_exits_3(pipeline_dir, tmp_path, capsys):
-    for f in pipeline_dir.iterdir():
-        (tmp_path / f.name).write_bytes(f.read_bytes())
+    copy_artifacts(pipeline_dir, tmp_path)
     assert main(["ingest", *overrides(tmp_path), "--set", "seed=1"]) == 0
     assert main(["train", *overrides(tmp_path)]) == 3
     err = capsys.readouterr().err
@@ -145,8 +198,7 @@ def test_train_on_context_built_from_another_store_exits_3(pipeline_dir, tmp_pat
 
 
 def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, capsys):
-    for f in pipeline_dir.iterdir():
-        (tmp_path / f.name).write_bytes(f.read_bytes())
+    copy_artifacts(pipeline_dir, tmp_path)
     before = (tmp_path / "checkpoint.json").read_bytes()
     args = ["--set", "variant=encoder_masked", "--set", "supervise_demo_outputs=true"]
     assert main(["train", *overrides(tmp_path), *args]) == 2
@@ -193,15 +245,19 @@ def test_evaluate_paths_rejects_mismatched_truths(monkeypatch):
     [
         ("missing", lambda params: params.pop("head.b")),
         ("misshapen", lambda params: params.update({"head.b": {"shape": [5], "values": [0.0] * 5}})),
+        # a checkpoint from before the key projection lost its bias
+        ("key_bias", lambda params: params.update({"l0.attn.bk": {"shape": [8], "values": [0.0] * 8}})),
     ],
 )
 def test_eval_on_a_checkpoint_that_does_not_fit_the_model_exits_3(pipeline_dir, tmp_path, capsys, case, edit):
-    for f in pipeline_dir.iterdir():
-        (tmp_path / f.name).write_bytes(f.read_bytes())
+    copy_artifacts(pipeline_dir, tmp_path)
     ckpt = tmp_path / "checkpoint.json"
     payload = json.loads(ckpt.read_text())
+    before = dict(payload["params"])
     edit(payload["params"])
     ckpt.write_text(json.dumps(payload))
+    (edited,) = [name for name in before.keys() | payload["params"].keys()
+                 if before.get(name) != payload["params"].get(name)]
     assert main(["eval", *overrides(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert str(ckpt) in err and "parameter head.b" in err
+    assert str(ckpt) in err and f"parameter {edited}" in err

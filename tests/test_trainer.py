@@ -9,7 +9,16 @@ from tsicl import trainer
 from tsicl.context import ContextDataset, assemble
 from tsicl.errors import ConfigError
 from tsicl.evalharness import batched_predict
-from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, answer_region, init_params, readout_rows
+from tsicl.model import (
+    DECODER_CAUSAL,
+    ENCODER_MASKED,
+    VARIANTS,
+    ModelConfig,
+    answer_region,
+    forward_patch_predictions,
+    init_params,
+    readout_rows,
+)
 from tsicl.series import ChannelSeries
 from tsicl.tasks import VALUE, TaskKind, WindowSpec, gen_forecast
 from tsicl.trainer import Adam, TrainConfig
@@ -125,6 +134,47 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
         _, record = trainer.train(init_params(config, seed=0), dataset, dataset, config, run)
         losses.append(record.train_losses[0])
     assert np.isfinite(losses[1]) and losses[1] != losses[0]
+
+
+@pytest.mark.parametrize(
+    "variant, supervise", [(DECODER_CAUSAL, False), (ENCODER_MASKED, False), (DECODER_CAUSAL, True)]
+)
+def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
+    """The loss graph runs its last block from the first supervised row; the loss is unchanged."""
+    config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
+    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+    rng = np.random.default_rng(3)
+    params = init_params(config, seed=1)
+    for p in params.values():  # float64, with non-trivial biases and gains
+        p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+    idxs = [0, 1, 2]
+    got = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise).data)
+
+    full = forward_patch_predictions(trainer._batch_streams(dataset, idxs, variant), params, config).data
+    regions = trainer._loss_regions(dataset, idxs, config, full.shape[1], supervise)
+    assert len(regions) == (3 if supervise else 1)
+    pred = np.concatenate([full[:, r0:r1] for r0, r1, _ in regions], axis=1)
+    truth = np.concatenate([t for _, _, t in regions], axis=1)
+    want = float(np.mean((pred - truth) ** 2))
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_predict_reads_the_full_forward_readout_rows(variant):
+    config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
+    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+    rng = np.random.default_rng(4)
+    params = init_params(config, seed=2)
+    for p in params.values():  # float64, with non-trivial biases and gains
+        p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+    h = dataset.window.horizon
+    streams = [np.concatenate([s.tokens, answer_region(h)]) for s in dataset.samples]
+    got = np.stack(batched_predict(streams, [h] * len(streams), params, config))
+
+    full = forward_patch_predictions(np.stack(streams), params, config).data
+    r0, r1 = readout_rows(config, full.shape[1], h // config.patch_size)
+    want = full[:, r0:r1].reshape(len(streams), h)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class StrictArray(np.ndarray):
