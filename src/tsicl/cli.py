@@ -158,6 +158,8 @@ def _window(cfg: dict) -> WindowSpec:
 
 
 def _tasks(names: list[str]) -> list[TaskKind]:
+    if not names:
+        raise ConfigError("task set is empty")
     try:
         return [TaskKind(n) for n in names]
     except ValueError as exc:

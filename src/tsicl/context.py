@@ -31,7 +31,8 @@ from .tasks import (
     TaskKind,
     WindowSpec,
     generate_example,
-    impute_at,
+    reach,
+    source_span,
     valid_start_range,
 )
 
@@ -158,12 +159,12 @@ def sample_demos(
                 break
         if example is None:
             # Exhaustive fallback: enumerate every admissible start.
-            valid: list[tuple[int, int]] = []
-            for sidx, lo, hi in ranges:
-                for t in range(lo, hi + 1):
-                    probe = generate_example(task, pool[sidx], t, w, np.random.default_rng(0))
-                    if admissible(probe.source_span):
-                        valid.append((sidx, t))
+            valid = [
+                (sidx, t)
+                for sidx, lo, hi in ranges
+                for t in range(lo, hi + 1)
+                if admissible(source_span(task, pool[sidx], t, w))
+            ]
             if not valid:
                 raise DataError(
                     f"insufficient disjoint demo windows: needed {m}, found {k} "
@@ -180,14 +181,11 @@ def count_disjoint_starts(
     pool: list[ChannelSeries], query_span: Span, task: TaskKind, w: WindowSpec
 ) -> int:
     """Number of admissible demo starts (brute force; used by tests)."""
-    n = 0
-    rng = np.random.default_rng(0)
-    for s in pool:
-        lo, hi = valid_start_range(task, len(s), w)
-        for t in range(lo, hi + 1):
-            if not generate_example(task, s, t, w, rng).source_span.overlaps(query_span):
-                n += 1
-    return n
+    return sum(
+        not source_span(task, pool[sidx], t, w).overlaps(query_span)
+        for sidx, lo, hi in _candidate_starts(pool, task, w)
+        for t in range(lo, hi + 1)
+    )
 
 
 def build_context_dataset(
@@ -328,17 +326,14 @@ def write_jsonl(dataset: ContextDataset, path: str | Path) -> None:
 
 
 def _replay(raw: list, task: TaskKind, w: WindowSpec, store: SplitStore) -> TaskExample:
+    """The example one stored record names, regenerated from the split that holds its span."""
     _, channel, start, end, positions = raw
     for s in store.splits[channel].values():
         if s.origin_offset <= start and end <= s.origin_offset + len(s):
             break
     else:
         raise ValueError(f"span {raw[:4]} lies in no split of channel {channel!r}")
-    t = start - s.origin_offset + (w.horizon if task is TaskKind.BACKTRACE else 0)
-    if task is TaskKind.IMPUTE:
-        example = impute_at(s, t, w, positions)
-    else:
-        example = generate_example(task, s, t, w, rng=None)
+    example = generate_example(task, s, start - s.origin_offset + reach(task, w)[0], w, positions)
     if _example_record(example) != raw or example.horizon != w.horizon:
         raise ValueError(f"example {raw} does not replay from the store")
     return example
@@ -347,8 +342,10 @@ def _replay(raw: list, task: TaskKind, w: WindowSpec, store: SplitStore) -> Task
 def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
     """Read a context file, regenerating each example from ``store`` as ``build`` did, then ``assemble``.
 
-    The window starts at the span start minus its split's ``origin_offset`` (plus h for
-    backtrace). An example must give back its span and mask, else ``DataError`` names the line.
+    ``_replay`` passes ``tasks.generate_example`` the stored mask in place of an rng, at the
+    window start the task table gives: the span start minus its split's ``origin_offset``,
+    plus the values the task reads before its window. An example must give back its span
+    and mask, else ``DataError`` names the line.
     """
     path = Path(path)
     if not path.exists():

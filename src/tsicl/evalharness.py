@@ -3,10 +3,11 @@
 The protocol mirrors the pre-training split: a model trained on some task set
 is evaluated on a task it never saw. The context path prepends demonstrations
 of the unseen task (train-split data only); the baseline path rewrites each
-query with the adapter ``adapters.adapter_for`` picks. Every stream ends in
-``model.answer_region`` placeholders: ``context_path`` appends them after the
-query, ``_fit_adapted`` (rounded up to whole patches) after every adapted
-history. ``score_probes`` is the only eval loop, called by the CLI
+query with the adapter ``adapters.adapter_for`` picks. Demo and query windows
+come from the task table in ``tasks``: its valid starts and span widths. Every
+stream ends in ``model.answer_region`` placeholders: ``context_path`` appends
+them after the query, ``_fit_adapted`` (rounded up to whole patches) after
+every adapted history. ``score_probes`` is the only eval loop, called by the CLI
 (``run_unseen_eval``) and by the ablations (``experiment.evaluate_paths``);
 ``batched_predict`` is the only readout, also behind the trainer's validation
 loss. ``score_probes`` checksums the parameters around the loop to enforce
@@ -34,7 +35,7 @@ from .model import (
     readout_rows,
 )
 from .series import SplitStore
-from .tasks import TaskExample, TaskKind, WindowSpec, generate_example, valid_start_range
+from .tasks import TaskExample, TaskKind, WindowSpec, generate_example, span_width, valid_start_range
 
 
 def _errors(pred: np.ndarray, truth: np.ndarray, metric: str) -> np.ndarray:
@@ -155,21 +156,18 @@ def improvement_ratio(report: EvalReport) -> float:
     return float(np.mean(ratios))
 
 
-def demo_span_width(task: TaskKind, w: WindowSpec) -> int:
-    return w.lookback if task is TaskKind.IMPUTE else w.lookback + w.horizon
-
-
 def select_eval_demos(
     train_s, task: TaskKind, w: WindowSpec, m: int, rng: np.random.Generator
 ) -> list[TaskExample]:
     """The m most recent pairwise-disjoint train windows, oldest first.
 
+    Starts step back from the task table's last valid start by its span width.
     Deterministic by construction; rng is only consumed by imputation masks.
     """
     if m == 0:
         return []
     lo, hi = valid_start_range(task, len(train_s), w)
-    width = demo_span_width(task, w)
+    width = span_width(task, w)
     starts = [hi - i * width for i in range(m)]
     if not starts or starts[-1] < lo:
         available = max(0, (hi - lo) // width + 1) if hi >= lo else 0
@@ -253,6 +251,7 @@ def baseline_path(
 def enumerate_queries(
     test_s, task: TaskKind, w: WindowSpec, stride: int, rng: np.random.Generator
 ) -> list[TaskExample]:
+    """Every stride-th window of the test split that the task table admits, from the first."""
     lo, hi = valid_start_range(task, len(test_s), w)
     if hi < lo:
         raise DataError(f"test split of length {len(test_s)} admits no {task} window")

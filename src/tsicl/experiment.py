@@ -9,7 +9,7 @@ demonstrations, and through the reprogramming baseline. The probes run in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,31 +50,6 @@ class SeedOutcome:
     mse_wrong_task: float  # demonstrations of a pre-training task instead
     mse_baseline: float  # reprogramming adapter on bare queries
     record: TrainRecord
-
-    @property
-    def relative_improvement(self) -> float:
-        return (self.mse_baseline - self.mse_context) / self.mse_baseline
-
-
-@dataclass
-class ExperimentResult:
-    outcomes: list[SeedOutcome] = field(default_factory=list)
-
-    @property
-    def mean_relative_improvement(self) -> float:
-        return float(np.mean([o.relative_improvement for o in self.outcomes]))
-
-    @property
-    def context_win_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.mse_context < o.mse_no_context)
-
-    @property
-    def mean_mse_context(self) -> float:
-        return float(np.mean([o.mse_context for o in self.outcomes]))
-
-    @property
-    def mean_mse_wrong_task(self) -> float:
-        return float(np.mean([o.mse_wrong_task for o in self.outcomes]))
 
 
 def store_from_channels(channels, name: str) -> SplitStore:
@@ -147,10 +122,3 @@ def run_seed(cfg: UnseenTaskExperiment, seed: int) -> SeedOutcome:
         mse_baseline=scores["baseline"],
         record=record,
     )
-
-
-def run_experiment(cfg: UnseenTaskExperiment, seeds: list[int]) -> ExperimentResult:
-    result = ExperimentResult()
-    for seed in seeds:
-        result.outcomes.append(run_seed(cfg, seed))
-    return result

@@ -281,6 +281,9 @@ def load_store(path: str | Path) -> SplitStore:
                 )
                 for split, sp in entry["splits"].items()
             }
+            bad = [split for split, s in store.splits[ch].items() if not np.isfinite(s.values).all()]
+            if bad:
+                raise ValueError(f"non-finite value in channel {ch!r}, split {bad[0]!r}")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"malformed store {path}: {exc!r}") from None
     return store

@@ -1,14 +1,17 @@
-"""Window-level task example constructors: forecast, impute, backtrace.
+"""Window-level task examples: forecast, impute, backtrace, from one table.
 
-All three tasks share one window geometry (lookback ``L = 2h``, horizon ``h``)
-so their examples are interchangeable inside a context sequence. Token
-sequences are stored as float64 arrays of shape ``(n, 3)`` with columns
-``(value, mask_flag, segment_flag)``.
+Every task shows an L-value window (lookback ``L = 2h``) and asks for h values,
+so examples are interchangeable inside a context sequence. ``GEOMETRY`` is the
+only per-task code: where the h target values lie relative to the window.
+``generate_example``, ``valid_start_range``, ``span_width`` and ``source_span``
+derive everything else from it. Token sequences are float64 arrays of shape
+``(n, 3)`` with columns ``(value, mask_flag, segment_flag)``.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +31,27 @@ class TaskKind(enum.Enum):
         return self.value
 
 
-# Canonical ordering used wherever a task set must be iterated deterministically.
-TASK_ORDER = (TaskKind.FORECAST, TaskKind.IMPUTE, TaskKind.BACKTRACE)
+@dataclass(frozen=True)
+class TaskGeometry:
+    """Where a task reads around its L-value input window, in horizons.
+
+    ``before`` horizons precede the window and ``after`` follow it; ``impute``
+    masks h positions inside it. The target is everything read but not shown.
+    """
+
+    before: int
+    after: int
+    impute: bool
+
+
+# The task table. Generation, replay, demo selection and query enumeration all
+# read it; its key order is the canonical task order.
+GEOMETRY = {
+    TaskKind.FORECAST: TaskGeometry(before=0, after=1, impute=False),
+    TaskKind.IMPUTE: TaskGeometry(before=0, after=0, impute=True),
+    TaskKind.BACKTRACE: TaskGeometry(before=1, after=0, impute=False),
+}
+TASK_ORDER = tuple(GEOMETRY)
 
 
 def token_array(values: np.ndarray, mask: np.ndarray | None = None, segment: int = 0) -> np.ndarray:
@@ -110,46 +132,6 @@ class TaskExample:
         return np.flatnonzero(self.input[:, MASK_FLAG] == 1.0)
 
 
-def _check_window(s: ChannelSeries, lo: int, hi: int) -> None:
-    if lo < 0 or hi > len(s):
-        raise GeometryError(
-            f"window [{lo}, {hi}) out of range for series of length {len(s)}"
-        )
-
-
-def _span(s: ChannelSeries, lo: int, hi: int) -> Span:
-    return Span(s.dataset, s.channel, s.origin_offset + lo, s.origin_offset + hi)
-
-
-def gen_forecast(s: ChannelSeries, t: int, w: WindowSpec) -> TaskExample:
-    """Observe s[t : t+L), predict the following h values."""
-    L, h = w.lookback, w.horizon
-    _check_window(s, t, t + L + h)
-    return TaskExample(
-        task=TaskKind.FORECAST,
-        input=token_array(s.values[t : t + L]),
-        target=s.values[t + L : t + L + h].copy(),
-        source_span=_span(s, t, t + L + h),
-    )
-
-
-def gen_backtrace(s: ChannelSeries, t: int, w: WindowSpec) -> TaskExample:
-    """Observe s[t : t+L), predict the h values immediately before it.
-
-    The target is emitted in chronological (ascending-time) order.
-    """
-    L, h = w.lookback, w.horizon
-    if t < h:
-        raise GeometryError(f"insufficient history: start {t} < horizon {h}")
-    _check_window(s, t, t + L)
-    return TaskExample(
-        task=TaskKind.BACKTRACE,
-        input=token_array(s.values[t : t + L]),
-        target=s.values[t - h : t].copy(),
-        source_span=_span(s, t - h, t + L),
-    )
-
-
 def sample_mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
     """Draw k distinct positions from range(n) uniformly, ascending.
 
@@ -164,48 +146,57 @@ def sample_mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]
     return sorted(idx[:k])
 
 
-def gen_impute(s: ChannelSeries, t: int, w: WindowSpec, rng: np.random.Generator) -> TaskExample:
-    """Mask h of the L window positions; predict the masked values.
-
-    Masked inputs carry value 0 and mask_flag 1; the target lists the true
-    values at the masked positions in ascending position order.
-    """
-    L, h = w.lookback, w.horizon
-    if h >= L:
-        raise GeometryError(f"mask count {h} must be smaller than window {L}")
-    _check_window(s, t, t + L)
-    return impute_at(s, t, w, sample_mask_positions(rng, L, h))
-
-
-def impute_at(s: ChannelSeries, t: int, w: WindowSpec, positions: list[int]) -> TaskExample:
-    """The impute example of the window at t that masks ``positions`` (window-relative)."""
-    mask = np.zeros(w.lookback)
-    mask[positions] = 1.0
-    window = s.values[t : t + w.lookback]
-    return TaskExample(
-        task=TaskKind.IMPUTE,
-        input=token_array(window, mask=mask),
-        target=window[positions].copy(),
-        source_span=_span(s, t, t + w.lookback),
-    )
-
-
-def generate_example(
-    task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec, rng: np.random.Generator
-) -> TaskExample:
-    """Dispatch to the task's constructor (rng only consumed by impute)."""
-    if task is TaskKind.FORECAST:
-        return gen_forecast(s, t, w)
-    if task is TaskKind.BACKTRACE:
-        return gen_backtrace(s, t, w)
-    return gen_impute(s, t, w, rng)
+def reach(task: TaskKind, w: WindowSpec) -> tuple[int, int]:
+    """How many values ``task`` reads before and after its window."""
+    g = GEOMETRY[task]
+    return g.before * w.horizon, g.after * w.horizon
 
 
 def valid_start_range(task: TaskKind, length: int, w: WindowSpec) -> tuple[int, int]:
-    """Inclusive [lo, hi] range of valid window starts for a task, or (0, -1)."""
+    """Inclusive range [before, length - L - after] of window starts; empty when hi < lo."""
+    before, after = reach(task, w)
+    return before, length - w.lookback - after
+
+
+def span_width(task: TaskKind, w: WindowSpec) -> int:
+    """Length of every source span of ``task``: L + before + after."""
+    return w.lookback + sum(reach(task, w))
+
+
+def source_span(task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec) -> Span:
+    """The span the example of the window at t reads, without building it."""
+    before, after = reach(task, w)
+    return Span(s.dataset, s.channel, s.origin_offset + t - before, s.origin_offset + t + w.lookback + after)
+
+
+def generate_example(
+    task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec, rng: np.random.Generator | Sequence[int] | None
+) -> TaskExample:
+    """The example of ``task`` whose input window is s[t : t+L), derived from its table record.
+
+    The target is the ``before`` values, the masked values, then the ``after``
+    values, in ascending time. An impute task draws its h masked positions with
+    ``rng``; replay passes the stored window-relative positions instead. Other
+    tasks ignore ``rng``.
+    """
     L, h = w.lookback, w.horizon
-    if task is TaskKind.FORECAST:
-        return 0, length - L - h
-    if task is TaskKind.BACKTRACE:
-        return h, length - L
-    return 0, length - L
+    before, after = reach(task, w)
+    if t < before:
+        raise GeometryError(f"insufficient history: start {t} < {before}")
+    if t < 0 or t + L + after > len(s):
+        raise GeometryError(f"window [{t}, {t + L + after}) out of range for series of length {len(s)}")
+    positions: Sequence[int] = []
+    mask = None
+    if GEOMETRY[task].impute:
+        if h >= L:
+            raise GeometryError(f"mask count {h} must be smaller than window {L}")
+        positions = sample_mask_positions(rng, L, h) if isinstance(rng, np.random.Generator) else rng
+        mask = np.zeros(L)
+        mask[positions] = 1.0
+    window = s.values[t : t + L]
+    return TaskExample(
+        task=task,
+        input=token_array(window, mask=mask),
+        target=np.concatenate([s.values[t - before : t], window[positions], s.values[t + L : t + L + after]]),
+        source_span=source_span(task, s, t, w),
+    )

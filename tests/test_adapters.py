@@ -27,8 +27,7 @@ from tsicl.tasks import (
     TaskExample,
     TaskKind,
     WindowSpec,
-    gen_backtrace,
-    gen_forecast,
+    generate_example,
     token_array,
 )
 
@@ -53,8 +52,8 @@ def examples(w: WindowSpec) -> dict[TaskKind, TaskExample]:
     s = series()
     L, h = w.lookback, w.horizon
     return {
-        TaskKind.FORECAST: gen_forecast(s, 20, w),
-        TaskKind.BACKTRACE: gen_backtrace(s, 20, w),
+        TaskKind.FORECAST: generate_example(TaskKind.FORECAST, s, 20, w, None),
+        TaskKind.BACKTRACE: generate_example(TaskKind.BACKTRACE, s, 20, w, None),
         TaskKind.IMPUTE: impute_example(s.values[20 : 20 + L], list(range(L - h - 1, L - 1))),
     }
 

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsicl import context
 from tsicl.context import (
     assemble,
     build_context_dataset,
@@ -17,7 +21,7 @@ from tsicl.errors import DataError
 from tsicl.experiment import store_from_channels
 from tsicl.series import ChannelSeries
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import MASK_FLAG, SEGMENT_FLAG, TASK_ORDER, VALUE, Span, TaskKind, WindowSpec, gen_forecast
+from tsicl.tasks import MASK_FLAG, SEGMENT_FLAG, TASK_ORDER, VALUE, Span, TaskKind, WindowSpec, generate_example
 
 W42 = WindowSpec(4, 2)
 
@@ -89,7 +93,7 @@ class TestSampleDemos:
 
 class TestAssemble:
     def test_empty_context_identity(self):
-        q = gen_forecast(series_of(10), 0, W42)
+        q = generate_example(TaskKind.FORECAST, series_of(10), 0, W42, None)
         out = assemble((), q)
         assert np.array_equal(out.tokens, q.input)
         assert np.array_equal(out.query.target, q.target)
@@ -97,15 +101,16 @@ class TestAssemble:
     def test_paper_scale_token_count(self):
         w = WindowSpec(192, 96)
         s = series_of(288 * 6)
-        demos = tuple(gen_forecast(s, 288 * (i + 1), w) for i in range(4))
-        q = gen_forecast(s, 0, w)
+        demos = tuple(generate_example(TaskKind.FORECAST, s, 288 * (i + 1), w, None) for i in range(4))
+        q = generate_example(TaskKind.FORECAST, s, 0, w, None)
         out = assemble(demos, q)
         assert len(out.tokens) == 4 * 288 + 192 == 1344
 
     def test_hand_built_concatenation(self):
         s = series_of(40)
-        d1, d2 = gen_forecast(s, 10, W42), gen_forecast(s, 20, W42)
-        q = gen_forecast(s, 0, W42)
+        d1 = generate_example(TaskKind.FORECAST, s, 10, W42, None)
+        d2 = generate_example(TaskKind.FORECAST, s, 20, W42, None)
+        q = generate_example(TaskKind.FORECAST, s, 0, W42, None)
         out = assemble((d1, d2), q)
         expected_values = np.concatenate(
             [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4]]
@@ -116,16 +121,14 @@ class TestAssemble:
 
     def test_task_mismatch(self):
         s = series_of(40)
-        demo = gen_forecast(s, 10, W42)
-        from tsicl.tasks import gen_backtrace
-
-        q = gen_backtrace(s, 5, W42)
+        demo = generate_example(TaskKind.FORECAST, s, 10, W42, None)
+        q = generate_example(TaskKind.BACKTRACE, s, 5, W42, None)
         with pytest.raises(DataError, match="does not match"):
             assemble((demo,), q)
 
     def test_geometry_mismatch(self):
-        sm = gen_forecast(series_of(20), 0, W42)
-        big = gen_forecast(series_of(40), 0, WindowSpec(8, 4))
+        sm = generate_example(TaskKind.FORECAST, series_of(20), 0, W42, None)
+        big = generate_example(TaskKind.FORECAST, series_of(40), 0, WindowSpec(8, 4), None)
         with pytest.raises(Exception, match="geometry"):
             assemble((sm,), big)
 
@@ -203,6 +206,33 @@ class TestBuildDataset:
                     write_jsonl(loaded, again)
                     assert path.read_bytes() == again.read_bytes()
             assert (foreign_demos > 0) == cross_channel_demos
+
+
+# SHA-256 of every build decision below: the windows, tasks, demo spans and
+# masks. They are integers, so the digest does not depend on BLAS, but it pins
+# numpy's Generator stream (PCG64 under SeedSequence, and Generator.integers):
+# a numpy release that changes that stream changes this digest.
+BUILD_DECISIONS_SHA256 = "a10a5b56621da5afd590b972b2b8c8b4fe2f26f1adfdfdae3e0c6de561edc29b"
+
+
+def test_build_decisions_are_pinned(tmp_path, monkeypatch):
+    store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    digest = hashlib.sha256()
+    for m, train, valid in build_train_valid(store, TASK_ORDER, WindowSpec(8, 4), [0, 2], seed=4, stride=3):
+        for name, ds in (("train", train), ("valid", valid)):
+            path = tmp_path / f"{name}_m{m}.jsonl"
+            write_jsonl(ds, path)
+            digest.update(path.read_bytes())
+    calls = []
+    real = context.generate_example
+    monkeypatch.setattr(context, "generate_example", lambda *args: calls.append(args) or real(*args))
+    demos = sample_demos(
+        [series_of(14)], Span("d", "c", 0, 6), TaskKind.IMPUTE, 3, W42, np.random.default_rng(0), max_attempts=1
+    )
+    assert len(calls) > 3  # a rejected candidate: at least one demo came through the exhaustive fallback
+    records = [[d.source_span.start, d.source_span.end, d.masked_positions.tolist()] for d in demos]
+    digest.update(json.dumps(records).encode())
+    assert digest.hexdigest() == BUILD_DECISIONS_SHA256
 
 
 @st.composite

@@ -87,6 +87,15 @@ def set_first_value(value):
     return edit
 
 
+def nan_store_value(out_dir: Path) -> Path:
+    """One train value of the store's first channel set to NaN."""
+    path = out_dir / "store.json"
+    payload = json.loads(path.read_text())
+    next(iter(payload["channels"].values()))["splits"]["train"]["values"][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    return path
+
+
 def undecodable_csv(out_dir: Path) -> Path:
     """synth.csv behind a UTF-16 byte-order mark, which is not UTF-8."""
     path = out_dir / "synth.csv"
@@ -103,6 +112,7 @@ def undecodable_csv(out_dir: Path) -> Path:
         pytest.param("eval", edit_checkpoint(set_first_value(float("nan"))), id="nan_value"),
         pytest.param("eval", edit_checkpoint(set_first_value(float("inf"))), id="infinity_value"),
         pytest.param("ingest", undecodable_csv, id="undecodable_csv"),
+        pytest.param("build", nan_store_value, id="nan_store_value"),
     ],
 )
 def test_cli_garbled_artifact_exits_3(pipeline_dir, tmp_path, stage, garble):
@@ -206,9 +216,16 @@ def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, 
     assert (tmp_path / "checkpoint.json").read_bytes() == before
 
 
-def test_unknown_eval_task_exits_2(pipeline_dir, capsys):
-    assert main(["eval", *overrides(pipeline_dir), "--set", "eval_task=bogus"]) == 2
-    assert "unknown task name" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "stage, setting, message",
+    [
+        pytest.param("eval", "eval_task=bogus", "unknown task name", id="bogus_eval_task"),
+        pytest.param("build", "tasks=", "task set is empty", id="empty_task_list"),
+    ],
+)
+def test_unknown_eval_task_exits_2(pipeline_dir, capsys, stage, setting, message):
+    assert main([stage, *overrides(pipeline_dir), "--set", setting]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):

@@ -3,18 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsicl.errors import GeometryError
-from tsicl.series import ChannelSeries
+from tsicl.context import ContextDataset, ContextSample, read_jsonl, write_jsonl
+from tsicl.errors import DataError, GeometryError
+from tsicl.evalharness import select_eval_demos
+from tsicl.series import ChannelSeries, SplitStore
 from tsicl.tasks import (
     MASK_FLAG,
     SEGMENT_FLAG,
+    TASK_ORDER,
     VALUE,
     TaskKind,
     WindowSpec,
-    gen_backtrace,
-    gen_forecast,
-    gen_impute,
+    generate_example,
     sample_mask_positions,
+    span_width,
+    valid_start_range,
 )
 
 
@@ -34,39 +37,39 @@ class TestWindowSpec:
 
 class TestForecast:
     def test_definition(self):
-        ex = gen_forecast(series_of(10), 0, WindowSpec(4, 2))
+        ex = generate_example(TaskKind.FORECAST, series_of(10), 0, WindowSpec(4, 2), None)
         assert np.array_equal(ex.input[:, VALUE], [0, 1, 2, 3])
         assert np.array_equal(ex.input[:, MASK_FLAG], [0, 0, 0, 0])
         assert np.array_equal(ex.target, [4, 5])
         assert (ex.source_span.start, ex.source_span.end) == (0, 6)
 
     def test_last_window_valid(self):
-        ex = gen_forecast(series_of(10), 4, WindowSpec(4, 2))
+        ex = generate_example(TaskKind.FORECAST, series_of(10), 4, WindowSpec(4, 2), None)
         assert np.array_equal(ex.target, [8, 9])
 
     def test_out_of_range(self):
         with pytest.raises(GeometryError, match="out of range"):
-            gen_forecast(series_of(10), 5, WindowSpec(4, 2))
+            generate_example(TaskKind.FORECAST, series_of(10), 5, WindowSpec(4, 2), None)
 
     def test_span_uses_absolute_offsets(self):
-        ex = gen_forecast(series_of(10, offset=100), 2, WindowSpec(4, 2))
+        ex = generate_example(TaskKind.FORECAST, series_of(10, offset=100), 2, WindowSpec(4, 2), None)
         assert (ex.source_span.start, ex.source_span.end) == (102, 108)
 
 
 class TestBacktrace:
     def test_definition(self):
-        ex = gen_backtrace(series_of(10), 2, WindowSpec(4, 2))
+        ex = generate_example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2), None)
         assert np.array_equal(ex.input[:, VALUE], [2, 3, 4, 5])
         assert np.array_equal(ex.target, [0, 1])  # chronological order
         assert (ex.source_span.start, ex.source_span.end) == (0, 6)
 
     def test_start_at_horizon_boundary(self):
-        ex = gen_backtrace(series_of(10), 2, WindowSpec(4, 2))
+        ex = generate_example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2), None)
         assert ex.target[0] == 0.0
 
     def test_insufficient_history(self):
         with pytest.raises(GeometryError, match="insufficient history"):
-            gen_backtrace(series_of(10), 1, WindowSpec(4, 2))
+            generate_example(TaskKind.BACKTRACE, series_of(10), 1, WindowSpec(4, 2), None)
 
 
 def reference_mask_draw(seed_args, n, k):
@@ -91,7 +94,7 @@ class TestImpute:
         # independent reference implementation, then check the generator
         seed = self.find_seed_masking([1, 3])
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-        ex = gen_impute(series_of(10), 0, WindowSpec(4, 2), rng)
+        ex = generate_example(TaskKind.IMPUTE, series_of(10), 0, WindowSpec(4, 2), rng)
         assert np.array_equal(ex.input[:, VALUE], [0, 0, 2, 0])
         assert np.array_equal(ex.input[:, MASK_FLAG], [0, 1, 0, 1])
         assert np.array_equal(ex.target, [1, 3])
@@ -106,8 +109,8 @@ class TestImpute:
 
     def test_same_seed_same_mask(self):
         w = WindowSpec(8, 4)
-        a = gen_impute(series_of(20), 3, w, np.random.default_rng(42))
-        b = gen_impute(series_of(20), 3, w, np.random.default_rng(42))
+        a = generate_example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
+        b = generate_example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
         assert np.array_equal(a.input, b.input)
         assert np.array_equal(a.target, b.target)
 
@@ -117,11 +120,11 @@ class TestImpute:
             lookback, horizon = 4, 4
 
         with pytest.raises(GeometryError, match="smaller than window"):
-            gen_impute(series_of(10), 0, FakeWindow(), np.random.default_rng(0))
+            generate_example(TaskKind.IMPUTE, series_of(10), 0, FakeWindow(), np.random.default_rng(0))
 
     def test_window_out_of_range(self):
         with pytest.raises(GeometryError, match="out of range"):
-            gen_impute(series_of(5), 2, WindowSpec(4, 2), np.random.default_rng(0))
+            generate_example(TaskKind.IMPUTE, series_of(5), 2, WindowSpec(4, 2), np.random.default_rng(0))
 
     def test_uniformity_of_positions(self):
         # each position should be masked with probability h/L
@@ -134,6 +137,51 @@ class TestImpute:
         expected = draws * k / n
         sigma = np.sqrt(draws * (k / n) * (1 - k / n))
         assert np.all(np.abs(counts - expected) < 5 * sigma)
+
+
+class TestTaskTable:
+    """The edges of each task's record, on a split that does not start at 0."""
+
+    W = WindowSpec(4, 2)
+
+    def split(self):
+        return ChannelSeries("d", "c", np.arange(20, dtype=float), origin_offset=30, split="train")
+
+    @pytest.mark.parametrize("task", TASK_ORDER)
+    def test_both_ends_of_the_start_range(self, task):
+        s = self.split()
+        lo, hi = valid_start_range(task, len(s), self.W)
+        first, last = (generate_example(task, s, t, self.W, np.random.default_rng(0)).source_span for t in (lo, hi))
+        assert (first.start, last.end) == (s.origin_offset, s.origin_offset + len(s))  # the whole split, no more
+        assert first.end - first.start == last.end - last.start == span_width(task, self.W)
+        for t in (lo - 1, hi + 1):
+            with pytest.raises(GeometryError):
+                generate_example(task, s, t, self.W, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("task", TASK_ORDER)
+    def test_eval_demos_tile_a_split_of_whole_spans(self, task):
+        width = span_width(task, self.W)
+        s = ChannelSeries("d", "c", np.arange(2 * width, dtype=float), origin_offset=30, split="train")
+        demos = select_eval_demos(s, task, self.W, 2, np.random.default_rng(0))
+        spans = [(d.source_span.start, d.source_span.end) for d in demos]
+        assert spans == [(30, 30 + width), (30 + width, 30 + 2 * width)]
+        with pytest.raises(DataError, match="admits only 2 disjoint demo windows"):
+            select_eval_demos(s, task, self.W, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("task", TASK_ORDER)
+    def test_read_jsonl_replays_each_example_from_its_record(self, task, tmp_path):
+        s = self.split()
+        store = SplitStore("d", splits={"c": {"train": s}})
+        lo, hi = valid_start_range(task, len(s), self.W)
+        rng = np.random.default_rng(5)
+        examples = [generate_example(task, s, t, self.W, rng) for t in range(lo, hi + 1)]
+        ds = ContextDataset([ContextSample((), e) for e in examples], self.W, 0, (task,), seed=0, stride=1)
+        write_jsonl(ds, tmp_path / "ctx.jsonl")
+        replayed = [sample.query for sample in read_jsonl(tmp_path / "ctx.jsonl", store).samples]
+        assert len(replayed) == len(examples)
+        for x, y in zip(replayed, examples):
+            assert x.source_span == y.source_span
+            assert np.array_equal(x.input, y.input) and np.array_equal(x.target, y.target)
 
 
 @st.composite
@@ -156,9 +204,9 @@ class TestCrossTaskInvariants:
         t_back = int(rng.integers(h, len(s) - L + 1))
         t_imp = int(rng.integers(0, len(s) - L + 1))
 
-        fore = gen_forecast(s, t_fore, w)
-        back = gen_backtrace(s, t_back, w)
-        imp = gen_impute(s, t_imp, w, rng)
+        fore = generate_example(TaskKind.FORECAST, s, t_fore, w, None)
+        back = generate_example(TaskKind.BACKTRACE, s, t_back, w, None)
+        imp = generate_example(TaskKind.IMPUTE, s, t_imp, w, rng)
 
         for ex in (fore, back, imp):
             assert ex.input.shape == (L, 3)
@@ -202,7 +250,7 @@ class TestCrossTaskInvariants:
         blobs = []
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence((11, 3)))
-            ex = gen_impute(s, 5, w, rng)
+            ex = generate_example(TaskKind.IMPUTE, s, 5, w, rng)
             blobs.append(ex.input.tobytes() + ex.target.tobytes())
         assert blobs[0] == blobs[1]
 

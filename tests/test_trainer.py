@@ -20,7 +20,7 @@ from tsicl.model import (
     readout_rows,
 )
 from tsicl.series import ChannelSeries
-from tsicl.tasks import VALUE, TaskKind, WindowSpec, gen_forecast
+from tsicl.tasks import VALUE, TaskKind, WindowSpec, generate_example
 from tsicl.trainer import Adam, TrainConfig
 
 CONFIG = TrainConfig(learning_rate=0.01, clip_norm=1.0)
@@ -93,8 +93,11 @@ def test_adam_matches_the_reference_over_two_steps():
 def forecast_dataset(w: WindowSpec, m: int):
     """Three forecast samples with m demos each, demos after every query and disjoint from each other."""
     series = ChannelSeries("d", "c", np.random.default_rng(0).normal(size=300))
-    queries = [gen_forecast(series, 24 * i, w) for i in range(3)]
-    demos = [[gen_forecast(series, 100 + 24 * (m * i + k), w) for k in range(m)] for i in range(3)]
+    queries = [generate_example(TaskKind.FORECAST, series, 24 * i, w, None) for i in range(3)]
+    demos = [
+        [generate_example(TaskKind.FORECAST, series, 100 + 24 * (m * i + k), w, None) for k in range(m)]
+        for i in range(3)
+    ]
     dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w, m, (TaskKind.FORECAST,), 0, 24)
     return dataset, queries, demos
 
