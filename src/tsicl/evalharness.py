@@ -10,7 +10,12 @@ them after the query, ``_fit_adapted`` (rounded up to whole patches) after
 every adapted history. ``score_probes`` is the only eval loop, called by the CLI
 (``run_unseen_eval``) and by the ablations (``experiment.evaluate_paths``);
 ``batched_predict`` is the only readout, also behind the trainer's validation
-loss. ``score_probes`` checksums the parameters around the loop to enforce
+loss. ``context_path`` hands it the demo prefix apart from the query streams:
+the decoder encodes that prefix once per channel and probe and reuses its keys
+and values for every query (``model.encode_prefix``), while the encoder, whose
+prefix rows attend to the query, runs each prefix ++ query stream whole. The
+validation loss passes whole streams, as every validation sample has its own
+demos. ``score_probes`` checksums the parameters around the loop to enforce
 that evaluation never updates them.
 """
 
@@ -30,6 +35,7 @@ from .model import (
     DECODER_CAUSAL,
     ModelConfig,
     answer_region,
+    encode_prefix,
     forward_patch_predictions,
     horizon_patch_count,
     readout_rows,
@@ -181,23 +187,32 @@ def batched_predict(
     params: dict[str, ad.Parameter],
     config: ModelConfig,
     batch_size: int = 64,
+    prefix: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Evaluation-mode predictions for streams that already end in answer regions.
 
     Streams are grouped by (length, horizon) so each batch is rectangular;
     outputs come back in input order. The model runs its last block only from
-    the first readout row.
+    the first readout row. ``prefix`` (n, 3), if given, precedes every stream:
+    the decoder encodes a non-empty one once and reuses its keys and values
+    for every batch, so it must be whole patches; otherwise each stream runs
+    as prefix ++ stream.
     """
+    p, past, cache = config.patch_size, 0, None
+    if prefix is not None and len(prefix) and config.variant == DECODER_CAUSAL:
+        past, cache = len(prefix) // p, encode_prefix(prefix, params, config)
+    elif prefix is not None:
+        streams = [np.concatenate([prefix, s]) for s in streams]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (s, h) in enumerate(zip(streams, horizons)):
         groups.setdefault((len(s), h), []).append(i)
     out: list[np.ndarray | None] = [None] * len(streams)
     for (n, h), idxs in sorted(groups.items()):
-        r0, r1 = readout_rows(config, n // config.patch_size, horizon_patch_count(h, config))
+        r0, r1 = readout_rows(config, past + n // p, horizon_patch_count(h, config))
         for lo in range(0, len(idxs), batch_size):
             chunk = idxs[lo : lo + batch_size]
             batch = np.stack([streams[i] for i in chunk])
-            preds = forward_patch_predictions(batch, params, config, first_row=r0)
+            preds = forward_patch_predictions(batch, params, config, r0 - past, cache)
             values = preds.data[:, : r1 - r0, :].reshape(len(chunk), h)
             for row, i in enumerate(chunk):
                 out[i] = values[row]
@@ -227,10 +242,14 @@ def context_path(
     config: ModelConfig,
     horizon: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and truths, stacked (N, h), for the demonstration path."""
-    prefix, region = build_stream(demos), answer_region(horizon)
-    streams = [np.concatenate([prefix, q.input, region]) for q in queries]
-    preds = batched_predict(streams, [horizon] * len(streams), params, config)
+    """Predictions and truths, stacked (N, h), for the demonstration path.
+
+    Every query stream is its input and answer region behind the one shared
+    demo prefix, which ``batched_predict`` takes once.
+    """
+    region = answer_region(horizon)
+    streams = [np.concatenate([q.input, region]) for q in queries]
+    preds = batched_predict(streams, [horizon] * len(streams), params, config, prefix=build_stream(demos))
     return np.stack(preds), np.stack([q.target for q in queries])
 
 

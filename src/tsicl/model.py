@@ -16,6 +16,16 @@ So the last block computes its queries, its feed-forward and the head only at
 the rows from the first one read (``first_row``); its keys and values, and
 every earlier block, still cover the whole stream.
 
+Evaluation puts one demo prefix in front of many queries. Under causal
+attention no prefix row sees what follows it, so each layer's keys and values
+for the prefix rows are the same for every query. ``encode_prefix`` runs the
+prefix once, as a batch of one, and keeps them; its last block computes
+nothing else. ``forward_patch_predictions`` then runs only each query's own
+rows, at positions after the prefix, attending to the cached keys and values
+ahead of their own. The encoder cannot reuse a prefix: its prefix rows attend
+to the query. Training does not: every sample has its own demos, and the loss
+needs gradients through them.
+
 Input tokens are (value, mask_flag, segment_flag) triples; ``patch_size``
 consecutive steps are flattened into one 3*patch_size feature vector before a
 linear projection into the model width.
@@ -141,26 +151,108 @@ def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return _PE_CACHE[key]
 
 
-def _attention(x: ad.Tensor, params, prefix: str, config: ModelConfig, first_row: int) -> ad.Tensor:
+# one layer's cached keys and values, each (1, P, d)
+KeysValues = tuple[np.ndarray, np.ndarray]
+
+
+def _keys_values(h: ad.Tensor, params, pre: str, past: KeysValues | None) -> tuple[ad.Tensor, ad.Tensor]:
+    """One layer's keys and values for the rows of ``h``, after a cached prefix's if given.
+
+    The key projection has no bias: it would add q_i . b_k to every score of
+    row i, a shift that softmax ignores. A cached (1, P, d) pair is shared by
+    every stream of the batch and holds no gradient.
+    """
+    k = ad.matmul(h, params[pre + "wk"])
+    v = ad.add(ad.matmul(h, params[pre + "wv"]), params[pre + "bv"])
+    if past is None:
+        return k, v
+    lead = (h.shape[0],) + past[0].shape[1:]
+    return tuple(ad.concat([ad.constant(np.broadcast_to(c, lead)), t], axis=1) for c, t in zip(past, (k, v)))
+
+
+def _attention(
+    h: ad.Tensor, params, pre: str, config: ModelConfig, first_row: int, past: KeysValues | None
+) -> ad.Tensor:
     """Multi-head self-attention with every head folded into the batch axis.
 
-    Queries, and so the output rows, cover rows [first_row, S) of ``x``; keys
-    and values cover every row. The key projection has no bias: it would add
-    q_i . b_k to every score of row i, a shift that softmax ignores.
+    Queries, and so the output rows, cover rows [first_row, S) of ``h``; keys
+    and values cover every row, behind the P rows of ``past`` if given. The
+    last query row sits at key position P + S - 1.
     """
     heads = config.n_heads
-    xq = ad.row_slice(x, first_row, x.shape[1]) if first_row else x
-    q = ad.add(ad.matmul(xq, params[prefix + "wq"]), params[prefix + "bq"])
-    k = ad.matmul(x, params[prefix + "wk"])
-    v = ad.add(ad.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
+    hq = ad.row_slice(h, first_row, h.shape[1]) if first_row else h
+    q = ad.add(ad.matmul(hq, params[pre + "wq"]), params[pre + "bq"])
+    k, v = _keys_values(h, params, pre, past)
     causal = config.variant == DECODER_CAUSAL
     mixed = ad.attention(*(ad.split_heads(t, heads) for t in (q, k, v)), causal=causal)
     ctx = ad.merge_heads(mixed, heads)
-    return ad.add(ad.matmul(ctx, params[prefix + "wo"]), params[prefix + "bo"])
+    return ad.add(ad.matmul(ctx, params[pre + "wo"]), params[pre + "bo"])
+
+
+def _block(
+    x: ad.Tensor, h: ad.Tensor, params, layer: int, config: ModelConfig, first_row: int, past: KeysValues | None
+) -> ad.Tensor:
+    """Rows [first_row, S) of block ``layer``'s output, given its input ``x`` and ``h`` = ln1(x)."""
+    pre = f"l{layer}."
+    if first_row:
+        x = ad.row_slice(x, first_row, x.shape[1])
+    x = ad.add(x, _attention(h, params, pre + "attn.", config, first_row, past))
+    f = ad.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
+    f = ad.add(ad.matmul(f, params[pre + "ff.w1"]), params[pre + "ff.b1"])
+    f = ad.gelu(f)
+    f = ad.add(ad.matmul(f, params[pre + "ff.w2"]), params[pre + "ff.b2"])
+    return ad.add(x, f)
+
+
+def _ln1(x: ad.Tensor, params, layer: int) -> ad.Tensor:
+    return ad.layer_norm(x, params[f"l{layer}.ln1.g"], params[f"l{layer}.ln1.b"])
+
+
+def _embed(batch_tokens: np.ndarray, params, config: ModelConfig, past_patches: int) -> ad.Tensor:
+    """Projected patches plus their positions, which start after ``past_patches`` cached ones."""
+    dtype = params["in.w"].data.dtype
+    patches = patchify(batch_tokens, config.patch_size).astype(dtype, copy=False)
+    s = patches.shape[1]
+    pe = positional_encoding(past_patches + s, config.d_model)[past_patches:]
+    x = ad.add(ad.matmul(ad.constant(patches), params["in.w"]), params["in.b"])
+    return ad.add(x, ad.constant(pe.astype(dtype, copy=False)))
+
+
+def _check_tokens(n: int, config: ModelConfig, cached: bool) -> None:
+    if cached and config.variant != DECODER_CAUSAL:
+        raise GeometryError(
+            f"{config.variant} cannot reuse a cached prefix: its prefix rows attend to what follows them"
+        )
+    if n > config.max_tokens:
+        raise GeometryError(f"token length {n} exceeds max_tokens {config.max_tokens}")
+
+
+def encode_prefix(tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig) -> list[KeysValues]:
+    """Each layer's keys and values, a (1, P, d) pair, for a decoder stream prefix of P patches.
+
+    Under causal attention no prefix row sees what follows it, so these are
+    the same for every stream that starts with ``tokens`` (n, 3). The last
+    block computes only its keys and values. Non-last blocks project the two
+    again inside ``_block``: two small products on one stream.
+    """
+    _check_tokens(len(tokens), config, cached=True)
+    x = _embed(np.asarray(tokens)[None], params, config, 0)
+    cache = []
+    for layer in range(config.n_layers):
+        h = _ln1(x, params, layer)
+        k, v = _keys_values(h, params, f"l{layer}.attn.", None)
+        cache.append((k.data, v.data))
+        if layer + 1 < config.n_layers:
+            x = _block(x, h, params, layer, config, 0, None)
+    return cache
 
 
 def forward_patch_predictions(
-    batch_tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig, first_row: int = 0
+    batch_tokens: np.ndarray,
+    params: dict[str, ad.Parameter],
+    config: ModelConfig,
+    first_row: int = 0,
+    prefix: list[KeysValues] | None = None,
 ) -> ad.Tensor:
     """Predictions (B, S - first_row, p) at patch rows [first_row, S) of streams (B, n, 3).
 
@@ -169,31 +261,24 @@ def forward_patch_predictions(
     everything after them, only at rows >= ``first_row``. Row i of the result
     equals row first_row + i of the full forward. The streams and the
     positional table enter in the parameters' dtype.
+
+    ``prefix``, from ``encode_prefix`` (decoder only), stands for P patches
+    that precede every stream: the streams then sit at positions P.. and
+    attend to the cached keys and values first, and row i of the result
+    equals row P + first_row + i of the full forward over prefix ++ stream.
     """
     if batch_tokens.ndim != 3 or batch_tokens.shape[-1] != 3:
         raise GeometryError(f"expected batch tokens of shape (B, n, 3), got {batch_tokens.shape}")
-    n = batch_tokens.shape[1]
-    if n > config.max_tokens:
-        raise GeometryError(f"token length {n} exceeds max_tokens {config.max_tokens}")
-    dtype = params["in.w"].data.dtype
-    patches = patchify(batch_tokens, config.patch_size).astype(dtype, copy=False)
-    s = patches.shape[1]
+    past_patches = 0 if prefix is None else prefix[0][0].shape[1]
+    _check_tokens(past_patches * config.patch_size + batch_tokens.shape[1], config, cached=prefix is not None)
+    x = _embed(batch_tokens, params, config, past_patches)
+    s = x.shape[1]
     if not 0 <= first_row < s:
         raise GeometryError(f"first_row {first_row} outside the {s} patch rows")
-    x = ad.add(ad.matmul(ad.constant(patches), params["in.w"]), params["in.b"])
-    x = ad.add(x, ad.constant(positional_encoding(s, config.d_model).astype(dtype, copy=False)))
     for layer in range(config.n_layers):
-        pre = f"l{layer}."
         start = first_row if layer == config.n_layers - 1 else 0
-        h = ad.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        if start:
-            x = ad.row_slice(x, start, s)
-        x = ad.add(x, _attention(h, params, pre + "attn.", config, start))
-        f = ad.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        f = ad.add(ad.matmul(f, params[pre + "ff.w1"]), params[pre + "ff.b1"])
-        f = ad.gelu(f)
-        f = ad.add(ad.matmul(f, params[pre + "ff.w2"]), params[pre + "ff.b2"])
-        x = ad.add(x, f)
+        past = None if prefix is None else prefix[layer]
+        x = _block(x, _ln1(x, params, layer), params, layer, config, start, past)
     x = ad.layer_norm(x, params["lnf.g"], params["lnf.b"])
     return ad.add(ad.matmul(x, params["head.w"]), params["head.b"])
 

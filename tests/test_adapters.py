@@ -180,9 +180,11 @@ def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
     fed = []
     real = evalharness.batched_predict
 
-    def recording(streams, horizons, params, config):
-        fed.append(list(zip(streams, horizons)))
-        return real(streams, horizons, params, config)
+    def recording(streams, horizons, params, config, prefix=None):
+        # each stream as the model sees it, with the rows a cached prefix covers
+        head = np.zeros((0, 3)) if prefix is None else prefix
+        fed.append([(np.concatenate([head, s]), h, len(head)) for s, h in zip(streams, horizons)])
+        return real(streams, horizons, params, config, prefix=prefix)
 
     monkeypatch.setattr(evalharness, "batched_predict", recording)
     params = init_params(config)
@@ -192,8 +194,9 @@ def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
 
     p = config.patch_size
     shift = 1 if variant == DECODER_CAUSAL else 0
-    for stream, horizon in (pair for streams in fed for pair in streams):
+    for stream, horizon, prefix_len in (entry for streams in fed for entry in streams):
         lo, hi = masked_tail(stream, p)
         hp = horizon_patch_count(horizon, config)
         assert hi - lo == hp
         assert readout_rows(config, len(stream) // p, hp) == (lo - shift, hi - shift)
+        assert lo - shift >= prefix_len // p  # the readout rows lie after any prefix

@@ -1,6 +1,7 @@
 import ctypes
 import resource
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,22 +9,26 @@ import pytest
 from tsicl import autodiff as ad
 from tsicl import model
 from tsicl.errors import GeometryError
-from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, forward_patch_predictions, init_params
+from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, VARIANTS, ModelConfig, forward_patch_predictions, init_params
 from tsicl.trainer import Adam, TrainConfig
 
 
-def per_head_attention(x, params, prefix, config, first_row=0):
+def per_head_attention(h, params, prefix, config, first_row=0, past=None):
     """Reference attention: one slice, score matmul and softmax per head, then concat.
 
-    Queries cover rows [first_row, S) and see the rows of the full causal mask.
+    Queries cover rows [first_row, S) and see the rows of the full causal mask,
+    over the P cached rows of ``past`` and then the S rows of ``h``.
     """
     d, heads = config.d_model, config.n_heads
     dh = d // heads
-    s = x.shape[1]
-    allowed = np.tril(np.ones((s, s), dtype=bool))[first_row:] if config.variant == DECODER_CAUSAL else None
-    q = ad.add(ad.matmul(ad.row_slice(x, first_row, s), params[prefix + "wq"]), params[prefix + "bq"])
-    k = ad.matmul(x, params[prefix + "wk"])
-    v = ad.add(ad.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
+    s = h.shape[1]
+    q = ad.add(ad.matmul(ad.row_slice(h, first_row, s), params[prefix + "wq"]), params[prefix + "bq"])
+    k = ad.matmul(h, params[prefix + "wk"])
+    v = ad.add(ad.matmul(h, params[prefix + "wv"]), params[prefix + "bv"])
+    if past is not None:
+        k, v = (ad.concat([ad.constant(np.repeat(c, h.shape[0], axis=0)), t], axis=1) for c, t in zip(past, (k, v)))
+    sk = k.shape[1]
+    allowed = np.tril(np.ones((sk, sk), dtype=bool))[sk - s + first_row:] if config.variant == DECODER_CAUSAL else None
     mixed = []
     for i in range(heads):
         lo, hi = i * dh, (i + 1) * dh
@@ -47,16 +52,18 @@ def random_tokens(rng, batch: int, patches: int, patch_size: int) -> np.ndarray:
     return tokens
 
 
-def outputs_and_grads(tokens, params, config, target, first_row=0):
+def outputs_and_grads(tokens, params, config, target, first_row=0, prefix_tokens=None):
+    """Outputs and parameter gradients; a prefix is encoded first and enters as a cached prefix."""
+    prefix = None if prefix_tokens is None else model.encode_prefix(prefix_tokens, params, config)
     for p in params.values():
         p.zero_grad()
     with ad.Tape() as tape:
-        preds = forward_patch_predictions(tokens, params, config, first_row=first_row)
+        preds = forward_patch_predictions(tokens, params, config, first_row, prefix)
         tape.backward(ad.mse_loss(preds, target, np.ones(target.shape)))
     return preds.data, {name: p.grad for name, p in params.items()}
 
 
-def assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row=0):
+def assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row=0, prefix_patches=None):
     config = tiny(variant)
     rng = np.random.default_rng(11)
     params = init_params(config, seed=3)
@@ -64,10 +71,13 @@ def assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     tokens = random_tokens(rng, batch=3, patches=patches, patch_size=config.patch_size)
     target = rng.normal(size=(3, patches - first_row, config.patch_size))
+    prefix = None
+    if prefix_patches is not None:
+        prefix = random_tokens(rng, batch=1, patches=prefix_patches, patch_size=config.patch_size)[0]
 
-    got, got_grads = outputs_and_grads(tokens, params, config, target, first_row)
+    got, got_grads = outputs_and_grads(tokens, params, config, target, first_row, prefix)
     monkeypatch.setattr(model, "_attention", per_head_attention)
-    want, want_grads = outputs_and_grads(tokens, params, config, target, first_row)
+    want, want_grads = outputs_and_grads(tokens, params, config, target, first_row, prefix)
 
     assert np.max(np.abs(got - want)) <= 1e-10
     for name, g in want_grads.items():
@@ -89,6 +99,13 @@ def test_folded_heads_match_per_head_reference_past_one_tile(variant, monkeypatc
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_folded_heads_match_per_head_reference_on_the_last_rows(variant, patches, monkeypatch):
     assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row=patches - 4)
+
+
+@pytest.mark.parametrize("first_row", [0, 3])
+@pytest.mark.parametrize("prefix_patches", [5, ad._ATTENTION_TILE + 3])
+def test_folded_heads_match_per_head_reference_after_a_cached_prefix(prefix_patches, first_row, monkeypatch):
+    """The cached prefix is encoded by, and feeds, the attention under test in each run."""
+    assert_folded_heads_match_reference(DECODER_CAUSAL, 7, monkeypatch, first_row, prefix_patches)
 
 
 @pytest.mark.parametrize("patches", [7, ad._ATTENTION_TILE + 7])
@@ -123,6 +140,68 @@ def test_first_row_outside_the_stream_is_refused(first_row):
     tokens = random_tokens(np.random.default_rng(0), batch=1, patches=7, patch_size=config.patch_size)
     with pytest.raises(GeometryError, match="first_row"):
         forward_patch_predictions(tokens, init_params(config), config, first_row=first_row)
+
+
+def perturbed_params(config, seed, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    params = init_params(config, seed=seed)
+    for p in params.values():  # non-trivial biases and gains
+        p.data = (p.data + 0.1 * rng.normal(size=p.data.shape)).astype(dtype)
+    return params
+
+
+@pytest.mark.parametrize(
+    "dtype, bound",
+    # measured: <= 1.1e-15 in float64 and <= 2.1e-7 in float32, relative to the largest output
+    [(np.float64, 1e-12), (np.float32, 1e-5)],
+)
+@pytest.mark.parametrize(
+    "prefix_patches", [1, ad._ATTENTION_TILE - 1, ad._ATTENTION_TILE + 3, 2 * ad._ATTENTION_TILE + 5]
+)
+def test_cached_prefix_forward_equals_the_full_forward_rows(prefix_patches, dtype, bound):
+    """Rows [P + first_row, S) of the full forward over prefix ++ stream, for every stream of the batch."""
+    config = tiny(DECODER_CAUSAL)
+    params = perturbed_params(config, 6, dtype)
+    rng = np.random.default_rng(prefix_patches)
+    p, patches = config.patch_size, 9
+    prefix = random_tokens(rng, batch=1, patches=prefix_patches, patch_size=p)[0]
+    tokens = random_tokens(rng, batch=3, patches=patches, patch_size=p)
+    full = forward_patch_predictions(
+        np.concatenate([np.broadcast_to(prefix, (3,) + prefix.shape), tokens], axis=1), params, config
+    ).data
+    cache = model.encode_prefix(prefix, params, config)
+    assert [(k.shape, v.shape) for k, v in cache] == [((1, prefix_patches, config.d_model),) * 2] * config.n_layers
+    for first_row in (0, 4, patches - 1):
+        got = forward_patch_predictions(tokens, params, config, first_row, cache).data
+        want = full[:, prefix_patches + first_row :]
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= bound * max(1.0, np.max(np.abs(want))), first_row
+
+
+def test_cached_prefix_counts_against_max_tokens():
+    """The guard sees prefix + stream tokens, and names that full length."""
+    config = replace(tiny(DECODER_CAUSAL), max_tokens=40)
+    params = init_params(config)
+    rng = np.random.default_rng(0)
+    cache = model.encode_prefix(random_tokens(rng, batch=1, patches=15, patch_size=2)[0], params, config)
+    forward_patch_predictions(random_tokens(rng, batch=2, patches=5, patch_size=2), params, config, 0, cache)
+    with pytest.raises(GeometryError, match="token length 42 exceeds max_tokens 40"):
+        forward_patch_predictions(random_tokens(rng, batch=2, patches=6, patch_size=2), params, config, 0, cache)
+    with pytest.raises(GeometryError, match="token length 42 exceeds max_tokens 40"):
+        model.encode_prefix(random_tokens(rng, batch=1, patches=21, patch_size=2)[0], params, config)
+
+
+def test_encoder_refuses_a_cached_prefix():
+    """Encoder prefix rows attend to the stream after them, so their keys and values are not shared."""
+    decoder, encoder = tiny(DECODER_CAUSAL), tiny(ENCODER_MASKED)
+    params = init_params(decoder)
+    rng = np.random.default_rng(0)
+    prefix = random_tokens(rng, batch=1, patches=4, patch_size=2)[0]
+    with pytest.raises(GeometryError, match="encoder_masked cannot reuse a cached prefix"):
+        model.encode_prefix(prefix, params, encoder)
+    cache = model.encode_prefix(prefix, params, decoder)
+    with pytest.raises(GeometryError, match="encoder_masked cannot reuse a cached prefix"):
+        forward_patch_predictions(random_tokens(rng, batch=2, patches=5, patch_size=2), params, encoder, 0, cache)
 
 
 def assert_decoder_is_causal(patches):

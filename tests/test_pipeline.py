@@ -20,7 +20,7 @@ from tsicl.evalharness import (
     score_probes,
     select_eval_demos,
 )
-from tsicl.model import VARIANTS, ModelConfig, answer_region, init_params
+from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, answer_region, init_params
 from tsicl.series import load_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec
@@ -101,34 +101,67 @@ def test_eval_demos_and_queries_do_not_leak(monkeypatch):
 
 @pytest.mark.parametrize("demo_count", [0, 3])
 def test_context_path_streams_are_demos_then_query(demo_count, monkeypatch):
+    """The model sees build_stream(demos, q) ++ answer region: as one stream, or as a cached prefix and the rest."""
     store = tiny_store()
     channel = store.channels[0]
     rng = np.random.default_rng(0)
     demos = select_eval_demos(store.series(channel, "train"), TaskKind.IMPUTE, WINDOW, demo_count, rng)
     queries = enumerate_queries(store.series(channel, "test"), TaskKind.IMPUTE, WINDOW, 4, rng)
-    fed = []
-    real = evalharness.batched_predict
+    real_encode, real_forward = evalharness.encode_prefix, evalharness.forward_patch_predictions
+    for variant in VARIANTS:
+        config = replace(TINY_MODEL, variant=variant)
+        prefixes, fed = [], []
 
-    def recording(streams, horizons, params, config):
-        fed.extend(streams)
-        return real(streams, horizons, params, config)
+        def encoding(tokens, *args):
+            prefixes.append(tokens)
+            return real_encode(tokens, *args)
 
-    monkeypatch.setattr(evalharness, "batched_predict", recording)
-    evalharness.context_path(queries, demos, init_params(TINY_MODEL), TINY_MODEL, WINDOW.horizon)
-    assert len(fed) == len(queries) > 1
-    for stream, q in zip(fed, queries):
-        want = np.concatenate([build_stream(demos, q), answer_region(WINDOW.horizon)])
-        assert stream.dtype == want.dtype and stream.shape == want.shape
-        assert stream.tobytes() == want.tobytes()
+        def forwarding(batch_tokens, *args):
+            fed.extend(batch_tokens)
+            return real_forward(batch_tokens, *args)
+
+        monkeypatch.setattr(evalharness, "encode_prefix", encoding)
+        monkeypatch.setattr(evalharness, "forward_patch_predictions", forwarding)
+        evalharness.context_path(queries, demos, init_params(config), config, WINDOW.horizon)
+        cached = variant == DECODER_CAUSAL and demo_count > 0
+        assert len(prefixes) == cached and len(fed) == len(queries) > 1, variant
+        for stream, q in zip(fed, queries):
+            want = np.concatenate([build_stream(demos, q), answer_region(WINDOW.horizon)])
+            seen = np.concatenate([prefixes[0], stream]) if cached else stream
+            assert seen.dtype == want.dtype and seen.shape == want.shape, variant
+            assert seen.tobytes() == want.tobytes(), variant
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_context_path_equals_the_prepended_streams(variant):
+    """The encoder, and the decoder without demos, run the very streams they did before the prefix cache."""
+    config = replace(TINY_MODEL, variant=variant)
+    store = tiny_store()
+    channel = store.channels[0]
+    rng = np.random.default_rng(0)
+    params = init_params(config, seed=2)
+    queries = enumerate_queries(store.series(channel, "test"), TaskKind.IMPUTE, WINDOW, 4, rng)
+    region = answer_region(WINDOW.horizon)
+    for demo_count in (0, 3):
+        demos = select_eval_demos(store.series(channel, "train"), TaskKind.IMPUTE, WINDOW, demo_count, rng)
+        prepended = [np.concatenate([build_stream(demos), q.input, region]) for q in queries]
+        want = np.stack(batched_predict(prepended, [WINDOW.horizon] * len(queries), params, config))
+        got, _ = evalharness.context_path(queries, demos, params, config, WINDOW.horizon)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if variant == DECODER_CAUSAL and demo_count:
+            # equal here; BLAS may round the prefix's batch of one apart from a batch of many
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+        else:
+            assert got.tobytes() == want.tobytes(), demo_count
 
 
 def test_eval_that_moves_a_weight_is_refused(monkeypatch):
     protocol = EvalProtocol(TaskKind.BACKTRACE, (TaskKind.FORECAST,), WINDOW, demo_count=1)
     real = evalharness.batched_predict
 
-    def nudging(streams, horizons, params, config):
+    def nudging(streams, horizons, params, config, **kwargs):
         params["head.b"].data = params["head.b"].data + 1e-12
-        return real(streams, horizons, params, config)
+        return real(streams, horizons, params, config, **kwargs)
 
     monkeypatch.setattr(evalharness, "batched_predict", nudging)
     with pytest.raises(RuntimeError, match="frozen-model contract"):

@@ -237,6 +237,7 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     optimizer.step()
     streams = [np.concatenate([s.tokens, answer_region(w.horizon)]) for s in dataset.samples]
     preds = batched_predict(streams, [w.horizon] * len(streams), params, config)
+    preds += batched_predict(streams, [w.horizon] * len(streams), params, config, prefix=streams[0])
 
     assert {"matmul", "attention", "gelu", "layer_norm", "mse_loss"} <= {op for op, _, _ in seen}
     assert [entry for entry in seen if entry[2] != dtype] == []
