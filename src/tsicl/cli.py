@@ -3,7 +3,10 @@
 Stages communicate through files only, so each one is independently runnable
 and every artifact embeds the resolved configuration and seed. Configuration
 comes from a flat ``key = value`` file; ``--set key=value`` flags override file
-values, which override defaults.
+values, which override defaults. ``SCHEMA`` takes the model and training keys,
+with their kinds and defaults, from ``ModelConfig``'s and ``TrainConfig``'s
+fields. ``experiment`` reads the resolved dict into the library's objects and
+runs the same pipeline in memory (``run_seed``).
 
 Exit codes: 0 success, 2 configuration error, 3 missing/invalid input,
 4 numerical failure.
@@ -15,20 +18,34 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .context import build_train_valid, read_jsonl, write_jsonl
+from .context import read_jsonl, write_jsonl
 from .errors import ConfigError, DataError, GeometryError, NumericalError
-from .evalharness import EvalProtocol, EvalReport, improvement_ratio, run_unseen_eval
-from .experiment import merge_datasets
+from .evalharness import EvalReport, improvement_ratio, run_unseen_eval
+from .experiment import build_datasets, eval_protocol, merge_datasets, model_config, synth_spec, train_config
 from .model import ModelConfig, init_params
 from .series import SplitStore, build_store, load_csv, load_store, save_store
-from .synthetic import SynthSpec, generate, write_csv
-from .tasks import TaskKind, WindowSpec
+from .synthetic import generate, write_csv
 from .trainer import TrainConfig, train
+
+KINDS = ("int", "float", "bool", "ints", "strs", "str")  # what _coerce parses
+
+
+def _field_entries(cls) -> dict[str, tuple[str, object]]:
+    """SCHEMA entries for a config dataclass: each field's annotation and default, ``seed`` aside."""
+    entries = {}
+    for f in fields(cls):
+        if f.type not in KINDS:  # every package module postpones annotations, so they are strings
+            raise TypeError(f"{cls.__name__}.{f.name}: cannot parse a {f.type} from a config value")
+        if f.name != "seed":
+            entries[f.name] = (f.type, f.default)
+    return entries
+
 
 SCHEMA: dict[str, tuple[str, object]] = {
     # shared
@@ -61,23 +78,9 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "pairwise_disjoint_demos": ("bool", False),
     "cross_channel_demos": ("bool", False),
     # model
-    "variant": ("str", "decoder_causal"),
-    "patch_size": ("int", 4),
-    "d_model": ("int", 64),
-    "n_layers": ("int", 2),
-    "n_heads": ("int", 4),
-    "ff_mult": ("int", 4),
-    "max_tokens": ("int", 2048),
+    **_field_entries(ModelConfig),
     # train
-    "learning_rate": ("float", 1e-3),
-    "batch_size": ("int", 32),
-    "max_epochs": ("int", 100),
-    "patience": ("int", 5),
-    "beta1": ("float", 0.9),
-    "beta2": ("float", 0.999),
-    "adam_eps": ("float", 1e-8),
-    "clip_norm": ("float", 1.0),
-    "supervise_demo_outputs": ("bool", False),
+    **_field_entries(TrainConfig),
     "checkpoint": ("str", ""),
     "train_record": ("str", ""),
     # eval + report
@@ -108,7 +111,7 @@ def _coerce(key: str, raw: str):
             return [int(x) for x in raw.split(",") if x.strip() != ""]
         if kind == "strs":
             return [x.strip() for x in raw.split(",") if x.strip() != ""]
-        return raw.strip()
+        return raw.strip()  # "str"
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}") from None
 
@@ -153,64 +156,8 @@ def _path(cfg: dict, key: str, default_name: str) -> Path:
     return Path(cfg[key]) if cfg[key] else out_dir / default_name
 
 
-def _window(cfg: dict) -> WindowSpec:
-    return WindowSpec(cfg["lookback"], cfg["horizon"])
-
-
-def _tasks(names: list[str]) -> list[TaskKind]:
-    if not names:
-        raise ConfigError("task set is empty")
-    try:
-        return [TaskKind(n) for n in names]
-    except ValueError as exc:
-        raise ConfigError(f"unknown task name: {exc}") from None
-
-
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        variant=cfg["variant"],
-        patch_size=cfg["patch_size"],
-        d_model=cfg["d_model"],
-        n_layers=cfg["n_layers"],
-        n_heads=cfg["n_heads"],
-        ff_mult=cfg["ff_mult"],
-        max_tokens=cfg["max_tokens"],
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        eps=cfg["adam_eps"],
-        clip_norm=cfg["clip_norm"],
-        supervise_demo_outputs=cfg["supervise_demo_outputs"],
-    )
-
-
-def _synth_spec(cfg: dict) -> SynthSpec:
-    return SynthSpec(
-        family=cfg["synth_family"],
-        count=cfg["synth_count"],
-        length=cfg["synth_length"],
-        seed=cfg["seed"],
-        name=cfg["dataset_name"],
-        components=(cfg["synth_components_min"], cfg["synth_components_max"]),
-        amplitude=(cfg["synth_amplitude_min"], cfg["synth_amplitude_max"]),
-        frequency=(cfg["synth_frequency_min"], cfg["synth_frequency_max"]),
-        noise_sigma=cfg["synth_noise_sigma"],
-        noise_ar=cfg["synth_noise_ar"],
-        min_window=cfg["lookback"] + cfg["horizon"],
-    )
-
-
 def cmd_synth(cfg: dict) -> None:
-    series = generate(_synth_spec(cfg))
+    series = generate(synth_spec(cfg))
     out = _path(cfg, "csv", "synth.csv")
     write_csv(series, out)
     print(f"synth: wrote {len(series)} channels x {len(series[0])} steps to {out}")
@@ -232,17 +179,7 @@ def cmd_build(cfg: dict) -> None:
     store = load_store(store_path)
     digest = hashlib.sha256(store_path.read_bytes()).hexdigest()
     total = 0
-    for m, *parts in build_train_valid(
-        store,
-        _tasks(cfg["tasks"]),
-        _window(cfg),
-        cfg["demo_counts"],
-        cfg["seed"],
-        stride=cfg["stride"] or None,
-        valid_stride=cfg["valid_stride"] or None,
-        pairwise_disjoint_demos=cfg["pairwise_disjoint_demos"],
-        cross_channel_demos=cfg["cross_channel_demos"],
-    ):
+    for m, *parts in build_datasets(store, cfg):
         for part, dataset in zip(("train", "valid"), parts):
             dataset.extra.update(config=cfg, store_sha256=digest)
             write_jsonl(dataset, Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl")
@@ -267,9 +204,9 @@ def cmd_train(cfg: dict) -> None:
     store = load_store(_path(cfg, "store", "store.json"))
     train_ds = _read_context_files(cfg, "train", store)
     valid_ds = _read_context_files(cfg, "valid", store)
-    model_cfg = _model_config(cfg)
+    model_cfg = model_config(cfg)
     params = init_params(model_cfg, seed=cfg["seed"])
-    params, record = train(params, train_ds, valid_ds, model_cfg, _train_config(cfg))
+    params, record = train(params, train_ds, valid_ds, model_cfg, train_config(cfg))
     ckpt = _path(cfg, "checkpoint", "checkpoint.json")
     ad.save_params(
         params,
@@ -291,7 +228,7 @@ def cmd_eval(cfg: dict) -> None:
     if not ckpt.exists():
         raise DataError(f"missing checkpoint: {ckpt} (run `train` first)")
     params, meta = ad.load_params(ckpt)
-    model_cfg = _model_config(cfg)
+    model_cfg = model_config(cfg)
     if meta.get("model"):
         try:
             trained_cfg = ModelConfig.from_dict(meta["model"])
@@ -306,20 +243,7 @@ def cmd_eval(cfg: dict) -> None:
         raise DataError(f"checkpoint {ckpt} does not fit the configured model: parameter {bad[0]} "
                         f"has shape {got.get(bad[0], 'missing')}, expected {want.get(bad[0], 'none')}")
     store = load_store(_path(cfg, "store", "store.json"))
-    protocol = EvalProtocol(
-        eval_task=_tasks([cfg["eval_task"]])[0],
-        pretrain_tasks=tuple(_tasks(cfg["tasks"])),
-        window=_window(cfg),
-        demo_count=cfg["demo_count"],
-    )
-    report = run_unseen_eval(
-        protocol,
-        model_cfg,
-        params,
-        store,
-        seed=cfg["seed"],
-        stride=cfg["eval_stride"] or None,
-    )
+    report = run_unseen_eval(eval_protocol(cfg), model_cfg, params, store, cfg["seed"], cfg["eval_stride"] or None)
     out = _path(cfg, "report", "eval_report.csv")
     report.write_csv(out)
     with out.open("a") as fh:
@@ -344,10 +268,7 @@ def cmd_report(cfg: dict) -> None:
         cells.setdefault((r.backbone, r.task, r.dataset, r.horizon), {}).setdefault(r.method, []).append(r)
     lines = ["backbone,task,dataset,horizon,method,seeds,mean_mse,mean_mae"]
     for key in sorted(cells):
-        for method in ("baseline", "ictp"):
-            rows = cells[key].get(method, [])
-            if not rows:
-                continue
+        for method, rows in sorted(cells[key].items()):
             mean_mse = float(np.mean([r.mse for r in rows]))
             mean_mae = float(np.mean([r.mae for r in rows]))
             lines.append(f"{key[0]},{key[1]},{key[2]},{key[3]},{method},{len(rows)},{mean_mse!r},{mean_mae!r}")

@@ -7,16 +7,17 @@ query with the adapter ``adapters.adapter_for`` picks. Demo and query windows
 come from the task table in ``tasks``: its valid starts and span widths. Every
 stream ends in ``model.answer_region`` placeholders: ``context_path`` appends
 them after the query, ``_fit_adapted`` (rounded up to whole patches) after
-every adapted history. ``score_probes`` is the only eval loop, called by the CLI
-(``run_unseen_eval``) and by the ablations (``experiment.evaluate_paths``);
-``batched_predict`` is the only readout, also behind the trainer's validation
-loss. ``context_path`` hands it the demo prefix apart from the query streams:
-the decoder encodes that prefix once per channel and probe and reuses its keys
-and values for every query (``model.encode_prefix``), while the encoder, whose
-prefix rows attend to the query, runs each prefix ++ query stream whole. The
-validation loss passes whole streams, as every validation sample has its own
-demos. ``score_probes`` checksums the parameters around the loop to enforce
-that evaluation never updates them.
+every adapted history. ``score_probes`` is the only eval loop, behind
+``run_unseen_eval``, which writes one ``EvalRow`` per probe: the CLI's
+``eval`` scores ``baseline`` and ``ictp``, ``experiment.run_seed`` all four
+``PROBES``. ``batched_predict`` is the only readout, also behind the trainer's
+validation loss. ``context_path`` hands it the demo prefix apart from the
+query streams: the decoder encodes that prefix once per channel and probe and
+reuses its keys and values for every query (``model.encode_prefix``), while
+the encoder, whose prefix rows attend to the query, runs each prefix ++ query
+stream whole. The validation loss passes whole streams, as every validation
+sample has its own demos. ``score_probes`` checksums the parameters around the
+loop to enforce that evaluation never updates them.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class EvalRow:
     task: str
     dataset: str
     horizon: int
-    method: str  # "baseline" or "ictp"
+    method: str  # a probe: "ictp", "no_context", "wrong_task" or "baseline"
     mse: float
     mae: float
     seed: int
@@ -337,9 +338,10 @@ def run_unseen_eval(
     store: SplitStore,
     seed: int = 0,
     stride: int | None = None,
+    probes: tuple[str, ...] = ("baseline", "ictp"),
 ) -> EvalReport:
-    """Baseline and ICTP rows for one backbone on one store."""
-    preds, truth = score_probes(protocol, ("ictp", "baseline"), store, params, config, seed, stride)
+    """One row per probe, in ``probes`` order, for one backbone on one store."""
+    preds, truth = score_probes(protocol, probes, store, params, config, seed, stride)
     rows = [
         EvalRow(
             backbone=config.variant,
@@ -351,6 +353,6 @@ def run_unseen_eval(
             mae=mae(preds[method], truth),
             seed=seed,
         )
-        for method in ("baseline", "ictp")
+        for method in probes
     ]
     return EvalReport(rows)

@@ -1,21 +1,26 @@
-"""End-to-end unseen-task experiment on synthetic data.
+"""The pipeline as functions of one run configuration.
 
-One run: generate a synthetic corpus, pre-train a backbone on context data for
-a subset of tasks, then probe the held-out task four ways on the same frozen
-weights: with correct demonstrations, with none, with wrong-task
-demonstrations, and through the reprogramming baseline. The probes run in
-``evalharness.score_probes``, the same loop the CLI's ``eval`` uses.
+A run configuration is the flat dict that ``cli.resolve_config`` returns: every
+key of ``cli.SCHEMA``, resolved. The readers here turn it into the library's
+objects (``window``, ``task_kinds``, ``model_config``, ``train_config``,
+``synth_spec``, ``eval_protocol``) and ``build_datasets`` builds its context
+data, so the CLI's stages and ``run_seed`` read a configuration the same way.
+The stages hand their results on through files; ``run_seed`` runs synth ->
+store -> build -> train -> eval in memory and scores the held-out task four
+ways on the same frozen weights: with correct demonstrations (``ictp``), with
+none, with wrong-task demonstrations, and through the reprogramming baseline.
+The probes run in ``evalharness.score_probes``, the one eval loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import fields
 
 import numpy as np
 
 from .context import ContextDataset, build_train_valid
 from .errors import ConfigError
-from .evalharness import PROBES, EvalProtocol, mse, score_probes
+from .evalharness import PROBES, EvalProtocol, EvalReport, run_unseen_eval
 from .model import ModelConfig, init_params
 from .series import RawDataset, SplitStore, build_store
 from .synthetic import SynthSpec, generate
@@ -23,33 +28,65 @@ from .tasks import TaskKind, WindowSpec
 from .trainer import TrainConfig, TrainRecord, train
 
 
-@dataclass(frozen=True)
-class UnseenTaskExperiment:
-    synth: SynthSpec = SynthSpec()
-    window: WindowSpec = WindowSpec(24, 12)
-    pretrain_tasks: tuple[TaskKind, ...] = (TaskKind.FORECAST, TaskKind.IMPUTE)
-    eval_task: TaskKind = TaskKind.BACKTRACE
-    train_demo_counts: tuple[int, ...] = (0, 2, 4)
-    eval_demo_count: int = 4
-    train_stride: int | None = None
-    valid_stride: int | None = None
-    eval_stride: int | None = None
-    model: ModelConfig = ModelConfig()
-    train: TrainConfig = TrainConfig()
-
-    def __post_init__(self) -> None:
-        if self.eval_task in self.pretrain_tasks:
-            raise ConfigError("evaluation task must stay unseen during pre-training")
+def window(cfg: dict) -> WindowSpec:
+    return WindowSpec(cfg["lookback"], cfg["horizon"])
 
 
-@dataclass
-class SeedOutcome:
-    seed: int
-    mse_context: float  # unseen task with eval_demo_count demonstrations
-    mse_no_context: float  # same queries, zero demonstrations
-    mse_wrong_task: float  # demonstrations of a pre-training task instead
-    mse_baseline: float  # reprogramming adapter on bare queries
-    record: TrainRecord
+def task_kinds(names: list[str]) -> list[TaskKind]:
+    if not names:
+        raise ConfigError("task set is empty")
+    try:
+        return [TaskKind(n) for n in names]
+    except ValueError as exc:
+        raise ConfigError(f"unknown task name: {exc}") from None
+
+
+def model_config(cfg: dict) -> ModelConfig:
+    return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
+
+
+def train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+
+
+def synth_spec(cfg: dict) -> SynthSpec:
+    return SynthSpec(
+        family=cfg["synth_family"],
+        count=cfg["synth_count"],
+        length=cfg["synth_length"],
+        seed=cfg["seed"],
+        name=cfg["dataset_name"],
+        components=(cfg["synth_components_min"], cfg["synth_components_max"]),
+        amplitude=(cfg["synth_amplitude_min"], cfg["synth_amplitude_max"]),
+        frequency=(cfg["synth_frequency_min"], cfg["synth_frequency_max"]),
+        noise_sigma=cfg["synth_noise_sigma"],
+        noise_ar=cfg["synth_noise_ar"],
+        min_window=cfg["lookback"] + cfg["horizon"],
+    )
+
+
+def eval_protocol(cfg: dict) -> EvalProtocol:
+    return EvalProtocol(
+        eval_task=task_kinds([cfg["eval_task"]])[0],
+        pretrain_tasks=tuple(task_kinds(cfg["tasks"])),
+        window=window(cfg),
+        demo_count=cfg["demo_count"],
+    )
+
+
+def build_datasets(store: SplitStore, cfg: dict):
+    """``build_train_valid`` with the configuration's tasks, window, demo counts, seed and options."""
+    return build_train_valid(
+        store,
+        task_kinds(cfg["tasks"]),
+        window(cfg),
+        cfg["demo_counts"],
+        cfg["seed"],
+        stride=cfg["stride"] or None,
+        valid_stride=cfg["valid_stride"] or None,
+        pairwise_disjoint_demos=cfg["pairwise_disjoint_demos"],
+        cross_channel_demos=cfg["cross_channel_demos"],
+    )
 
 
 def store_from_channels(channels, name: str) -> SplitStore:
@@ -68,13 +105,13 @@ def merge_datasets(datasets: list[ContextDataset]) -> ContextDataset:
     """Pool samples built with different demo counts into one training set."""
     if not datasets:
         raise ConfigError("nothing to merge")
-    window = datasets[0].window
+    w = datasets[0].window
     for d in datasets[1:]:
-        if d.window != window:
+        if d.window != w:
             raise ConfigError("cannot merge datasets with different window specs")
     return ContextDataset(
         samples=[s for d in datasets for s in d.samples],
-        window=window,
+        window=w,
         demo_count=max(d.demo_count for d in datasets),
         tasks=datasets[0].tasks,
         seed=datasets[0].seed,
@@ -84,41 +121,13 @@ def merge_datasets(datasets: list[ContextDataset]) -> ContextDataset:
     )
 
 
-def build_training_data(
-    store: SplitStore, cfg: UnseenTaskExperiment, seed: int
-) -> tuple[ContextDataset, ContextDataset]:
-    parts = list(build_train_valid(
-        store, cfg.pretrain_tasks, cfg.window, cfg.train_demo_counts, seed,
-        stride=cfg.train_stride, valid_stride=cfg.valid_stride,
-    ))
-    return merge_datasets([t for _, t, _ in parts]), merge_datasets([v for _, _, v in parts])
-
-
-def pretrain(cfg: UnseenTaskExperiment, store: SplitStore, seed: int):
-    train_ds, valid_ds = build_training_data(store, cfg, seed)
-    params = init_params(cfg.model, seed=seed)
-    params, record = train(params, train_ds, valid_ds, cfg.model, replace(cfg.train, seed=seed))
-    return params, record
-
-
-def evaluate_paths(
-    cfg: UnseenTaskExperiment, store: SplitStore, params, seed: int
-) -> dict[str, float]:
-    """Pooled MSE of the four probe paths over every channel's test windows."""
-    protocol = EvalProtocol(cfg.eval_task, cfg.pretrain_tasks, cfg.window, cfg.eval_demo_count)
-    preds, truth = score_probes(protocol, PROBES, store, params, cfg.model, seed, cfg.eval_stride)
-    return {("context" if probe == "ictp" else probe): mse(p, truth) for probe, p in preds.items()}
-
-
-def run_seed(cfg: UnseenTaskExperiment, seed: int) -> SeedOutcome:
-    store = store_from_channels(generate(replace(cfg.synth, seed=seed)), cfg.synth.name)
-    params, record = pretrain(cfg, store, seed)
-    scores = evaluate_paths(cfg, store, params, seed)
-    return SeedOutcome(
-        seed=seed,
-        mse_context=scores["context"],
-        mse_no_context=scores["no_context"],
-        mse_wrong_task=scores["wrong_task"],
-        mse_baseline=scores["baseline"],
-        record=record,
-    )
+def run_seed(cfg: dict) -> tuple[EvalReport, TrainRecord]:
+    """One run of the configuration in memory: the report holds one row per probe, in ``PROBES`` order."""
+    store = store_from_channels(generate(synth_spec(cfg)), cfg["dataset_name"])
+    parts = list(build_datasets(store, cfg))
+    train_ds, valid_ds = merge_datasets([t for _, t, _ in parts]), merge_datasets([v for _, _, v in parts])
+    config = model_config(cfg)
+    params, record = train(init_params(config, seed=cfg["seed"]), train_ds, valid_ds, config, train_config(cfg))
+    stride = cfg["eval_stride"] or None
+    report = run_unseen_eval(eval_protocol(cfg), config, params, store, cfg["seed"], stride, probes=PROBES)
+    return report, record

@@ -205,10 +205,6 @@ def normalize(s: ChannelSeries, n: NormStats) -> ChannelSeries:
     return replace(s, values=(s.values - n.mean) / n.std)
 
 
-def denormalize(s: ChannelSeries, n: NormStats) -> ChannelSeries:
-    return replace(s, values=s.values * n.std + n.mean)
-
-
 @dataclass
 class SplitStore:
     """Normalized per-channel splits plus the stats that produced them."""

@@ -188,8 +188,6 @@ def generate_example(
     positions: Sequence[int] = []
     mask = None
     if GEOMETRY[task].impute:
-        if h >= L:
-            raise GeometryError(f"mask count {h} must be smaller than window {L}")
         positions = sample_mask_positions(rng, L, h) if isinstance(rng, np.random.Generator) else rng
         mask = np.zeros(L)
         mask[positions] = 1.0

@@ -43,15 +43,15 @@ class TrainConfig:
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
+    adam_eps: float = 1e-8
     clip_norm: float = 1.0
     supervise_demo_outputs: bool = False
 
     def __post_init__(self) -> None:
         if min(self.batch_size, self.max_epochs, self.patience) < 1:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
-        if self.learning_rate < 0 or self.eps <= 0 or self.clip_norm <= 0:
-            raise ConfigError("learning_rate must be >= 0; eps and clip_norm > 0")
+        if self.learning_rate < 0 or self.adam_eps <= 0 or self.clip_norm <= 0:
+            raise ConfigError("learning_rate must be >= 0; adam_eps and clip_norm > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("betas must lie in [0, 1)")
         if self.patience > self.max_epochs:
@@ -113,7 +113,7 @@ class Adam:
             m += (1 - c.beta1) * g
             v *= c.beta2
             v += (1 - c.beta2) * g * g
-            p.data -= c.learning_rate * correction * m / (np.sqrt(v) + c.eps)
+            p.data -= c.learning_rate * correction * m / (np.sqrt(v) + c.adam_eps)
 
 
 def _check_geometry(dataset: ContextDataset, config: ModelConfig) -> None:

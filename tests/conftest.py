@@ -22,11 +22,13 @@ TINY_CLI = {
 }
 
 
+def settings(out_dir: Path) -> list[str]:
+    """The tiny configuration as ``key=value`` items, writing to ``out_dir``."""
+    return [f"{key}={value}" for key, value in {**TINY_CLI, "out_dir": str(out_dir)}.items()]
+
+
 def overrides(out_dir: Path) -> list[str]:
-    args = []
-    for key, value in {**TINY_CLI, "out_dir": str(out_dir)}.items():
-        args += ["--set", f"{key}={value}"]
-    return args
+    return [arg for item in settings(out_dir) for arg in ("--set", item)]
 
 
 @pytest.fixture(scope="session")

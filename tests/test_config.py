@@ -1,0 +1,56 @@
+"""The run configuration: one schema, defaults from the config dataclasses, and the keys the benchmark sets."""
+
+import importlib.util
+import sys
+from dataclasses import dataclass, field, fields, make_dataclass
+from pathlib import Path
+
+import pytest
+
+from tsicl import cli, experiment
+from tsicl.model import ModelConfig
+from tsicl.trainer import TrainConfig
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def benchmark_workloads(monkeypatch):
+    """``perfbench/workloads.py`` loaded from its file, read only."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # @dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_key_the_benchmark_sets_is_a_schema_key_with_its_default(monkeypatch):
+    workloads = benchmark_workloads(monkeypatch)
+    for w in workloads.WORKLOADS.values():
+        assert set(w.config(0, "out")) <= set(cli.SCHEMA), w.name
+    for key, default in workloads.DEFAULTS.items():
+        assert cli.SCHEMA[key][1] == default, key
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
+def test_every_config_field_is_a_schema_key_with_its_default(cls):
+    for f in fields(cls):
+        assert cli.SCHEMA[f.name] == (f.type, f.default), f.name
+
+
+def test_the_default_configuration_reads_as_the_dataclass_defaults():
+    cfg = cli.resolve_config(None, [])
+    assert experiment.model_config(cfg) == ModelConfig()
+    assert experiment.train_config(cfg) == TrainConfig()
+
+
+@pytest.mark.parametrize(
+    "annotated",
+    [
+        pytest.param(make_dataclass("Odd", [("window", "int | None", field(default=None))]), id="string"),
+        pytest.param(dataclass(type("Odd", (), {"__annotations__": {"window": int | None}, "window": None})),
+                     id="type"),
+    ],
+)
+def test_the_schema_refuses_an_annotation_it_cannot_parse(annotated):
+    with pytest.raises(TypeError, match="Odd.window: cannot parse"):
+        cli._field_entries(annotated)

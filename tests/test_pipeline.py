@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import overrides
+from conftest import overrides, settings
 from tsicl import autodiff as ad
 from tsicl import evalharness, experiment
-from tsicl.cli import main
+from tsicl.cli import main, resolve_config
 from tsicl.context import build_stream, build_train_valid, read_jsonl
 from tsicl.evalharness import (
     PROBES,
@@ -60,14 +60,34 @@ def test_context_headers_count_the_replayed_samples(pipeline_dir):
         assert header["samples"] == len(read_jsonl(path, store)) > 0
 
 
-def test_cli_rows_equal_evaluate_paths(pipeline_dir):
-    params, meta = ad.load_params(pipeline_dir / "checkpoint.json")
-    cfg = experiment.UnseenTaskExperiment(
-        window=WINDOW, eval_demo_count=1, model=ModelConfig.from_dict(meta["model"])
-    )
-    scores = experiment.evaluate_paths(cfg, load_store(pipeline_dir / "store.json"), params, seed=0)
-    rows = {r.method: r.mse for r in EvalReport.read_csv(pipeline_dir / "eval_report.csv").rows}
-    assert rows == {"ictp": scores["context"], "baseline": scores["baseline"]}
+@pytest.fixture(scope="module")
+def seed_run(pipeline_dir):
+    """``experiment.run_seed`` on the configuration that ``pipeline_dir`` was staged with."""
+    return experiment.run_seed(resolve_config(None, settings(pipeline_dir)))
+
+
+def test_run_seed_equals_the_staged_cli(pipeline_dir, seed_run, tmp_path):
+    """In memory or through files, one configuration gives the same rows and the same training record."""
+    report, record = seed_run
+    assert [r.method for r in report.rows] == list(PROBES)
+    staged = EvalReport.read_csv(pipeline_dir / "eval_report.csv").rows
+    assert [r.method for r in staged] == ["baseline", "ictp"]
+    assert {r.method: r for r in report.rows if r.method in ("baseline", "ictp")} == {r.method: r for r in staged}
+    record.write_csv(tmp_path / "train_record.csv")
+    staged_lines = (pipeline_dir / "train_record.csv").read_text().splitlines(keepends=True)
+    body = "".join(line for line in staged_lines if not line.startswith("# config,"))
+    assert (tmp_path / "train_record.csv").read_text() == body
+
+
+def test_report_lists_every_method(pipeline_dir, seed_run, tmp_path, capsys):
+    report, _ = seed_run
+    report.write_csv(tmp_path / "probes.csv")
+    assert main(["report", *overrides(tmp_path), "--set", f"reports={tmp_path / 'probes.csv'}"]) == 0
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[4] for line in lines[1:-2]] == ["baseline", "ictp", "no_context", "wrong_task"]
+    staged_ratio = [line for line in (pipeline_dir / "eval_report.csv").read_text().splitlines()
+                    if line.startswith("# improvement_ratio,")]
+    assert lines[-2:-1] == staged_ratio
 
 
 def test_eval_demos_and_queries_do_not_leak(monkeypatch):

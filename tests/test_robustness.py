@@ -237,14 +237,13 @@ def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
         trainer.train(init_params(TINY_MODEL), data, data, TINY_MODEL, config)
 
 
-def test_evaluate_paths_rejects_mismatched_truths(monkeypatch):
-    cfg = experiment.UnseenTaskExperiment(
-        synth=SynthSpec(count=1, length=240), window=WINDOW, eval_demo_count=1, model=TINY_MODEL
-    )
-    store = experiment.store_from_channels(generate(cfg.synth), cfg.synth.name)
+def test_run_unseen_eval_rejects_mismatched_truths(monkeypatch):
+    protocol = evalharness.EvalProtocol(TaskKind.BACKTRACE, (TaskKind.FORECAST, TaskKind.IMPUTE), WINDOW, 1)
+    store = experiment.store_from_channels(generate(SynthSpec(count=1, length=240)), "synth")
     params = init_params(TINY_MODEL)
-    scores = experiment.evaluate_paths(cfg, store, params, seed=0)
-    assert all(np.isfinite(v) for v in scores.values())
+    report = evalharness.run_unseen_eval(protocol, TINY_MODEL, params, store, probes=evalharness.PROBES)
+    assert [r.method for r in report.rows] == list(evalharness.PROBES)
+    assert all(np.isfinite([r.mse, r.mae]).all() for r in report.rows)
 
     real = evalharness.baseline_path
 
@@ -254,7 +253,7 @@ def test_evaluate_paths_rejects_mismatched_truths(monkeypatch):
 
     monkeypatch.setattr(evalharness, "baseline_path", shifted)
     with pytest.raises(DataError, match="truths differ"):
-        experiment.evaluate_paths(cfg, store, params, seed=0)
+        evalharness.run_unseen_eval(protocol, TINY_MODEL, params, store, probes=evalharness.PROBES)
 
 
 @pytest.mark.parametrize(

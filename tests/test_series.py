@@ -9,7 +9,6 @@ from tsicl.series import (
     NormStats,
     build_store,
     chronological_split,
-    denormalize,
     expand_channels,
     fit_norm,
     load_csv,
@@ -175,20 +174,13 @@ class TestNormalize:
         out = normalize(s, fit_norm(s))
         assert np.array_equal(out.values, [0.0, 0.0, 0.0])
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        s = ChannelSeries("d", "c", rng.normal(0, 10, size=500), split="train")
-        stats = fit_norm(s)
-        back = denormalize(normalize(s, stats), stats)
-        assert np.max(np.abs(back.values - s.values)) < 1e-9
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_property(self, values):
         s = ChannelSeries("d", "c", values, split="train")
         stats = fit_norm(s)
-        back = denormalize(normalize(s, stats), stats)
-        assert np.max(np.abs(back.values - s.values)) < 1e-9
+        back = normalize(s, stats).values * stats.std + stats.mean
+        assert np.max(np.abs(back - s.values)) < 1e-9
 
 
 class TestStore:

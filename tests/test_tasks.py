@@ -114,14 +114,6 @@ class TestImpute:
         assert np.array_equal(a.input, b.input)
         assert np.array_equal(a.target, b.target)
 
-    def test_mask_count_must_fit(self):
-        # h >= L can only arise with a hand-built window (WindowSpec pins L = 2h)
-        class FakeWindow:
-            lookback, horizon = 4, 4
-
-        with pytest.raises(GeometryError, match="smaller than window"):
-            generate_example(TaskKind.IMPUTE, series_of(10), 0, FakeWindow(), np.random.default_rng(0))
-
     def test_window_out_of_range(self):
         with pytest.raises(GeometryError, match="out of range"):
             generate_example(TaskKind.IMPUTE, series_of(5), 2, WindowSpec(4, 2), np.random.default_rng(0))

@@ -30,7 +30,7 @@ def reference_step(values, grads, m, v, t, config):
     """Adam as Kingma & Ba (2015), Algorithm 1, written element by element.
 
     The bias corrections are folded into the step size (the paper's section 2
-    form), so ``eps`` is added to the uncorrected sqrt(v). A ``None`` gradient
+    form), so ``adam_eps`` is added to the uncorrected sqrt(v). A ``None`` gradient
     counts as zero, and the global norm over every gradient is clipped to
     ``clip_norm``.
     """
@@ -43,7 +43,7 @@ def reference_step(values, grads, m, v, t, config):
             gi *= clip
             m[name][i] = config.beta1 * m[name][i] + (1 - config.beta1) * gi
             v[name][i] = config.beta2 * v[name][i] + (1 - config.beta2) * gi * gi
-            values[name][i] -= step * m[name][i] / (math.sqrt(v[name][i]) + config.eps)
+            values[name][i] -= step * m[name][i] / (math.sqrt(v[name][i]) + config.adam_eps)
 
 
 def flat(a):
