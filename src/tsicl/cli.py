@@ -249,7 +249,7 @@ def cmd_eval(cfg: dict) -> None:
     with out.open("a") as fh:
         fh.write(f"# config,{json.dumps(cfg, separators=(',', ':'))}\n")
     ratio = improvement_ratio(report)
-    print(f"eval: {len(report.rows)} rows, improvement ratio {ratio:.4f} -> {out}")
+    print(f"eval: {len(report.rows)} rows on {report.workers} worker(s), improvement ratio {ratio:.4f} -> {out}")
 
 
 def cmd_report(cfg: dict) -> None:

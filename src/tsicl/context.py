@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, GeometryError
+from .errors import ConfigError, DataError, GeometryError
 from .model import answer_region
 from .series import ChannelSeries, SplitStore
 from .tasks import (
@@ -215,7 +215,7 @@ def build_context_dataset(
         raise DataError("task set is empty")
     stride = w.horizon if stride is None else stride
     if stride < 1:
-        raise DataError(f"stride must be >= 1, got {stride}")
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     pool = series if demo_pool is None else demo_pool
     for s in pool:
         if s.split is not None and s.split != "train":
@@ -285,8 +285,12 @@ def build_train_valid(
 
     Valid queries come from the valid split and draw their demos from the
     train split; ``valid_stride`` falls back to ``stride``. ``options`` go to
-    ``build_context_dataset``.
+    ``build_context_dataset``. Every count is checked before the first build.
     """
+    if not demo_counts or min(demo_counts) < 0:
+        raise ConfigError(f"demo_counts must be one or more counts >= 0, got {list(demo_counts)}")
+    if valid_stride is not None and valid_stride < 1:
+        raise ConfigError(f"valid_stride must be >= 1, got {valid_stride}")
     train_series = [store.series(ch, "train") for ch in store.channels]
     valid_series = [store.series(ch, "valid") for ch in store.channels]
     for k, m in enumerate(demo_counts):

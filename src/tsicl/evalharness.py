@@ -16,8 +16,18 @@ query streams: the decoder encodes that prefix once per channel and probe and
 reuses its keys and values for every query (``model.encode_prefix``), while
 the encoder, whose prefix rows attend to the query, runs each prefix ++ query
 stream whole. The validation loss passes whole streams, as every validation
-sample has its own demos. ``score_probes`` checksums the parameters around the
-loop to enforce that evaluation never updates them.
+sample has its own demos. ``score_probes`` checksums the parameters before the
+loop and in every worker after it, to enforce that evaluation never updates them.
+
+``score_probes`` scores channels on every core the process may use: it hands
+contiguous shares of channels to ``workers.fork_join``, which computes the
+first share in the calling process and each other share in a forked child,
+and joins the results in channel order. For the whole call every process runs
+OpenBLAS on one thread, whose small products would otherwise stall, so the
+scores are the same bits on any core count. It stays serial on one core,
+inside a worker, where no OpenBLAS thread count can be set, and where the
+channels hold fewer than ``BATCH`` queries per worker (64, one
+``batched_predict`` batch): there a fork costs more than it saves.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .model import (
 )
 from .series import SplitStore
 from .tasks import TaskExample, TaskKind, WindowSpec, generate_example, span_width, valid_start_range
+from .workers import fork_join
 
 
 def _errors(pred: np.ndarray, truth: np.ndarray, metric: str) -> np.ndarray:
@@ -64,6 +75,7 @@ def mae(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 PROBES = ("ictp", "no_context", "wrong_task", "baseline")
+BATCH = 64  # streams per forward pass in ``batched_predict``
 
 
 def params_checksum(params: dict[str, ad.Parameter]) -> str:
@@ -104,6 +116,7 @@ class EvalRow:
 @dataclass
 class EvalReport:
     rows: list[EvalRow] = field(default_factory=list)
+    workers: int = 1  # processes that scored the rows; not written to the CSV
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["backbone,task,dataset,horizon,method,mse,mae,seed"]
@@ -187,7 +200,7 @@ def batched_predict(
     horizons: list[int],
     params: dict[str, ad.Parameter],
     config: ModelConfig,
-    batch_size: int = 64,
+    batch_size: int = BATCH,
     prefix: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Evaluation-mode predictions for streams that already end in answer regions.
@@ -289,6 +302,12 @@ def _probe_demos(probe: str, protocol: EvalProtocol, train_s, seed: int, ch_idx:
     return select_eval_demos(train_s, task, protocol.window, protocol.demo_count, _rng(seed, stream, ch_idx))
 
 
+def query_count(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> int:
+    """How many queries ``enumerate_queries`` makes on a test split of this length, without making them."""
+    lo, hi = valid_start_range(task, test_length, w)
+    return len(range(lo, hi + 1, stride))
+
+
 def score_probes(
     protocol: EvalProtocol,
     probes: tuple[str, ...],
@@ -297,23 +316,36 @@ def score_probes(
     config: ModelConfig,
     seed: int = 0,
     stride: int | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Pooled predictions per probe and the one set of truths they are scored against.
+) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
+    """Pooled predictions per probe, the one set of truths they are scored against, and the workers used.
 
     Per channel, the test-split queries (rng stream 2) are scored by each
     probe: ``ictp`` with the eval task's demos (stream 3), ``no_context``
     with none, ``wrong_task`` with demos of the first pre-training task
     (stream 4), and ``baseline`` through the reprogramming adapter. Demos come
     from the train split only. Raises if the parameters change on the way.
+
+    Contiguous shares of channels go to ``workers.fork_join``, one per
+    worker, every process on one BLAS thread; each worker checksums the
+    parameters after its share. A channel's work depends only on its index,
+    through its rng streams, so the results are the same on any core count.
+    It runs serially on one core, inside a worker, without a settable
+    OpenBLAS, or when the channels hold fewer than ``BATCH`` queries per
+    worker, where a fork costs more than it saves.
     """
     stride = stride or protocol.window.horizon
+    if stride < 1:
+        raise ConfigError(f"eval_stride must be >= 1, got {stride}")
     before = params_checksum(params)
-    preds: dict[str, list[np.ndarray]] = {probe: [] for probe in probes}
-    truths = []
-    for ch_idx, ch in enumerate(store.channels):
+    channels = store.channels
+    query_total = sum(query_count(len(store.series(ch, "test")), protocol.eval_task, protocol.window, stride)
+                      for ch in channels)
+
+    def score_channel(ch_idx: int) -> tuple[list[np.ndarray], np.ndarray]:
+        ch = channels[ch_idx]
         test_s = store.series(ch, "test")
         queries = enumerate_queries(test_s, protocol.eval_task, protocol.window, stride, _rng(seed, 2, ch_idx))
-        truth = None
+        preds, truth = [], None
         for probe in probes:
             if probe == "baseline":
                 p, t = baseline_path(queries, params, config)
@@ -324,11 +356,18 @@ def score_probes(
                 truth = t
             elif not np.array_equal(t, truth):
                 raise DataError(f"channel {ch}: {probe} truths differ from the {probes[0]} truths")
-            preds[probe].append(p)
-        truths.append(truth)
-    if params_checksum(params) != before:
+            preds.append(p)
+        return preds, truth
+
+    def score_share(share: range):
+        return [score_channel(i) for i in share], params_checksum(params)
+
+    shares = fork_join(score_share, len(channels), query_total // BATCH)
+    if any(after != before for _, after in shares):
         raise RuntimeError(f"frozen-model contract violated for backbone {config.variant}")
-    return {probe: np.concatenate(chunks) for probe, chunks in preds.items()}, np.concatenate(truths)
+    scored = [channel for results, _ in shares for channel in results]
+    preds = {probe: np.concatenate([p[k] for p, _ in scored]) for k, probe in enumerate(probes)}
+    return preds, np.concatenate([t for _, t in scored]), len(shares)
 
 
 def run_unseen_eval(
@@ -341,7 +380,7 @@ def run_unseen_eval(
     probes: tuple[str, ...] = ("baseline", "ictp"),
 ) -> EvalReport:
     """One row per probe, in ``probes`` order, for one backbone on one store."""
-    preds, truth = score_probes(protocol, probes, store, params, config, seed, stride)
+    preds, truth, workers = score_probes(protocol, probes, store, params, config, seed, stride)
     rows = [
         EvalRow(
             backbone=config.variant,
@@ -355,4 +394,4 @@ def run_unseen_eval(
         )
         for method in probes
     ]
-    return EvalReport(rows)
+    return EvalReport(rows, workers)

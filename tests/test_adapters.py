@@ -153,7 +153,7 @@ def test_encoder_forecast_baseline_is_the_no_context_probe():
     store = experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
     config = replace(TINY_MODEL, variant=ENCODER_MASKED)
     protocol = EvalProtocol(TaskKind.FORECAST, (TaskKind.IMPUTE, TaskKind.BACKTRACE), WindowSpec(8, 4), demo_count=1)
-    preds, _ = score_probes(protocol, ("no_context", "baseline"), store, init_params(config, seed=1), config)
+    preds, _, _ = score_probes(protocol, ("no_context", "baseline"), store, init_params(config, seed=1), config)
     assert len(preds["baseline"]) > 1
     assert np.array_equal(preds["baseline"], preds["no_context"])
 

@@ -221,11 +221,20 @@ def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, 
     [
         pytest.param("eval", "eval_task=bogus", "unknown task name", id="bogus_eval_task"),
         pytest.param("build", "tasks=", "task set is empty", id="empty_task_list"),
+        pytest.param("eval", "eval_stride=-1", "eval_stride must be >= 1, got -1", id="negative_eval_stride"),
+        pytest.param("build", "demo_counts=-1", "demo_counts must be one or more counts >= 0, got [-1]",
+                     id="negative_demo_count"),
+        pytest.param("build", "demo_counts=", "demo_counts must be one or more counts >= 0, got []",
+                     id="no_demo_counts"),
+        pytest.param("build", "stride=-1", "stride must be >= 1, got -1", id="negative_stride"),
+        pytest.param("build", "valid_stride=-2", "valid_stride must be >= 1, got -2", id="negative_valid_stride"),
     ],
 )
 def test_unknown_eval_task_exits_2(pipeline_dir, capsys, stage, setting, message):
+    before = sorted(pipeline_dir.iterdir())
     assert main([stage, *overrides(pipeline_dir), "--set", setting]) == 2
     assert message in capsys.readouterr().err
+    assert sorted(pipeline_dir.iterdir()) == before
 
 
 def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
