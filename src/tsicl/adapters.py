@@ -1,9 +1,11 @@
 """Non-fine-tuning baselines: coerce an unseen task into a model's native one.
 
 Each adapter rewrites a task example into a history the frozen model can
-forecast from, plus the bookkeeping to score the output against the example's
-chronological target. Adapters never touch model parameters nor build an
-answer region: ``evalharness._fit_adapted`` appends one to every history.
+forecast from, plus the bookkeeping that maps the output back onto the
+example's chronological target. The target itself stays on the example:
+``evalharness.score_probes`` scores every probe against it. Adapters never
+touch model parameters nor build an answer region:
+``evalharness._fit_adapted`` appends one to every history.
 ``adapter_for`` holds the table: flip for backtrace on either backbone,
 truncate for decoder impute, identity for encoder forecast. The native cells,
 (decoder, forecast) and (encoder, impute), have no entry.
@@ -22,40 +24,34 @@ from .tasks import TaskExample, TaskKind, token_array
 
 @dataclass(frozen=True)
 class AdaptedQuery:
-    """A reprogrammed query plus the recipe for scoring the model's output.
+    """A reprogrammed query plus the recipe for reading the model's output.
 
     ``predict_steps`` values are requested from the model; if
     ``reverse_output`` they are flipped back into chronological order, then
-    ``score_offsets`` (or all of them) are compared against ``truth``.
+    ``score_offsets`` (or all of them) are kept: the prediction of the
+    example's target.
     """
 
     tokens: np.ndarray
     predict_steps: int
-    truth: np.ndarray
     reverse_output: bool = False
     score_offsets: np.ndarray | None = None
 
-    def score_prediction(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map a raw model output onto (prediction, truth) pairs to score."""
+    def score_prediction(self, raw: np.ndarray) -> np.ndarray:
+        """Map a raw model output onto the prediction of the example's target."""
         chron = raw[: self.predict_steps]
         if self.reverse_output:
             chron = chron[::-1]
         if self.score_offsets is not None:
             chron = chron[self.score_offsets]
-        return chron, self.truth
+        return chron
 
 
 def adapt_backtrace_flip(example: TaskExample) -> AdaptedQuery:
     """Reverse the input in time and forecast; un-reverse the prediction."""
     if example.task is not TaskKind.BACKTRACE:
         raise DataError(f"backtrace flip applied to a {example.task} example")
-    flipped = token_array(example.input[::-1, 0])
-    return AdaptedQuery(
-        tokens=flipped,
-        predict_steps=example.horizon,
-        truth=example.target.copy(),
-        reverse_output=True,
-    )
+    return AdaptedQuery(token_array(example.input[::-1, 0]), example.horizon, reverse_output=True)
 
 
 def adapt_impute_truncate(example: TaskExample) -> AdaptedQuery:
@@ -82,19 +78,13 @@ def adapt_impute_truncate(example: TaskExample) -> AdaptedQuery:
         if first == 0:
             raise DataError("masked area reaches the start; no prefix context")
         history = example.input[:first, 0]
-        return AdaptedQuery(
-            tokens=token_array(history),
-            predict_steps=hull,
-            truth=example.target.copy(),
-            score_offsets=positions - first,
-        )
+        return AdaptedQuery(tokens=token_array(history), predict_steps=hull, score_offsets=positions - first)
     if last == L - 1:
         raise DataError("masked area reaches the end; no suffix context")
     suffix = example.input[last + 1 :, 0]
     return AdaptedQuery(
         tokens=token_array(suffix[::-1]),
         predict_steps=hull,
-        truth=example.target.copy(),
         reverse_output=True,
         score_offsets=positions - first,
     )
@@ -102,7 +92,7 @@ def adapt_impute_truncate(example: TaskExample) -> AdaptedQuery:
 
 def adapt_identity(example: TaskExample) -> AdaptedQuery:
     """Forecast from the input as it stands."""
-    return AdaptedQuery(example.input, example.horizon, example.target.copy())
+    return AdaptedQuery(example.input, example.horizon)
 
 
 def adapter_for(variant_is_decoder: bool, task: TaskKind) -> Callable[[TaskExample], AdaptedQuery]:

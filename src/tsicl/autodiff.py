@@ -8,14 +8,18 @@ built with ``constant``) never hold one, and ops skip the work of computing it.
 Without an active tape the same functions run forward-only, which is how
 evaluation avoids bookkeeping cost.
 
-The op set is deliberately small (standard transformer arithmetic) and every
-backward rule is covered by a finite-difference check in the test suite.
-Multi-head attention stays within rank 3 through ``split_heads``, which folds
-(B, S, H*dh) into (B*H, S, dh), its inverse ``merge_heads``, and ``attention``,
-one fused, row-tiled op over the folded heads that scores a causal row only
-against the keys it can see. Its queries may cover only the last rows of its
-keys, aligned to the last keys, so a caller that reads a few output rows
-computes only those.
+The op set is exactly what the model and its loss run: ``matmul`` (an operand
+times a 2-D weight), ``add``, ``layer_norm``, ``gelu``, ``concat``,
+``row_slice``, ``split_heads``, ``merge_heads``, ``attention`` and
+``mse_loss``. Every backward rule is covered by a finite-difference check in
+the test suite, which also keeps the reference ops (``scale``, ``transpose``,
+``softmax``, an operand-times-operand ``matmul``) that ``attention`` is
+checked against. Multi-head attention stays within rank 3 through
+``split_heads``, which folds (B, S, H*dh) into (B*H, S, dh), its inverse
+``merge_heads``, and ``attention``, one fused, row-tiled op over the folded
+heads that scores a causal row only against the keys it can see. Its queries
+may cover only the last rows of its keys, aligned to the last keys, so a
+caller that reads a few output rows computes only those.
 
 Every op keeps its inputs' dtype: float32 inputs give float32 outputs and
 gradients, float64 inputs float64 ones. Scalars inside the ops are Python
@@ -23,7 +27,7 @@ floats, never numpy float64 scalars or 0-d arrays, which would promote a
 float32 operand to float64 under numpy >= 2 (NEP 50).
 
 Gradients are never updated in place. A backward rule may hand the same array,
-or a view of it, to several inputs (``add``, ``transpose``, the slice ops), so
+or a view of it, to several inputs (``add``, ``concat``), so
 ``Tensor.accumulate`` stores the first gradient as given and adds later ones
 out of place.
 
@@ -195,12 +199,9 @@ def _finish(out: Tensor, backward_fn, op: str) -> Tensor:
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the source shape."""
+    """Reduce a gradient over the leading axes a suffix-shaped operand was broadcast along."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
     return g
 
 
@@ -209,29 +210,20 @@ def constant(data) -> Constant:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise GeometryError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
+    """An operand (..., k) times a weight (k, n): one 2-D GEMM over the flattened leading axes."""
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise GeometryError(f"matmul needs a rank >= 2 operand and a 2-D weight, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise GeometryError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    if b.data.ndim == 2:
-        # a (..., k) @ weight (k, n): one 2-D GEMM over the flattened leading axes
-        k, n = b.shape
-        lead = a.shape[:-1]
-        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(*lead, n))
-
-        def backward(dout: np.ndarray) -> None:
-            flat = dout.reshape(-1, n)
-            if not isinstance(a, Constant):  # input data needs no gradient GEMM
-                a.accumulate((flat @ b.data.T).reshape(*lead, k))
-            b.accumulate(a.data.reshape(-1, k).T @ flat)
-
-        return _finish(out, backward, "matmul")
-
-    out = Tensor(np.matmul(a.data, b.data))
+    k, n = b.shape
+    lead = a.shape[:-1]
+    out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(*lead, n))
 
     def backward(dout: np.ndarray) -> None:
-        a.accumulate(_sum_to_shape(np.matmul(dout, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        b.accumulate(_sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), dout), b.data.shape))
+        flat = dout.reshape(-1, n)
+        if not isinstance(a, Constant):  # input data needs no gradient GEMM
+            a.accumulate((flat @ b.data.T).reshape(*lead, k))
+        b.accumulate(a.data.reshape(-1, k).T @ flat)
 
     return _finish(out, backward, "matmul")
 
@@ -249,52 +241,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 t.accumulate(_sum_to_shape(dout, t.data.shape))
 
     return _finish(out, backward, "add")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-
-    def backward(dout: np.ndarray) -> None:
-        a.accumulate(dout * c)
-
-    return _finish(out, backward, "scale")
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise GeometryError(f"transpose needs rank >= 2, got {a.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2))
-
-    def backward(dout: np.ndarray) -> None:
-        a.accumulate(np.swapaxes(dout, -1, -2))
-
-    return _finish(out, backward, "transpose")
-
-
-def softmax(a: Tensor, allowed: np.ndarray | None = None) -> Tensor:
-    """Stable softmax over the last dim; ``allowed=False`` cells get weight 0."""
-    if a.shape[-1] == 0:
-        raise GeometryError("softmax over an empty dimension")
-    x = a.data
-    if allowed is not None:
-        if not np.any(allowed, axis=-1).all():
-            raise GeometryError("softmax row with every position masked")
-        y = np.where(allowed, x, -np.inf)
-        y -= np.max(y, axis=-1, keepdims=True)
-    else:
-        y = x - np.max(x, axis=-1, keepdims=True)
-    # y is a fresh array: exponentiate and normalise it without further copies
-    np.exp(y, out=y)
-    y /= np.sum(y, axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def backward(dout: np.ndarray) -> None:
-        g = dout - np.sum(dout * y, axis=-1, keepdims=True)
-        g *= y
-        a.accumulate(g)
-
-    return _finish(out, backward, "softmax")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -388,24 +334,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             offset += n
 
     return _finish(out, backward, "concat")
-
-
-def axis_slice(a: Tensor, start: int, stop: int, axis: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis."""
-    ax = axis if axis >= 0 else a.data.ndim + axis
-    n = a.data.shape[ax]
-    if not (0 <= start <= stop <= n):
-        raise GeometryError(f"slice [{start}, {stop}) out of range for axis {axis} of {a.shape}")
-    idx = [slice(None)] * a.data.ndim
-    idx[ax] = slice(start, stop)
-    out = Tensor(a.data[tuple(idx)])
-
-    def backward(dout: np.ndarray) -> None:
-        g = np.zeros_like(a.data)
-        g[tuple(idx)] = dout
-        a.accumulate(g)
-
-    return _finish(out, backward, "slice")
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -511,22 +439,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice rows (second-to-last axis)."""
-    return axis_slice(a, start, stop, axis=-2)
+    """Contiguous rows [start, stop) of the second-to-last axis."""
+    n = a.data.shape[-2]
+    if not (0 <= start <= stop <= n):
+        raise GeometryError(f"row slice [{start}, {stop}) out of range for {a.shape}")
+    out = Tensor(a.data[..., start:stop, :])
+
+    def backward(dout: np.ndarray) -> None:
+        g = np.zeros_like(a.data)
+        g[..., start:stop, :] = dout
+        a.accumulate(g)
+
+    return _finish(out, backward, "row_slice")
 
 
-def mse_loss(pred: Tensor, target: np.ndarray, element_mask: np.ndarray) -> Tensor:
-    """Mean squared error over positions where element_mask == 1, in ``pred``'s dtype."""
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error over every element, in ``pred``'s dtype."""
     target = np.asarray(target, dtype=pred.data.dtype)
-    mask = np.asarray(element_mask, dtype=pred.data.dtype)
-    if target.shape != pred.shape or mask.shape != pred.shape:
-        raise GeometryError(
-            f"mse_loss shape mismatch: pred {pred.shape}, target {target.shape}, mask {mask.shape}"
-        )
-    count = mask.sum()
+    if target.shape != pred.shape:
+        raise GeometryError(f"mse_loss shape mismatch: pred {pred.shape}, target {target.shape}")
+    count = pred.data.size
     if count == 0:
-        raise DataError("mse_loss with an all-zero element mask")
-    diff = (pred.data - target) * mask
+        raise DataError("mse_loss of an empty prediction")
+    diff = pred.data - target
     out = Tensor(np.sum(diff * diff) / count)
 
     def backward(dout: np.ndarray) -> None:

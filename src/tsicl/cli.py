@@ -18,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .series import SplitStore, build_store, load_csv, load_store, save_store
 from .synthetic import generate, write_csv
 from .trainer import TrainConfig, train
 
-KINDS = ("int", "float", "bool", "ints", "strs", "str")  # what _coerce parses
+KINDS = ("int", "float", "bool", "ints", "strs", "str")  # what _coerce parses; a float must be finite
 
 
 def _field_entries(cls) -> dict[str, tuple[str, object]]:
@@ -99,21 +99,24 @@ def _coerce(key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not np.isfinite(value):  # every comparison with nan is False: a nan bound would check nothing
+                raise ValueError("not finite")
+            return value
         if kind == "bool":
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
-            raise ValueError(raw)
+            raise ValueError("not one of 1/0, true/false, yes/no, on/off")
         if kind == "ints":
             return [int(x) for x in raw.split(",") if x.strip() != ""]
         if kind == "strs":
             return [x.strip() for x in raw.split(",") if x.strip() != ""]
         return raw.strip()  # "str"
-    except ValueError:
-        raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}") from None
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}: {exc}") from None
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -211,7 +214,7 @@ def cmd_train(cfg: dict) -> None:
     ad.save_params(
         params,
         ckpt,
-        meta={"config": cfg, "model": model_cfg.to_dict(), "seed": cfg["seed"], "best_epoch": record.best_epoch},
+        meta={"config": cfg, "model": asdict(model_cfg), "seed": cfg["seed"], "best_epoch": record.best_epoch},
     )
     record_path = _path(cfg, "train_record", "train_record.csv")
     record.write_csv(record_path)
@@ -231,7 +234,7 @@ def cmd_eval(cfg: dict) -> None:
     model_cfg = model_config(cfg)
     if meta.get("model"):
         try:
-            trained_cfg = ModelConfig.from_dict(meta["model"])
+            trained_cfg = ModelConfig(**meta["model"])
         except (TypeError, ConfigError) as exc:
             raise DataError(f"malformed checkpoint {ckpt}: meta model {meta['model']!r}: {exc}") from None
         if trained_cfg != model_cfg:

@@ -123,11 +123,10 @@ def sample_demos(
     w: WindowSpec,
     rng: np.random.Generator,
     pairwise_disjoint: bool = False,
-    max_attempts: int = DEMO_ATTEMPTS,
 ) -> list[TaskExample]:
     """Sample m demonstrations of ``task`` with spans disjoint from the query.
 
-    Rejection-samples uniform window starts; after ``max_attempts`` misses per
+    Rejection-samples uniform window starts; after ``DEMO_ATTEMPTS`` misses per
     demo it falls back to exhaustive enumeration of the remaining valid
     starts. Demos may overlap each other unless ``pairwise_disjoint``.
     """
@@ -149,7 +148,7 @@ def sample_demos(
     demos: list[TaskExample] = []
     for k in range(m):
         example = None
-        for _ in range(max_attempts):
+        for _ in range(DEMO_ATTEMPTS):
             ridx = int(rng.integers(0, len(ranges)))
             sidx, lo, hi = ranges[ridx]
             t = int(rng.integers(lo, hi + 1))
@@ -175,17 +174,6 @@ def sample_demos(
         taken.append(example.source_span)
         demos.append(example)
     return demos
-
-
-def count_disjoint_starts(
-    pool: list[ChannelSeries], query_span: Span, task: TaskKind, w: WindowSpec
-) -> int:
-    """Number of admissible demo starts (brute force; used by tests)."""
-    return sum(
-        not source_span(task, pool[sidx], t, w).overlaps(query_span)
-        for sidx, lo, hi in _candidate_starts(pool, task, w)
-        for t in range(lo, hi + 1)
-    )
 
 
 def build_context_dataset(

@@ -7,7 +7,9 @@ query with the adapter ``adapters.adapter_for`` picks. Demo and query windows
 come from the task table in ``tasks``: its valid starts and span widths. Every
 stream ends in ``model.answer_region`` placeholders: ``context_path`` appends
 them after the query, ``_fit_adapted`` (rounded up to whole patches) after
-every adapted history. ``score_probes`` is the only eval loop, behind
+every adapted history. Both paths return predictions only: a query's truth
+is its ``TaskExample.target``, which ``score_probes`` stacks once per channel
+and scores every probe against. ``score_probes`` is the only eval loop, behind
 ``run_unseen_eval``, which writes one ``EvalRow`` per probe: the CLI's
 ``eval`` scores ``baseline`` and ``ictp``, ``experiment.run_seed`` all four
 ``PROBES``. ``batched_predict`` is the only readout, also behind the trainer's
@@ -255,8 +257,8 @@ def context_path(
     params: dict[str, ad.Parameter],
     config: ModelConfig,
     horizon: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and truths, stacked (N, h), for the demonstration path.
+) -> np.ndarray:
+    """Predictions, stacked (N, h), for the demonstration path.
 
     Every query stream is its input and answer region behind the one shared
     demo prefix, which ``batched_predict`` takes once.
@@ -264,31 +266,36 @@ def context_path(
     region = answer_region(horizon)
     streams = [np.concatenate([q.input, region]) for q in queries]
     preds = batched_predict(streams, [horizon] * len(streams), params, config, prefix=build_stream(demos))
-    return np.stack(preds), np.stack([q.target for q in queries])
+    return np.stack(preds)
 
 
 def baseline_path(
     queries: list[TaskExample],
     params: dict[str, ad.Parameter],
     config: ModelConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and truths for the matching reprogramming adapter."""
+) -> np.ndarray:
+    """Predictions, stacked (N, h), through the matching reprogramming adapter."""
     adapt = adapter_for(config.variant == DECODER_CAUSAL, queries[0].task)
     adapted = [adapt(q) for q in queries]
     fitted = [_fit_adapted(a, config) for a in adapted]
     raw = batched_predict([f[0] for f in fitted], [f[1] for f in fitted], params, config)
-    preds, truths = zip(*(a.score_prediction(r) for a, r in zip(adapted, raw)))
-    return np.stack(preds), np.stack(truths)
+    return np.stack([a.score_prediction(r) for a, r in zip(adapted, raw)])
+
+
+def _query_starts(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> range:
+    """Every stride-th window start of a test split that the task table admits, from the first."""
+    lo, hi = valid_start_range(task, test_length, w)
+    return range(lo, hi + 1, stride)
 
 
 def enumerate_queries(
     test_s, task: TaskKind, w: WindowSpec, stride: int, rng: np.random.Generator
 ) -> list[TaskExample]:
-    """Every stride-th window of the test split that the task table admits, from the first."""
-    lo, hi = valid_start_range(task, len(test_s), w)
-    if hi < lo:
+    """The query at each of ``_query_starts``."""
+    starts = _query_starts(len(test_s), task, w, stride)
+    if not starts:
         raise DataError(f"test split of length {len(test_s)} admits no {task} window")
-    return [generate_example(task, test_s, t, w, rng) for t in range(lo, hi + 1, stride)]
+    return [generate_example(task, test_s, t, w, rng) for t in starts]
 
 
 def _rng(seed: int, stream: int, ch_idx: int) -> np.random.Generator:
@@ -304,8 +311,7 @@ def _probe_demos(probe: str, protocol: EvalProtocol, train_s, seed: int, ch_idx:
 
 def query_count(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> int:
     """How many queries ``enumerate_queries`` makes on a test split of this length, without making them."""
-    lo, hi = valid_start_range(task, test_length, w)
-    return len(range(lo, hi + 1, stride))
+    return len(_query_starts(test_length, task, w, stride))
 
 
 def score_probes(
@@ -317,7 +323,7 @@ def score_probes(
     seed: int = 0,
     stride: int | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
-    """Pooled predictions per probe, the one set of truths they are scored against, and the workers used.
+    """Pooled predictions per probe, the queries' targets they are scored against, and the workers used.
 
     Per channel, the test-split queries (rng stream 2) are scored by each
     probe: ``ictp`` with the eval task's demos (stream 3), ``no_context``
@@ -345,19 +351,14 @@ def score_probes(
         ch = channels[ch_idx]
         test_s = store.series(ch, "test")
         queries = enumerate_queries(test_s, protocol.eval_task, protocol.window, stride, _rng(seed, 2, ch_idx))
-        preds, truth = [], None
+        preds = []
         for probe in probes:
             if probe == "baseline":
-                p, t = baseline_path(queries, params, config)
+                preds.append(baseline_path(queries, params, config))
             else:
                 demos = _probe_demos(probe, protocol, store.series(ch, "train"), seed, ch_idx)
-                p, t = context_path(queries, demos, params, config, protocol.window.horizon)
-            if truth is None:
-                truth = t
-            elif not np.array_equal(t, truth):
-                raise DataError(f"channel {ch}: {probe} truths differ from the {probes[0]} truths")
-            preds.append(p)
-        return preds, truth
+                preds.append(context_path(queries, demos, params, config, protocol.window.horizon))
+        return preds, np.stack([q.target for q in queries])
 
     def score_share(share: range):
         return [score_channel(i) for i in share], params_checksum(params)

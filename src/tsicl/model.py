@@ -38,7 +38,7 @@ streams, targets and the metrics that score predictions stay float64.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,18 +64,11 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in ("patch_size", "d_model", "n_layers", "n_heads", "ff_mult", "max_tokens"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ModelConfig":
-        return ModelConfig(**raw)
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
 
 def patchify(tokens: np.ndarray, patch_size: int) -> np.ndarray:

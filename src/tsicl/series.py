@@ -258,6 +258,7 @@ def save_store(store: SplitStore, path: str | Path) -> None:
 
 
 def load_store(path: str | Path) -> SplitStore:
+    """The store a ``save_store`` file holds: one or more channels, each split exactly into ``SPLIT_NAMES``."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such store: {path}")
@@ -265,7 +266,11 @@ def load_store(path: str | Path) -> SplitStore:
     try:
         payload = json.loads(path.read_text())
         store = SplitStore(dataset=payload["dataset"], meta=payload.get("meta", {}))
+        if not payload["channels"]:
+            raise ValueError("no channels")
         for ch, entry in payload["channels"].items():
+            if sorted(entry["splits"]) != sorted(SPLIT_NAMES):
+                raise ValueError(f"channel {ch!r} has splits {sorted(entry['splits'])}, not {list(SPLIT_NAMES)}")
             store.stats[ch] = NormStats(mean=entry["mean"], std=entry["std"])
             store.splits[ch] = {
                 split: ChannelSeries(

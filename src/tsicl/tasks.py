@@ -54,8 +54,8 @@ GEOMETRY = {
 TASK_ORDER = tuple(GEOMETRY)
 
 
-def token_array(values: np.ndarray, mask: np.ndarray | None = None, segment: int = 0) -> np.ndarray:
-    """Pack values and flags into an ``(n, 3)`` token array.
+def token_array(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Pack values and flags into an ``(n, 3)`` token array of the input segment (segment_flag 0).
 
     Masked positions (mask=1) get value 0 regardless of the input values.
     """
@@ -67,7 +67,6 @@ def token_array(values: np.ndarray, mask: np.ndarray | None = None, segment: int
         m = np.asarray(mask, dtype=np.float64)
         out[:, MASK_FLAG] = m
         out[m == 1.0, VALUE] = 0.0
-    out[:, SEGMENT_FLAG] = segment
     return out
 
 

@@ -1,6 +1,6 @@
 """Adam training loop over context datasets with early stopping.
 
-Loss is masked MSE over the query's answer region only; demonstration answers
+Loss is MSE over the query's answer region only; demonstration answers
 inside the context carry no loss unless ``supervise_demo_outputs`` is set. That
 option is refused on ``encoder_masked``: a demo's answer sits unmasked in the
 encoder's own input, so supervising it teaches the model to copy.
@@ -146,11 +146,11 @@ def _loss_regions(
     truth = np.stack([dataset.samples[i].query.target for i in idxs]).reshape(len(idxs), hp, p)
     regions.append((r0, r1, truth))
     if supervise_demos:
-        shift = 1 if config.variant == DECODER_CAUSAL else 0
         for k in range(len(dataset.samples[idxs[0]].demos)):
-            lo = (k * (L + h) + L) // p - shift
+            # demo k's answer region ends the stream's first k + 1 examples
+            lo, hi = readout_rows(config, (k + 1) * (L + h) // p, hp)
             vals = np.stack([dataset.samples[i].demos[k].target for i in idxs]).reshape(len(idxs), hp, p)
-            regions.append((lo, lo + hp, vals))
+            regions.append((lo, hi, vals))
     return regions
 
 
@@ -169,7 +169,7 @@ def _batch_loss_graph(
     slices = [ad.row_slice(preds, r0 - first, r1 - first) for r0, r1, _ in regions]
     pred_cat = slices[0] if len(slices) == 1 else ad.concat(slices, axis=1)
     truth = np.concatenate([t for _, _, t in regions], axis=1)
-    return ad.mse_loss(pred_cat, truth, np.ones_like(truth))
+    return ad.mse_loss(pred_cat, truth)
 
 
 def evaluate_loss(

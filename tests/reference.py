@@ -1,0 +1,97 @@
+"""Reference autodiff ops the model does not run, and the attention chain built from them.
+
+``tsicl.autodiff.attention`` is one fused op. These are the plain pieces it
+replaces (``scale``, ``transpose``, ``softmax`` and an operand-times-operand
+``matmul``), each with its own backward rule, so the tests can check the fused
+op against a chain whose every step is finite-difference checked. They record
+on the active tape through ``autodiff._finish``, as the library's ops do.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from tsicl import autodiff as ad
+from tsicl.errors import GeometryError
+
+
+def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce a broadcast gradient back to the source shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """``np.matmul`` of two operands of rank >= 2, batch axes broadcast."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise GeometryError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise GeometryError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    out = ad.Tensor(np.matmul(a.data, b.data))
+
+    def backward(dout: np.ndarray) -> None:
+        a.accumulate(_sum_to_shape(np.matmul(dout, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        b.accumulate(_sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), dout), b.data.shape))
+
+    return ad._finish(out, backward, "matmul")
+
+
+def scale(a: ad.Tensor, c: float) -> ad.Tensor:
+    out = ad.Tensor(a.data * c)
+
+    def backward(dout: np.ndarray) -> None:
+        a.accumulate(dout * c)
+
+    return ad._finish(out, backward, "scale")
+
+
+def transpose(a: ad.Tensor) -> ad.Tensor:
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise GeometryError(f"transpose needs rank >= 2, got {a.shape}")
+    out = ad.Tensor(np.swapaxes(a.data, -1, -2))
+
+    def backward(dout: np.ndarray) -> None:
+        a.accumulate(np.swapaxes(dout, -1, -2))
+
+    return ad._finish(out, backward, "transpose")
+
+
+def softmax(a: ad.Tensor, allowed: np.ndarray | None = None) -> ad.Tensor:
+    """Stable softmax over the last dim; ``allowed=False`` cells get weight 0."""
+    if a.shape[-1] == 0:
+        raise GeometryError("softmax over an empty dimension")
+    x = a.data
+    if allowed is not None:
+        if not np.any(allowed, axis=-1).all():
+            raise GeometryError("softmax row with every position masked")
+        y = np.where(allowed, x, -np.inf)
+        y -= np.max(y, axis=-1, keepdims=True)
+    else:
+        y = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
+    out = ad.Tensor(y)
+
+    def backward(dout: np.ndarray) -> None:
+        g = dout - np.sum(dout * y, axis=-1, keepdims=True)
+        g *= y
+        a.accumulate(g)
+
+    return ad._finish(out, backward, "softmax")
+
+
+def attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, causal: bool) -> ad.Tensor:
+    """``softmax(q k^T / sqrt(dh)) v`` over folded heads (B*H, S, dh), as a chain of the ops above.
+
+    Query row i sits at key position S_k - S_q + i, so a causal row sees the
+    keys up to that position: the bottom-right-aligned mask of the fused op.
+    """
+    sq, sk = q.shape[1], k.shape[1]
+    allowed = np.tril(np.ones((sk, sk), dtype=bool))[sk - sq:] if causal else None
+    scores = matmul(scale(q, 1.0 / np.sqrt(q.shape[-1])), transpose(k))
+    return matmul(softmax(scores, allowed=allowed), v)

@@ -99,9 +99,9 @@ def test_truncate_scores_the_masked_positions_in_order(positions):
     # the model forecasts the hull forward from the prefix, or backward from the suffix
     hull = window[first : last + 1]
     raw = hull[::-1] if adapted.reverse_output else hull
-    pred, truth = adapted.score_prediction(np.concatenate([raw, [-1.0, -1.0]]))
+    pred = adapted.score_prediction(np.concatenate([raw, [-1.0, -1.0]]))
     assert np.array_equal(pred, window[positions])
-    assert np.array_equal(truth, window[positions])
+    assert np.array_equal(pred, example.target)
 
 
 def test_truncate_refuses_a_mask_at_both_ends():
@@ -141,9 +141,8 @@ def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
     config = replace(TINY_MODEL, variant=ENCODER_MASKED)
     evalharness.baseline_path([example], init_params(config), config)
     h = example.horizon
-    want = np.concatenate(
-        [token_array(example.input[::-1, 0]), token_array(np.zeros(h), mask=np.ones(h), segment=1)]
-    )
+    placeholders = np.tile([0.0, 1.0, 1.0], (h, 1))  # value 0, masked, answer segment
+    want = np.concatenate([token_array(example.input[::-1, 0]), placeholders])
     (stream, horizon), = fed
     assert horizon == h
     assert stream.dtype == want.dtype and stream.tobytes() == want.tobytes()

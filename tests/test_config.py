@@ -54,3 +54,16 @@ def test_the_default_configuration_reads_as_the_dataclass_defaults():
 def test_the_schema_refuses_an_annotation_it_cannot_parse(annotated):
     with pytest.raises(TypeError, match="Odd.window: cannot parse"):
         cli._field_entries(annotated)
+
+
+FLOAT_KEYS = sorted(key for key, (kind, _) in cli.SCHEMA.items() if kind == "float")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_float_key_refuses_a_non_finite_value(key, value, tmp_path, capsys):
+    """A nan bound compares False everywhere: ``clip_norm=nan`` would train with clipping silently off."""
+    out = tmp_path / "out"
+    assert cli.main(["train", "--set", f"out_dir={out}", "--set", f"{key}={value}"]) == 2
+    assert f"cannot parse {key} = '{value}' as float: not finite" in capsys.readouterr().err
+    assert not out.exists()

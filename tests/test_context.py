@@ -11,7 +11,6 @@ from tsicl.context import (
     assemble,
     build_context_dataset,
     build_train_valid,
-    count_disjoint_starts,
     read_jsonl,
     sample_demos,
     sample_task,
@@ -21,9 +20,29 @@ from tsicl.errors import DataError
 from tsicl.experiment import store_from_channels
 from tsicl.series import ChannelSeries
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import MASK_FLAG, SEGMENT_FLAG, TASK_ORDER, VALUE, Span, TaskKind, WindowSpec, generate_example
+from tsicl.tasks import (
+    MASK_FLAG,
+    SEGMENT_FLAG,
+    TASK_ORDER,
+    VALUE,
+    Span,
+    TaskKind,
+    WindowSpec,
+    generate_example,
+    source_span,
+    valid_start_range,
+)
 
 W42 = WindowSpec(4, 2)
+
+
+def count_disjoint_starts(pool, query_span: Span, task: TaskKind, w: WindowSpec) -> int:
+    """Number of admissible demo starts, by brute force over every series of the pool."""
+    count = 0
+    for s in pool:
+        lo, hi = valid_start_range(task, len(s), w)
+        count += sum(not source_span(task, s, t, w).overlaps(query_span) for t in range(lo, hi + 1))
+    return count
 
 
 def series_of(n, channel="c", offset=0, split="train"):
@@ -226,9 +245,8 @@ def test_build_decisions_are_pinned(tmp_path, monkeypatch):
     calls = []
     real = context.generate_example
     monkeypatch.setattr(context, "generate_example", lambda *args: calls.append(args) or real(*args))
-    demos = sample_demos(
-        [series_of(14)], Span("d", "c", 0, 6), TaskKind.IMPUTE, 3, W42, np.random.default_rng(0), max_attempts=1
-    )
+    monkeypatch.setattr(context, "DEMO_ATTEMPTS", 1)
+    demos = sample_demos([series_of(14)], Span("d", "c", 0, 6), TaskKind.IMPUTE, 3, W42, np.random.default_rng(0))
     assert len(calls) > 3  # a rejected candidate: at least one demo came through the exhaustive fallback
     records = [[d.source_span.start, d.source_span.end, d.masked_positions.tolist()] for d in demos]
     digest.update(json.dumps(records).encode())

@@ -6,39 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference as ref
 from tsicl import autodiff as ad
 from tsicl import model
 from tsicl.errors import GeometryError
 from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, VARIANTS, ModelConfig, forward_patch_predictions, init_params
 from tsicl.trainer import Adam, TrainConfig
-
-
-def per_head_attention(h, params, prefix, config, first_row=0, past=None):
-    """Reference attention: one slice, score matmul and softmax per head, then concat.
-
-    Queries cover rows [first_row, S) and see the rows of the full causal mask,
-    over the P cached rows of ``past`` and then the S rows of ``h``.
-    """
-    d, heads = config.d_model, config.n_heads
-    dh = d // heads
-    s = h.shape[1]
-    q = ad.add(ad.matmul(ad.row_slice(h, first_row, s), params[prefix + "wq"]), params[prefix + "bq"])
-    k = ad.matmul(h, params[prefix + "wk"])
-    v = ad.add(ad.matmul(h, params[prefix + "wv"]), params[prefix + "bv"])
-    if past is not None:
-        k, v = (ad.concat([ad.constant(np.repeat(c, h.shape[0], axis=0)), t], axis=1) for c, t in zip(past, (k, v)))
-    sk = k.shape[1]
-    allowed = np.tril(np.ones((sk, sk), dtype=bool))[sk - s + first_row:] if config.variant == DECODER_CAUSAL else None
-    mixed = []
-    for i in range(heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qh = ad.axis_slice(q, lo, hi, axis=-1)
-        kh = ad.axis_slice(k, lo, hi, axis=-1)
-        vh = ad.axis_slice(v, lo, hi, axis=-1)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        mixed.append(ad.matmul(ad.softmax(scores, allowed=allowed), vh))
-    ctx = ad.concat(mixed, axis=-1)
-    return ad.add(ad.matmul(ctx, params[prefix + "wo"]), params[prefix + "bo"])
 
 
 def tiny(variant: str) -> ModelConfig:
@@ -59,11 +32,17 @@ def outputs_and_grads(tokens, params, config, target, first_row=0, prefix_tokens
         p.zero_grad()
     with ad.Tape() as tape:
         preds = forward_patch_predictions(tokens, params, config, first_row, prefix)
-        tape.backward(ad.mse_loss(preds, target, np.ones(target.shape)))
+        tape.backward(ad.mse_loss(preds, target))
     return preds.data, {name: p.grad for name, p in params.items()}
 
 
 def assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row=0, prefix_patches=None):
+    """The model's outputs and gradients with the fused attention equal those with ``reference.attention``.
+
+    The reference is a chain of finite-difference-checked ops over the same
+    folded heads, with the causal mask over the P cached rows, if any, and then
+    the rows of the stream.
+    """
     config = tiny(variant)
     rng = np.random.default_rng(11)
     params = init_params(config, seed=3)
@@ -76,7 +55,7 @@ def assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row
         prefix = random_tokens(rng, batch=1, patches=prefix_patches, patch_size=config.patch_size)[0]
 
     got, got_grads = outputs_and_grads(tokens, params, config, target, first_row, prefix)
-    monkeypatch.setattr(model, "_attention", per_head_attention)
+    monkeypatch.setattr(ad, "attention", ref.attention)
     want, want_grads = outputs_and_grads(tokens, params, config, target, first_row, prefix)
 
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -125,7 +104,7 @@ def test_tail_forward_equals_the_full_forward_tail(variant, patches):
         with ad.Tape() as tape:
             full = forward_patch_predictions(tokens, params, config)
             tail = ad.row_slice(full, first_row, patches)
-            tape.backward(ad.mse_loss(tail, target, np.ones(target.shape)))
+            tape.backward(ad.mse_loss(tail, target))
         assert got.shape == tail.shape
         assert np.max(np.abs(got - tail.data)) <= 1e-12, first_row
         for name, p in params.items():
@@ -268,7 +247,7 @@ def test_whole_model_matches_finite_differences(variant):
 
     def loss() -> float:
         preds = forward_patch_predictions(tokens, params, config)
-        return float(ad.mse_loss(preds, target, np.ones(target.shape)).data)
+        return float(ad.mse_loss(preds, target).data)
 
     _, exact = outputs_and_grads(tokens, params, config, target)
     eps = 1e-6

@@ -166,7 +166,7 @@ def test_context_path_equals_the_prepended_streams(variant):
         demos = select_eval_demos(store.series(channel, "train"), TaskKind.IMPUTE, WINDOW, demo_count, rng)
         prepended = [np.concatenate([build_stream(demos), q.input, region]) for q in queries]
         want = np.stack(batched_predict(prepended, [WINDOW.horizon] * len(queries), params, config))
-        got, _ = evalharness.context_path(queries, demos, params, config, WINDOW.horizon)
+        got = evalharness.context_path(queries, demos, params, config, WINDOW.horizon)
         assert got.dtype == want.dtype and got.shape == want.shape
         if variant == DECODER_CAUSAL and demo_count:
             # equal here; BLAS may round the prefix's batch of one apart from a batch of many

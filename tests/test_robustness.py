@@ -69,13 +69,13 @@ def test_cli_truncated_artifact_exits_3(pipeline_dir, tmp_path, stage, artifact)
     assert str(target) in proc.stderr
 
 
-def edit_checkpoint(edit):
+def edit_json(name: str, edit):
     def garble(out_dir: Path) -> Path:
-        ckpt = out_dir / "checkpoint.json"
-        payload = json.loads(ckpt.read_text())
+        path = out_dir / name
+        payload = json.loads(path.read_text())
         edit(payload)
-        ckpt.write_text(json.dumps(payload))  # json writes nan and inf as NaN and Infinity
-        return ckpt
+        path.write_text(json.dumps(payload))  # json writes nan and inf as NaN and Infinity
+        return path
 
     return garble
 
@@ -87,13 +87,16 @@ def set_first_value(value):
     return edit
 
 
-def nan_store_value(out_dir: Path) -> Path:
+def nan_train_value(payload):
     """One train value of the store's first channel set to NaN."""
-    path = out_dir / "store.json"
-    payload = json.loads(path.read_text())
     next(iter(payload["channels"].values()))["splits"]["train"]["values"][0] = float("nan")
-    path.write_text(json.dumps(payload))
-    return path
+
+
+def drop_split(name: str):
+    def edit(payload):
+        del next(iter(payload["channels"].values()))["splits"][name]
+
+    return edit
 
 
 def undecodable_csv(out_dir: Path) -> Path:
@@ -106,13 +109,18 @@ def undecodable_csv(out_dir: Path) -> Path:
 @pytest.mark.parametrize(
     "stage, garble",
     [
-        pytest.param("eval", edit_checkpoint(lambda payload: payload.update(meta=[])), id="meta_not_an_object"),
-        pytest.param("eval", edit_checkpoint(lambda payload: payload["meta"].update(model={"bogus": 1})),
+        pytest.param("eval", edit_json("checkpoint.json", lambda payload: payload.update(meta=[])),
+                     id="meta_not_an_object"),
+        pytest.param("eval", edit_json("checkpoint.json", lambda payload: payload["meta"].update(model={"bogus": 1})),
                      id="meta_model_unknown_key"),
-        pytest.param("eval", edit_checkpoint(set_first_value(float("nan"))), id="nan_value"),
-        pytest.param("eval", edit_checkpoint(set_first_value(float("inf"))), id="infinity_value"),
+        pytest.param("eval", edit_json("checkpoint.json", set_first_value(float("nan"))), id="nan_value"),
+        pytest.param("eval", edit_json("checkpoint.json", set_first_value(float("inf"))), id="infinity_value"),
         pytest.param("ingest", undecodable_csv, id="undecodable_csv"),
-        pytest.param("build", nan_store_value, id="nan_store_value"),
+        pytest.param("build", edit_json("store.json", nan_train_value), id="nan_store_value"),
+        pytest.param("build", edit_json("store.json", drop_split("train")), id="store_without_a_train_split"),
+        pytest.param("eval", edit_json("store.json", drop_split("test")), id="store_without_a_test_split"),
+        pytest.param("eval", edit_json("store.json", lambda payload: payload.update(channels={})),
+                     id="store_without_channels"),
     ],
 )
 def test_cli_garbled_artifact_exits_3(pipeline_dir, tmp_path, stage, garble):
@@ -128,12 +136,11 @@ class TestMalformedFiles:
     def test_store(self, pipeline_dir, tmp_path):
         payload = json.loads((pipeline_dir / "store.json").read_text())
         split = {"origin_offset": 0, "values": [[1.0, 2.0]]}  # a 2-d channel
+        splits = {name: split for name in ("train", "valid", "test")}
         cases = {
             "truncated": (pipeline_dir / "store.json").read_text()[:100],
             "missing_key": json.dumps({k: v for k, v in payload.items() if k != "channels"}),
-            "bad_shape": json.dumps(
-                {**payload, "channels": {"c": {"mean": 0.0, "std": 1.0, "splits": {"train": split}}}}
-            ),
+            "bad_shape": json.dumps({**payload, "channels": {"c": {"mean": 0.0, "std": 1.0, "splits": splits}}}),
         }
         for name, text in cases.items():
             path = tmp_path / f"{name}.json"
@@ -228,6 +235,7 @@ def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, 
                      id="no_demo_counts"),
         pytest.param("build", "stride=-1", "stride must be >= 1, got -1", id="negative_stride"),
         pytest.param("build", "valid_stride=-2", "valid_stride must be >= 1, got -2", id="negative_valid_stride"),
+        pytest.param("train", "n_heads=0", "n_heads must be >= 1", id="zero_heads"),
     ],
 )
 def test_unknown_eval_task_exits_2(pipeline_dir, capsys, stage, setting, message):
@@ -246,23 +254,13 @@ def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
         trainer.train(init_params(TINY_MODEL), data, data, TINY_MODEL, config)
 
 
-def test_run_unseen_eval_rejects_mismatched_truths(monkeypatch):
+def test_run_unseen_eval_scores_every_probe_in_order():
     protocol = evalharness.EvalProtocol(TaskKind.BACKTRACE, (TaskKind.FORECAST, TaskKind.IMPUTE), WINDOW, 1)
     store = experiment.store_from_channels(generate(SynthSpec(count=1, length=240)), "synth")
     params = init_params(TINY_MODEL)
     report = evalharness.run_unseen_eval(protocol, TINY_MODEL, params, store, probes=evalharness.PROBES)
     assert [r.method for r in report.rows] == list(evalharness.PROBES)
     assert all(np.isfinite([r.mse, r.mae]).all() for r in report.rows)
-
-    real = evalharness.baseline_path
-
-    def shifted(queries, params, config):
-        preds, truths = real(queries, params, config)
-        return preds, truths + 1.0
-
-    monkeypatch.setattr(evalharness, "baseline_path", shifted)
-    with pytest.raises(DataError, match="truths differ"):
-        evalharness.run_unseen_eval(protocol, TINY_MODEL, params, store, probes=evalharness.PROBES)
 
 
 @pytest.mark.parametrize(

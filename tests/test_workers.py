@@ -91,21 +91,23 @@ def _in_a_child(test_pid: int) -> bool:
     return os.getpid() != test_pid
 
 
-def shift_baseline_truths_in_children(monkeypatch) -> None:
+def fail_the_baseline_in_children(monkeypatch) -> None:
+    """``baseline_path`` raises a ``DataError`` in a forked worker only; the caller's share scores as usual."""
     real, test_pid = evalharness.baseline_path, os.getpid()
 
-    def shifted(queries, params, config):
-        preds, truths = real(queries, params, config)
-        return preds, truths + _in_a_child(test_pid)
+    def failing(queries, params, config):
+        if _in_a_child(test_pid):
+            raise DataError("the baseline failed in a worker")
+        return real(queries, params, config)
 
-    monkeypatch.setattr(evalharness, "baseline_path", shifted)
+    monkeypatch.setattr(evalharness, "baseline_path", failing)
 
 
 @needs_openblas
 def test_a_data_error_in_a_worker_reaches_the_caller(monkeypatch):
     cores(monkeypatch, 2)
-    shift_baseline_truths_in_children(monkeypatch)
-    with pytest.raises(DataError, match="baseline truths differ from the ictp truths"):
+    fail_the_baseline_in_children(monkeypatch)
+    with pytest.raises(DataError, match="the baseline failed in a worker"):
         score_probes(PROTOCOL, ("ictp", "baseline"), wide_store(), init_params(TINY_MODEL), TINY_MODEL, stride=1)
     assert_no_child_left()
 
@@ -117,9 +119,9 @@ def test_a_data_error_in_a_worker_exits_3(pipeline_dir, tmp_path, monkeypatch, c
     wide = ["--set", "synth_length=480"]
     assert main(["synth", *overrides(tmp_path), *wide]) == 0 and main(["ingest", *overrides(tmp_path), *wide]) == 0
     cores(monkeypatch, 2)
-    shift_baseline_truths_in_children(monkeypatch)
+    fail_the_baseline_in_children(monkeypatch)
     assert main(["eval", *overrides(tmp_path), "--set", "eval_stride=1"]) == 3
-    assert "truths differ" in capsys.readouterr().err
+    assert "the baseline failed in a worker" in capsys.readouterr().err
     assert_no_child_left()
 
 
