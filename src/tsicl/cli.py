@@ -91,6 +91,9 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "reports": ("strs", []),
     "summary": ("str", ""),
 }
+# what ``build`` reads (position k of demo_counts sets the k-th build seed): a context file must match them
+BUILD_KEYS = ("seed", "lookback", "horizon", "tasks", "demo_counts", "stride", "valid_stride",
+              "pairwise_disjoint_demos", "cross_channel_demos")
 
 
 def _coerce(key: str, raw: str):
@@ -150,6 +153,8 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     resolved = {key: default for key, (_, default) in SCHEMA.items()}
     for key, value in raw.items():
         resolved[key] = _coerce(key, value)
+    if resolved["seed"] < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
@@ -200,6 +205,11 @@ def _read_context_files(cfg: dict, part: str, store: SplitStore):
     stale = [str(p) for p, d in zip(paths, datasets) if d.extra.get("store_sha256") != digest]
     if stale:
         raise DataError(f"{stale} not built from {_path(cfg, 'store', 'store.json')} (run `build` again)")
+    for path, dataset in zip(paths, datasets):
+        built = dataset.extra.get("config")
+        changed = [key for key in BUILD_KEYS if not isinstance(built, dict) or built.get(key) != cfg[key]]
+        if changed:
+            raise DataError(f"{path} was not built with {changed[0]} = {cfg[changed[0]]!r} (run `build` again)")
     return merge_datasets(datasets)
 
 
@@ -239,6 +249,9 @@ def cmd_eval(cfg: dict) -> None:
             raise DataError(f"malformed checkpoint {ckpt}: meta model {meta['model']!r}: {exc}") from None
         if trained_cfg != model_cfg:
             raise ConfigError(f"checkpoint model {meta['model']} does not match configured model")
+    pretrained = meta.get("config") or {}  # eval_task is held out from cfg["tasks"]: they must be these
+    if isinstance(pretrained, dict) and pretrained.get("tasks", cfg["tasks"]) != cfg["tasks"]:
+        raise ConfigError(f"checkpoint pre-trained on tasks {pretrained['tasks']}, configured {cfg['tasks']}")
     want = {name: p.data.shape for name, p in init_params(model_cfg).items()}
     got = {name: p.data.shape for name, p in params.items()}
     bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))

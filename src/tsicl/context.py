@@ -1,11 +1,12 @@
 """Context-sequence assembly: rewrite raw series into context-following samples.
 
 For each query window the builder draws a task, generates the query example,
-samples demonstration examples of the same task whose source spans are
-disjoint from the query's, and concatenates them (demo input, demo answer,
-..., query input) into one token stream. Demo answers are
-``model.answer_region`` tokens carrying their true values: tagged with
-segment_flag=1, so the encoding stays invertible without separator tokens.
+and samples demonstration examples of the same task whose source spans are
+disjoint from the query's. ``build_stream`` lays examples out, the one builder
+of model inputs: each demo's input, then its ``tasks.answer_region`` showing
+its true values, and last the query's input and placeholder region. Answer
+tokens carry segment_flag=1, so the encoding stays invertible without
+separator tokens.
 
 A context file stores decisions, not values: a header line, then per sample
 ``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``, demos
@@ -22,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, GeometryError
-from .model import answer_region
 from .series import ChannelSeries, SplitStore
 from .tasks import (
     TASK_ORDER,
@@ -30,6 +30,7 @@ from .tasks import (
     TaskExample,
     TaskKind,
     WindowSpec,
+    answer_region,
     generate_example,
     reach,
     source_span,
@@ -47,7 +48,7 @@ class ContextSample:
     query: TaskExample
 
     @property
-    def tokens(self) -> np.ndarray:  # (m*(L+h) + L, 3); not cached, so samples hold no second copy
+    def tokens(self) -> np.ndarray:  # the model input, ((m+1)*(L+h), 3); not cached: samples hold no copy
         return build_stream(self.demos, self.query)
 
 
@@ -77,16 +78,17 @@ def sample_task(rng: np.random.Generator, tasks: set[TaskKind] | list[TaskKind])
 
 
 def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None) -> np.ndarray:
-    """Flatten (demo input, demo answer)* followed by the query input.
+    """Each demo's input and shown answer, then the query's input and placeholder answer region.
 
-    Without a query this is the demo prefix alone, which evaluation flattens
-    once and appends every query to. No task-match check: ``assemble`` adds
-    one for ``build_context_dataset``, while evaluation also flattens
-    deliberate wrong-task contexts.
+    Without a query this is the demo prefix alone, which evaluation builds
+    once and puts in front of every ``build_stream((), query)``; teacher
+    forcing passes the query as one more demo. No task-match check:
+    ``assemble`` adds one for ``build_context_dataset``, while evaluation also
+    builds deliberate wrong-task contexts.
     """
     parts = [part for d in demos for part in (d.input, answer_region(d.horizon, d.target))]
     if query is not None:
-        parts.append(query.input)
+        parts += [query.input, answer_region(query.horizon)]
     return np.concatenate(parts, axis=0) if parts else np.zeros((0, 3))
 
 

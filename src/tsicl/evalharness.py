@@ -5,21 +5,23 @@ is evaluated on a task it never saw. The context path prepends demonstrations
 of the unseen task (train-split data only); the baseline path rewrites each
 query with the adapter ``adapters.adapter_for`` picks. Demo and query windows
 come from the task table in ``tasks``: its valid starts and span widths. Every
-stream ends in ``model.answer_region`` placeholders: ``context_path`` appends
-them after the query, ``_fit_adapted`` (rounded up to whole patches) after
-every adapted history. Both paths return predictions only: a query's truth
-is its ``TaskExample.target``, which ``score_probes`` stacks once per channel
-and scores every probe against. ``score_probes`` is the only eval loop, behind
-``run_unseen_eval``, which writes one ``EvalRow`` per probe: the CLI's
-``eval`` scores ``baseline`` and ``ictp``, ``experiment.run_seed`` all four
-``PROBES``. ``batched_predict`` is the only readout, also behind the trainer's
-validation loss. ``context_path`` hands it the demo prefix apart from the
-query streams: the decoder encodes that prefix once per channel and probe and
-reuses its keys and values for every query (``model.encode_prefix``), while
-the encoder, whose prefix rows attend to the query, runs each prefix ++ query
-stream whole. The validation loss passes whole streams, as every validation
-sample has its own demos. ``score_probes`` checksums the parameters before the
-loop and in every worker after it, to enforce that evaluation never updates them.
+stream ends in ``tasks.answer_region`` placeholders. ``context_path`` builds
+its streams with ``context.build_stream``, which owns the token layout;
+``_fit_adapted`` appends the region (rounded up to whole patches) after each
+adapted history, which is not an example. Both paths return predictions only:
+a query's truth is its ``TaskExample.target``, which ``score_probes`` stacks
+once per channel and scores every probe against. ``score_probes`` is the only
+eval loop, behind ``run_unseen_eval``, which writes one ``EvalRow`` per probe:
+the CLI's ``eval`` scores ``baseline`` and ``ictp``, ``experiment.run_seed``
+all four ``PROBES``. ``batched_predict`` is the only readout, also behind the
+trainer's validation loss. ``context_path`` hands it the demo prefix apart
+from the query streams: the decoder encodes that prefix once per channel and
+probe and reuses its keys and values for every query
+(``model.encode_prefix``), while the encoder, whose prefix rows attend to the
+query, runs each prefix ++ query stream whole. The validation loss passes
+each sample's ``tokens`` whole, as every validation sample has its own demos.
+``score_probes`` checksums the parameters before the loop and in every worker
+after it, to enforce that evaluation never updates them.
 
 ``score_probes`` scores channels on every core the process may use: it hands
 contiguous shares of channels to ``workers.fork_join``, which computes the
@@ -47,14 +49,21 @@ from .errors import ConfigError, DataError
 from .model import (
     DECODER_CAUSAL,
     ModelConfig,
-    answer_region,
     encode_prefix,
     forward_patch_predictions,
     horizon_patch_count,
     readout_rows,
 )
 from .series import SplitStore
-from .tasks import TaskExample, TaskKind, WindowSpec, generate_example, span_width, valid_start_range
+from .tasks import (
+    TaskExample,
+    TaskKind,
+    WindowSpec,
+    answer_region,
+    generate_example,
+    span_width,
+    valid_start_range,
+)
 from .workers import fork_join
 
 
@@ -256,16 +265,14 @@ def context_path(
     demos: list[TaskExample],
     params: dict[str, ad.Parameter],
     config: ModelConfig,
-    horizon: int,
 ) -> np.ndarray:
     """Predictions, stacked (N, h), for the demonstration path.
 
-    Every query stream is its input and answer region behind the one shared
-    demo prefix, which ``batched_predict`` takes once.
+    Every query stream is ``build_stream((), query)`` behind the one shared
+    demo prefix ``build_stream(demos)``, which ``batched_predict`` takes once.
     """
-    region = answer_region(horizon)
-    streams = [np.concatenate([q.input, region]) for q in queries]
-    preds = batched_predict(streams, [horizon] * len(streams), params, config, prefix=build_stream(demos))
+    streams = [build_stream((), q) for q in queries]
+    preds = batched_predict(streams, [q.horizon for q in queries], params, config, prefix=build_stream(demos))
     return np.stack(preds)
 
 
@@ -357,7 +364,7 @@ def score_probes(
                 preds.append(baseline_path(queries, params, config))
             else:
                 demos = _probe_demos(probe, protocol, store.series(ch, "train"), seed, ch_idx)
-                preds.append(context_path(queries, demos, params, config, protocol.window.horizon))
+                preds.append(context_path(queries, demos, params, config))
         return preds, np.stack([q.target for q in queries])
 
     def score_share(share: range):

@@ -1,13 +1,15 @@
 """Toy patch-transformer backbones over context-sample token streams.
 
-Two variants cover the two pre-training families the pipeline compares:
+The model runs the streams ``context.build_stream`` lays out and fixes only
+which head row reads an answer patch (``readout_rows``). Two variants cover
+the two pre-training families the pipeline compares:
 
 * ``decoder_causal`` — causal self-attention over patches; a linear head maps
-  each patch representation to the next patch's values. Training feeds ground
-  truth in the answer region (teacher forcing); evaluation feeds placeholder
-  tokens and reads the same positions in one pass.
+  each patch representation to the next patch's values. Training shows the
+  query's answer as a demo's is shown (teacher forcing); evaluation feeds
+  placeholder tokens and reads the same positions in one pass.
 * ``encoder_masked`` — bidirectional attention; the head reconstructs each
-  patch's own values, and the answer region is always appended as masked
+  patch's own values, and the query's answer region is always masked
   placeholder tokens.
 
 Only a few patch rows are ever read: the query's answer region, in the loss
@@ -19,12 +21,12 @@ every earlier block, still cover the whole stream.
 Evaluation puts one demo prefix in front of many queries. Under causal
 attention no prefix row sees what follows it, so each layer's keys and values
 for the prefix rows are the same for every query. ``encode_prefix`` runs the
-prefix once, as a batch of one, and keeps them; its last block computes
-nothing else. ``forward_patch_predictions`` then runs only each query's own
-rows, at positions after the prefix, attending to the cached keys and values
-ahead of their own. The encoder cannot reuse a prefix: its prefix rows attend
-to the query. Training does not: every sample has its own demos, and the loss
-needs gradients through them.
+prefix once, as a batch of one, and keeps the keys and values each block's
+attention read; its last block runs on one row. ``forward_patch_predictions``
+then runs only each query's own rows, at positions after the prefix,
+attending to the cached keys and values ahead of their own. The encoder
+cannot reuse a prefix: its prefix rows attend to the query. Training does
+not: every sample has its own demos, and the loss needs gradients through them.
 
 Input tokens are (value, mask_flag, segment_flag) triples; ``patch_size``
 consecutive steps are flattened into one 3*patch_size feature vector before a
@@ -44,7 +46,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, GeometryError
-from .tasks import MASK_FLAG, SEGMENT_FLAG, VALUE
 
 DECODER_CAUSAL = "decoder_causal"
 ENCODER_MASKED = "encoder_masked"
@@ -144,61 +145,51 @@ def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return _PE_CACHE[key]
 
 
-# one layer's cached keys and values, each (1, P, d)
+# one layer's keys and values, each (B, P, d); a cached prefix's has B = 1
 KeysValues = tuple[np.ndarray, np.ndarray]
-
-
-def _keys_values(h: ad.Tensor, params, pre: str, past: KeysValues | None) -> tuple[ad.Tensor, ad.Tensor]:
-    """One layer's keys and values for the rows of ``h``, after a cached prefix's if given.
-
-    The key projection has no bias: it would add q_i . b_k to every score of
-    row i, a shift that softmax ignores. A cached (1, P, d) pair is shared by
-    every stream of the batch and holds no gradient.
-    """
-    k = ad.matmul(h, params[pre + "wk"])
-    v = ad.add(ad.matmul(h, params[pre + "wv"]), params[pre + "bv"])
-    if past is None:
-        return k, v
-    lead = (h.shape[0],) + past[0].shape[1:]
-    return tuple(ad.concat([ad.constant(np.broadcast_to(c, lead)), t], axis=1) for c, t in zip(past, (k, v)))
 
 
 def _attention(
     h: ad.Tensor, params, pre: str, config: ModelConfig, first_row: int, past: KeysValues | None
-) -> ad.Tensor:
-    """Multi-head self-attention with every head folded into the batch axis.
+) -> tuple[ad.Tensor, KeysValues]:
+    """Multi-head self-attention, every head folded into the batch axis, and the keys and values it read.
 
     Queries, and so the output rows, cover rows [first_row, S) of ``h``; keys
-    and values cover every row, behind the P rows of ``past`` if given. The
-    last query row sits at key position P + S - 1.
+    and values cover every row, behind the P rows of ``past`` if given: a
+    (1, P, d) pair shared by every stream of the batch, holding no gradient.
+    The last query row sits at key position P + S - 1. The key projection has
+    no bias: it would add q_i . b_k to every score of row i, a shift that
+    softmax ignores.
     """
     heads = config.n_heads
     hq = ad.row_slice(h, first_row, h.shape[1]) if first_row else h
     q = ad.add(ad.matmul(hq, params[pre + "wq"]), params[pre + "bq"])
-    k, v = _keys_values(h, params, pre, past)
+    k = ad.matmul(h, params[pre + "wk"])
+    v = ad.add(ad.matmul(h, params[pre + "wv"]), params[pre + "bv"])
+    if past is not None:
+        lead = (h.shape[0],) + past[0].shape[1:]
+        k, v = (ad.concat([ad.constant(np.broadcast_to(c, lead)), t], axis=1) for c, t in zip(past, (k, v)))
     causal = config.variant == DECODER_CAUSAL
     mixed = ad.attention(*(ad.split_heads(t, heads) for t in (q, k, v)), causal=causal)
     ctx = ad.merge_heads(mixed, heads)
-    return ad.add(ad.matmul(ctx, params[pre + "wo"]), params[pre + "bo"])
+    return ad.add(ad.matmul(ctx, params[pre + "wo"]), params[pre + "bo"]), (k.data, v.data)
 
 
 def _block(
-    x: ad.Tensor, h: ad.Tensor, params, layer: int, config: ModelConfig, first_row: int, past: KeysValues | None
-) -> ad.Tensor:
-    """Rows [first_row, S) of block ``layer``'s output, given its input ``x`` and ``h`` = ln1(x)."""
+    x: ad.Tensor, params, layer: int, config: ModelConfig, first_row: int, past: KeysValues | None
+) -> tuple[ad.Tensor, KeysValues]:
+    """Rows [first_row, S) of block ``layer``'s output for input ``x``, and the keys and values it read."""
     pre = f"l{layer}."
+    h = ad.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
     if first_row:
         x = ad.row_slice(x, first_row, x.shape[1])
-    x = ad.add(x, _attention(h, params, pre + "attn.", config, first_row, past))
+    attended, keys_values = _attention(h, params, pre + "attn.", config, first_row, past)
+    x = ad.add(x, attended)
     f = ad.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
     f = ad.add(ad.matmul(f, params[pre + "ff.w1"]), params[pre + "ff.b1"])
     f = ad.gelu(f)
     f = ad.add(ad.matmul(f, params[pre + "ff.w2"]), params[pre + "ff.b2"])
-    return ad.add(x, f)
-
-
-def _ln1(x: ad.Tensor, params, layer: int) -> ad.Tensor:
-    return ad.layer_norm(x, params[f"l{layer}.ln1.g"], params[f"l{layer}.ln1.b"])
+    return ad.add(x, f), keys_values
 
 
 def _embed(batch_tokens: np.ndarray, params, config: ModelConfig, past_patches: int) -> ad.Tensor:
@@ -225,18 +216,15 @@ def encode_prefix(tokens: np.ndarray, params: dict[str, ad.Parameter], config: M
 
     Under causal attention no prefix row sees what follows it, so these are
     the same for every stream that starts with ``tokens`` (n, 3). The last
-    block computes only its keys and values. Non-last blocks project the two
-    again inside ``_block``: two small products on one stream.
+    block's output is unread, so it runs on the last row alone.
     """
     _check_tokens(len(tokens), config, cached=True)
     x = _embed(np.asarray(tokens)[None], params, config, 0)
     cache = []
     for layer in range(config.n_layers):
-        h = _ln1(x, params, layer)
-        k, v = _keys_values(h, params, f"l{layer}.attn.", None)
-        cache.append((k.data, v.data))
-        if layer + 1 < config.n_layers:
-            x = _block(x, h, params, layer, config, 0, None)
+        first_row = x.shape[1] - 1 if layer == config.n_layers - 1 else 0
+        x, keys_values = _block(x, params, layer, config, first_row, None)
+        cache.append(keys_values)
     return cache
 
 
@@ -271,20 +259,9 @@ def forward_patch_predictions(
     for layer in range(config.n_layers):
         start = first_row if layer == config.n_layers - 1 else 0
         past = None if prefix is None else prefix[layer]
-        x = _block(x, _ln1(x, params, layer), params, layer, config, start, past)
+        x, _ = _block(x, params, layer, config, start, past)
     x = ad.layer_norm(x, params["lnf.g"], params["lnf.b"])
     return ad.add(ad.matmul(x, params["head.w"]), params["head.b"])
-
-
-def answer_region(horizon: int, values: np.ndarray | None = None) -> np.ndarray:
-    """Answer-region tokens: placeholders (0,1,1) or teacher-forced (v,0,1)."""
-    region = np.zeros((horizon, 3))
-    region[:, SEGMENT_FLAG] = 1.0
-    if values is None:
-        region[:, MASK_FLAG] = 1.0
-    else:
-        region[:, VALUE] = np.asarray(values, dtype=np.float64)
-    return region
 
 
 def readout_rows(config: ModelConfig, total_patches: int, horizon_patches: int) -> tuple[int, int]:

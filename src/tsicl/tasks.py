@@ -5,7 +5,8 @@ so examples are interchangeable inside a context sequence. ``GEOMETRY`` is the
 only per-task code: where the h target values lie relative to the window.
 ``generate_example``, ``valid_start_range``, ``span_width`` and ``source_span``
 derive everything else from it. Token sequences are float64 arrays of shape
-``(n, 3)`` with columns ``(value, mask_flag, segment_flag)``.
+``(n, 3)`` with columns ``(value, mask_flag, segment_flag)``: ``token_array``
+packs an example's input, ``answer_region`` the h answer tokens after it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def token_array(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarra
         out[:, MASK_FLAG] = m
         out[m == 1.0, VALUE] = 0.0
     return out
+
+
+def answer_region(horizon: int, values: np.ndarray | None = None) -> np.ndarray:
+    """Answer-region tokens (segment_flag 1): placeholders (0,1,1), or shown values (v,0,1)."""
+    region = np.zeros((horizon, 3))
+    region[:, SEGMENT_FLAG] = 1.0
+    if values is None:
+        region[:, MASK_FLAG] = 1.0
+    else:
+        region[:, VALUE] = np.asarray(values, dtype=np.float64)
+    return region
 
 
 @dataclass(frozen=True)

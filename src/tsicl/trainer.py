@@ -1,13 +1,16 @@
 """Adam training loop over context datasets with early stopping.
 
-Loss is MSE over the query's answer region only; demonstration answers
-inside the context carry no loss unless ``supervise_demo_outputs`` is set. That
-option is refused on ``encoder_masked``: a demo's answer sits unmasked in the
-encoder's own input, so supervising it teaches the model to copy.
-Samples are bucketed by demo count, which sets their token length, and
-both bucket-internal order and batch order are reshuffled per epoch from the
-run seed, so training is fully reproducible. The validation loss reads the
-model out through ``evalharness.batched_predict``, as evaluation does.
+Streams come from ``context.build_stream``, which owns the token layout: the
+encoder and the validation loss run ``ContextSample.tokens``; the decoder
+trains with the query's answer shown as a demo's is (teacher forcing). Loss is
+MSE over the query's answer region only; demonstration answers inside the
+context carry no loss unless ``supervise_demo_outputs`` is set. That option is
+refused on ``encoder_masked``: a demo's answer sits unmasked in the encoder's
+own input, so supervising it teaches the model to copy. Samples are bucketed
+by demo count, which sets their token length, and both bucket-internal order
+and batch order are reshuffled per epoch from the run seed, so training is
+fully reproducible. The validation loss reads the model out through
+``evalharness.batched_predict``, as evaluation does.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .context import ContextDataset
-from .errors import ConfigError, GeometryError, NumericalError
+from .context import ContextDataset, build_stream
+from .errors import ConfigError, NumericalError
 from .evalharness import batched_predict, mse
 from .model import (
     DECODER_CAUSAL,
     ENCODER_MASKED,
     ModelConfig,
-    answer_region,
     forward_patch_predictions,
     horizon_patch_count,
     readout_rows,
@@ -116,41 +118,28 @@ class Adam:
             p.data -= c.learning_rate * correction * m / (np.sqrt(v) + c.adam_eps)
 
 
-def _check_geometry(dataset: ContextDataset, config: ModelConfig) -> None:
-    L, h = dataset.window.lookback, dataset.window.horizon
-    p = config.patch_size
-    if L % p != 0 or h % p != 0:
-        raise GeometryError(f"window {L}/{h} not divisible by patch size {p}")
-
-
 def _batch_streams(dataset: ContextDataset, idxs: list[int], variant: str) -> np.ndarray:
-    """Training streams: the decoder is teacher-forced, the encoder sees placeholders."""
-    h = dataset.window.horizon
-    streams = []
-    for i in idxs:
-        s = dataset.samples[i]
-        region = answer_region(h, values=s.query.target if variant == DECODER_CAUSAL else None)
-        streams.append(np.concatenate([s.tokens, region]))
-    return np.stack(streams)
+    """Training streams: the decoder is teacher-forced, the encoder runs the samples' tokens."""
+    samples = [dataset.samples[i] for i in idxs]
+    forced = variant == DECODER_CAUSAL
+    return np.stack([build_stream((*s.demos, s.query)) if forced else s.tokens for s in samples])
 
 
 def _loss_regions(
-    dataset: ContextDataset, idxs: list[int], config: ModelConfig, total_patches: int, supervise_demos: bool
+    dataset: ContextDataset, idxs: list[int], config: ModelConfig, supervise_demos: bool
 ) -> list[tuple[int, int, np.ndarray]]:
-    """(row_start, row_stop, truth grid) per supervised region of the stream."""
+    """(row_start, row_stop, truth grid) per supervised answer: the query's, then each demo's if supervised."""
     L, h = dataset.window.lookback, dataset.window.horizon
     p = config.patch_size
     hp = horizon_patch_count(h, config)
+    examples = [(*dataset.samples[i].demos, dataset.samples[i].query) for i in idxs]
+    m = len(examples[0]) - 1
     regions = []
-    r0, r1 = readout_rows(config, total_patches, hp)
-    truth = np.stack([dataset.samples[i].query.target for i in idxs]).reshape(len(idxs), hp, p)
-    regions.append((r0, r1, truth))
-    if supervise_demos:
-        for k in range(len(dataset.samples[idxs[0]].demos)):
-            # demo k's answer region ends the stream's first k + 1 examples
-            lo, hi = readout_rows(config, (k + 1) * (L + h) // p, hp)
-            vals = np.stack([dataset.samples[i].demos[k].target for i in idxs]).reshape(len(idxs), hp, p)
-            regions.append((lo, hi, vals))
+    for k in (m, *range(m)) if supervise_demos else (m,):
+        # example k's answer ends the stream's first k + 1 examples; the query's first keeps the sum order
+        r0, r1 = readout_rows(config, (k + 1) * (L + h) // p, hp)
+        truth = np.stack([e[k].target for e in examples]).reshape(len(idxs), hp, p)
+        regions.append((r0, r1, truth))
     return regions
 
 
@@ -163,7 +152,7 @@ def _batch_loss_graph(
 ) -> ad.Tensor:
     """MSE over the supervised regions; the model runs its last block from the first of them."""
     streams = _batch_streams(dataset, idxs, config.variant)
-    regions = _loss_regions(dataset, idxs, config, streams.shape[1] // config.patch_size, supervise_demos)
+    regions = _loss_regions(dataset, idxs, config, supervise_demos)
     first = min(r0 for r0, _, _ in regions)
     preds = forward_patch_predictions(streams, params, config, first_row=first)
     slices = [ad.row_slice(preds, r0 - first, r1 - first) for r0, r1, _ in regions]
@@ -178,9 +167,8 @@ def evaluate_loss(
     config: ModelConfig,
 ) -> float:
     """Deployment-mode MSE over the answer region: one ``batched_predict`` call, no tape."""
-    h = dataset.window.horizon
-    streams = [np.concatenate([s.tokens, answer_region(h)]) for s in dataset.samples]
-    preds = batched_predict(streams, [h] * len(streams), params, config)
+    streams = [s.tokens for s in dataset.samples]
+    preds = batched_predict(streams, [dataset.window.horizon] * len(streams), params, config)
     return mse(np.stack(preds), np.stack([s.query.target for s in dataset.samples]))
 
 
@@ -199,8 +187,8 @@ def train(
             "supervise_demo_outputs is refused on encoder_masked: demo answers are unmasked "
             "in its input, so the encoder would learn to copy them"
         )
-    _check_geometry(dataset, model_config)
-    _check_geometry(valid, model_config)
+    for data in (dataset, valid):
+        horizon_patch_count(data.window.horizon, model_config)  # a whole-patch horizon makes L = 2h whole too
 
     start = time.perf_counter()
     record = TrainRecord()

@@ -13,7 +13,6 @@ from tsicl.model import (
     ENCODER_MASKED,
     VARIANTS,
     ModelConfig,
-    answer_region,
     horizon_patch_count,
     init_params,
     patchify,
@@ -27,6 +26,7 @@ from tsicl.tasks import (
     TaskExample,
     TaskKind,
     WindowSpec,
+    answer_region,
     generate_example,
     token_array,
 )
@@ -187,7 +187,7 @@ def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
 
     monkeypatch.setattr(evalharness, "batched_predict", recording)
     params = init_params(config)
-    evalharness.context_path(queries, demos, params, config, w.horizon)
+    evalharness.context_path(queries, demos, params, config)
     evalharness.baseline_path(queries, params, config)
     assert [len(streams) for streams in fed] == [len(queries)] * 2 and len(queries) > 1
 

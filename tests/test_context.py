@@ -28,6 +28,7 @@ from tsicl.tasks import (
     Span,
     TaskKind,
     WindowSpec,
+    answer_region,
     generate_example,
     source_span,
     valid_start_range,
@@ -114,7 +115,7 @@ class TestAssemble:
     def test_empty_context_identity(self):
         q = generate_example(TaskKind.FORECAST, series_of(10), 0, W42, None)
         out = assemble((), q)
-        assert np.array_equal(out.tokens, q.input)
+        assert np.array_equal(out.tokens, np.concatenate([q.input, answer_region(2)]))
         assert np.array_equal(out.query.target, q.target)
 
     def test_paper_scale_token_count(self):
@@ -123,7 +124,7 @@ class TestAssemble:
         demos = tuple(generate_example(TaskKind.FORECAST, s, 288 * (i + 1), w, None) for i in range(4))
         q = generate_example(TaskKind.FORECAST, s, 0, w, None)
         out = assemble(demos, q)
-        assert len(out.tokens) == 4 * 288 + 192 == 1344
+        assert len(out.tokens) == 5 * 288 == 1440
 
     def test_hand_built_concatenation(self):
         s = series_of(40)
@@ -132,11 +133,11 @@ class TestAssemble:
         q = generate_example(TaskKind.FORECAST, s, 0, W42, None)
         out = assemble((d1, d2), q)
         expected_values = np.concatenate(
-            [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4]]
+            [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4], [0, 0]]
         )
         assert np.array_equal(out.tokens[:, VALUE], expected_values)
-        assert np.array_equal(out.tokens[:, SEGMENT_FLAG], [0, 0, 0, 0, 1, 1] * 2 + [0, 0, 0, 0])
-        assert np.all(out.tokens[:, MASK_FLAG] == 0)
+        assert np.array_equal(out.tokens[:, SEGMENT_FLAG], [0, 0, 0, 0, 1, 1] * 3)
+        assert np.array_equal(out.tokens[:, MASK_FLAG], [0] * 16 + [1, 1])
 
     def test_task_mismatch(self):
         s = series_of(40)
@@ -279,7 +280,8 @@ class TestStructuralInvariants:
             return  # pool too small for m disjoint demos: acceptable outcome
         L, h = w.lookback, w.horizon
         for sample in ds.samples:
-            assert len(sample.tokens) == m * (L + h) + L
+            assert len(sample.tokens) == (m + 1) * (L + h)
+            assert np.array_equal(sample.tokens[-h:], answer_region(h))
             assert len(sample.query.target) == h
             assert len(sample.demos) == m
             for span in (d.source_span for d in sample.demos):

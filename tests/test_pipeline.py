@@ -20,10 +20,10 @@ from tsicl.evalharness import (
     score_probes,
     select_eval_demos,
 )
-from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, answer_region, init_params
+from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, init_params
 from tsicl.series import load_store
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import TaskKind, WindowSpec
+from tsicl.tasks import TaskKind, WindowSpec, answer_region
 from tsicl.trainer import evaluate_loss
 
 WINDOW = WindowSpec(8, 4)
@@ -43,7 +43,7 @@ def test_evaluate_loss_is_the_mse_of_batched_predict(variant):
     parts = [v for _, _, v in build_train_valid(tiny_store(), tasks, WINDOW, [0, 1], seed=0, stride=1)]
     valid = experiment.merge_datasets(parts)
     assert len({len(s.tokens) for s in valid.samples}) == 2 and len(valid.samples) > 64
-    streams = [np.concatenate([s.tokens, answer_region(4)]) for s in valid.samples]
+    streams = [s.tokens for s in valid.samples]
     preds = np.stack(batched_predict(streams, [4] * len(streams), params, config))
     truth = np.stack([s.query.target for s in valid.samples])
     assert evaluate_loss(valid, params, config) == np.mean((preds - truth) ** 2)
@@ -121,7 +121,7 @@ def test_eval_demos_and_queries_do_not_leak(monkeypatch):
 
 @pytest.mark.parametrize("demo_count", [0, 3])
 def test_context_path_streams_are_demos_then_query(demo_count, monkeypatch):
-    """The model sees build_stream(demos, q) ++ answer region: as one stream, or as a cached prefix and the rest."""
+    """The model sees build_stream(demos, q): as one stream, or as a cached prefix and the rest."""
     store = tiny_store()
     channel = store.channels[0]
     rng = np.random.default_rng(0)
@@ -142,11 +142,11 @@ def test_context_path_streams_are_demos_then_query(demo_count, monkeypatch):
 
         monkeypatch.setattr(evalharness, "encode_prefix", encoding)
         monkeypatch.setattr(evalharness, "forward_patch_predictions", forwarding)
-        evalharness.context_path(queries, demos, init_params(config), config, WINDOW.horizon)
+        evalharness.context_path(queries, demos, init_params(config), config)
         cached = variant == DECODER_CAUSAL and demo_count > 0
         assert len(prefixes) == cached and len(fed) == len(queries) > 1, variant
         for stream, q in zip(fed, queries):
-            want = np.concatenate([build_stream(demos, q), answer_region(WINDOW.horizon)])
+            want = build_stream(demos, q)
             seen = np.concatenate([prefixes[0], stream]) if cached else stream
             assert seen.dtype == want.dtype and seen.shape == want.shape, variant
             assert seen.tobytes() == want.tobytes(), variant
@@ -166,7 +166,7 @@ def test_context_path_equals_the_prepended_streams(variant):
         demos = select_eval_demos(store.series(channel, "train"), TaskKind.IMPUTE, WINDOW, demo_count, rng)
         prepended = [np.concatenate([build_stream(demos), q.input, region]) for q in queries]
         want = np.stack(batched_predict(prepended, [WINDOW.horizon] * len(queries), params, config))
-        got = evalharness.context_path(queries, demos, params, config, WINDOW.horizon)
+        got = evalharness.context_path(queries, demos, params, config)
         assert got.dtype == want.dtype and got.shape == want.shape
         if variant == DECODER_CAUSAL and demo_count:
             # equal here; BLAS may round the prefix's batch of one apart from a batch of many

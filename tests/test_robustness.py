@@ -214,6 +214,30 @@ def test_train_on_context_built_from_another_store_exits_3(pipeline_dir, tmp_pat
     assert str(tmp_path / "ctx_train_m0.jsonl") in err and str(tmp_path / "store.json") in err
 
 
+@pytest.mark.parametrize(
+    "changed, key",
+    [(["lookback=16", "horizon=8"], "lookback"), (["tasks=forecast"], "tasks")],
+    ids=["window", "tasks"],
+)
+def test_train_on_context_built_with_other_settings_exits_3(pipeline_dir, tmp_path, capsys, changed, key):
+    copy_artifacts(pipeline_dir, tmp_path)
+    before = (tmp_path / "checkpoint.json").read_bytes()
+    assert main(["train", *overrides(tmp_path), *(arg for item in changed for arg in ("--set", item))]) == 3
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'ctx_train_m0.jsonl'} was not built with {key} = " in err
+    assert (tmp_path / "checkpoint.json").read_bytes() == before
+
+
+def test_eval_of_a_checkpoint_pretrained_on_other_tasks_exits_2(pipeline_dir, capsys):
+    """The held-out task must be unseen by the checkpoint, not only by the configured tasks."""
+    before = sorted(pipeline_dir.iterdir())
+    args = ["--set", "tasks=forecast,backtrace", "--set", "eval_task=impute"]
+    assert main(["eval", *overrides(pipeline_dir), *args]) == 2
+    err = capsys.readouterr().err
+    assert "['forecast', 'impute']" in err and "['forecast', 'backtrace']" in err
+    assert sorted(pipeline_dir.iterdir()) == before
+
+
 def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, capsys):
     copy_artifacts(pipeline_dir, tmp_path)
     before = (tmp_path / "checkpoint.json").read_bytes()
@@ -236,6 +260,7 @@ def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, 
         pytest.param("build", "stride=-1", "stride must be >= 1, got -1", id="negative_stride"),
         pytest.param("build", "valid_stride=-2", "valid_stride must be >= 1, got -2", id="negative_valid_stride"),
         pytest.param("train", "n_heads=0", "n_heads must be >= 1", id="zero_heads"),
+        pytest.param("synth", "seed=-1", "seed must be >= 0, got -1", id="negative_seed"),
     ],
 )
 def test_unknown_eval_task_exits_2(pipeline_dir, capsys, stage, setting, message):

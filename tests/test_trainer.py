@@ -14,13 +14,12 @@ from tsicl.model import (
     ENCODER_MASKED,
     VARIANTS,
     ModelConfig,
-    answer_region,
     forward_patch_predictions,
     init_params,
     readout_rows,
 )
 from tsicl.series import ChannelSeries
-from tsicl.tasks import VALUE, TaskKind, WindowSpec, generate_example
+from tsicl.tasks import SEGMENT_FLAG, VALUE, TaskKind, WindowSpec, answer_region, generate_example
 from tsicl.trainer import Adam, TrainConfig
 
 CONFIG = TrainConfig(learning_rate=0.01, clip_norm=1.0)
@@ -111,7 +110,7 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     idxs = [0, 1, 2]
     total_patches = (m * (L + h) + L + h) // p
 
-    regions = trainer._loss_regions(dataset, idxs, config, total_patches, supervise_demos=True)
+    regions = trainer._loss_regions(dataset, idxs, config, supervise_demos=True)
     assert len(regions) == 1 + m
     assert regions[0][:2] == readout_rows(config, total_patches, hp)
     assert all(np.array_equal(regions[0][2][i].ravel(), queries[i].target) for i in idxs)
@@ -139,6 +138,36 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     assert np.isfinite(losses[1]) and losses[1] != losses[0]
 
 
+def test_every_stream_is_the_samples_tokens_but_the_decoders_taught_answer(monkeypatch):
+    """Encoder training and validation run ``sample.tokens``; teacher forcing only shows the query's answer."""
+    w = WindowSpec(16, 8)
+    h = w.horizon
+    dataset, queries, _ = forecast_dataset(w, m=2)
+    idxs = [0, 1, 2]
+    tokens = np.stack([dataset.samples[i].tokens for i in idxs])
+    assert np.array_equal(trainer._batch_streams(dataset, idxs, ENCODER_MASKED), tokens)
+
+    validated = []
+    real = trainer.batched_predict
+
+    def recording(streams, *args, **kwargs):
+        validated.extend(streams)
+        return real(streams, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "batched_predict", recording)
+    config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+    trainer.evaluate_loss(dataset, init_params(config), config)
+    assert np.array_equal(np.stack(validated), tokens)
+
+    # the decoder's stream differs from the tokens in the query answer's value and mask columns alone
+    forced = trainer._batch_streams(dataset, idxs, DECODER_CAUSAL)
+    assert forced.shape == tokens.shape and np.array_equal(forced[:, :-h], tokens[:, :-h])
+    assert np.array_equal(forced[:, -h:, SEGMENT_FLAG], tokens[:, -h:, SEGMENT_FLAG])
+    for i in idxs:
+        assert np.array_equal(forced[i, -h:], answer_region(h, queries[i].target))
+        assert np.array_equal(tokens[i, -h:], answer_region(h))
+
+
 @pytest.mark.parametrize(
     "variant, supervise", [(DECODER_CAUSAL, False), (ENCODER_MASKED, False), (DECODER_CAUSAL, True)]
 )
@@ -154,7 +183,7 @@ def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
     got = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise).data)
 
     full = forward_patch_predictions(trainer._batch_streams(dataset, idxs, variant), params, config).data
-    regions = trainer._loss_regions(dataset, idxs, config, full.shape[1], supervise)
+    regions = trainer._loss_regions(dataset, idxs, config, supervise)
     assert len(regions) == (3 if supervise else 1)
     pred = np.concatenate([full[:, r0:r1] for r0, r1, _ in regions], axis=1)
     truth = np.concatenate([t for _, _, t in regions], axis=1)
@@ -171,7 +200,7 @@ def test_batched_predict_reads_the_full_forward_readout_rows(variant):
     for p in params.values():  # float64, with non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     h = dataset.window.horizon
-    streams = [np.concatenate([s.tokens, answer_region(h)]) for s in dataset.samples]
+    streams = [s.tokens for s in dataset.samples]
     got = np.stack(batched_predict(streams, [h] * len(streams), params, config))
 
     full = forward_patch_predictions(np.stack(streams), params, config).data
@@ -235,7 +264,7 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     # every op recorded for the loss ran its rule once
     assert kinds.count("dout") == kinds.count("out") > 0
     optimizer.step()
-    streams = [np.concatenate([s.tokens, answer_region(w.horizon)]) for s in dataset.samples]
+    streams = [s.tokens for s in dataset.samples]
     preds = batched_predict(streams, [w.horizon] * len(streams), params, config)
     preds += batched_predict(streams, [w.horizon] * len(streams), params, config, prefix=streams[0])
 
