@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .context import read_jsonl, write_jsonl
+from .context import pool_datasets, read_header, read_jsonl, write_jsonl
 from .errors import ConfigError, DataError, GeometryError, NumericalError
 from .evalharness import EvalReport, improvement_ratio, run_unseen_eval
-from .experiment import build_datasets, eval_protocol, merge_datasets, model_config, synth_spec, train_config
+from .experiment import build_datasets, eval_protocol, model_config, synth_spec, train_config
 from .model import ModelConfig, init_params
 from .series import SplitStore, build_store, load_csv, load_store, save_store
 from .synthetic import generate, write_csv
@@ -158,15 +158,23 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     return resolved
 
 
-def _path(cfg: dict, key: str, default_name: str) -> Path:
+def _path(cfg: dict, key: str, default_name: str, write: bool = False) -> Path:
+    """``cfg[key]``, else ``default_name`` in out_dir; only a stage about to write makes out_dir."""
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if write:
+        out_dir.mkdir(parents=True, exist_ok=True)
     return Path(cfg[key]) if cfg[key] else out_dir / default_name
+
+
+def _append_config(path: Path, cfg: dict) -> None:
+    """End a CSV artifact with the line that embeds the resolved configuration."""
+    with path.open("a") as fh:
+        fh.write(f"# config,{json.dumps(cfg, separators=(',', ':'))}\n")
 
 
 def cmd_synth(cfg: dict) -> None:
     series = generate(synth_spec(cfg))
-    out = _path(cfg, "csv", "synth.csv")
+    out = _path(cfg, "csv", "synth.csv", write=True)
     write_csv(series, out)
     print(f"synth: wrote {len(series)} channels x {len(series[0])} steps to {out}")
 
@@ -177,7 +185,7 @@ def cmd_ingest(cfg: dict) -> None:
         raise DataError(f"missing input csv: {csv_path}")
     raw = load_csv(csv_path, channels=cfg["channels"] or None, name=cfg["dataset_name"])
     store = build_store(raw, meta={"config": cfg, "seed": cfg["seed"]})
-    out = _path(cfg, "store", "store.json")
+    out = _path(cfg, "store", "store.json", write=True)
     save_store(store, out)
     print(f"ingest: {len(store.channels)} channels split and normalized -> {out}")
 
@@ -186,41 +194,43 @@ def cmd_build(cfg: dict) -> None:
     store_path = _path(cfg, "store", "store.json")
     store = load_store(store_path)
     digest = hashlib.sha256(store_path.read_bytes()).hexdigest()
-    total = 0
+    out_dir, total = Path(cfg["out_dir"]), 0
     for m, *parts in build_datasets(store, cfg):
+        out_dir.mkdir(parents=True, exist_ok=True)
         for part, dataset in zip(("train", "valid"), parts):
-            dataset.extra.update(config=cfg, store_sha256=digest)
-            write_jsonl(dataset, Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl")
+            write_jsonl(dataset, out_dir / f"ctx_{part}_m{m}.jsonl", meta={"config": cfg, "store_sha256": digest})
             total += len(dataset)
     print(f"build: wrote {total} samples across demo counts {cfg['demo_counts']} -> {cfg['out_dir']}")
 
 
-def _read_context_files(cfg: dict, part: str, store: SplitStore):
-    paths = [Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl" for m in cfg["demo_counts"]]
+def _read_context_files(cfg: dict, store: SplitStore):
+    """The pooled train and valid context files, replayed once every header names this store and build."""
+    paths = [Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl" for part in ("train", "valid") for m in cfg["demo_counts"]]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         raise DataError(f"missing context data: {missing} (run `build` first)")
-    digest = hashlib.sha256(_path(cfg, "store", "store.json").read_bytes()).hexdigest()
-    datasets = [read_jsonl(p, store) for p in paths]
-    stale = [str(p) for p, d in zip(paths, datasets) if d.extra.get("store_sha256") != digest]
+    store_path = _path(cfg, "store", "store.json")
+    digest = hashlib.sha256(store_path.read_bytes()).hexdigest()
+    headers = [read_header(p) for p in paths]
+    stale = [str(p) for p, header in zip(paths, headers) if header.get("store_sha256") != digest]
     if stale:
-        raise DataError(f"{stale} not built from {_path(cfg, 'store', 'store.json')} (run `build` again)")
-    for path, dataset in zip(paths, datasets):
-        built = dataset.extra.get("config")
+        raise DataError(f"{stale} not built from {store_path} (run `build` again)")
+    for path, header in zip(paths, headers):
+        built = header.get("config")
         changed = [key for key in BUILD_KEYS if not isinstance(built, dict) or built.get(key) != cfg[key]]
         if changed:
             raise DataError(f"{path} was not built with {changed[0]} = {cfg[changed[0]]!r} (run `build` again)")
-    return merge_datasets(datasets)
+    datasets, k = [read_jsonl(p, store) for p in paths], len(cfg["demo_counts"])
+    return pool_datasets(datasets[:k]), pool_datasets(datasets[k:])
 
 
 def cmd_train(cfg: dict) -> None:
     store = load_store(_path(cfg, "store", "store.json"))
-    train_ds = _read_context_files(cfg, "train", store)
-    valid_ds = _read_context_files(cfg, "valid", store)
+    train_ds, valid_ds = _read_context_files(cfg, store)
     model_cfg = model_config(cfg)
     params = init_params(model_cfg, seed=cfg["seed"])
     params, record = train(params, train_ds, valid_ds, model_cfg, train_config(cfg))
-    ckpt = _path(cfg, "checkpoint", "checkpoint.json")
+    ckpt = _path(cfg, "checkpoint", "checkpoint.json", write=True)
     ad.save_params(
         params,
         ckpt,
@@ -228,8 +238,7 @@ def cmd_train(cfg: dict) -> None:
     )
     record_path = _path(cfg, "train_record", "train_record.csv")
     record.write_csv(record_path)
-    with record_path.open("a") as fh:
-        fh.write(f"# config,{json.dumps(cfg, separators=(',', ':'))}\n")
+    _append_config(record_path, cfg)
     print(
         f"train: {len(record.train_losses)} epochs, best epoch {record.best_epoch} "
         f"(valid {record.best_valid_loss:.6f}) -> {ckpt}"
@@ -260,10 +269,9 @@ def cmd_eval(cfg: dict) -> None:
                         f"has shape {got.get(bad[0], 'missing')}, expected {want.get(bad[0], 'none')}")
     store = load_store(_path(cfg, "store", "store.json"))
     report = run_unseen_eval(eval_protocol(cfg), model_cfg, params, store, cfg["seed"], cfg["eval_stride"] or None)
-    out = _path(cfg, "report", "eval_report.csv")
+    out = _path(cfg, "report", "eval_report.csv", write=True)
     report.write_csv(out)
-    with out.open("a") as fh:
-        fh.write(f"# config,{json.dumps(cfg, separators=(',', ':'))}\n")
+    _append_config(out, cfg)
     ratio = improvement_ratio(report)
     print(f"eval: {len(report.rows)} rows on {report.workers} worker(s), improvement ratio {ratio:.4f} -> {out}")
 
@@ -290,9 +298,9 @@ def cmd_report(cfg: dict) -> None:
             lines.append(f"{key[0]},{key[1]},{key[2]},{key[3]},{method},{len(rows)},{mean_mse!r},{mean_mae!r}")
     lines.append(f"# improvement_ratio,{improvement_ratio(merged)!r}")
     print("\n".join(lines))
-    lines.append(f"# config,{json.dumps(cfg, separators=(',', ':'))}")
-    out = _path(cfg, "summary", "summary.csv")
+    out = _path(cfg, "summary", "summary.csv", write=True)
     out.write_text("\n".join(lines) + "\n")
+    _append_config(out, cfg)
 
 
 COMMANDS = {

@@ -8,16 +8,20 @@ its true values, and last the query's input and placeholder region. Answer
 tokens carry segment_flag=1, so the encoding stays invertible without
 separator tokens.
 
-A context file stores decisions, not values: a header line, then per sample
-``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``, demos
-then query; spans are absolute, masked positions window-relative. ``read_jsonl`` replays them.
+A context file stores decisions, not values. Its first line, the header, holds
+``lookback``, ``horizon``, ``samples`` and ``skipped_windows``, then the
+writer's ``meta`` (``build`` adds its ``config`` and ``store_sha256``);
+``read_header`` reads it alone. Each later line is one sample,
+``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``,
+demos then query; spans are absolute, masked positions window-relative.
+``read_jsonl`` replays them.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,19 +58,20 @@ class ContextSample:
 
 @dataclass
 class ContextDataset:
-    """Built samples plus an echo of everything needed to rebuild them."""
+    """Built samples, their window and the query windows the build skipped: what a context header holds."""
 
     samples: list[ContextSample]
     window: WindowSpec
-    demo_count: int
-    tasks: tuple[TaskKind, ...]
-    seed: int
-    stride: int
     skipped_windows: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.samples)
+
+
+def pool_datasets(datasets: Sequence[ContextDataset]) -> ContextDataset:
+    """The samples of datasets built with one window and several demo counts, as one set."""
+    samples = [s for d in datasets for s in d.samples]
+    return ContextDataset(samples, datasets[0].window, sum(d.skipped_windows for d in datasets))
 
 
 def sample_task(rng: np.random.Generator, tasks: set[TaskKind] | list[TaskKind]) -> TaskKind:
@@ -250,15 +255,7 @@ def build_context_dataset(
             samples.append(assemble(demos, query))
     if not samples:
         raise DataError(f"empty dataset: all {skipped} windows skipped")
-    return ContextDataset(
-        samples=samples,
-        window=w,
-        demo_count=demo_count,
-        tasks=tuple(task_list),
-        seed=seed,
-        stride=stride,
-        skipped_windows=skipped,
-    )
+    return ContextDataset(samples, w, skipped)
 
 
 def build_train_valid(
@@ -275,10 +272,13 @@ def build_train_valid(
 
     Valid queries come from the valid split and draw their demos from the
     train split; ``valid_stride`` falls back to ``stride``. ``options`` go to
-    ``build_context_dataset``. Every count is checked before the first build.
+    ``build_context_dataset``. Every count is checked before the first build; a
+    repeated count is refused, since both builds would claim one ``m``.
     """
     if not demo_counts or min(demo_counts) < 0:
         raise ConfigError(f"demo_counts must be one or more counts >= 0, got {list(demo_counts)}")
+    if len(set(demo_counts)) < len(demo_counts):
+        raise ConfigError(f"demo_counts must not repeat a count, got {list(demo_counts)}")
     if valid_stride is not None and valid_stride < 1:
         raise ConfigError(f"valid_stride must be >= 1, got {valid_stride}")
     train_series = [store.series(ch, "train") for ch in store.channels]
@@ -299,24 +299,35 @@ def _example_record(e: TaskExample) -> list:
     return [span.dataset, span.channel, span.start, span.end, e.masked_positions.tolist()]
 
 
-def write_jsonl(dataset: ContextDataset, path: str | Path) -> None:
-    """One header line (config echo), then per sample its task and each example's span and mask."""
+def write_jsonl(dataset: ContextDataset, path: str | Path, meta: dict | None = None) -> None:
+    """The header line (window, sample count, skipped windows, then ``meta``), then per sample its task and examples."""
     header = {
         "lookback": dataset.window.lookback,
         "horizon": dataset.window.horizon,
-        "demo_count": dataset.demo_count,
-        "tasks": [str(t) for t in dataset.tasks],
-        "seed": dataset.seed,
-        "stride": dataset.stride,
-        "skipped_windows": dataset.skipped_windows,
         "samples": len(dataset.samples),
-        **dataset.extra,
+        "skipped_windows": dataset.skipped_windows,
+        **(meta or {}),
     }
     with Path(path).open("w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for s in dataset.samples:
             record = {"task": str(s.query.task), "examples": [_example_record(e) for e in (*s.demos, s.query)]}
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def read_header(path: str | Path) -> dict:
+    """A context file's first line alone, which must be a JSON object; else ``DataError`` names the file."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such dataset file: {path}")
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        with path.open() as fh:
+            header = json.loads(fh.readline())
+        if not isinstance(header, dict):
+            raise ValueError(f"header {header!r} is not an object")
+    except ValueError as exc:
+        raise DataError(f"malformed dataset {path}, line 1: {exc!r}") from None
+    return header
 
 
 def _replay(raw: list, task: TaskKind, w: WindowSpec, store: SplitStore) -> TaskExample:
@@ -341,25 +352,13 @@ def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
     plus the values the task reads before its window. An example must give back its span
     and mask, else ``DataError`` names the line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such dataset file: {path}")
-    known = {"lookback", "horizon", "demo_count", "tasks", "seed", "stride", "skipped_windows", "samples"}
+    header = read_header(path)
     lineno = 1
     # JSONDecodeError is a ValueError; a bad key, type or span is a malformed file too
     try:
-        with path.open() as fh:
-            header = json.loads(fh.readline())
-            dataset = ContextDataset(
-                samples=[],
-                window=WindowSpec(header["lookback"], header["horizon"]),
-                demo_count=header["demo_count"],
-                tasks=tuple(TaskKind(t) for t in header["tasks"]),
-                seed=header["seed"],
-                stride=header["stride"],
-                skipped_windows=header.get("skipped_windows", 0),
-                extra={k: v for k, v in header.items() if k not in known},
-            )
+        dataset = ContextDataset([], WindowSpec(header["lookback"], header["horizon"]), header["skipped_windows"])
+        with Path(path).open() as fh:
+            fh.readline()
             for lineno, line in enumerate(fh, start=2):
                 raw = json.loads(line)
                 task = TaskKind(raw["task"])

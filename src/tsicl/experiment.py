@@ -18,7 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .context import ContextDataset, build_train_valid
+from .context import build_train_valid, pool_datasets
 from .errors import ConfigError
 from .evalharness import PROBES, EvalProtocol, EvalReport, run_unseen_eval
 from .model import ModelConfig, init_params
@@ -101,31 +101,11 @@ def store_from_channels(channels, name: str) -> SplitStore:
     return build_store(raw)
 
 
-def merge_datasets(datasets: list[ContextDataset]) -> ContextDataset:
-    """Pool samples built with different demo counts into one training set."""
-    if not datasets:
-        raise ConfigError("nothing to merge")
-    w = datasets[0].window
-    for d in datasets[1:]:
-        if d.window != w:
-            raise ConfigError("cannot merge datasets with different window specs")
-    return ContextDataset(
-        samples=[s for d in datasets for s in d.samples],
-        window=w,
-        demo_count=max(d.demo_count for d in datasets),
-        tasks=datasets[0].tasks,
-        seed=datasets[0].seed,
-        stride=datasets[0].stride,
-        skipped_windows=sum(d.skipped_windows for d in datasets),
-        extra={"merged_demo_counts": [d.demo_count for d in datasets]},
-    )
-
-
 def run_seed(cfg: dict) -> tuple[EvalReport, TrainRecord]:
     """One run of the configuration in memory: the report holds one row per probe, in ``PROBES`` order."""
     store = store_from_channels(generate(synth_spec(cfg)), cfg["dataset_name"])
-    parts = list(build_datasets(store, cfg))
-    train_ds, valid_ds = merge_datasets([t for _, t, _ in parts]), merge_datasets([v for _, _, v in parts])
+    _, train_parts, valid_parts = zip(*build_datasets(store, cfg))
+    train_ds, valid_ds = pool_datasets(train_parts), pool_datasets(valid_parts)
     config = model_config(cfg)
     params, record = train(init_params(config, seed=cfg["seed"]), train_ds, valid_ds, config, train_config(cfg))
     stride = cfg["eval_stride"] or None

@@ -1,5 +1,7 @@
 """A tiny CLI configuration and one shared run of it, for pipeline-level tests."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,18 @@ TINY_CLI = {
     "max_epochs": "1",
     "patience": "1",
 }
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_module(name: str, monkeypatch):
+    """``perfbench/<name>.py`` loaded from its file, read only."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # @dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def settings(out_dir: Path) -> list[str]:

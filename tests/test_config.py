@@ -1,30 +1,17 @@
 """The run configuration: one schema, defaults from the config dataclasses, and the keys the benchmark sets."""
 
-import importlib.util
-import sys
 from dataclasses import dataclass, field, fields, make_dataclass
-from pathlib import Path
 
 import pytest
 
+from conftest import benchmark_module
 from tsicl import cli, experiment
 from tsicl.model import ModelConfig
 from tsicl.trainer import TrainConfig
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def benchmark_workloads(monkeypatch):
-    """``perfbench/workloads.py`` loaded from its file, read only."""
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # @dataclass looks its module up
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_every_key_the_benchmark_sets_is_a_schema_key_with_its_default(monkeypatch):
-    workloads = benchmark_workloads(monkeypatch)
+    workloads = benchmark_module("workloads", monkeypatch)
     for w in workloads.WORKLOADS.values():
         assert set(w.config(0, "out")) <= set(cli.SCHEMA), w.name
     for key, default in workloads.DEFAULTS.items():

@@ -1,16 +1,15 @@
 """Contracts of the whole pipeline: one eval loop and readout, frozen weights, no leakage, determinism."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import overrides, settings
+from conftest import benchmark_module, overrides, settings
 from tsicl import autodiff as ad
 from tsicl import evalharness, experiment
 from tsicl.cli import main, resolve_config
-from tsicl.context import build_stream, build_train_valid, read_jsonl
+from tsicl.context import build_stream, build_train_valid, pool_datasets, read_jsonl
 from tsicl.evalharness import (
     PROBES,
     EvalProtocol,
@@ -41,7 +40,7 @@ def test_evaluate_loss_is_the_mse_of_batched_predict(variant):
     params = init_params(config, seed=1)
     tasks = [TaskKind.FORECAST, TaskKind.IMPUTE]
     parts = [v for _, _, v in build_train_valid(tiny_store(), tasks, WINDOW, [0, 1], seed=0, stride=1)]
-    valid = experiment.merge_datasets(parts)
+    valid = pool_datasets(parts)
     assert len({len(s.tokens) for s in valid.samples}) == 2 and len(valid.samples) > 64
     streams = [s.tokens for s in valid.samples]
     preds = np.stack(batched_predict(streams, [4] * len(streams), params, config))
@@ -49,15 +48,13 @@ def test_evaluate_loss_is_the_mse_of_batched_predict(variant):
     assert evaluate_loss(valid, params, config) == np.mean((preds - truth) ** 2)
 
 
-def test_context_headers_count_the_replayed_samples(pipeline_dir):
-    """perfbench's train_samples_per_s reads each train file's header ``samples``."""
+def test_context_headers_count_the_replayed_samples(pipeline_dir, monkeypatch):
+    """The benchmark's train_samples_per_s divides by ``artifacts.train_sample_count``, read from the headers."""
+    artifacts = benchmark_module("artifacts", monkeypatch)
     store = load_store(pipeline_dir / "store.json")
     paths = sorted(pipeline_dir.glob("ctx_train_m*.jsonl"))
     assert [p.name for p in paths] == ["ctx_train_m0.jsonl", "ctx_train_m1.jsonl"]
-    for path in paths:
-        with path.open() as fh:
-            header = json.loads(fh.readline())
-        assert header["samples"] == len(read_jsonl(path, store)) > 0
+    assert artifacts.train_sample_count(pipeline_dir) == sum(len(read_jsonl(p, store)) for p in paths) > 0
 
 
 @pytest.fixture(scope="module")

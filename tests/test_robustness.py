@@ -11,7 +11,7 @@ import pytest
 
 from conftest import overrides
 from tsicl import autodiff as ad
-from tsicl import evalharness, experiment, trainer
+from tsicl import context, evalharness, experiment, trainer
 from tsicl.cli import main
 from tsicl.context import build_context_dataset, read_jsonl
 from tsicl.errors import DataError, NumericalError
@@ -180,6 +180,8 @@ class TestMalformedFiles:
         cases = {  # case -> (text, line named in the error)
             "truncated": ("\n".join([header, first, rest[0][:40]]), 3),
             "short": ("\n".join([header, first]), 2),
+            "header_not_an_object": ("\n".join(["[]", first]), 1),
+            "header_bad_lookback": ("\n".join([json.dumps({**json.loads(header), "lookback": None}), first]), 1),
             "missing_key": ("\n".join([header, json.dumps({k: v for k, v in record.items() if k != "examples"})]), 2),
             "past_split_end": (edited(record, past_end), 2),
             "unknown_channel": (edited(record, [dataset, "no_such_channel", start, end, positions]), 2),
@@ -207,11 +209,36 @@ class TestMalformedFiles:
 
 
 def test_train_on_context_built_from_another_store_exits_3(pipeline_dir, tmp_path, capsys):
+    """A store ingested with another seed, or synthesised shorter so that old spans leave its splits."""
+    cases = {
+        "reseeded": [("ingest", "seed=1")],
+        "shorter": [("synth", "synth_length=200"), ("ingest", "synth_length=200")],
+    }
+    for case, stages in cases.items():
+        out = tmp_path / case
+        out.mkdir()
+        copy_artifacts(pipeline_dir, out)
+        for stage, setting in stages:
+            assert main([stage, *overrides(out), "--set", setting]) == 0
+        capsys.readouterr()
+        assert main(["train", *overrides(out)]) == 3, case
+        err = capsys.readouterr().err
+        assert str(out / "ctx_train_m0.jsonl") in err and f"not built from {out / 'store.json'}" in err, err
+
+
+@pytest.mark.parametrize(
+    "reingest, train_settings",
+    [(["seed=1"], []), ([], ["tasks=forecast"])],
+    ids=["store", "build_key"],
+)
+def test_a_mismatched_context_header_replays_nothing(pipeline_dir, tmp_path, monkeypatch, reingest, train_settings):
     copy_artifacts(pipeline_dir, tmp_path)
-    assert main(["ingest", *overrides(tmp_path), "--set", "seed=1"]) == 0
-    assert main(["train", *overrides(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert str(tmp_path / "ctx_train_m0.jsonl") in err and str(tmp_path / "store.json") in err
+    for setting in reingest:
+        assert main(["ingest", *overrides(tmp_path), "--set", setting]) == 0
+    calls = []
+    monkeypatch.setattr(context, "generate_example", lambda *args: calls.append(args))
+    assert main(["train", *overrides(tmp_path), *(arg for item in train_settings for arg in ("--set", item))]) == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -257,6 +284,8 @@ def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, 
                      id="negative_demo_count"),
         pytest.param("build", "demo_counts=", "demo_counts must be one or more counts >= 0, got []",
                      id="no_demo_counts"),
+        pytest.param("build", "demo_counts=1,1", "demo_counts must not repeat a count, got [1, 1]",
+                     id="duplicate_demo_counts"),
         pytest.param("build", "stride=-1", "stride must be >= 1, got -1", id="negative_stride"),
         pytest.param("build", "valid_stride=-2", "valid_stride must be >= 1, got -2", id="negative_valid_stride"),
         pytest.param("train", "n_heads=0", "n_heads must be >= 1", id="zero_heads"),
@@ -268,6 +297,14 @@ def test_unknown_eval_task_exits_2(pipeline_dir, capsys, stage, setting, message
     assert main([stage, *overrides(pipeline_dir), "--set", setting]) == 2
     assert message in capsys.readouterr().err
     assert sorted(pipeline_dir.iterdir()) == before
+
+
+@pytest.mark.parametrize("stage, message", [("train", "no such store"), ("eval", "missing checkpoint")])
+def test_a_failing_stage_leaves_no_out_dir(tmp_path, capsys, stage, message):
+    out = tmp_path / "fresh" / "a" / "b"
+    assert main([stage, *overrides(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):

@@ -167,7 +167,7 @@ class TestTaskTable:
         lo, hi = valid_start_range(task, len(s), self.W)
         rng = np.random.default_rng(5)
         examples = [generate_example(task, s, t, self.W, rng) for t in range(lo, hi + 1)]
-        ds = ContextDataset([ContextSample((), e) for e in examples], self.W, 0, (task,), seed=0, stride=1)
+        ds = ContextDataset([ContextSample((), e) for e in examples], self.W)
         write_jsonl(ds, tmp_path / "ctx.jsonl")
         replayed = [sample.query for sample in read_jsonl(tmp_path / "ctx.jsonl", store).samples]
         assert len(replayed) == len(examples)

@@ -97,7 +97,7 @@ def forecast_dataset(w: WindowSpec, m: int):
         [generate_example(TaskKind.FORECAST, series, 100 + 24 * (m * i + k), w, None) for k in range(m)]
         for i in range(3)
     ]
-    dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w, m, (TaskKind.FORECAST,), 0, 24)
+    dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w)
     return dataset, queries, demos
 
 
