@@ -453,14 +453,16 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
     return _finish(out, backward, "row_slice")
 
 
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error over every element, in ``pred``'s dtype."""
+def mse_loss(pred: Tensor, target: np.ndarray, count: int | None = None) -> Tensor:
+    """Squared error summed over every element and divided by ``count`` (default: the element
+    count), in ``pred``'s dtype. A part of a batch divides by the whole batch's element count, so
+    its gradient is its share of the batch's and the parts' losses add up to the batch's MSE."""
     target = np.asarray(target, dtype=pred.data.dtype)
     if target.shape != pred.shape:
         raise GeometryError(f"mse_loss shape mismatch: pred {pred.shape}, target {target.shape}")
-    count = pred.data.size
-    if count == 0:
+    if pred.data.size == 0:
         raise DataError("mse_loss of an empty prediction")
+    count = pred.data.size if count is None else count
     diff = pred.data - target
     out = Tensor(np.sum(diff * diff) / count)
 

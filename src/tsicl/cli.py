@@ -225,11 +225,11 @@ def _read_context_files(cfg: dict, store: SplitStore):
 
 
 def cmd_train(cfg: dict) -> None:
+    model_cfg, train_cfg = model_config(cfg), train_config(cfg)  # a configuration error reads no file
     store = load_store(_path(cfg, "store", "store.json"))
     train_ds, valid_ds = _read_context_files(cfg, store)
-    model_cfg = model_config(cfg)
     params = init_params(model_cfg, seed=cfg["seed"])
-    params, record = train(params, train_ds, valid_ds, model_cfg, train_config(cfg))
+    params, record = train(params, train_ds, valid_ds, model_cfg, train_cfg)
     ckpt = _path(cfg, "checkpoint", "checkpoint.json", write=True)
     ad.save_params(
         params,
@@ -246,11 +246,11 @@ def cmd_train(cfg: dict) -> None:
 
 
 def cmd_eval(cfg: dict) -> None:
+    model_cfg, protocol = model_config(cfg), eval_protocol(cfg)  # a configuration error reads no file
     ckpt = _path(cfg, "checkpoint", "checkpoint.json")
     if not ckpt.exists():
         raise DataError(f"missing checkpoint: {ckpt} (run `train` first)")
     params, meta = ad.load_params(ckpt)
-    model_cfg = model_config(cfg)
     if meta.get("model"):
         try:
             trained_cfg = ModelConfig(**meta["model"])
@@ -268,7 +268,7 @@ def cmd_eval(cfg: dict) -> None:
         raise DataError(f"checkpoint {ckpt} does not fit the configured model: parameter {bad[0]} "
                         f"has shape {got.get(bad[0], 'missing')}, expected {want.get(bad[0], 'none')}")
     store = load_store(_path(cfg, "store", "store.json"))
-    report = run_unseen_eval(eval_protocol(cfg), model_cfg, params, store, cfg["seed"], cfg["eval_stride"] or None)
+    report = run_unseen_eval(protocol, model_cfg, params, store, cfg["seed"], cfg["eval_stride"] or None)
     out = _path(cfg, "report", "eval_report.csv", write=True)
     report.write_csv(out)
     _append_config(out, cfg)

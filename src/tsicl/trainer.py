@@ -11,6 +11,17 @@ by demo count, which sets their token length, and both bucket-internal order
 and batch order are reshuffled per epoch from the run seed, so training is
 fully reproducible. The validation loss reads the model out through
 ``evalharness.batched_predict``, as evaluation does.
+
+Every batch splits into two fixed halves, its first ceil(B/2) samples and the
+rest. Each half's MSE divides by the whole batch's element count, and the
+halves' losses and gradients are summed in that order before the one Adam
+step. The second half, and the second half of the validation set, run in one
+persistent ``workers.one_worker`` process, forked once per ``train`` call: it
+shares the parameters and its half's gradient with the caller through shared
+memory, so only indices and losses cross the pipe. Where ``fork_join`` would
+run serially (one core, inside a worker, no settable OpenBLAS), the caller runs
+both halves itself, with the same bits. Every process runs one BLAS thread, so
+a run's bits depend on neither the core count nor ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .model import (
     horizon_patch_count,
     readout_rows,
 )
+from .workers import Worker, one_worker, shared_arrays
 
 
 @dataclass(frozen=True)
@@ -149,8 +161,12 @@ def _batch_loss_graph(
     params: dict[str, ad.Parameter],
     config: ModelConfig,
     supervise_demos: bool,
+    batch_size: int | None = None,
 ) -> ad.Tensor:
-    """MSE over the supervised regions; the model runs its last block from the first of them."""
+    """MSE over the supervised regions; the model runs its last block from the first of them.
+
+    ``idxs`` may be part of a batch of ``batch_size`` samples, whose element count the loss divides by.
+    """
     streams = _batch_streams(dataset, idxs, config.variant)
     regions = _loss_regions(dataset, idxs, config, supervise_demos)
     first = min(r0 for r0, _, _ in regions)
@@ -158,17 +174,62 @@ def _batch_loss_graph(
     slices = [ad.row_slice(preds, r0 - first, r1 - first) for r0, r1, _ in regions]
     pred_cat = slices[0] if len(slices) == 1 else ad.concat(slices, axis=1)
     truth = np.concatenate([t for _, _, t in regions], axis=1)
-    return ad.mse_loss(pred_cat, truth)
+    samples = len(idxs) if batch_size is None else batch_size
+    return ad.mse_loss(pred_cat, truth, pred_cat.data.size // len(idxs) * samples)
+
+
+def _gradient(
+    dataset: ContextDataset,
+    idxs: list[int],
+    params: dict[str, ad.Parameter],
+    config: ModelConfig,
+    supervise_demos: bool,
+    batch_size: int,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The loss and gradient of ``idxs``, part of a batch of ``batch_size`` samples."""
+    for p in params.values():
+        p.zero_grad()
+    with ad.Tape() as tape:
+        loss = _batch_loss_graph(dataset, idxs, params, config, supervise_demos, batch_size)
+        tape.backward(loss)
+    return float(loss.data), {name: p.grad for name, p in params.items()}
+
+
+def _predictions(
+    dataset: ContextDataset, idxs: list[int], params: dict[str, ad.Parameter], config: ModelConfig
+) -> list[np.ndarray]:
+    streams = [dataset.samples[i].tokens for i in idxs]
+    return batched_predict(streams, [dataset.window.horizon] * len(streams), params, config)
+
+
+def _in_halves(here, answer, part: str, idxs: list[int], worker: Worker | None):
+    """``here`` of the first ceil(n/2) of ``idxs``, then ``answer((part, rest, n))`` of the rest: in
+    ``worker``, whose handler is ``answer``, or here without one. The second result is None when the
+    rest is empty."""
+    mid = (len(idxs) + 1) // 2
+    request = (part, idxs[mid:], len(idxs))
+    if worker and request[1]:
+        worker.submit(request)
+    mine = here(idxs[:mid])
+    if not request[1]:
+        return mine, None
+    return mine, worker.result() if worker else answer(request)
 
 
 def evaluate_loss(
     dataset: ContextDataset,
     params: dict[str, ad.Parameter],
     config: ModelConfig,
+    worker: Worker | None = None,
 ) -> float:
-    """Deployment-mode MSE over the answer region: one ``batched_predict`` call, no tape."""
-    streams = [s.tokens for s in dataset.samples]
-    preds = batched_predict(streams, [dataset.window.horizon] * len(streams), params, config)
+    """Deployment-mode MSE over the answer region through ``batched_predict``, no tape; the second
+    half of the samples runs in ``worker``, the trainer's, if given."""
+    mine, theirs = _in_halves(
+        lambda half: _predictions(dataset, half, params, config),
+        lambda request: _predictions(dataset, request[1], params, config),
+        "valid", list(range(len(dataset.samples))), worker,
+    )
+    preds = mine + (theirs or [])
     return mse(np.stack(preds), np.stack([s.query.target for s in dataset.samples]))
 
 
@@ -182,7 +243,8 @@ def train(
     """Optimize in place; restore and return the best-validation parameters."""
     if not dataset.samples or not valid.samples:
         raise ConfigError("train/valid datasets must be non-empty")
-    if train_config.supervise_demo_outputs and model_config.variant == ENCODER_MASKED:
+    supervise = train_config.supervise_demo_outputs
+    if supervise and model_config.variant == ENCODER_MASKED:
         raise ConfigError(
             "supervise_demo_outputs is refused on encoder_masked: demo answers are unmasked "
             "in its input, so the encoder would learn to copy them"
@@ -200,44 +262,63 @@ def train(
     best_state: dict[str, np.ndarray] = {}
     stale = 0
 
-    for epoch in range(train_config.max_epochs):
-        rng = np.random.default_rng(np.random.SeedSequence((train_config.seed, 1, epoch)))
-        batches: list[list[int]] = []
-        for _, idxs in sorted(buckets.items()):
-            order = [idxs[j] for j in rng.permutation(len(idxs))]
-            for lo in range(0, len(order), train_config.batch_size):
-                batches.append(order[lo : lo + train_config.batch_size])
-        batches = [batches[j] for j in rng.permutation(len(batches))]
+    # the worker reads the parameters and writes its half's gradient in place, shared with this process
+    values = shared_arrays({name: p.data for name, p in params.items()})
+    their_grads = shared_arrays({name: np.zeros_like(p.data) for name, p in params.items()})
+    for name, p in params.items():
+        p.data = values[name]
 
-        loss_sum, n_seen = 0.0, 0
-        for batch in batches:
-            for p in params.values():
-                p.zero_grad()
-            with ad.Tape() as tape:
-                loss = _batch_loss_graph(
-                    dataset, batch, params, model_config, train_config.supervise_demo_outputs
+    def answer(request):
+        """The second half's part: its loss, with its gradient left in ``their_grads``, or its predictions."""
+        part, idxs, n = request
+        if part == "valid":
+            return _predictions(valid, idxs, params, model_config)
+        loss, grads = _gradient(dataset, idxs, params, model_config, supervise, n)
+        for name, g in grads.items():
+            np.copyto(their_grads[name], g)
+        return loss
+
+    with one_worker(answer) as worker:
+        for epoch in range(train_config.max_epochs):
+            rng = np.random.default_rng(np.random.SeedSequence((train_config.seed, 1, epoch)))
+            batches: list[list[int]] = []
+            for _, idxs in sorted(buckets.items()):
+                order = [idxs[j] for j in rng.permutation(len(idxs))]
+                for lo in range(0, len(order), train_config.batch_size):
+                    batches.append(order[lo : lo + train_config.batch_size])
+            batches = [batches[j] for j in rng.permutation(len(batches))]
+
+            loss_sum, n_seen = 0.0, 0
+            for batch in batches:
+                n = len(batch)
+                (value, grads), their_loss = _in_halves(
+                    lambda half: _gradient(dataset, half, params, model_config, supervise, n),
+                    answer, "train", batch, worker,
                 )
-                tape.backward(loss)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericalError(f"training loss diverged at epoch {epoch}")
-            optimizer.step()
-            loss_sum += value * len(batch)
-            n_seen += len(batch)
+                if their_loss is not None:  # the halves' sum, always in this order
+                    value += their_loss
+                    grads = {name: g + their_grads[name] for name, g in grads.items()}
+                if not np.isfinite(value):
+                    raise NumericalError(f"training loss diverged at epoch {epoch}")
+                for name, p in params.items():
+                    p.grad = grads[name]
+                optimizer.step()
+                loss_sum += value * n
+                n_seen += n
 
-        valid_loss = evaluate_loss(valid, params, model_config)
-        record.train_losses.append(loss_sum / n_seen)
-        record.valid_losses.append(valid_loss)
+            valid_loss = evaluate_loss(valid, params, model_config, worker)
+            record.train_losses.append(loss_sum / n_seen)
+            record.valid_losses.append(valid_loss)
 
-        if valid_loss < best_valid:
-            best_valid = valid_loss
-            record.best_epoch = epoch
-            best_state = {name: p.data.copy() for name, p in params.items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale >= train_config.patience:
-                break
+            if valid_loss < best_valid:
+                best_valid = valid_loss
+                record.best_epoch = epoch
+                best_state = {name: p.data.copy() for name, p in params.items()}
+                stale = 0
+            else:
+                stale += 1
+                if stale >= train_config.patience:
+                    break
 
     if record.best_epoch < 0:
         raise NumericalError(

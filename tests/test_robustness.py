@@ -11,7 +11,7 @@ import pytest
 
 from conftest import overrides
 from tsicl import autodiff as ad
-from tsicl import context, evalharness, experiment, trainer
+from tsicl import cli, context, evalharness, experiment, trainer
 from tsicl.cli import main
 from tsicl.context import build_context_dataset, read_jsonl
 from tsicl.errors import DataError, NumericalError
@@ -293,10 +293,13 @@ def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, 
     ],
 )
 def test_unknown_eval_task_exits_2(pipeline_dir, capsys, stage, setting, message):
-    before = sorted(pipeline_dir.iterdir())
+    def contents() -> dict[str, bytes]:  # the session's shared run: a stage that rewrote a file would break later tests
+        return {f.name: f.read_bytes() for f in pipeline_dir.iterdir()}
+
+    before = contents()
     assert main([stage, *overrides(pipeline_dir), "--set", setting]) == 2
     assert message in capsys.readouterr().err
-    assert sorted(pipeline_dir.iterdir()) == before
+    assert contents() == before
 
 
 @pytest.mark.parametrize("stage, message", [("train", "no such store"), ("eval", "missing checkpoint")])
@@ -305,6 +308,32 @@ def test_a_failing_stage_leaves_no_out_dir(tmp_path, capsys, stage, message):
     assert main([stage, *overrides(out)]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, setting, message",
+    [
+        ("train", "n_heads=0", "n_heads must be >= 1"),
+        ("train", "batch_size=0", "batch_size, max_epochs and patience must be >= 1"),
+        ("eval", "eval_task=bogus", "unknown task name"),
+    ],
+    ids=["zero_heads", "zero_batch_size", "bogus_eval_task"],
+)
+def test_a_configuration_error_exits_2_before_reading_a_file(
+    pipeline_dir, tmp_path, monkeypatch, capsys, stage, setting, message
+):
+    fresh = tmp_path / "fresh" / "a"
+    assert main([stage, *overrides(fresh), "--set", setting]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+    copy_artifacts(pipeline_dir, tmp_path)
+    reads = []
+    for module, name in [(cli, "load_store"), (cli, "read_header"), (cli, "read_jsonl"), (ad, "load_params")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: reads.append(name))
+    assert main([stage, *overrides(tmp_path), "--set", setting]) == 2
+    assert message in capsys.readouterr().err
+    assert reads == []
 
 
 def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):

@@ -1,22 +1,31 @@
-"""Scoring channels in forked workers: same bits as serial, errors and frozen weights cross back, no child is left."""
+"""Forked workers for eval scoring and training: same bits as serial, errors and frozen weights cross back, no child is left.
+
+Eval scores shares of channels in ``fork_join`` workers; training runs the second half of every batch and of the
+validation set in one persistent worker. Training's bits depend on neither the core count nor the BLAS thread count.
+"""
 
 import os
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import overrides
-from tsicl import evalharness, experiment, workers
+from tsicl import autodiff as ad
+from tsicl import evalharness, experiment, trainer, workers
 from tsicl.cli import main
-from tsicl.errors import DataError
+from tsicl.context import ContextDataset, build_train_valid, pool_datasets
+from tsicl.errors import DataError, NumericalError
 from tsicl.evalharness import PROBES, EvalProtocol, score_probes
-from tsicl.model import ModelConfig, init_params
+from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, ModelConfig, init_params
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec
+from tsicl.trainer import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WINDOW = WindowSpec(8, 4)
@@ -84,6 +93,14 @@ def test_an_error_in_the_callers_share_kills_the_workers(monkeypatch):
     with pytest.raises(ValueError, match="the caller's share failed"):
         workers.fork_join(task, 2, 2)
     assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@needs_openblas
+def test_a_worker_that_dies_without_an_answer_is_an_error(monkeypatch):
+    cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="died without a result: wait status 768"):  # exit code 3
+        workers.fork_join(lambda share: os._exit(3) if share.start else None, 2, 2)
     assert_no_child_left()
 
 
@@ -176,10 +193,13 @@ def _alive(pid: int) -> bool:
     return state not in ("Z", "X")
 
 
-@needs_openblas
-def test_killing_the_caller_kills_its_workers(tmp_path):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-c", WORKER_SCRIPT, str(tmp_path)], env={**os.environ, "PYTHONPATH": path})
+def src_path() -> str:
+    return os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+
+def assert_killing_the_caller_kills_its_worker(script: str, tmp_path: Path) -> None:
+    """``script`` leaves a file named after each process's pid, the caller's and one worker's, and then sleeps."""
+    proc = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env={**os.environ, "PYTHONPATH": src_path()})
     try:
         deadline = time.monotonic() + 30
         while len(list(tmp_path.iterdir())) < 2 and proc.poll() is None and time.monotonic() < deadline:
@@ -199,3 +219,178 @@ def test_killing_the_caller_kills_its_workers(tmp_path):
         for name in os.listdir(tmp_path):  # a worker the test failed to see die
             if int(name) != proc.pid and _alive(int(name)):
                 os.kill(int(name), signal.SIGKILL)
+
+
+@needs_openblas
+def test_killing_the_caller_kills_its_workers(tmp_path):
+    assert_killing_the_caller_kills_its_worker(WORKER_SCRIPT, tmp_path)
+
+
+TRAIN_SCRIPT = """
+import os, sys, time
+from tsicl import trainer
+from tsicl.context import build_context_dataset
+from tsicl.model import ModelConfig, init_params
+from tsicl.synthetic import SynthSpec, generate
+from tsicl.tasks import TaskKind, WindowSpec
+os.sched_getaffinity = lambda pid: {0, 1}
+def half(*args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(120)
+trainer._batch_loss_graph = half
+data = build_context_dataset(generate(SynthSpec(count=1, length=240)), [TaskKind.FORECAST], WindowSpec(8, 4), 0, seed=0)
+config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+trainer.train(init_params(config), data, data, config, trainer.TrainConfig(batch_size=4))
+"""
+
+
+@needs_openblas
+def test_killing_the_caller_kills_its_training_worker(tmp_path):
+    assert_killing_the_caller_kills_its_worker(TRAIN_SCRIPT, tmp_path)
+
+
+BATCH = 17
+
+
+def training_data(variant: str) -> tuple[ModelConfig, ContextDataset, ContextDataset]:
+    """69 training samples per demo count: batches of 17 split 9 + 8, and each bucket ends in a batch of 1."""
+    tasks = [TaskKind.FORECAST, TaskKind.IMPUTE]
+    store = experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    _, train_parts, valid_parts = zip(*build_train_valid(store, tasks, WINDOW, [0, 1], seed=0))
+    assert [len(part) for part in train_parts] == [69, 69] and 69 % BATCH == 1 and BATCH % 2 == 1
+    return replace(TINY_MODEL, variant=variant), pool_datasets(train_parts), pool_datasets(valid_parts)
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real())
+    return forks
+
+
+def trained_bits(params, record) -> tuple:
+    return {name: p.data.tobytes() for name, p in params.items()}, record.train_losses, record.valid_losses, record.best_epoch
+
+
+@needs_openblas
+@pytest.mark.parametrize(
+    "variant, supervise", [(DECODER_CAUSAL, False), (ENCODER_MASKED, False), (DECODER_CAUSAL, True)],
+    ids=["decoder", "encoder", "decoder_supervised"],
+)
+def test_forked_training_equals_serial_training(monkeypatch, variant, supervise):
+    config, data, valid = training_data(variant)
+    train_config = TrainConfig(batch_size=BATCH, max_epochs=2, patience=2, supervise_demo_outputs=supervise)
+    forks = counting_forks(monkeypatch)
+    runs = {}
+    for n in (1, 2):
+        cores(monkeypatch, n)
+        runs[n] = trained_bits(*trainer.train(init_params(config, seed=1), data, valid, config, train_config))
+        assert len(forks) == n - 1
+        assert_no_child_left()
+    assert runs[1] == runs[2]
+
+
+def test_a_steps_summed_gradient_is_the_full_batch_gradient(monkeypatch):
+    """The halves' gradients, summed, are the whole batch's: each half's MSE divides by the batch's element count."""
+    config, data, valid = training_data(DECODER_CAUSAL)
+    cores(monkeypatch, 1)  # both halves run here, where the patched ``_gradient`` can see them
+    start = init_params(config, seed=1)
+    halves, summed = [], {}
+    real_gradient = trainer._gradient
+
+    def recording(dataset, idxs, *args):
+        halves.append(list(idxs))
+        return real_gradient(dataset, idxs, *args)
+
+    class Stop(Exception):
+        pass
+
+    def stop(optimizer):
+        summed.update({name: p.grad.copy() for name, p in optimizer.params.items()})
+        raise Stop
+
+    monkeypatch.setattr(trainer, "_gradient", recording)
+    monkeypatch.setattr(trainer.Adam, "step", stop)
+    with pytest.raises(Stop):
+        trainer.train({name: ad.Parameter(p.data.copy(), name) for name, p in start.items()}, data, valid, config,
+                      TrainConfig(batch_size=BATCH))
+    first, rest = halves
+    assert (len(first), len(rest)) == (9, 8)
+    with ad.Tape() as tape:
+        tape.backward(trainer._batch_loss_graph(data, first + rest, start, config, False))
+    full = np.concatenate([start[name].grad.ravel() for name in summed])
+    got = np.concatenate([g.ravel() for g in summed.values()])
+    assert np.linalg.norm(got - full) <= 1e-6 * np.linalg.norm(full)
+
+
+def patch_the_loss_in_children(monkeypatch, change) -> None:
+    """``trainer._batch_loss_graph`` as ``change(loss)`` in a forked worker only; the caller's half runs as usual."""
+    real, test_pid = trainer._batch_loss_graph, os.getpid()
+
+    def patched(*args):
+        loss = real(*args)
+        return change(loss) if _in_a_child(test_pid) else loss
+
+    monkeypatch.setattr(trainer, "_batch_loss_graph", patched)
+
+
+@needs_openblas
+def test_an_error_in_the_training_workers_half_reaches_the_caller(monkeypatch):
+    def fail(loss):
+        raise DataError("the loss failed in a worker")
+
+    config, data, valid = training_data(DECODER_CAUSAL)
+    cores(monkeypatch, 2)
+    patch_the_loss_in_children(monkeypatch, fail)
+    with pytest.raises(DataError, match="the loss failed in a worker"):
+        trainer.train(init_params(config), data, valid, config, TrainConfig(batch_size=BATCH))
+    assert_no_child_left()
+
+
+@needs_openblas
+def test_a_nan_loss_in_the_training_workers_half_is_numerical_error(monkeypatch):
+    def poison(loss):
+        loss.data = loss.data * np.nan
+        return loss
+
+    config, data, valid = training_data(DECODER_CAUSAL)
+    cores(monkeypatch, 2)
+    patch_the_loss_in_children(monkeypatch, poison)
+    with pytest.raises(NumericalError, match="training loss diverged at epoch 0"):
+        trainer.train(init_params(config), data, valid, config, TrainConfig(batch_size=BATCH))
+    assert_no_child_left()
+
+
+@needs_openblas
+def test_a_train_inside_a_worker_runs_serially(monkeypatch):
+    config, data, valid = training_data(ENCODER_MASKED)
+    cores(monkeypatch, 2)
+    forks = counting_forks(monkeypatch)
+    train_config = TrainConfig(batch_size=BATCH, max_epochs=1, patience=1)
+
+    def task(share):
+        before = len(forks)
+        bits = trained_bits(*trainer.train(init_params(config), data, valid, config, train_config))
+        return len(forks) - before, bits
+
+    (caller_forks, caller_bits), (worker_forks, worker_bits) = workers.fork_join(task, 2, 2)
+    assert (caller_forks, worker_forks) == (1, 0) and caller_bits == worker_bits
+    assert_no_child_left()
+
+
+# a configuration whose float32 training bits differ between 1 and 2 OpenBLAS threads where the thread count is inherited
+BLAS_SENSITIVE = ["d_model=32", "n_heads=4", "ff_mult=4", "synth_count=4", "synth_length=512", "lookback=24",
+                  "horizon=12", "demo_counts=4", "demo_count=4"]
+
+
+@needs_openblas
+def test_training_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    args = [*overrides(tmp_path), *(arg for item in BLAS_SENSITIVE for arg in ("--set", item))]
+    for stage in ("synth", "ingest", "build"):
+        assert main([stage, *args]) == 0
+    written = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src_path(), "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "tsicl.cli", "train", *args], env=env, check=True, capture_output=True,
+                       timeout=120)
+        written[threads] = {name: (tmp_path / name).read_bytes() for name in ("checkpoint.json", "train_record.csv")}
+    assert written["1"] == written["2"]
