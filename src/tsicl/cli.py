@@ -75,7 +75,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "demo_counts": ("ints", [0, 2, 4]),
     "stride": ("int", 0),  # 0 = horizon
     "valid_stride": ("int", 0),
-    "pairwise_disjoint_demos": ("bool", False),
     "cross_channel_demos": ("bool", False),
     # model
     **_field_entries(ModelConfig),
@@ -92,8 +91,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "summary": ("str", ""),
 }
 # what ``build`` reads (position k of demo_counts sets the k-th build seed): a context file must match them
-BUILD_KEYS = ("seed", "lookback", "horizon", "tasks", "demo_counts", "stride", "valid_stride",
-              "pairwise_disjoint_demos", "cross_channel_demos")
+BUILD_KEYS = ("seed", "lookback", "horizon", "tasks", "demo_counts", "stride", "valid_stride", "cross_channel_demos")
 
 
 def _coerce(key: str, raw: str):

@@ -129,13 +129,12 @@ def sample_demos(
     m: int,
     w: WindowSpec,
     rng: np.random.Generator,
-    pairwise_disjoint: bool = False,
 ) -> list[TaskExample]:
     """Sample m demonstrations of ``task`` with spans disjoint from the query.
 
     Rejection-samples uniform window starts; after ``DEMO_ATTEMPTS`` misses per
-    demo it falls back to exhaustive enumeration of the remaining valid
-    starts. Demos may overlap each other unless ``pairwise_disjoint``.
+    demo it falls back to exhaustive enumeration of the valid starts whose
+    spans miss the query's. Demos may overlap each other.
     """
     if m == 0:
         return []
@@ -143,42 +142,32 @@ def sample_demos(
     if not ranges:
         raise DataError(f"no series in the pool admits a {task} window")
 
-    taken: list[Span] = []
-
-    def admissible(span: Span) -> bool:
-        if span.overlaps(query_span):
-            return False
-        if pairwise_disjoint and any(span.overlaps(t) for t in taken):
-            return False
-        return True
-
     demos: list[TaskExample] = []
-    for k in range(m):
+    for _ in range(m):
         example = None
         for _ in range(DEMO_ATTEMPTS):
             ridx = int(rng.integers(0, len(ranges)))
             sidx, lo, hi = ranges[ridx]
             t = int(rng.integers(lo, hi + 1))
             candidate = generate_example(task, pool[sidx], t, w, rng)
-            if admissible(candidate.source_span):
+            if not candidate.source_span.overlaps(query_span):
                 example = candidate
                 break
         if example is None:
-            # Exhaustive fallback: enumerate every admissible start.
+            # Exhaustive fallback: enumerate every start whose span misses the query's.
             valid = [
                 (sidx, t)
                 for sidx, lo, hi in ranges
                 for t in range(lo, hi + 1)
-                if admissible(source_span(task, pool[sidx], t, w))
+                if not source_span(task, pool[sidx], t, w).overlaps(query_span)
             ]
             if not valid:
                 raise DataError(
-                    f"insufficient disjoint demo windows: needed {m}, found {k} "
-                    f"(0 candidates remain for demo {k + 1})"
+                    f"insufficient disjoint demo windows: needed {m}, but no {task} window in the pool "
+                    "misses the query's span"
                 )
             sidx, t = valid[int(rng.integers(0, len(valid)))]
             example = generate_example(task, pool[sidx], t, w, rng)
-        taken.append(example.source_span)
         demos.append(example)
     return demos
 
@@ -191,7 +180,6 @@ def build_context_dataset(
     stride: int | None = None,
     seed: int = 0,
     demo_pool: list[ChannelSeries] | None = None,
-    pairwise_disjoint_demos: bool = False,
     cross_channel_demos: bool = False,
 ) -> ContextDataset:
     """Enumerate query windows over ``series`` and emit context samples.
@@ -240,15 +228,7 @@ def build_context_dataset(
                 continue
             demo_source = pool if cross_channel_demos else by_channel.get((s.dataset, s.channel), [])
             try:
-                demos = sample_demos(
-                    demo_source,
-                    query.source_span,
-                    task,
-                    demo_count,
-                    w,
-                    rng,
-                    pairwise_disjoint=pairwise_disjoint_demos,
-                )
+                demos = sample_demos(demo_source, query.source_span, task, demo_count, w, rng)
             except DataError:
                 skipped += 1
                 continue

@@ -84,7 +84,6 @@ def build_datasets(store: SplitStore, cfg: dict):
         cfg["seed"],
         stride=cfg["stride"] or None,
         valid_stride=cfg["valid_stride"] or None,
-        pairwise_disjoint_demos=cfg["pairwise_disjoint_demos"],
         cross_channel_demos=cfg["cross_channel_demos"],
     )
 

@@ -16,10 +16,13 @@ Every batch splits into two fixed halves, its first ceil(B/2) samples and the
 rest. Each half's MSE divides by the whole batch's element count, and the
 halves' losses and gradients are summed in that order before the one Adam
 step. The second half, and the second half of the validation set, run in one
-persistent ``workers.one_worker`` process, forked once per ``train`` call: it
-shares the parameters and its half's gradient with the caller through shared
-memory, so only indices and losses cross the pipe. Where ``fork_join`` would
-run serially (one core, inside a worker, no settable OpenBLAS), the caller runs
+persistent ``workers.one_worker`` process, forked once per ``train`` call.
+When ``train`` starts, every parameter's ``data`` becomes a view of one flat
+array: row 0 of a (2, N) ``workers.shared_zeros`` array, whose row 1 takes the
+worker's flat half-gradient, so only indices and losses cross the pipe. Adam,
+the sum of the halves and the best state are each one array operation, and the
+returned parameters are views of the best state. Where ``fork_join`` would run
+serially (one core, inside a worker, no settable OpenBLAS), the caller runs
 both halves itself, with the same bits. Every process runs one BLAS thread, so
 a run's bits depend on neither the core count nor ``OPENBLAS_NUM_THREADS``.
 """
@@ -45,7 +48,7 @@ from .model import (
     horizon_patch_count,
     readout_rows,
 )
-from .workers import Worker, one_worker, shared_arrays
+from .workers import Worker, one_worker, shared_zeros
 
 
 @dataclass(frozen=True)
@@ -91,43 +94,42 @@ class TrainRecord:
 
 
 class Adam:
-    """Adam with global-norm gradient clipping; state keyed by parameter name.
+    """Adam with global-norm gradient clipping over one flat parameter array, updated in place.
 
-    The moments take the parameters' dtype. The clip scale and the bias
-    correction are Python floats, so a float32 step stays float32 (NEP 50).
+    The moments ``m`` and ``v`` are flat like ``data`` and take its dtype. The
+    clip scale and the bias correction are Python floats, so a float32 step
+    stays float32 (NEP 50).
     """
 
-    def __init__(self, params: dict[str, ad.Parameter], config: TrainConfig):
-        self.params = params
+    def __init__(self, data: np.ndarray, config: TrainConfig):
+        self.data = data
         self.config = config
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = np.zeros_like(data)
+        self.v = np.zeros_like(data)
 
-    def step(self) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """One update from ``grad``, flat like ``data``, which is clipped in place."""
         c = self.config
-        grads = {}
-        sq_sum = 0.0
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            grads[name] = g
-            sq_sum += float(np.sum(g * g))
-        norm = math.sqrt(sq_sum)
+        norm = math.sqrt(float(np.dot(grad, grad)))
         if norm > c.clip_norm:
-            scale = c.clip_norm / norm
-            grads = {name: g * scale for name, g in grads.items()}
+            grad *= c.clip_norm / norm
         self.step_count += 1
         t = self.step_count
         correction = math.sqrt(1.0 - c.beta2**t) / (1.0 - c.beta1**t)
-        for name, p in self.params.items():
-            g = grads[name]
-            # moments update in place, so a step allocates no state of its own
-            m, v = self.m[name], self.v[name]
-            m *= c.beta1
-            m += (1 - c.beta1) * g
-            v *= c.beta2
-            v += (1 - c.beta2) * g * g
-            p.data -= c.learning_rate * correction * m / (np.sqrt(v) + c.adam_eps)
+        self.m *= c.beta1
+        self.m += (1 - c.beta1) * grad
+        self.v *= c.beta2
+        self.v += (1 - c.beta2) * grad * grad
+        self.data -= c.learning_rate * correction * self.m / (np.sqrt(self.v) + c.adam_eps)
+
+
+def _bind(params: dict[str, ad.Parameter], flat: np.ndarray) -> None:
+    """Make every parameter's ``data`` a view of its span of ``flat``, in ``params``' order."""
+    offset = 0
+    for p in params.values():
+        p.data = flat[offset : offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
 
 
 def _batch_streams(dataset: ContextDataset, idxs: list[int], variant: str) -> np.ndarray:
@@ -185,14 +187,17 @@ def _gradient(
     config: ModelConfig,
     supervise_demos: bool,
     batch_size: int,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """The loss and gradient of ``idxs``, part of a batch of ``batch_size`` samples."""
+    out: np.ndarray,
+) -> float:
+    """The loss of ``idxs``, part of a batch of ``batch_size`` samples; its gradient goes to ``out``,
+    flat in ``params``' order."""
     for p in params.values():
         p.zero_grad()
     with ad.Tape() as tape:
         loss = _batch_loss_graph(dataset, idxs, params, config, supervise_demos, batch_size)
         tape.backward(loss)
-    return float(loss.data), {name: p.grad for name, p in params.items()}
+    np.concatenate([p.grad.ravel() for p in params.values()], out=out)
+    return float(loss.data)
 
 
 def _predictions(
@@ -254,29 +259,25 @@ def train(
 
     start = time.perf_counter()
     record = TrainRecord()
-    optimizer = Adam(params, train_config)
     buckets: dict[int, list[int]] = {}
     for i, s in enumerate(dataset.samples):
         buckets.setdefault(len(s.demos), []).append(i)
-    best_valid = np.inf
-    best_state: dict[str, np.ndarray] = {}
-    stale = 0
+    best_valid, best, stale = np.inf, None, 0
 
-    # the worker reads the parameters and writes its half's gradient in place, shared with this process
-    values = shared_arrays({name: p.data for name, p in params.items()})
-    their_grads = shared_arrays({name: np.zeros_like(p.data) for name, p in params.items()})
-    for name, p in params.items():
-        p.data = values[name]
+    # the worker reads the parameters (row 0) and writes its half's gradient (row 1), shared with this process
+    size = sum(p.data.size for p in params.values())
+    data, their_grad = shared_zeros((2, size), np.result_type(*{p.data.dtype for p in params.values()}))
+    np.concatenate([p.data.ravel() for p in params.values()], out=data)
+    _bind(params, data)
+    grad = np.empty_like(data)
+    optimizer = Adam(data, train_config)
 
     def answer(request):
-        """The second half's part: its loss, with its gradient left in ``their_grads``, or its predictions."""
+        """The second half's part: its loss, with its gradient left in ``their_grad``, or its predictions."""
         part, idxs, n = request
         if part == "valid":
             return _predictions(valid, idxs, params, model_config)
-        loss, grads = _gradient(dataset, idxs, params, model_config, supervise, n)
-        for name, g in grads.items():
-            np.copyto(their_grads[name], g)
-        return loss
+        return _gradient(dataset, idxs, params, model_config, supervise, n, their_grad)
 
     with one_worker(answer) as worker:
         for epoch in range(train_config.max_epochs):
@@ -291,18 +292,16 @@ def train(
             loss_sum, n_seen = 0.0, 0
             for batch in batches:
                 n = len(batch)
-                (value, grads), their_loss = _in_halves(
-                    lambda half: _gradient(dataset, half, params, model_config, supervise, n),
+                value, their_loss = _in_halves(
+                    lambda half: _gradient(dataset, half, params, model_config, supervise, n, grad),
                     answer, "train", batch, worker,
                 )
                 if their_loss is not None:  # the halves' sum, always in this order
                     value += their_loss
-                    grads = {name: g + their_grads[name] for name, g in grads.items()}
+                    grad += their_grad
                 if not np.isfinite(value):
                     raise NumericalError(f"training loss diverged at epoch {epoch}")
-                for name, p in params.items():
-                    p.grad = grads[name]
-                optimizer.step()
+                optimizer.step(grad)
                 loss_sum += value * n
                 n_seen += n
 
@@ -313,7 +312,7 @@ def train(
             if valid_loss < best_valid:
                 best_valid = valid_loss
                 record.best_epoch = epoch
-                best_state = {name: p.data.copy() for name, p in params.items()}
+                best = data.copy()
                 stale = 0
             else:
                 stale += 1
@@ -324,7 +323,6 @@ def train(
         raise NumericalError(
             f"no finite validation loss in {len(record.valid_losses)} epochs: {record.valid_losses}"
         )
-    for name, p in params.items():
-        p.data = best_state[name]
+    _bind(params, best)
     record.wall_time_s = time.perf_counter() - start
     return params, record

@@ -18,9 +18,9 @@ and each other share in a worker of its own, and returns the results in share
 order. ``one_worker`` keeps one worker for a whole block: training sends it the
 second half of every batch and of the validation set. Forking once per training
 step instead was slower than one process, because each fork faults the heap
-back in. Arrays that ``shared_arrays`` places in shared memory before the fork
-are read and written by both processes, so the parameters and a half's
-gradient need no message.
+back in. An array that ``shared_zeros`` makes before the fork is read and
+written by both processes, so the parameters and a half's gradient, two rows
+of one such array, need no message.
 
 For the whole call, serial or forked, OpenBLAS runs one thread, set through the
 library numpy loaded (found in ``/proc/self/maps``) and restored afterwards:
@@ -33,6 +33,7 @@ process is allowed, where that thread count cannot be set, and inside a worker.
 from __future__ import annotations
 
 import ctypes
+import math
 import mmap
 import os
 import pickle
@@ -214,16 +215,8 @@ def one_worker(handler: Callable[[Any], Any]) -> Iterator[Worker | None]:
             yield worker
 
 
-def shared_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Copies of ``arrays`` in one anonymous shared mapping: a worker forked afterwards reads and
-    writes the same memory as the caller, so no message needs to carry them."""
-    offsets, total = [], 0
-    for a in arrays.values():
-        offsets.append(total)
-        total += -(-a.nbytes // 64) * 64  # each array starts a cache line
-    mapping = mmap.mmap(-1, max(total, 1))  # MAP_SHARED | MAP_ANONYMOUS
-    copies = {}
-    for (name, a), offset in zip(arrays.items(), offsets):
-        copies[name] = np.frombuffer(mapping, a.dtype, a.size, offset).reshape(a.shape)
-        copies[name][...] = a
-    return copies
+def shared_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping: a worker forked afterwards reads and writes
+    the same memory as the caller, so no message needs to carry it."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(size, 1)))  # MAP_SHARED | MAP_ANONYMOUS: zeroed

@@ -77,32 +77,16 @@ class TestSampleDemos:
         assert demos[0].source_span.end <= 40
 
     def test_insufficient_reports_available_count(self):
-        pool = [series_of(12)]
+        pool = [series_of(8)]  # starts 0..2: every window overlaps the query's [0, 6)
         query_span = Span("d", "c", 0, 6)
-        available = count_disjoint_starts(pool, query_span, TaskKind.FORECAST, W42)
-        m = available + 5
+        assert count_disjoint_starts(pool, query_span, TaskKind.FORECAST, W42) == 0
+        m = 5
         with pytest.raises(DataError, match="insufficient disjoint demo windows") as err:
-            # pairwise_disjoint makes window starts actually run out
-            sample_demos(
-                pool, query_span, TaskKind.FORECAST, m, W42, np.random.default_rng(0),
-                pairwise_disjoint=True,
-            )
+            sample_demos(pool, query_span, TaskKind.FORECAST, m, W42, np.random.default_rng(0))
         assert f"needed {m}" in str(err.value)
 
     def test_zero_demos(self):
         assert sample_demos([series_of(40)], Span("d", "c", 0, 6), TaskKind.FORECAST, 0, W42, np.random.default_rng(0)) == []
-
-    def test_pairwise_disjoint_flag(self):
-        pool = [series_of(60)]
-        query_span = Span("d", "c", 0, 6)
-        demos = sample_demos(
-            pool, query_span, TaskKind.FORECAST, 5, W42, np.random.default_rng(3),
-            pairwise_disjoint=True,
-        )
-        spans = [d.source_span for d in demos]
-        for i in range(len(spans)):
-            for j in range(i + 1, len(spans)):
-                assert not spans[i].overlaps(spans[j])
 
     def test_demos_may_overlap_each_other_by_default(self):
         pool = [series_of(14)]  # only a handful of start positions

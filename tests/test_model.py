@@ -8,7 +8,7 @@ import pytest
 
 import reference as ref
 from tsicl import autodiff as ad
-from tsicl import model
+from tsicl import model, trainer
 from tsicl.errors import GeometryError
 from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, VARIANTS, ModelConfig, forward_patch_predictions, init_params
 from tsicl.trainer import Adam, TrainConfig
@@ -305,13 +305,17 @@ def test_training_steps_reuse_the_heap():
     config = ModelConfig(d_model=32, n_layers=2, n_heads=4)
     rng = np.random.default_rng(5)
     params = init_params(config, seed=1)
-    optimizer = Adam(params, TrainConfig())
+    data = np.concatenate([p.data.ravel() for p in params.values()])
+    trainer._bind(params, data)
+    grad = np.empty_like(data)
+    optimizer = Adam(data, TrainConfig())
     tokens = random_tokens(rng, batch=32, patches=180 // config.patch_size, patch_size=config.patch_size)
     target = rng.normal(size=(32, 180 // config.patch_size, config.patch_size))
 
     def step():
-        outputs_and_grads(tokens, params, config, target)
-        optimizer.step()
+        _, grads = outputs_and_grads(tokens, params, config, target)
+        np.concatenate([g.ravel() for g in grads.values()], out=grad)
+        optimizer.step(grad)
 
     step()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -25,24 +25,21 @@ from tsicl.trainer import Adam, TrainConfig
 CONFIG = TrainConfig(learning_rate=0.01, clip_norm=1.0)
 
 
-def reference_step(values, grads, m, v, t, config):
-    """Adam as Kingma & Ba (2015), Algorithm 1, written element by element.
+def reference_step(values, grad, m, v, t, config):
+    """Adam as Kingma & Ba (2015), Algorithm 1, written element by element over flat lists.
 
     The bias corrections are folded into the step size (the paper's section 2
-    form), so ``adam_eps`` is added to the uncorrected sqrt(v). A ``None`` gradient
-    counts as zero, and the global norm over every gradient is clipped to
-    ``clip_norm``.
+    form), so ``adam_eps`` is added to the uncorrected sqrt(v). The global norm
+    of the gradient is clipped to ``clip_norm``.
     """
-    grads = {name: [0.0] * len(values[name]) if g is None else list(g) for name, g in grads.items()}
-    norm = math.sqrt(sum(x * x for g in grads.values() for x in g))
+    norm = math.sqrt(sum(x * x for x in grad))
     clip = config.clip_norm / norm if norm > config.clip_norm else 1.0
     step = config.learning_rate * math.sqrt(1 - config.beta2**t) / (1 - config.beta1**t)
-    for name, g in grads.items():
-        for i, gi in enumerate(g):
-            gi *= clip
-            m[name][i] = config.beta1 * m[name][i] + (1 - config.beta1) * gi
-            v[name][i] = config.beta2 * v[name][i] + (1 - config.beta2) * gi * gi
-            values[name][i] -= step * m[name][i] / (math.sqrt(v[name][i]) + config.adam_eps)
+    for i, gi in enumerate(grad):
+        gi *= clip
+        m[i] = config.beta1 * m[i] + (1 - config.beta1) * gi
+        v[i] = config.beta2 * v[i] + (1 - config.beta2) * gi * gi
+        values[i] -= step * m[i] / (math.sqrt(v[i]) + config.adam_eps)
 
 
 def flat(a):
@@ -51,42 +48,28 @@ def flat(a):
 
 def test_adam_matches_the_reference_over_two_steps():
     rng = np.random.default_rng(0)
-    params = {
-        "w": ad.Parameter(rng.normal(size=(2, 3)), "w"),
-        "b": ad.Parameter(rng.normal(size=3), "b"),
-    }
-    optimizer = Adam(params, CONFIG)
-    values = {name: flat(p.data) for name, p in params.items()}
-    m = {name: [0.0] * len(x) for name, x in values.items()}
-    v = {name: [0.0] * len(x) for name, x in values.items()}
+    data = rng.normal(size=9)  # a (2, 3) weight, then a bias of 3
+    optimizer = Adam(data, CONFIG)
+    values, m, v = flat(data), [0.0] * 9, [0.0] * 9
 
-    # step 1: a small gradient, global norm < clip_norm; step 2: norm > clip_norm and no gradient for b
-    steps = [
-        {"w": 0.05 * rng.normal(size=(2, 3)), "b": 0.05 * rng.normal(size=3)},
-        {"w": 3.0 * rng.normal(size=(2, 3)), "b": None},
-    ]
-    assert math.sqrt(sum(np.sum(g * g) for g in steps[0].values())) < CONFIG.clip_norm
-    assert np.sqrt(np.sum(steps[1]["w"] ** 2)) > CONFIG.clip_norm
+    # step 1: a small gradient, global norm < clip_norm; step 2: norm > clip_norm and no gradient for the bias
+    steps = [0.05 * rng.normal(size=9), np.concatenate([3.0 * rng.normal(size=6), np.zeros(3)])]
+    assert np.linalg.norm(steps[0]) < CONFIG.clip_norm < np.linalg.norm(steps[1])
 
-    for t, grads in enumerate(steps, start=1):
-        before = {name: p.data.copy() for name, p in params.items()}
-        for name, g in grads.items():
-            params[name].grad = g
-        optimizer.step()
-        reference_step(values, {name: None if g is None else flat(g) for name, g in grads.items()}, m, v, t, CONFIG)
+    for t, grad in enumerate(steps, start=1):
+        before = data.copy()
+        optimizer.step(grad.copy())
+        reference_step(values, flat(grad), m, v, t, CONFIG)
 
         assert optimizer.step_count == t
-        for name, p in params.items():
-            np.testing.assert_allclose(flat(p.data), values[name], rtol=1e-13, atol=0)
-            np.testing.assert_allclose(flat(optimizer.m[name]), m[name], rtol=1e-13, atol=0)
-            np.testing.assert_allclose(flat(optimizer.v[name]), v[name], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(data, values, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(optimizer.m, m, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(optimizer.v, v, rtol=1e-13, atol=0)
         if t == 1:
             # bias correction at t = 1: the first step moves every weight by ~lr against its gradient
-            for name, p in params.items():
-                moved = before[name] - p.data
-                assert np.allclose(moved, CONFIG.learning_rate * np.sign(grads[name]), rtol=1e-3, atol=0)
-    # b had no gradient at t = 2 but still moved on its first moment
-    assert not np.array_equal(before["b"], params["b"].data)
+            assert np.allclose(before - data, CONFIG.learning_rate * np.sign(grad), rtol=1e-3, atol=0)
+    # the bias had no gradient at t = 2 but still moved on its first moment
+    assert not np.array_equal(before[6:], data[6:])
 
 
 def forecast_dataset(w: WindowSpec, m: int):
@@ -99,6 +82,28 @@ def forecast_dataset(w: WindowSpec, m: int):
     ]
     dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w)
     return dataset, queries, demos
+
+
+def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
+    """Validation losses 3, 1, 2, 4 make epoch 1 the best: four epochs end where a two-epoch run does."""
+    config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+
+    def run(valid_losses):
+        scripted = iter(valid_losses)
+        monkeypatch.setattr(trainer, "evaluate_loss", lambda *args: next(scripted))
+        epochs = len(valid_losses)
+        run_config = TrainConfig(batch_size=2, max_epochs=epochs, patience=epochs)
+        params, record = trainer.train(init_params(config, seed=0), dataset, dataset, config, run_config)
+        assert len(record.valid_losses) == epochs
+        return record.best_epoch, {name: p.data.tobytes() for name, p in params.items()}
+
+    best, two_epochs = run([3.0, 1.0])
+    assert best == 1
+    assert run([3.0, 1.0, 2.0, 4.0]) == (1, two_epochs)
+    # the last epoch's parameters are another state: returning them would fail the check above
+    best, four_epochs = run([3.0, 1.0, 2.0, 0.5])
+    assert best == 3 and four_epochs != two_epochs
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -240,9 +245,10 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     dataset, _, _ = forecast_dataset(w, m=2)
     params = init_params(config, seed=0)
     assert {q.data.dtype for q in params.values()} == {np.dtype(np.float32)}
-    for q in params.values():
-        q.data = q.data.astype(dtype).view(StrictArray)
-    optimizer = Adam(params, TrainConfig(clip_norm=1e-3))  # the clip fires
+    data = np.concatenate([q.data.ravel() for q in params.values()]).astype(dtype).view(StrictArray)
+    trainer._bind(params, data)
+    grad = np.empty_like(data)
+    optimizer = Adam(data, TrainConfig(clip_norm=1e-3))  # the clip fires
 
     seen = []  # (op, "out" or "dout", dtype) for every recorded op and every call of its rule
     real_finish = ad._finish
@@ -257,13 +263,11 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
         return real_finish(out, backward, op)
 
     monkeypatch.setattr(ad, "_finish", recording_finish)
-    with ad.Tape() as tape:
-        loss = trainer._batch_loss_graph(dataset, [0, 1, 2], params, config, variant == DECODER_CAUSAL)
-        tape.backward(loss)
+    trainer._gradient(dataset, [0, 1, 2], params, config, variant == DECODER_CAUSAL, 3, grad)
     kinds = [kind for _, kind, _ in seen]
     # every op recorded for the loss ran its rule once
     assert kinds.count("dout") == kinds.count("out") > 0
-    optimizer.step()
+    optimizer.step(grad)
     streams = [s.tokens for s in dataset.samples]
     preds = batched_predict(streams, [w.horizon] * len(streams), params, config)
     preds += batched_predict(streams, [w.horizon] * len(streams), params, config, prefix=streams[0])
@@ -271,6 +275,6 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     assert {"matmul", "attention", "gelu", "layer_norm", "mse_loss"} <= {op for op, _, _ in seen}
     assert [entry for entry in seen if entry[2] != dtype] == []
     for name, q in params.items():
-        assert q.grad.dtype == dtype, name
-        assert q.data.dtype == optimizer.m[name].dtype == optimizer.v[name].dtype == dtype, name
+        assert q.grad.dtype == q.data.dtype == dtype, name
+    assert isinstance(optimizer.m, StrictArray) and grad.dtype == optimizer.m.dtype == optimizer.v.dtype == dtype
     assert {pred.dtype for pred in preds} == {np.dtype(dtype)}
