@@ -479,21 +479,35 @@ def save_params(params: dict[str, Parameter], path: str | Path, meta: dict | Non
     """JSON checkpoint: the parameters' one dtype, then name -> shape + flat values.
 
     Every value is written as the shortest decimal that reads back as the same
-    float64, which holds every float32 too, so the file round-trips exactly.
-    A dict that mixes dtypes is refused.
+    value of the checkpoint's dtype (numpy's round-trip repr), so a float32
+    checkpoint holds about 11 characters a value, and a float64 one the digits
+    of Python's float repr. ``load_params`` parses each number as a float64 and
+    rounds that to the dtype. A short float32 decimal can parse to the float64
+    exactly halfway between two float32s, which rounds to the even one, not
+    always its own (``7.038531e-26``, bits 0x15AE43FD, reads back as
+    0x15AE43FE), so a value that this parse would not give back is written as
+    its float64 widening instead, which parses exactly. A dict that mixes
+    dtypes, or a parameter holding NaN or an infinity, for which JSON has no
+    number, is refused before anything is written.
     """
     dtypes = sorted({p.data.dtype.name for p in params.values()}) or ["float64"]
     if len(dtypes) > 1:
         raise DataError(f"cannot checkpoint parameters of mixed dtypes {dtypes}")
-    payload = {
-        "meta": meta or {},
-        "dtype": dtypes[0],
-        "params": {
-            name: {"shape": list(p.data.shape), "values": p.data.reshape(-1).tolist()}
-            for name, p in params.items()
-        },
-    }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    compact = (",", ":")
+    entries = []
+    for name, p in params.items():
+        if not np.all(np.isfinite(p.data)):
+            raise NumericalError(f"cannot checkpoint parameter {name}: it holds a non-finite value")
+        flat = p.data.reshape(-1)
+        texts = flat.astype(str).tolist()  # in the dtype: a Python float widens a float32
+        # read back as load_params reads: a float64 parse, then a rounding to the dtype
+        misread = np.fromiter(map(float, texts), np.float64, len(texts)).astype(flat.dtype) != flat
+        for i in np.flatnonzero(misread):
+            texts[i] = repr(float(flat[i]))
+        shape = json.dumps(list(p.data.shape), separators=compact)
+        entries.append(f'{json.dumps(name)}:{{"shape":{shape},"values":[{",".join(texts)}]}}')
+    head = json.dumps({"meta": meta or {}, "dtype": dtypes[0]}, separators=compact)[:-1]  # the object, left open
+    Path(path).write_text(head + ',"params":{' + ",".join(entries) + "}}\n")
 
 
 def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:

@@ -28,7 +28,7 @@ from .context import pool_datasets, read_header, read_jsonl, write_jsonl
 from .errors import ConfigError, DataError, GeometryError, NumericalError
 from .evalharness import EvalReport, improvement_ratio, run_unseen_eval
 from .experiment import build_datasets, eval_protocol, model_config, synth_spec, train_config
-from .model import ModelConfig, init_params
+from .model import ModelConfig, init_params, param_shapes
 from .series import SplitStore, build_store, load_csv, load_store, save_store
 from .synthetic import generate, write_csv
 from .trainer import TrainConfig, train
@@ -259,7 +259,7 @@ def cmd_eval(cfg: dict) -> None:
     pretrained = meta.get("config") or {}  # eval_task is held out from cfg["tasks"]: they must be these
     if isinstance(pretrained, dict) and pretrained.get("tasks", cfg["tasks"]) != cfg["tasks"]:
         raise ConfigError(f"checkpoint pre-trained on tasks {pretrained['tasks']}, configured {cfg['tasks']}")
-    want = {name: p.data.shape for name, p in init_params(model_cfg).items()}
+    want = param_shapes(model_cfg)
     got = {name: p.data.shape for name, p in params.items()}
     bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     if bad:

@@ -86,45 +86,34 @@ def patchify(tokens: np.ndarray, patch_size: int) -> np.ndarray:
     return tokens.reshape(*lead, n // patch_size, 3 * patch_size)
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order ``init_params`` creates them."""
+    d, p, f = config.d_model, config.patch_size, config.ff_mult * config.d_model
+    shapes = {"in.w": (3 * p, d), "in.b": (d,)}
+    for layer in range(config.n_layers):
+        pre = f"l{layer}."
+        for nm in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
+            shapes[pre + nm] = (d, d)
+        for nm in ("attn.bq", "attn.bv", "attn.bo", "ln1.g", "ln1.b", "ln2.g", "ln2.b"):
+            shapes[pre + nm] = (d,)
+        shapes |= {pre + "ff.w1": (d, f), pre + "ff.b1": (f,), pre + "ff.w2": (f, d), pre + "ff.b2": (d,)}
+    return shapes | {"lnf.g": (d,), "lnf.b": (d,), "head.w": (d, p), "head.b": (p,)}
+
+
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, ad.Parameter]:
     """Xavier-normal weights, zero biases, unit layer-norm gains, stored as float32.
 
-    Values are drawn in float64, then rounded to float32.
+    Weights are the 2-D entries of ``param_shapes``, drawn in its order in
+    float64, then rounded to float32.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11C)))
     params: dict[str, ad.Parameter] = {}
-
-    def put(name: str, values: np.ndarray) -> None:
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            values = rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape)
+        else:
+            values = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
         params[name] = ad.Parameter(values.astype(np.float32), name)
-
-    def weight(name: str, fan_in: int, fan_out: int) -> None:
-        std = np.sqrt(2.0 / (fan_in + fan_out))
-        put(name, rng.normal(0.0, std, size=(fan_in, fan_out)))
-
-    def bias(name: str, n: int) -> None:
-        put(name, np.zeros(n))
-
-    d, p = config.d_model, config.patch_size
-    weight("in.w", 3 * p, d)
-    bias("in.b", d)
-    for layer in range(config.n_layers):
-        pre = f"l{layer}."
-        for nm in ("wq", "wk", "wv", "wo"):
-            weight(pre + "attn." + nm, d, d)
-        for nm in ("bq", "bv", "bo"):
-            bias(pre + "attn." + nm, d)
-        put(pre + "ln1.g", np.ones(d))
-        bias(pre + "ln1.b", d)
-        put(pre + "ln2.g", np.ones(d))
-        bias(pre + "ln2.b", d)
-        weight(pre + "ff.w1", d, config.ff_mult * d)
-        bias(pre + "ff.b1", config.ff_mult * d)
-        weight(pre + "ff.w2", config.ff_mult * d, d)
-        bias(pre + "ff.b2", d)
-    put("lnf.g", np.ones(d))
-    bias("lnf.b", d)
-    weight("head.w", d, p)
-    bias("head.b", p)
     return params
 
 

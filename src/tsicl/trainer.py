@@ -50,6 +50,11 @@ from .model import (
 )
 from .workers import Worker, one_worker, shared_zeros
 
+# Adam's moment decays and denominator floor (Kingma & Ba, 2015, Algorithm 1)
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -58,19 +63,14 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 1.0
     supervise_demo_outputs: bool = False
 
     def __post_init__(self) -> None:
         if min(self.batch_size, self.max_epochs, self.patience) < 1:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
-        if self.learning_rate < 0 or self.adam_eps <= 0 or self.clip_norm <= 0:
-            raise ConfigError("learning_rate must be >= 0; adam_eps and clip_norm > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
+        if self.learning_rate < 0 or self.clip_norm <= 0:
+            raise ConfigError("learning_rate must be >= 0; clip_norm > 0")
         if self.patience > self.max_epochs:
             raise ConfigError("patience must not exceed max_epochs")
 
@@ -116,12 +116,12 @@ class Adam:
             grad *= c.clip_norm / norm
         self.step_count += 1
         t = self.step_count
-        correction = math.sqrt(1.0 - c.beta2**t) / (1.0 - c.beta1**t)
-        self.m *= c.beta1
-        self.m += (1 - c.beta1) * grad
-        self.v *= c.beta2
-        self.v += (1 - c.beta2) * grad * grad
-        self.data -= c.learning_rate * correction * self.m / (np.sqrt(self.v) + c.adam_eps)
+        correction = math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
+        self.m *= BETA1
+        self.m += (1 - BETA1) * grad
+        self.v *= BETA2
+        self.v += (1 - BETA2) * grad * grad
+        self.data -= c.learning_rate * correction * self.m / (np.sqrt(self.v) + ADAM_EPS)
 
 
 def _bind(params: dict[str, ad.Parameter], flat: np.ndarray) -> None:

@@ -525,17 +525,56 @@ class TestCheckpoint:
 
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
+        f32 = np.finfo(np.float32)
+        edges = [0.0, -0.0, f32.smallest_subnormal, f32.smallest_normal, f32.max, -f32.max]
+        # ±7.038531e-26, whose shortest decimal parses to the float64 midpoint between it and the next float32
+        halfway = np.array([0x15AE43FD, 0x95AE43FD], dtype=np.uint32).view(np.float32)
+        patterns = rng.integers(0, 2**32, size=120_000, dtype=np.uint64).astype(np.uint32).view(np.float32)
         params = {
             "w": ad.Parameter(rng.normal(size=(3, 4)).astype(np.float32), "w"),
             "b": ad.Parameter((rng.normal(size=4) * 1e-30).astype(np.float32), "b"),
+            "edges": ad.Parameter(np.concatenate([np.array(edges, dtype=np.float32), halfway]), "edges"),
+            "patterns": ad.Parameter(patterns[np.isfinite(patterns)], "patterns"),
         }
+        assert params["patterns"].data.size >= 100_000
         path = tmp_path / "ckpt.json"
         ad.save_params(params, path)
         assert json.loads(path.read_text())["dtype"] == "float32"
         loaded, _ = ad.load_params(path)
         for name in params:
             assert loaded[name].data.dtype == np.float32
-            assert np.array_equal(loaded[name].data, params[name].data)  # bit-exact
+            assert np.array_equal(loaded[name].data.view(np.uint32), params[name].data.view(np.uint32))  # bit-exact
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_value_is_written_as_its_shortest_repr_in_the_dtype(self, dtype, tmp_path):
+        rng = np.random.default_rng(7)
+        data = np.concatenate([rng.normal(size=50), [0.0, -0.0, 1e-40, 1e7, 3e38]]).astype(dtype)
+        path = tmp_path / "ckpt.json"
+        ad.save_params({"w": ad.Parameter(data.reshape(5, 11), "w")}, path)
+        texts = json.loads(path.read_text(), parse_float=str)["params"]["w"]["values"]
+        assert texts == [str(v) for v in data]  # a float64's str is its Python float repr
+
+    def test_a_checkpoint_of_widened_float32_values_loads_to_the_same_bits(self, tmp_path):
+        """Each value written as the repr of its float64 widening, as earlier checkpoints were."""
+        data = (np.random.default_rng(8).normal(size=(4, 6)) * 1e-3).astype(np.float32)
+        path = tmp_path / "ckpt.json"
+        widened = {"w": {"shape": [4, 6], "values": data.reshape(-1).tolist()}}
+        payload = {"meta": {}, "dtype": "float32", "params": widened}
+        path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+        texts = json.loads(path.read_text(), parse_float=str)["params"]["w"]["values"]
+        assert all(t != str(v) for t, v in zip(texts, data.reshape(-1)))  # not one is the shortest
+        loaded, _ = ad.load_params(path)
+        assert np.array_equal(loaded["w"].data.view(np.uint32), data.view(np.uint32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_refused_before_writing(self, bad, tmp_path):
+        params = {
+            "w": ad.Parameter(np.ones(3, dtype=np.float32), "w"),
+            "l0.ff.b1": ad.Parameter(np.array([0.5, bad, 1.0], dtype=np.float32), "l0.ff.b1"),
+        }
+        with pytest.raises(NumericalError, match="parameter l0.ff.b1"):
+            ad.save_params(params, tmp_path / "ckpt.json")
+        assert not (tmp_path / "ckpt.json").exists()
 
     def test_a_file_without_a_dtype_is_float64(self, tmp_path):
         path = tmp_path / "ckpt.json"

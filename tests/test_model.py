@@ -10,7 +10,16 @@ import reference as ref
 from tsicl import autodiff as ad
 from tsicl import model, trainer
 from tsicl.errors import GeometryError
-from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, VARIANTS, ModelConfig, forward_patch_predictions, init_params
+from tsicl.evalharness import params_checksum
+from tsicl.model import (
+    DECODER_CAUSAL,
+    ENCODER_MASKED,
+    VARIANTS,
+    ModelConfig,
+    forward_patch_predictions,
+    init_params,
+    param_shapes,
+)
 from tsicl.trainer import Adam, TrainConfig
 
 
@@ -62,6 +71,14 @@ def assert_folded_heads_match_reference(variant, patches, monkeypatch, first_row
     for name, g in want_grads.items():
         assert got_grads[name].shape == g.shape, name
         assert np.max(np.abs(got_grads[name] - g)) <= 1e-10 * max(1.0, np.max(np.abs(g))), name
+
+
+def test_init_params_draws_the_param_shapes_in_their_order():
+    config = ModelConfig(d_model=8, n_layers=2, n_heads=2, ff_mult=2)
+    params = init_params(config, seed=3)
+    assert [(name, p.data.shape) for name, p in params.items()] == list(param_shapes(config).items())
+    # every trained checkpoint starts from these draws: a new order or std would move them all
+    assert params_checksum(params) == "fe88771ca211da0f43ca52288a7900dced23991433158a3fe414ad6ba9abef67"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

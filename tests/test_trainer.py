@@ -29,17 +29,18 @@ def reference_step(values, grad, m, v, t, config):
     """Adam as Kingma & Ba (2015), Algorithm 1, written element by element over flat lists.
 
     The bias corrections are folded into the step size (the paper's section 2
-    form), so ``adam_eps`` is added to the uncorrected sqrt(v). The global norm
+    form), so ``ADAM_EPS`` is added to the uncorrected sqrt(v). The global norm
     of the gradient is clipped to ``clip_norm``.
     """
     norm = math.sqrt(sum(x * x for x in grad))
     clip = config.clip_norm / norm if norm > config.clip_norm else 1.0
-    step = config.learning_rate * math.sqrt(1 - config.beta2**t) / (1 - config.beta1**t)
+    beta1, beta2 = trainer.BETA1, trainer.BETA2
+    step = config.learning_rate * math.sqrt(1 - beta2**t) / (1 - beta1**t)
     for i, gi in enumerate(grad):
         gi *= clip
-        m[i] = config.beta1 * m[i] + (1 - config.beta1) * gi
-        v[i] = config.beta2 * v[i] + (1 - config.beta2) * gi * gi
-        values[i] -= step * m[i] / (math.sqrt(v[i]) + config.adam_eps)
+        m[i] = beta1 * m[i] + (1 - beta1) * gi
+        v[i] = beta2 * v[i] + (1 - beta2) * gi * gi
+        values[i] -= step * m[i] / (math.sqrt(v[i]) + trainer.ADAM_EPS)
 
 
 def flat(a):
