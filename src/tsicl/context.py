@@ -1,25 +1,35 @@
 """Context-sequence assembly: rewrite raw series into context-following samples.
 
-For each query window the builder draws a task, generates the query example,
-and samples demonstration examples of the same task whose source spans are
-disjoint from the query's. ``build_stream`` lays examples out, the one builder
-of model inputs: each demo's input, then its ``tasks.answer_region`` showing
-its true values, and last the query's input and placeholder region. Answer
-tokens carry segment_flag=1, so the encoding stays invertible without
-separator tokens.
+For each query window the builder draws a task, places the query, and
+samples demonstration windows of the same task whose source spans are
+disjoint from the query's. A sample is integers, in memory as on disk: a
+``ContextSample`` holds its task and, for each demo and then the query, the
+row of its window start in a ``series.SeriesTable`` (one flat copy of the
+series it was built from) and its window-relative masked positions. Values
+are read only when a stream is made: ``sample_streams`` gathers a batch of
+samples at once with ``tasks.gather``, and ``ContextSample.tokens`` /
+``demos`` / ``query`` gather one. Every model input has one layout, which
+``build_stream`` makes from examples one stream at a time and
+``sample_streams`` a batch at a time: each demo's input and its
+``tasks.answer_region`` showing its true values, and last the query's input
+and placeholder region. Answer tokens carry segment_flag=1, so the encoding
+stays invertible without separator tokens.
 
-A context file stores decisions, not values. Its first line, the header, holds
+A context file stores the same decisions. Its first line, the header, holds
 ``lookback``, ``horizon``, ``samples`` and ``skipped_windows``, then the
 writer's ``meta`` (``build`` adds its ``config`` and ``store_sha256``);
 ``read_header`` reads it alone. Each later line is one sample,
 ``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``,
 demos then query; spans are absolute, masked positions window-relative.
-``read_jsonl`` replays them.
+``read_jsonl`` turns them back into rows of the store's table, and refuses
+what ``build`` never writes: an example in the test split, a demo outside
+the train split, or a demo that overlaps its query.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,33 +37,63 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, GeometryError
-from .series import ChannelSeries, SplitStore
+from .series import ChannelSeries, SeriesTable, SplitStore
 from .tasks import (
+    GEOMETRY,
     TASK_ORDER,
     Span,
     TaskExample,
     TaskKind,
     WindowSpec,
     answer_region,
-    generate_example,
+    draw_mask,
+    gather,
     reach,
     source_span,
+    span_width,
+    target_offsets,
     valid_start_range,
 )
 
 DEMO_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ContextSample:
-    """One record: its demos and query, ``query.target`` the truth; ``tokens`` are built on each access."""
+    """One record as integers: its task, and per demo and last the query, the ``table`` row of its
+    window start (``rows``, (m+1,)) and its window-relative masked positions (``masks``, (m+1, h)
+    on impute, (m+1, 0) otherwise). Examples and tokens are gathered on each access."""
 
-    demos: tuple[TaskExample, ...]
-    query: TaskExample
+    table: SeriesTable
+    window: WindowSpec
+    task: TaskKind
+    rows: np.ndarray
+    masks: np.ndarray
 
     @property
-    def tokens(self) -> np.ndarray:  # the model input, ((m+1)*(L+h), 3); not cached: samples hold no copy
-        return build_stream(self.demos, self.query)
+    def spans(self) -> list[Span]:
+        """Each example's source span: the demos', then the query's."""
+        table, located = self.table, zip(self.table.locate(self.rows).tolist(), self.rows.tolist())
+        return [source_span(self.task, table.series[i], row - int(table.firsts[i]), self.window) for i, row in located]
+
+    @property
+    def examples(self) -> tuple[TaskExample, ...]:
+        """The demos, then the query, in one gather."""
+        w = self.window
+        inputs, targets = gather(self.table.values, self.rows, target_offsets(self.task, w, self.masks), w)
+        return tuple(TaskExample(self.task, x, y, span) for x, y, span in zip(inputs, targets, self.spans))
+
+    @property
+    def demos(self) -> tuple[TaskExample, ...]:
+        return self.examples[:-1]
+
+    @property
+    def query(self) -> TaskExample:
+        return self.examples[-1]
+
+    @property
+    def tokens(self) -> np.ndarray:  # the model input, ((m+1)*(L+h), 3); not cached: samples hold no values
+        return sample_streams([self])[0][0]
 
 
 @dataclass
@@ -88,8 +128,7 @@ def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None)
     Without a query this is the demo prefix alone, which evaluation builds
     once and puts in front of every ``build_stream((), query)``; teacher
     forcing passes the query as one more demo. No task-match check:
-    ``assemble`` adds one for ``build_context_dataset``, while evaluation also
-    builds deliberate wrong-task contexts.
+    evaluation also builds deliberate wrong-task contexts.
     """
     parts = [part for d in demos for part in (d.input, answer_region(d.horizon, d.target))]
     if query is not None:
@@ -97,29 +136,31 @@ def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None)
     return np.concatenate(parts, axis=0) if parts else np.zeros((0, 3))
 
 
-def assemble(demos: Sequence[TaskExample], query: TaskExample) -> ContextSample:
-    """One sample of the demos and the query.
+def sample_streams(samples: Sequence[ContextSample], teach: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The streams (B, (m+1)*(L+h), 3) and targets (B, m+1, h) of samples, in one gather.
 
-    Every demo must share the query's task and geometry.
+    The samples must share a table, a window and a demo count m. A stream is
+    ``build_stream(sample.demos, sample.query)``, or with ``teach``
+    ``build_stream((*sample.demos, sample.query))``, which shows the query's
+    answer as a demo's is, for teacher forcing.
     """
-    L, h = query.lookback, query.horizon
-    for demo in demos:
-        if demo.task is not query.task:
-            raise DataError(f"demo task {demo.task} does not match query task {query.task}")
-        if demo.lookback != L or demo.horizon != h:
-            raise GeometryError(
-                f"demo geometry {demo.lookback}/{demo.horizon} does not match query {L}/{h}"
-            )
-    return ContextSample(tuple(demos), query)
-
-
-def _candidate_starts(pool: list[ChannelSeries], task: TaskKind, w: WindowSpec):
-    ranges = []
-    for i, s in enumerate(pool):
-        lo, hi = valid_start_range(task, len(s), w)
-        if hi >= lo:
-            ranges.append((i, lo, hi))
-    return ranges
+    table, w = samples[0].table, samples[0].window
+    if any(s.table is not table or s.window != w for s in samples):
+        raise GeometryError("one gather needs samples of one table and one window geometry")
+    rows = np.stack([s.rows for s in samples])
+    offsets = np.empty((*rows.shape, w.horizon), dtype=np.int64)
+    for task in TASK_ORDER:
+        picked = [i for i, s in enumerate(samples) if s.task is task]
+        if picked:
+            offsets[picked] = target_offsets(task, w, np.stack([samples[i].masks for i in picked]))
+    inputs, targets = gather(table.values, rows, offsets, w)
+    L, h = w.lookback, w.horizon
+    streams = np.empty((*rows.shape, L + h, 3))
+    streams[..., :L, :] = inputs
+    streams[..., L:, :] = answer_region(h, targets)
+    if not teach:
+        streams[:, -1, L:, :] = answer_region(h)
+    return streams.reshape(len(samples), -1, 3), targets
 
 
 def sample_demos(
@@ -129,31 +170,35 @@ def sample_demos(
     m: int,
     w: WindowSpec,
     rng: np.random.Generator,
-) -> list[TaskExample]:
-    """Sample m demonstrations of ``task`` with spans disjoint from the query.
+) -> list[tuple[ChannelSeries, int, list[int]]]:
+    """Sample m demonstrations of ``task`` with spans disjoint from the query's: (series, window start, mask).
 
-    Rejection-samples uniform window starts; after ``DEMO_ATTEMPTS`` misses per
-    demo it falls back to exhaustive enumeration of the valid starts whose
-    spans miss the query's. Demos may overlap each other.
+    Rejection-samples uniform window starts, each with its mask drawn before
+    the overlap test; after ``DEMO_ATTEMPTS`` misses per demo it falls back to
+    exhaustive enumeration of the valid starts whose spans miss the query's.
+    Demos may overlap each other.
     """
     if m == 0:
         return []
-    ranges = _candidate_starts(pool, task, w)
+    ranges = []
+    for i, s in enumerate(pool):
+        lo, hi = valid_start_range(task, len(s), w)
+        if hi >= lo:
+            ranges.append((i, lo, hi))
     if not ranges:
         raise DataError(f"no series in the pool admits a {task} window")
 
-    demos: list[TaskExample] = []
+    demos = []
     for _ in range(m):
-        example = None
+        demo = None
         for _ in range(DEMO_ATTEMPTS):
-            ridx = int(rng.integers(0, len(ranges)))
-            sidx, lo, hi = ranges[ridx]
+            sidx, lo, hi = ranges[int(rng.integers(0, len(ranges)))]
             t = int(rng.integers(lo, hi + 1))
-            candidate = generate_example(task, pool[sidx], t, w, rng)
-            if not candidate.source_span.overlaps(query_span):
-                example = candidate
+            mask = draw_mask(task, w, rng)
+            if not source_span(task, pool[sidx], t, w).overlaps(query_span):
+                demo = (pool[sidx], t, mask)
                 break
-        if example is None:
+        if demo is None:
             # Exhaustive fallback: enumerate every start whose span misses the query's.
             valid = [
                 (sidx, t)
@@ -167,8 +212,8 @@ def sample_demos(
                     "misses the query's span"
                 )
             sidx, t = valid[int(rng.integers(0, len(valid)))]
-            example = generate_example(task, pool[sidx], t, w, rng)
-        demos.append(example)
+            demo = (pool[sidx], t, draw_mask(task, w, rng))
+        demos.append(demo)
     return demos
 
 
@@ -181,6 +226,7 @@ def build_context_dataset(
     seed: int = 0,
     demo_pool: list[ChannelSeries] | None = None,
     cross_channel_demos: bool = False,
+    table: SeriesTable | None = None,
 ) -> ContextDataset:
     """Enumerate query windows over ``series`` and emit context samples.
 
@@ -191,7 +237,8 @@ def build_context_dataset(
 
     ``demo_pool`` defaults to the query series themselves and must hold train
     split data only; demos come from the query's own channel unless
-    ``cross_channel_demos``.
+    ``cross_channel_demos``. Samples hold rows of ``table``, which must hold
+    every query and pool series (by default, a table of just those).
     """
     task_list = [t for t in TASK_ORDER if t in set(tasks)]
     if not task_list:
@@ -203,6 +250,7 @@ def build_context_dataset(
     for s in pool:
         if s.split is not None and s.split != "train":
             raise DataError(f"demo pool must be train-split data, got {s.split!r}")
+    table = SeriesTable([*series, *pool]) if table is None else table
     by_channel: dict[tuple[str, str], list[ChannelSeries]] = {}
     for s in pool:
         by_channel.setdefault((s.dataset, s.channel), []).append(s)
@@ -221,18 +269,21 @@ def build_context_dataset(
             rng = np.random.default_rng(np.random.SeedSequence((seed, window_index)))
             window_index += 1
             task = sample_task(rng, task_list)
-            try:
-                query = generate_example(task, s, t, w, rng)
-            except GeometryError:
+            lo, hi = valid_start_range(task, len(s), w)
+            if not lo <= t <= hi:
                 skipped += 1
                 continue
+            query = (s, t, draw_mask(task, w, rng))
             demo_source = pool if cross_channel_demos else by_channel.get((s.dataset, s.channel), [])
             try:
-                demos = sample_demos(demo_source, query.source_span, task, demo_count, w, rng)
+                demos = sample_demos(demo_source, source_span(task, s, t, w), task, demo_count, w, rng)
             except DataError:
                 skipped += 1
                 continue
-            samples.append(assemble(demos, query))
+            picks = [*demos, query]
+            rows = np.array([table.row(p, start) for p, start, _ in picks], dtype=np.int32)
+            masks = np.array([mask for _, _, mask in picks], dtype=np.int32).reshape(len(picks), -1)
+            samples.append(ContextSample(table, w, task, rows, masks))
     if not samples:
         raise DataError(f"empty dataset: all {skipped} windows skipped")
     return ContextDataset(samples, w, skipped)
@@ -251,9 +302,10 @@ def build_train_valid(
     """Yield (m, train, valid) per demo count m, the k-th seeded ``seed*1000 + 2k`` and ``+ 1``.
 
     Valid queries come from the valid split and draw their demos from the
-    train split; ``valid_stride`` falls back to ``stride``. ``options`` go to
-    ``build_context_dataset``. Every count is checked before the first build; a
-    repeated count is refused, since both builds would claim one ``m``.
+    train split; ``valid_stride`` falls back to ``stride``. Every sample holds
+    rows of ``store.table``. ``options`` go to ``build_context_dataset``.
+    Every count is checked before the first build; a repeated count is
+    refused, since both builds would claim one ``m``.
     """
     if not demo_counts or min(demo_counts) < 0:
         raise ConfigError(f"demo_counts must be one or more counts >= 0, got {list(demo_counts)}")
@@ -265,18 +317,13 @@ def build_train_valid(
     valid_series = [store.series(ch, "valid") for ch in store.channels]
     for k, m in enumerate(demo_counts):
         train = build_context_dataset(
-            train_series, tasks, w, m, stride=stride, seed=seed * 1000 + 2 * k, **options
+            train_series, tasks, w, m, stride=stride, seed=seed * 1000 + 2 * k, table=store.table, **options
         )
         valid = build_context_dataset(
             valid_series, tasks, w, m, stride=valid_stride or stride,
-            seed=seed * 1000 + 2 * k + 1, demo_pool=train_series, **options,
+            seed=seed * 1000 + 2 * k + 1, demo_pool=train_series, table=store.table, **options,
         )
         yield m, train, valid
-
-
-def _example_record(e: TaskExample) -> list:
-    span = e.source_span
-    return [span.dataset, span.channel, span.start, span.end, e.masked_positions.tolist()]
 
 
 def write_jsonl(dataset: ContextDataset, path: str | Path, meta: dict | None = None) -> None:
@@ -291,7 +338,8 @@ def write_jsonl(dataset: ContextDataset, path: str | Path, meta: dict | None = N
     with Path(path).open("w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for s in dataset.samples:
-            record = {"task": str(s.query.task), "examples": [_example_record(e) for e in (*s.demos, s.query)]}
+            examples = [[x.dataset, x.channel, x.start, x.end, mask] for x, mask in zip(s.spans, s.masks.tolist())]
+            record = {"task": str(s.task), "examples": examples}
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
@@ -310,42 +358,113 @@ def read_header(path: str | Path) -> dict:
     return header
 
 
-def _replay(raw: list, task: TaskKind, w: WindowSpec, store: SplitStore) -> TaskExample:
-    """The example one stored record names, regenerated from the split that holds its span."""
-    _, channel, start, end, positions = raw
-    for s in store.splits[channel].values():
-        if s.origin_offset <= start and end <= s.origin_offset + len(s):
-            break
-    else:
-        raise ValueError(f"span {raw[:4]} lies in no split of channel {channel!r}")
-    example = generate_example(task, s, start - s.origin_offset + reach(task, w)[0], w, positions)
-    if _example_record(example) != raw or example.horizon != w.horizon:
-        raise ValueError(f"example {raw} does not replay from the store")
-    return example
+class _Refused(ValueError):
+    """A replay check failed on the stored example at ``index`` in the file."""
+
+    def __init__(self, index: int, why: str):
+        super().__init__(why)
+        self.index = index
+
+
+def _replay_rows(
+    table: SeriesTable, w: WindowSpec, names: list, task_ids: np.ndarray, query: np.ndarray, fields: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table row of each stored example's window start and its (h,) mask row, checked as arrays.
+
+    Per example, in file order: its task's index in ``TASK_ORDER``, whether it
+    ends its record (the query), and its ``fields`` row: its channel's index
+    in ``names`` ((dataset, channel) pairs), its span's start and end, and h
+    masked positions (zeros where its task masks none). A span must lie in
+    one split of its channel and be as wide as its task reads; an impute mask
+    must be h ascending window positions; no example may lie in the test
+    split, and a demo must lie in the train split and miss its query's span.
+    The first example that fails raises ``_Refused``.
+    """
+    channel, start, end, masks = fields[:, 0], fields[:, 1], fields[:, 2], fields[:, 3:]
+    series_channel = np.array([names.index((s.dataset, s.channel)) for s in table.series])
+    origin = np.array([s.origin_offset for s in table.series])
+    split = np.array([s.split for s in table.series])
+    inside = (series_channel == channel[:, None]) & (origin <= start[:, None]) & (end[:, None] <= origin + np.diff(table.firsts))
+    held = inside.argmax(axis=1)
+    impute = np.array([GEOMETRY[t].impute for t in TASK_ORDER])[task_ids]
+    bad_mask = (masks[:, 0] < 0) | (masks[:, -1] >= w.lookback) | (np.diff(masks, axis=1) <= 0).any(axis=1)
+    own_query = np.flatnonzero(query)[np.cumsum(query) - query]  # records end at their queries
+    overlap = (channel == channel[own_query]) & (start < end[own_query]) & (start[own_query] < end)
+    checks = [  # in order: an example that fails several is refused by the first
+        (~inside.any(axis=1), "lies in no split of its channel"),
+        (end - start != np.array([span_width(t, w) for t in TASK_ORDER])[task_ids], "is not as wide as its task reads"),
+        (impute & bad_mask, f"does not mask {w.horizon} ascending positions of its window"),
+        (split[held] == "test", "lies in the test split"),
+        (~query & (split[held] != "train"), "is a demo outside the train split"),
+        (~query & overlap, "is a demo that overlaps its query"),
+    ]
+    failed = np.any([bad for bad, _ in checks], axis=0)
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise _Refused(first, next(why for bad, why in checks if bad[first]))
+    before = np.array([reach(t, w)[0] for t in TASK_ORDER])[task_ids]
+    return (table.firsts[held] + start - origin[held] + before).astype(np.int32), masks.astype(np.int32)
 
 
 def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
-    """Read a context file, regenerating each example from ``store`` as ``build`` did, then ``assemble``.
+    """Read a context file into samples that hold rows of ``store.table``, as ``build`` made them.
 
-    ``_replay`` passes ``tasks.generate_example`` the stored mask in place of an rng, at the
-    window start the task table gives: the span start minus its split's ``origin_offset``,
-    plus the values the task reads before its window. An example must give back its span
-    and mask, else ``DataError`` names the line.
+    Each line is parsed into integers as it is read; then the whole file's
+    examples are checked and turned into rows at once (``_replay_rows``): the
+    row of the split that holds an example's span, plus the values its task
+    reads before its window. A malformed or refused example raises
+    ``DataError`` naming its line.
     """
     header = read_header(path)
+    table = store.table
+    names = list(dict.fromkeys((s.dataset, s.channel) for s in table.series))
+    channel_of = {name: i for i, name in enumerate(names)}
     lineno = 1
     # JSONDecodeError is a ValueError; a bad key, type or span is a malformed file too
     try:
-        dataset = ContextDataset([], WindowSpec(header["lookback"], header["horizon"]), header["skipped_windows"])
+        w = WindowSpec(header["lookback"], header["horizon"])
+        h = w.horizon
+        tasks: list[TaskKind] = []
+        counts: list[int] = []
+        fields = array("q")  # per example: channel index, span start and end, h masked positions or zeros
         with Path(path).open() as fh:
             fh.readline()
             for lineno, line in enumerate(fh, start=2):
-                raw = json.loads(line)
-                task = TaskKind(raw["task"])
-                *demos, query = [_replay(e, task, dataset.window, store) for e in raw["examples"]]
-                dataset.samples.append(assemble(demos, query))
-        if len(dataset.samples) != header["samples"]:
-            raise DataError(f"{len(dataset.samples)} samples, the header promises {header['samples']}")
-    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+                record = json.loads(line)
+                task = TaskKind(record["task"])
+                k = h if GEOMETRY[task].impute else 0
+                pad = [0] * (h - k)
+                if not record["examples"]:
+                    raise ValueError("a sample needs a query")
+                for example in record["examples"]:
+                    dataset, name, first, last, mask = example
+                    channel = channel_of.get((dataset, name))
+                    if channel is None:
+                        raise ValueError(f"example {example} names no channel of the store")
+                    if len(mask) != k:
+                        raise ValueError(f"example {example} masks {len(mask)} positions, a {task} example {k}")
+                    fields.extend([channel, first, last, *mask, *pad])
+                tasks.append(task)
+                counts.append(len(record["examples"]))
+        samples = []
+        if counts:
+            record_of = np.repeat(np.arange(len(counts)), counts)
+            query = np.zeros(len(record_of), dtype=bool)
+            query[np.cumsum(counts) - 1] = True
+            task_ids = np.array([TASK_ORDER.index(t) for t in tasks])[record_of]
+            table_fields = np.frombuffer(fields, dtype=np.int64).reshape(-1, 3 + h)
+            try:
+                rows, masks = _replay_rows(table, w, names, task_ids, query, table_fields)
+            except _Refused as exc:
+                lineno = 2 + int(record_of[exc.index])
+                channel, first, last, *mask = table_fields[exc.index].tolist()
+                k = h if GEOMETRY[tasks[record_of[exc.index]]].impute else 0
+                raise ValueError(f"example {[*names[channel], first, last, mask[:k]]} {exc}") from None
+            bounds = np.cumsum([0, *counts]).tolist()
+            for task, a, b in zip(tasks, bounds, bounds[1:]):
+                samples.append(ContextSample(table, w, task, rows[a:b], masks[a:b, : h if GEOMETRY[task].impute else 0]))
+        if len(samples) != header["samples"]:
+            raise DataError(f"{len(samples)} samples, the header promises {header['samples']}")
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed dataset {path}, line {lineno}: {exc!r}") from None
-    return dataset
+    return ContextDataset(samples, w, header["skipped_windows"])

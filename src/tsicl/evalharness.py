@@ -60,7 +60,7 @@ from .tasks import (
     TaskKind,
     WindowSpec,
     answer_region,
-    generate_example,
+    generate_examples,
     span_width,
     valid_start_range,
 )
@@ -203,7 +203,7 @@ def select_eval_demos(
     if not starts or starts[-1] < lo:
         available = max(0, (hi - lo) // width + 1) if hi >= lo else 0
         raise DataError(f"train split admits only {available} disjoint demo windows, need {m}")
-    return [generate_example(task, train_s, t, w, rng) for t in reversed(starts)]
+    return generate_examples(task, train_s, starts[::-1], w, rng)
 
 
 def batched_predict(
@@ -302,7 +302,7 @@ def enumerate_queries(
     starts = _query_starts(len(test_s), task, w, stride)
     if not starts:
         raise DataError(f"test split of length {len(test_s)} admits no {task} window")
-    return [generate_example(task, test_s, t, w, rng) for t in starts]
+    return generate_examples(task, test_s, starts, w, rng)
 
 
 def _rng(seed: int, stream: int, ch_idx: int) -> np.random.Generator:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -205,9 +207,32 @@ def normalize(s: ChannelSeries, n: NormStats) -> ChannelSeries:
     return replace(s, values=(s.values - n.mean) / n.std)
 
 
+class SeriesTable:
+    """Series laid end to end in one flat array, so that a position in any of them is one integer.
+
+    Row ``firsts[i] + t`` of ``values`` holds ``series[i].values[t]``; ``firsts``
+    ends with the row count. A series given twice is laid out once, and
+    ``row`` finds it by identity, not by its names or values.
+    """
+
+    def __init__(self, series: Sequence[ChannelSeries]):
+        self.series = tuple({id(s): s for s in series}.values())
+        self.firsts = np.cumsum([0, *(len(s) for s in self.series)])
+        self.values = np.concatenate([s.values for s in self.series]) if self.series else np.zeros(0)
+        self._first = {id(s): int(first) for s, first in zip(self.series, self.firsts)}
+
+    def row(self, s: ChannelSeries, t: int) -> int:
+        """The row of ``s.values[t]``."""
+        return self._first[id(s)] + t
+
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """The index in ``series`` of the series that holds each row."""
+        return np.searchsorted(self.firsts, rows, side="right") - 1
+
+
 @dataclass
 class SplitStore:
-    """Normalized per-channel splits plus the stats that produced them."""
+    """Normalized per-channel splits plus the stats that produced them; ``table`` lays them out flat."""
 
     dataset: str
     splits: dict[str, dict[str, ChannelSeries]] = field(default_factory=dict)  # channel -> split -> series
@@ -220,6 +245,11 @@ class SplitStore:
 
     def series(self, channel: str, split: str) -> ChannelSeries:
         return self.splits[channel][split]
+
+    @cached_property
+    def table(self) -> SeriesTable:
+        """Every split of every channel in one ``SeriesTable``, made on first use: context samples index it."""
+        return SeriesTable([s for splits in self.splits.values() for s in splits.values()])
 
 
 def build_store(d: RawDataset, meta: dict | None = None) -> SplitStore:

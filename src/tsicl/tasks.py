@@ -3,10 +3,15 @@
 Every task shows an L-value window (lookback ``L = 2h``) and asks for h values,
 so examples are interchangeable inside a context sequence. ``GEOMETRY`` is the
 only per-task code: where the h target values lie relative to the window.
-``generate_example``, ``valid_start_range``, ``span_width`` and ``source_span``
-derive everything else from it. Token sequences are float64 arrays of shape
-``(n, 3)`` with columns ``(value, mask_flag, segment_flag)``: ``token_array``
-packs an example's input, ``answer_region`` the h answer tokens after it.
+``target_offsets``, ``valid_start_range``, ``span_width`` and ``source_span``
+derive everything else from it. ``gather`` is the one reader of example
+values: from window starts and target offsets it reads the inputs and
+targets of any number of examples at once, out of one series
+(``generate_examples``) or out of the flat ``series.SeriesTable`` that
+context samples index. Token sequences are float64 arrays of shape ``(n, 3)``
+with columns ``(value, mask_flag, segment_flag)``: ``gather`` makes an
+example's input tokens, ``answer_region`` the h answer tokens after it, and
+``token_array`` the input of an adapted query.
 """
 
 from __future__ import annotations
@@ -72,13 +77,13 @@ def token_array(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarra
 
 
 def answer_region(horizon: int, values: np.ndarray | None = None) -> np.ndarray:
-    """Answer-region tokens (segment_flag 1): placeholders (0,1,1), or shown values (v,0,1)."""
-    region = np.zeros((horizon, 3))
-    region[:, SEGMENT_FLAG] = 1.0
+    """Answer-region tokens (segment_flag 1): h placeholders (0,1,1), or shown values (v,0,1), (..., h, 3) for values (..., h)."""
+    region = np.zeros((horizon, 3) if values is None else (*np.shape(values), 3))
+    region[..., SEGMENT_FLAG] = 1.0
     if values is None:
-        region[:, MASK_FLAG] = 1.0
+        region[..., MASK_FLAG] = 1.0
     else:
-        region[:, VALUE] = np.asarray(values, dtype=np.float64)
+        region[..., VALUE] = values
     return region
 
 
@@ -147,14 +152,22 @@ def sample_mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]
     """Draw k distinct positions from range(n) uniformly, ascending.
 
     Selection sampling: the first k entries of a Fisher-Yates shuffle driven
-    by ``rng.integers``. This exact scheme is part of the determinism
-    contract, so an independent re-implementation can reproduce the draw.
+    by ``rng.integers``, whose swap i takes the position j drawn from [i, n).
+    The k draws are one ``rng.integers(np.arange(k), n)`` call, which gives
+    the same integers, and leaves ``rng`` in the same state, as the k scalar
+    calls ``rng.integers(i, n)`` in order. This exact scheme is part of the
+    determinism contract, so an independent re-implementation can reproduce
+    the draw.
     """
     idx = list(range(n))
-    for i in range(k):
-        j = int(rng.integers(i, n))
+    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
     return sorted(idx[:k])
+
+
+def draw_mask(task: TaskKind, w: WindowSpec, rng: np.random.Generator) -> list[int]:
+    """A new example's window-relative masked positions: h drawn with ``rng`` on an impute task, else none."""
+    return sample_mask_positions(rng, w.lookback, w.horizon) if GEOMETRY[task].impute else []
 
 
 def reach(task: TaskKind, w: WindowSpec) -> tuple[int, int]:
@@ -180,32 +193,66 @@ def source_span(task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec) -> Span
     return Span(s.dataset, s.channel, s.origin_offset + t - before, s.origin_offset + t + w.lookback + after)
 
 
-def generate_example(
-    task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec, rng: np.random.Generator | Sequence[int] | None
-) -> TaskExample:
-    """The example of ``task`` whose input window is s[t : t+L), derived from its table record.
+def target_offsets(task: TaskKind, w: WindowSpec, masks) -> np.ndarray:
+    """Where the h targets of ``task`` examples lie, relative to their window starts, (..., h).
+
+    The ``before`` values, the masked positions, then the ``after`` values, in
+    ascending time; ``masks`` (..., k) holds k masked positions per example.
+    """
+    before, after = reach(task, w)
+    masks = np.asarray(masks)
+    offsets = np.empty((*masks.shape[:-1], w.horizon), dtype=np.int64)
+    offsets[..., :before] = np.arange(-before, 0)
+    offsets[..., before : w.horizon - after] = masks
+    offsets[..., w.horizon - after :] = np.arange(after) + w.lookback
+    return offsets
+
+
+def gather(values: np.ndarray, starts, offsets: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs (..., L, 3) and targets (..., h) of the examples whose windows start at ``starts`` (...).
+
+    ``starts`` index ``values``, and each example's targets lie at its
+    ``offsets`` (..., h) from its start (``target_offsets``): one fancy index
+    reads every window and one every target. Offsets inside the window are its
+    masked positions, whose tokens read (0, 1, 0).
+    """
+    L = w.lookback
+    starts = np.asarray(starts)[..., None]
+    inputs = np.zeros((*starts.shape[:-1], L, 3))
+    inputs[..., VALUE] = values[starts + np.arange(L)]
+    inside = (offsets >= 0) & (offsets < L)
+    if inside.any():
+        masked = (*np.nonzero(inside)[:-1], offsets[inside])  # each example's index, then the position
+        inputs[(*masked, VALUE)] = 0.0
+        inputs[(*masked, MASK_FLAG)] = 1.0
+    return inputs, values[starts + offsets]
+
+
+def generate_examples(
+    task: TaskKind, s: ChannelSeries, starts: Sequence[int], w: WindowSpec, rng: np.random.Generator | None
+) -> list[TaskExample]:
+    """The example of ``task`` whose input window is s[t : t+L), for each t in ``starts``, in one ``gather``.
 
     The target is the ``before`` values, the masked values, then the ``after``
-    values, in ascending time. An impute task draws its h masked positions with
-    ``rng``; replay passes the stored window-relative positions instead. Other
-    tasks ignore ``rng``.
+    values, in ascending time. An impute task draws each example's h masked
+    positions with ``rng``, in ``starts`` order; other tasks ignore ``rng``.
     """
-    L, h = w.lookback, w.horizon
+    if len(starts) == 0:
+        return []
+    L = w.lookback
     before, after = reach(task, w)
-    if t < before:
-        raise GeometryError(f"insufficient history: start {t} < {before}")
-    if t < 0 or t + L + after > len(s):
-        raise GeometryError(f"window [{t}, {t + L + after}) out of range for series of length {len(s)}")
-    positions: Sequence[int] = []
-    mask = None
-    if GEOMETRY[task].impute:
-        positions = sample_mask_positions(rng, L, h) if isinstance(rng, np.random.Generator) else rng
-        mask = np.zeros(L)
-        mask[positions] = 1.0
-    window = s.values[t : t + L]
-    return TaskExample(
-        task=task,
-        input=token_array(window, mask=mask),
-        target=np.concatenate([s.values[t - before : t], window[positions], s.values[t + L : t + L + after]]),
-        source_span=source_span(task, s, t, w),
-    )
+    for t in starts:
+        if t < before:
+            raise GeometryError(f"insufficient history: start {t} < {before}")
+        if t < 0 or t + L + after > len(s):
+            raise GeometryError(f"window [{t}, {t + L + after}) out of range for series of length {len(s)}")
+    masks = np.array([draw_mask(task, w, rng) for _ in starts], dtype=np.int64).reshape(len(starts), -1)
+    inputs, targets = gather(s.values, np.array(starts, dtype=np.int64), target_offsets(task, w, masks), w)
+    return [TaskExample(task, x, y, source_span(task, s, t, w)) for x, y, t in zip(inputs, targets, starts)]
+
+
+def generate_example(
+    task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec, rng: np.random.Generator | None
+) -> TaskExample:
+    """The one example of ``generate_examples`` at window start t."""
+    return generate_examples(task, s, [t], w, rng)[0]

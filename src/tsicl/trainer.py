@@ -1,8 +1,11 @@
 """Adam training loop over context datasets with early stopping.
 
-Streams come from ``context.build_stream``, which owns the token layout: the
-encoder and the validation loss run ``ContextSample.tokens``; the decoder
-trains with the query's answer shown as a demo's is (teacher forcing). Loss is
+Batch streams are gathered, not built sample by sample: ``context.sample_streams``
+reads a batch's streams and targets out of the samples' ``SeriesTable`` in one
+fancy-indexing pass, in the caller and in the worker alike, with the layout of
+``context.build_stream``. The encoder and the validation loss run each
+sample's tokens; the decoder trains with the query's answer shown as a demo's
+is (teacher forcing). Validation gathers once per demo count. Loss is
 MSE over the query's answer region only; demonstration answers inside the
 context carry no loss unless ``supervise_demo_outputs`` is set. That option is
 refused on ``encoder_masked``: a demo's answer sits unmasked in the encoder's
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .context import ContextDataset, build_stream
+from .context import ContextDataset, sample_streams
 from .errors import ConfigError, NumericalError
 from .evalharness import batched_predict, mse
 from .model import (
@@ -48,6 +51,7 @@ from .model import (
     horizon_patch_count,
     readout_rows,
 )
+from .tasks import WindowSpec
 from .workers import Worker, one_worker, shared_zeros
 
 # Adam's moment decays and denominator floor (Kingma & Ba, 2015, Algorithm 1)
@@ -132,28 +136,25 @@ def _bind(params: dict[str, ad.Parameter], flat: np.ndarray) -> None:
         offset += p.data.size
 
 
-def _batch_streams(dataset: ContextDataset, idxs: list[int], variant: str) -> np.ndarray:
-    """Training streams: the decoder is teacher-forced, the encoder runs the samples' tokens."""
-    samples = [dataset.samples[i] for i in idxs]
-    forced = variant == DECODER_CAUSAL
-    return np.stack([build_stream((*s.demos, s.query)) if forced else s.tokens for s in samples])
+def _batch(dataset: ContextDataset, idxs: list[int], variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's streams and (B, m+1, h) targets, in one gather: the decoder is teacher-forced, the encoder
+    runs the samples' tokens."""
+    return sample_streams([dataset.samples[i] for i in idxs], teach=variant == DECODER_CAUSAL)
 
 
 def _loss_regions(
-    dataset: ContextDataset, idxs: list[int], config: ModelConfig, supervise_demos: bool
+    targets: np.ndarray, w: WindowSpec, config: ModelConfig, supervise_demos: bool
 ) -> list[tuple[int, int, np.ndarray]]:
     """(row_start, row_stop, truth grid) per supervised answer: the query's, then each demo's if supervised."""
-    L, h = dataset.window.lookback, dataset.window.horizon
+    L, h = w.lookback, w.horizon
     p = config.patch_size
     hp = horizon_patch_count(h, config)
-    examples = [(*dataset.samples[i].demos, dataset.samples[i].query) for i in idxs]
-    m = len(examples[0]) - 1
+    B, n, _ = targets.shape
     regions = []
-    for k in (m, *range(m)) if supervise_demos else (m,):
+    for k in (n - 1, *range(n - 1)) if supervise_demos else (n - 1,):
         # example k's answer ends the stream's first k + 1 examples; the query's first keeps the sum order
         r0, r1 = readout_rows(config, (k + 1) * (L + h) // p, hp)
-        truth = np.stack([e[k].target for e in examples]).reshape(len(idxs), hp, p)
-        regions.append((r0, r1, truth))
+        regions.append((r0, r1, targets[:, k].reshape(B, hp, p)))
     return regions
 
 
@@ -169,8 +170,8 @@ def _batch_loss_graph(
 
     ``idxs`` may be part of a batch of ``batch_size`` samples, whose element count the loss divides by.
     """
-    streams = _batch_streams(dataset, idxs, config.variant)
-    regions = _loss_regions(dataset, idxs, config, supervise_demos)
+    streams, targets = _batch(dataset, idxs, config.variant)
+    regions = _loss_regions(targets, dataset.window, config, supervise_demos)
     first = min(r0 for r0, _, _ in regions)
     preds = forward_patch_predictions(streams, params, config, first_row=first)
     slices = [ad.row_slice(preds, r0 - first, r1 - first) for r0, r1, _ in regions]
@@ -200,11 +201,27 @@ def _gradient(
     return float(loss.data)
 
 
+def _tokens(dataset: ContextDataset, idxs: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The samples' tokens and (len(idxs), h) query targets, in ``idxs`` order, one gather per demo count."""
+    groups: dict[int, list[int]] = {}
+    for j, i in enumerate(idxs):
+        groups.setdefault(len(dataset.samples[i].rows), []).append(j)
+    streams: list = [None] * len(idxs)
+    truth = np.empty((len(idxs), dataset.window.horizon))
+    for js in groups.values():
+        gathered, targets = sample_streams([dataset.samples[idxs[j]] for j in js])
+        truth[js] = targets[:, -1]
+        for j, stream in zip(js, gathered):
+            streams[j] = stream
+    return streams, truth
+
+
 def _predictions(
     dataset: ContextDataset, idxs: list[int], params: dict[str, ad.Parameter], config: ModelConfig
-) -> list[np.ndarray]:
-    streams = [dataset.samples[i].tokens for i in idxs]
-    return batched_predict(streams, [dataset.window.horizon] * len(streams), params, config)
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The samples' predictions and query targets, in ``idxs`` order."""
+    streams, truth = _tokens(dataset, idxs)
+    return batched_predict(streams, [dataset.window.horizon] * len(streams), params, config), truth
 
 
 def _in_halves(here, answer, part: str, idxs: list[int], worker: Worker | None):
@@ -234,8 +251,10 @@ def evaluate_loss(
         lambda request: _predictions(dataset, request[1], params, config),
         "valid", list(range(len(dataset.samples))), worker,
     )
-    preds = mine + (theirs or [])
-    return mse(np.stack(preds), np.stack([s.query.target for s in dataset.samples]))
+    preds, truth = mine
+    if theirs is not None:
+        preds, truth = preds + theirs[0], np.concatenate([truth, theirs[1]])
+    return mse(np.stack(preds), truth)
 
 
 def train(
@@ -261,7 +280,7 @@ def train(
     record = TrainRecord()
     buckets: dict[int, list[int]] = {}
     for i, s in enumerate(dataset.samples):
-        buckets.setdefault(len(s.demos), []).append(i)
+        buckets.setdefault(len(s.rows), []).append(i)
     best_valid, best, stale = np.inf, None, 0
 
     # the worker reads the parameters (row 0) and writes its half's gradient (row 1), shared with this process

@@ -1,10 +1,12 @@
-"""Reference autodiff ops the model does not run, and the attention chain built from them.
+"""Plain reference implementations that the tests check the library's faster forms against.
 
 ``tsicl.autodiff.attention`` is one fused op. These are the plain pieces it
 replaces (``scale``, ``transpose``, ``softmax`` and an operand-times-operand
 ``matmul``), each with its own backward rule, so the tests can check the fused
 op against a chain whose every step is finite-difference checked. They record
 on the active tape through ``autodiff._finish``, as the library's ops do.
+``mask_positions`` is the documented mask draw as k scalar ``rng.integers``
+calls, which ``tasks.sample_mask_positions`` makes in one call.
 """
 
 from __future__ import annotations
@@ -95,3 +97,13 @@ def attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, causal: bool) -> ad.Tens
     allowed = np.tril(np.ones((sk, sk), dtype=bool))[sk - sq:] if causal else None
     scores = matmul(scale(q, 1.0 / np.sqrt(q.shape[-1])), transpose(k))
     return matmul(softmax(scores, allowed=allowed), v)
+
+
+def mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
+    """The first k entries of a Fisher-Yates shuffle of range(n), ascending: swap i takes
+    ``rng.integers(i, n)``, one scalar draw per swap."""
+    idx = list(range(n))
+    for i in range(k):
+        j = int(rng.integers(i, n))
+        idx[i], idx[j] = idx[j], idx[i]
+    return sorted(idx[:k])

@@ -1,24 +1,29 @@
 import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TINY_CLI
 from tsicl import context
+from tsicl.cli import main
 from tsicl.context import (
-    assemble,
+    ContextSample,
     build_context_dataset,
     build_train_valid,
     read_jsonl,
     sample_demos,
+    sample_streams,
     sample_task,
     write_jsonl,
 )
 from tsicl.errors import DataError
 from tsicl.experiment import store_from_channels
-from tsicl.series import ChannelSeries
+from tsicl.series import ChannelSeries, SeriesTable, SplitStore
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import (
     MASK_FLAG,
@@ -29,6 +34,7 @@ from tsicl.tasks import (
     TaskKind,
     WindowSpec,
     answer_region,
+    draw_mask,
     generate_example,
     source_span,
     valid_start_range,
@@ -48,6 +54,13 @@ def count_disjoint_starts(pool, query_span: Span, task: TaskKind, w: WindowSpec)
 
 def series_of(n, channel="c", offset=0, split="train"):
     return ChannelSeries("d", channel, np.arange(n, dtype=float), origin_offset=offset, split=split)
+
+
+def sample_of(s, task, starts, w, rng=None):
+    """The sample of ``s`` whose examples start at ``starts``, demos then the query, masks drawn with ``rng``."""
+    table = SeriesTable([s])
+    masks = np.array([draw_mask(task, w, rng) for _ in starts]).reshape(len(starts), -1)
+    return ContextSample(table, w, task, np.array([table.row(s, t) for t in starts]), masks)
 
 
 class TestSampleTask:
@@ -73,8 +86,10 @@ class TestSampleDemos:
         query_span = Span("d", "c", 0, 6)
         demos = sample_demos(pool, query_span, TaskKind.FORECAST, 1, W42, np.random.default_rng(0))
         assert len(demos) == 1
-        assert demos[0].source_span.start >= 6
-        assert demos[0].source_span.end <= 40
+        series, t, mask = demos[0]
+        assert series is pool[0] and mask == []
+        assert source_span(TaskKind.FORECAST, series, t, W42).start >= 6
+        assert source_span(TaskKind.FORECAST, series, t, W42).end <= 40
 
     def test_insufficient_reports_available_count(self):
         pool = [series_of(8)]  # starts 0..2: every window overlaps the query's [0, 6)
@@ -98,24 +113,18 @@ class TestSampleDemos:
 class TestAssemble:
     def test_empty_context_identity(self):
         q = generate_example(TaskKind.FORECAST, series_of(10), 0, W42, None)
-        out = assemble((), q)
+        out = sample_of(series_of(10), TaskKind.FORECAST, [0], W42)
         assert np.array_equal(out.tokens, np.concatenate([q.input, answer_region(2)]))
         assert np.array_equal(out.query.target, q.target)
 
     def test_paper_scale_token_count(self):
         w = WindowSpec(192, 96)
-        s = series_of(288 * 6)
-        demos = tuple(generate_example(TaskKind.FORECAST, s, 288 * (i + 1), w, None) for i in range(4))
-        q = generate_example(TaskKind.FORECAST, s, 0, w, None)
-        out = assemble(demos, q)
+        out = sample_of(series_of(288 * 6), TaskKind.FORECAST, [*(288 * (i + 1) for i in range(4)), 0], w)
         assert len(out.tokens) == 5 * 288 == 1440
 
     def test_hand_built_concatenation(self):
         s = series_of(40)
-        d1 = generate_example(TaskKind.FORECAST, s, 10, W42, None)
-        d2 = generate_example(TaskKind.FORECAST, s, 20, W42, None)
-        q = generate_example(TaskKind.FORECAST, s, 0, W42, None)
-        out = assemble((d1, d2), q)
+        out = sample_of(s, TaskKind.FORECAST, [10, 20, 0], W42)
         expected_values = np.concatenate(
             [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4], [0, 0]]
         )
@@ -123,18 +132,25 @@ class TestAssemble:
         assert np.array_equal(out.tokens[:, SEGMENT_FLAG], [0, 0, 0, 0, 1, 1] * 3)
         assert np.array_equal(out.tokens[:, MASK_FLAG], [0] * 16 + [1, 1])
 
-    def test_task_mismatch(self):
+    def test_task_mismatch(self, tmp_path):
+        """A sample holds one task, so on disk a demo of another task is a record that does not replay."""
         s = series_of(40)
-        demo = generate_example(TaskKind.FORECAST, s, 10, W42, None)
-        q = generate_example(TaskKind.BACKTRACE, s, 5, W42, None)
-        with pytest.raises(DataError, match="does not match"):
-            assemble((demo,), q)
+        store = SplitStore("d", splits={"c": {"train": s}})
+        sample = sample_of(s, TaskKind.FORECAST, [10, 0], W42)
+        path = tmp_path / "ctx.jsonl"
+        write_jsonl(context.ContextDataset([sample], W42), path)
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["examples"][0] = ["d", "c", 10, 14, [1, 3]]  # the impute example at 10
+        path.write_text("\n".join([header, json.dumps(record)]) + "\n")
+        with pytest.raises(DataError, match="masks 2 positions, a forecast example 0"):
+            read_jsonl(path, store)
 
     def test_geometry_mismatch(self):
-        sm = generate_example(TaskKind.FORECAST, series_of(20), 0, W42, None)
-        big = generate_example(TaskKind.FORECAST, series_of(40), 0, WindowSpec(8, 4), None)
+        sm = sample_of(series_of(20), TaskKind.FORECAST, [0], W42)
+        big = sample_of(series_of(40), TaskKind.FORECAST, [0], WindowSpec(8, 4))
         with pytest.raises(Exception, match="geometry"):
-            assemble((sm,), big)
+            sample_streams([sm, big])
 
 
 class TestBuildDataset:
@@ -232,12 +248,13 @@ def test_build_decisions_are_pinned(tmp_path, monkeypatch):
                 fh.readline()
                 digest.update(fh.read())
     calls = []
-    real = context.generate_example
-    monkeypatch.setattr(context, "generate_example", lambda *args: calls.append(args) or real(*args))
+    real = context.draw_mask
+    monkeypatch.setattr(context, "draw_mask", lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(context, "DEMO_ATTEMPTS", 1)
     demos = sample_demos([series_of(14)], Span("d", "c", 0, 6), TaskKind.IMPUTE, 3, W42, np.random.default_rng(0))
     assert len(calls) > 3  # a rejected candidate: at least one demo came through the exhaustive fallback
-    records = [[d.source_span.start, d.source_span.end, d.masked_positions.tolist()] for d in demos]
+    spans = [source_span(TaskKind.IMPUTE, s, t, W42) for s, t, _ in demos]
+    records = [[span.start, span.end, mask] for span, (_, _, mask) in zip(spans, demos)]
     digest.update(json.dumps(records).encode())
     assert digest.hexdigest() == BUILD_DECISIONS_SHA256
 
@@ -276,3 +293,58 @@ class TestStructuralInvariants:
                 assert not span.overlaps(sample.query.source_span)
                 # demos must come from the train-split pool
                 assert span.start >= 0 and span.end <= n
+
+
+# SHA-256 of every context file a tiny build writes, recorded when samples still
+# held token arrays: holding rows must not move a byte. The header's
+# ``store_sha256`` is left out of the digest and checked to name the store
+# instead, since the store's floats come from numpy's sin and cos, whose last
+# bits may differ between numpy builds; everything else is integers and config.
+CONTEXT_FILES_SHA256 = {
+    "decoder": {
+        "ctx_train_m0.jsonl": "858ad11864b672fb105e6e1f04925dbf39ef9964f85bf64f5ba1aefcc2b1f99c",
+        "ctx_train_m1.jsonl": "fc32900b5ff1bd6bb18b9c753298bd7fe0edc7ccc847b9fd2986d0c966f8d26d",
+        "ctx_valid_m0.jsonl": "2dcae22eae28d32c55331d166324b94e65fc8e657307718059b9f66f04433bfb",
+        "ctx_valid_m1.jsonl": "f5cccb643618106d5f3089ef9fff54c2960ef2084415ccd1b481d410bb70a59b",
+    },
+    "cross_channel": {
+        "ctx_train_m0.jsonl": "2b9530b9f64a3aa6691185340af91803e5415fcdde1b9dfe16cd948a7b7d0959",
+        "ctx_train_m2.jsonl": "4922315d0e09cb00e6eb7d5cdd9bc2b767a1789f7da426b99710c240ec4fa70e",
+        "ctx_valid_m0.jsonl": "3a59a96113164b04e820ca97db1c5a7d95d0be36090b3d27357470e1e58ab007",
+        "ctx_valid_m2.jsonl": "ce69d58484fef1dec350e3c90ca6471d3c639eb56feed9b49baeef61731ce338",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, settings", [("decoder", {}), ("cross_channel", {"cross_channel_demos": "true", "demo_counts": "0,2"})]
+)
+def test_context_files_keep_their_bytes(tmp_path, monkeypatch, name, settings):
+    monkeypatch.chdir(tmp_path)  # every file embeds out_dir: a relative one keeps the bytes fixed
+    args = [arg for key, value in {**TINY_CLI, **settings, "out_dir": "run"}.items() for arg in ("--set", f"{key}={value}")]
+    for stage in ("synth", "ingest", "build"):
+        assert main([stage, *args]) == 0
+    store = hashlib.sha256(Path("run/store.json").read_bytes()).hexdigest().encode()
+    digests = {}
+    for path in sorted(Path("run").glob("ctx_*.jsonl")):
+        data = path.read_bytes()
+        assert data.count(store) == 1
+        digests[path.name] = hashlib.sha256(data.replace(store, b"")).hexdigest()
+    assert digests == CONTEXT_FILES_SHA256[name]
+
+
+def test_a_replayed_sample_holds_integers(tmp_path):
+    """A replayed 24-demo dataset holds under 256 bytes per example: rows and masks, no token arrays."""
+    store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    [(_, train, _)] = build_train_valid(store, TASK_ORDER, WindowSpec(8, 4), [24], seed=0, stride=4)
+    write_jsonl(train, tmp_path / "ctx.jsonl")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        replayed = read_jsonl(tmp_path / "ctx.jsonl", store)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    examples = sum(len(s.demos) + 1 for s in replayed.samples)
+    assert examples == 25 * len(train) > 0
+    assert held / examples < 256, f"{held / examples:.0f} bytes per example"

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import overrides
 from tsicl import autodiff as ad
-from tsicl import cli, context, evalharness, experiment, trainer
+from tsicl import cli, evalharness, experiment, trainer
 from tsicl.cli import main
 from tsicl.context import build_context_dataset, read_jsonl
 from tsicl.errors import DataError, NumericalError
@@ -132,6 +132,40 @@ def test_cli_garbled_artifact_exits_3(pipeline_dir, tmp_path, stage, garble):
     assert str(target) in proc.stderr
 
 
+def moved(record: dict, k: int, store, split: str) -> None:
+    """Example k of ``record`` moved to the start of ``split`` of its channel, with its width and mask."""
+    dataset, channel, start, end, mask = record["examples"][k]
+    origin = store.series(channel, split).origin_offset
+    record["examples"][k] = [dataset, channel, origin, origin + end - start, mask]
+
+
+@pytest.mark.parametrize(
+    "edit, why",
+    [
+        (lambda record, store: moved(record, -1, store, "test"), "lies in the test split"),
+        (lambda record, store: moved(record, 0, store, "valid"), "is a demo outside the train split"),
+        (lambda record, store: record["examples"].__setitem__(0, record["examples"][-1]),
+         "is a demo that overlaps its query"),
+    ],
+    ids=["query_in_test_split", "demo_in_valid_split", "demo_is_its_query"],
+)
+def test_replay_refuses_a_record_build_never_writes(pipeline_dir, tmp_path, capsys, edit, why):
+    """One hand-edited record per rule of the split contract: read_jsonl names file and line, train exits 3."""
+    copy_artifacts(pipeline_dir, tmp_path)
+    store = load_store(tmp_path / "store.json")
+    path = tmp_path / "ctx_train_m1.jsonl"
+    header, first, *rest = path.read_text().splitlines()
+    record = json.loads(first)
+    edit(record, store)
+    path.write_text("\n".join([header, json.dumps(record, separators=(",", ":")), *rest]) + "\n")
+    with pytest.raises(DataError, match=f"malformed dataset {path}, line 2: .*{why}"):
+        read_jsonl(path, store)
+    before = (tmp_path / "checkpoint.json").read_bytes()
+    assert main(["train", *overrides(tmp_path)]) == 3
+    assert f"{path}, line 2: " in capsys.readouterr().err
+    assert (tmp_path / "checkpoint.json").read_bytes() == before
+
+
 class TestMalformedFiles:
     def test_store(self, pipeline_dir, tmp_path):
         payload = json.loads((pipeline_dir / "store.json").read_text())
@@ -236,7 +270,7 @@ def test_a_mismatched_context_header_replays_nothing(pipeline_dir, tmp_path, mon
     for setting in reingest:
         assert main(["ingest", *overrides(tmp_path), "--set", setting]) == 0
     calls = []
-    monkeypatch.setattr(context, "generate_example", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "read_jsonl", lambda *args: calls.append(args))
     assert main(["train", *overrides(tmp_path), *(arg for item in train_settings for arg in ("--set", item))]) == 3
     assert calls == []
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from tsicl.context import ContextDataset, ContextSample, read_jsonl, write_jsonl
 from tsicl.errors import DataError, GeometryError
 from tsicl.evalharness import select_eval_demos
@@ -74,12 +75,7 @@ class TestBacktrace:
 
 def reference_mask_draw(seed_args, n, k):
     """Independent re-implementation of the documented selection-sampling scheme."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_args))
-    idx = list(range(n))
-    for i in range(k):
-        j = int(rng.integers(i, n))
-        idx[i], idx[j] = idx[j], idx[i]
-    return sorted(idx[:k])
+    return reference.mask_positions(np.random.default_rng(np.random.SeedSequence(seed_args)), n, k)
 
 
 class TestImpute:
@@ -98,6 +94,15 @@ class TestImpute:
         assert np.array_equal(ex.input[:, VALUE], [0, 0, 2, 0])
         assert np.array_equal(ex.input[:, MASK_FLAG], [0, 1, 0, 1])
         assert np.array_equal(ex.target, [1, 3])
+
+    def test_one_call_draws_what_the_scalar_loop_draws(self):
+        """Over 10,000 seeds, every mask count of windows 6 to 48: the same positions and the same next state."""
+        for seed in range(10_000):
+            n = (6, 8, 12, 24, 48)[seed % 5]
+            k = seed // 5 % n
+            fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_mask_positions(fast, n, k) == reference.mask_positions(loop, n, k), (seed, n, k)
+            assert fast.bit_generator.state == loop.bit_generator.state, (seed, n, k)
 
     def test_masked_count_nearly_all(self):
         # h = L - 1 leaves exactly one unmasked position
@@ -167,7 +172,12 @@ class TestTaskTable:
         lo, hi = valid_start_range(task, len(s), self.W)
         rng = np.random.default_rng(5)
         examples = [generate_example(task, s, t, self.W, rng) for t in range(lo, hi + 1)]
-        ds = ContextDataset([ContextSample((), e) for e in examples], self.W)
+        table = store.table
+        ds = ContextDataset(
+            [ContextSample(table, self.W, task, np.array([table.row(s, t)]), e.masked_positions[None])
+             for t, e in zip(range(lo, hi + 1), examples)],
+            self.W,
+        )
         write_jsonl(ds, tmp_path / "ctx.jsonl")
         replayed = [sample.query for sample in read_jsonl(tmp_path / "ctx.jsonl", store).samples]
         assert len(replayed) == len(examples)

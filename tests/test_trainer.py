@@ -6,7 +6,7 @@ import pytest
 
 from tsicl import autodiff as ad
 from tsicl import trainer
-from tsicl.context import ContextDataset, assemble
+from tsicl.context import ContextDataset, ContextSample, build_stream, build_train_valid, pool_datasets
 from tsicl.errors import ConfigError
 from tsicl.evalharness import batched_predict
 from tsicl.model import (
@@ -18,8 +18,22 @@ from tsicl.model import (
     init_params,
     readout_rows,
 )
-from tsicl.series import ChannelSeries
-from tsicl.tasks import SEGMENT_FLAG, VALUE, TaskKind, WindowSpec, answer_region, generate_example
+from tsicl.experiment import store_from_channels
+from tsicl.series import ChannelSeries, SeriesTable
+from tsicl.synthetic import SynthSpec, generate
+from tsicl.tasks import (
+    GEOMETRY,
+    SEGMENT_FLAG,
+    TASK_ORDER,
+    VALUE,
+    TaskExample,
+    TaskKind,
+    WindowSpec,
+    answer_region,
+    generate_example,
+    reach,
+    token_array,
+)
 from tsicl.trainer import Adam, TrainConfig
 
 CONFIG = TrainConfig(learning_rate=0.01, clip_norm=1.0)
@@ -76,13 +90,15 @@ def test_adam_matches_the_reference_over_two_steps():
 def forecast_dataset(w: WindowSpec, m: int):
     """Three forecast samples with m demos each, demos after every query and disjoint from each other."""
     series = ChannelSeries("d", "c", np.random.default_rng(0).normal(size=300))
-    queries = [generate_example(TaskKind.FORECAST, series, 24 * i, w, None) for i in range(3)]
-    demos = [
-        [generate_example(TaskKind.FORECAST, series, 100 + 24 * (m * i + k), w, None) for k in range(m)]
-        for i in range(3)
+    table = SeriesTable([series])
+    starts = [[100 + 24 * (m * i + k) for k in range(m)] + [24 * i] for i in range(3)]
+    queries = [generate_example(TaskKind.FORECAST, series, t[-1], w, None) for t in starts]
+    demos = [[generate_example(TaskKind.FORECAST, series, t, w, None) for t in ts[:-1]] for ts in starts]
+    samples = [
+        ContextSample(table, w, TaskKind.FORECAST, np.array([table.row(series, t) for t in ts]), np.zeros((m + 1, 0), int))
+        for ts in starts
     ]
-    dataset = ContextDataset([assemble(d, q) for d, q in zip(demos, queries)], w)
-    return dataset, queries, demos
+    return ContextDataset(samples, w), queries, demos
 
 
 def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
@@ -116,7 +132,7 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     idxs = [0, 1, 2]
     total_patches = (m * (L + h) + L + h) // p
 
-    regions = trainer._loss_regions(dataset, idxs, config, supervise_demos=True)
+    regions = trainer._loss_regions(trainer._batch(dataset, idxs, variant)[1], w, config, supervise_demos=True)
     assert len(regions) == 1 + m
     assert regions[0][:2] == readout_rows(config, total_patches, hp)
     assert all(np.array_equal(regions[0][2][i].ravel(), queries[i].target) for i in idxs)
@@ -151,7 +167,7 @@ def test_every_stream_is_the_samples_tokens_but_the_decoders_taught_answer(monke
     dataset, queries, _ = forecast_dataset(w, m=2)
     idxs = [0, 1, 2]
     tokens = np.stack([dataset.samples[i].tokens for i in idxs])
-    assert np.array_equal(trainer._batch_streams(dataset, idxs, ENCODER_MASKED), tokens)
+    assert np.array_equal(trainer._batch(dataset, idxs, ENCODER_MASKED)[0], tokens)
 
     validated = []
     real = trainer.batched_predict
@@ -166,12 +182,51 @@ def test_every_stream_is_the_samples_tokens_but_the_decoders_taught_answer(monke
     assert np.array_equal(np.stack(validated), tokens)
 
     # the decoder's stream differs from the tokens in the query answer's value and mask columns alone
-    forced = trainer._batch_streams(dataset, idxs, DECODER_CAUSAL)
+    forced = trainer._batch(dataset, idxs, DECODER_CAUSAL)[0]
     assert forced.shape == tokens.shape and np.array_equal(forced[:, :-h], tokens[:, :-h])
     assert np.array_equal(forced[:, -h:, SEGMENT_FLAG], tokens[:, -h:, SEGMENT_FLAG])
     for i in idxs:
         assert np.array_equal(forced[i, -h:], answer_region(h, queries[i].target))
         assert np.array_equal(tokens[i, -h:], answer_region(h))
+
+
+def materialised(store, example: TaskExample, w: WindowSpec) -> TaskExample:
+    """The example at ``example``'s span and mask, read straight off its split, as the task table says."""
+    channel, start = example.source_span.channel, example.source_span.start
+    split = next(s for s in store.splits[channel].values() if s.origin_offset <= start < s.origin_offset + len(s))
+    before, after = reach(example.task, w)
+    t = start - split.origin_offset + before
+    window = split.values[t : t + w.lookback]
+    mask = np.zeros(w.lookback)
+    mask[example.masked_positions] = 1.0
+    target = np.concatenate([split.values[t - before : t], window[example.masked_positions],
+                             split.values[t + w.lookback : t + w.lookback + after]])
+    return TaskExample(example.task, token_array(window, mask), target, example.source_span)
+
+
+@pytest.mark.parametrize(
+    "variant, supervise", [(DECODER_CAUSAL, False), (ENCODER_MASKED, False), (DECODER_CAUSAL, True)]
+)
+def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, supervise):
+    """Every batch stream and truth grid, bit for bit, against ``build_stream`` of examples read off the store."""
+    store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    w = WindowSpec(8, 4)
+    parts = [train for _, train, _ in build_train_valid(store, TASK_ORDER, w, [0, 2], seed=3, stride=2)]
+    dataset = pool_datasets(parts)
+    assert {s.task for s in dataset.samples} == set(TASK_ORDER) and any(GEOMETRY[s.task].impute for s in dataset.samples)
+    config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+    for first, part in zip(np.cumsum([0, *map(len, parts)]), parts):  # one bucket each
+        idxs = list(range(first, first + len(part)))
+        streams, targets = trainer._batch(dataset, idxs, variant)
+        regions = trainer._loss_regions(targets, w, config, supervise)
+        for j, i in enumerate(idxs):
+            *demos, query = (materialised(store, e, w) for e in dataset.samples[i].examples)
+            want = build_stream((*demos, query)) if variant == DECODER_CAUSAL else build_stream(demos, query)
+            assert streams[j].tobytes() == want.tobytes()
+            truths = [query.target, *(d.target for d in demos)] if supervise else [query.target]
+            assert len(regions) == len(truths)
+            for (_, _, grid), truth in zip(regions, truths):
+                assert grid[j].tobytes() == truth.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -188,8 +243,9 @@ def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
     idxs = [0, 1, 2]
     got = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise).data)
 
-    full = forward_patch_predictions(trainer._batch_streams(dataset, idxs, variant), params, config).data
-    regions = trainer._loss_regions(dataset, idxs, config, supervise)
+    streams, targets = trainer._batch(dataset, idxs, variant)
+    full = forward_patch_predictions(streams, params, config).data
+    regions = trainer._loss_regions(targets, dataset.window, config, supervise)
     assert len(regions) == (3 if supervise else 1)
     pred = np.concatenate([full[:, r0:r1] for r0, r1, _ in regions], axis=1)
     truth = np.concatenate([t for _, _, t in regions], axis=1)
