@@ -1,5 +1,8 @@
 """Contracts of the whole pipeline: one eval loop and readout, frozen weights, no leakage, determinism."""
 
+import hashlib
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from tsicl import evalharness, experiment
 from tsicl.cli import main, resolve_config
 from tsicl.context import build_stream, build_train_valid, pool_datasets, read_jsonl
 from tsicl.evalharness import (
+    BATCH,
     PROBES,
     EvalProtocol,
     EvalReport,
@@ -19,7 +23,7 @@ from tsicl.evalharness import (
     score_probes,
     select_eval_demos,
 )
-from tsicl.model import DECODER_CAUSAL, VARIANTS, ModelConfig, init_params
+from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, VARIANTS, ModelConfig, init_params
 from tsicl.series import load_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec, answer_region
@@ -194,3 +198,47 @@ def test_same_seed_gives_byte_identical_artifacts(tmp_path):
     first = run()
     assert {"synth.csv", "store.json", "checkpoint.json", "eval_report.csv", "summary.csv"} <= set(first)
     assert run() == first
+
+
+# SHA-256 of every integer decision ``score_probes`` makes at seed 0 in the three
+# cells below: per channel, in the order they are made, the queries and then each
+# probe's demos, each as its task and per example its dataset, channel, span and
+# masked positions. Integers only, so the digest does not depend on BLAS; like
+# ``test_build_decisions_are_pinned`` it pins numpy's Generator stream.
+EVAL_DECISIONS_SHA256 = "44330a9aeb8d3d7e7badb8ba5fd85602a9572b622adeafccbc866241758924d3"
+EVAL_CELLS = (
+    (DECODER_CAUSAL, TaskKind.BACKTRACE, (TaskKind.IMPUTE, TaskKind.FORECAST)),
+    (ENCODER_MASKED, TaskKind.BACKTRACE, (TaskKind.FORECAST, TaskKind.IMPUTE)),
+    (ENCODER_MASKED, TaskKind.FORECAST, (TaskKind.IMPUTE, TaskKind.BACKTRACE)),
+)
+
+
+def test_eval_decisions_are_pinned(tmp_path, monkeypatch):
+    """The same decisions on the forked path (two or more cores) and the serial one (one core)."""
+    store = experiment.store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
+    real = evalharness.generate_examples
+
+    def recording(task, s, starts, w, rng):
+        examples = real(task, s, starts, w, rng)
+        spans = [e.source_span for e in examples]
+        records = [[x.dataset, x.channel, x.start, x.end, e.masked_positions.tolist()] for x, e in zip(spans, examples)]
+        with (tmp_path / f"{os.getpid()}.jsonl").open("a") as fh:  # a forked worker records in its own file
+            fh.write(json.dumps([s.channel, str(task), records]) + "\n")
+        return examples
+
+    monkeypatch.setattr(evalharness, "generate_examples", recording)
+    digest = hashlib.sha256()
+    for variant, task, pretrain in EVAL_CELLS:
+        config = replace(TINY_MODEL, variant=variant)
+        protocol = EvalProtocol(task, pretrain, WINDOW, demo_count=2)
+        preds, _, _ = score_probes(protocol, PROBES, store, init_params(config), config, seed=0, stride=1)
+        assert len(preds["ictp"]) >= 2 * BATCH  # enough queries for two workers
+        by_channel = {}
+        for path in sorted(tmp_path.glob("*.jsonl")):
+            for line in path.read_text().splitlines():  # each channel is scored whole in one process
+                by_channel.setdefault(json.loads(line)[0], []).append(line)
+            path.unlink()
+        assert sorted(by_channel) == sorted(store.channels) and all(len(calls) == 3 for calls in by_channel.values())
+        for channel in store.channels:
+            digest.update("\n".join(by_channel[channel]).encode() + b"\n")
+    assert digest.hexdigest() == EVAL_DECISIONS_SHA256
