@@ -3,4 +3,4 @@
 __version__ = "0.1.0"
 
 from .series import ChannelSeries, NormStats, RawDataset  # noqa: F401
-from .tasks import TaskExample, TaskKind, WindowSpec  # noqa: F401
+from .tasks import TaskKind, WindowSpec  # noqa: F401

@@ -284,6 +284,7 @@ def cmd_report(cfg: dict) -> None:
         merged.rows.extend(EvalReport.read_csv(p).rows)
     if not merged.rows:
         raise DataError("no rows in the given reports")
+    ratio = improvement_ratio(merged)  # refuses a row given twice, which would count as a second seed
 
     cells: dict[tuple, dict[str, list]] = {}
     for r in merged.rows:
@@ -294,7 +295,7 @@ def cmd_report(cfg: dict) -> None:
             mean_mse = float(np.mean([r.mse for r in rows]))
             mean_mae = float(np.mean([r.mae for r in rows]))
             lines.append(f"{key[0]},{key[1]},{key[2]},{key[3]},{method},{len(rows)},{mean_mse!r},{mean_mae!r}")
-    lines.append(f"# improvement_ratio,{improvement_ratio(merged)!r}")
+    lines.append(f"# improvement_ratio,{ratio!r}")
     print("\n".join(lines))
     out = _path(cfg, "summary", "summary.csv", write=True)
     out.write_text("\n".join(lines) + "\n")

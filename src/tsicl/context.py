@@ -6,14 +6,14 @@ disjoint from the query's. A sample is integers, in memory as on disk: a
 ``ContextSample`` holds its task and, for each demo and then the query, the
 row of its window start in a ``series.SeriesTable`` (one flat copy of the
 series it was built from) and its window-relative masked positions. Values
-are read only when a stream is made: ``sample_streams`` gathers a batch of
-samples at once with ``tasks.gather``, and ``ContextSample.tokens`` /
-``demos`` / ``query`` gather one. Every model input has one layout, which
-``build_stream`` makes from examples one stream at a time and
-``sample_streams`` a batch at a time: each demo's input and its
-``tasks.answer_region`` showing its true values, and last the query's input
-and placeholder region. Answer tokens carry segment_flag=1, so the encoding
-stays invertible without separator tokens.
+are read only when a stream is made, and ``example_streams`` is the one
+stream builder: from rows it gathers each example's input and then its
+``tasks.answer_region``, showing its true values or placeholders. Every model
+input is laid out with it: ``sample_streams`` gathers a batch of samples,
+each stream its demos with answers shown and last the query with
+placeholders; evaluation gathers a demo prefix and query streams apart
+(``evalharness.score_probes``). Answer tokens carry segment_flag=1, so the
+encoding stays invertible without separator tokens.
 
 A context file stores the same decisions. Its first line, the header, holds
 ``lookback``, ``horizon``, ``samples`` and ``skipped_windows``, then the
@@ -42,7 +42,6 @@ from .tasks import (
     GEOMETRY,
     TASK_ORDER,
     Span,
-    TaskExample,
     TaskKind,
     WindowSpec,
     answer_region,
@@ -62,7 +61,7 @@ DEMO_ATTEMPTS = 1000
 class ContextSample:
     """One record as integers: its task, and per demo and last the query, the ``table`` row of its
     window start (``rows``, (m+1,)) and its window-relative masked positions (``masks``, (m+1, h)
-    on impute, (m+1, 0) otherwise). Examples and tokens are gathered on each access."""
+    on impute, (m+1, 0) otherwise). Its values are read only by ``sample_streams``."""
 
     table: SeriesTable
     window: WindowSpec
@@ -75,25 +74,6 @@ class ContextSample:
         """Each example's source span: the demos', then the query's."""
         table, located = self.table, zip(self.table.locate(self.rows).tolist(), self.rows.tolist())
         return [source_span(self.task, table.series[i], row - int(table.firsts[i]), self.window) for i, row in located]
-
-    @property
-    def examples(self) -> tuple[TaskExample, ...]:
-        """The demos, then the query, in one gather."""
-        w = self.window
-        inputs, targets = gather(self.table.values, self.rows, target_offsets(self.task, w, self.masks), w)
-        return tuple(TaskExample(self.task, x, y, span) for x, y, span in zip(inputs, targets, self.spans))
-
-    @property
-    def demos(self) -> tuple[TaskExample, ...]:
-        return self.examples[:-1]
-
-    @property
-    def query(self) -> TaskExample:
-        return self.examples[-1]
-
-    @property
-    def tokens(self) -> np.ndarray:  # the model input, ((m+1)*(L+h), 3); not cached: samples hold no values
-        return sample_streams([self])[0][0]
 
 
 @dataclass
@@ -122,44 +102,46 @@ def sample_task(rng: np.random.Generator, tasks: set[TaskKind] | list[TaskKind])
     return ordered[int(rng.integers(0, len(ordered)))]
 
 
-def build_stream(demos: Sequence[TaskExample], query: TaskExample | None = None) -> np.ndarray:
-    """Each demo's input and shown answer, then the query's input and placeholder answer region.
+def example_streams(
+    table: SeriesTable, w: WindowSpec, groups: Sequence[tuple[TaskKind, np.ndarray, np.ndarray]], shown
+) -> tuple[np.ndarray, np.ndarray]:
+    """The streams (G, n, L+h, 3) and targets (G, n, h) of G groups of n examples each, in one ``gather``.
 
-    Without a query this is the demo prefix alone, which evaluation builds
-    once and puts in front of every ``build_stream((), query)``; teacher
-    forcing passes the query as one more demo. No task-match check:
-    evaluation also builds deliberate wrong-task contexts.
+    A group is examples of one task: the task, their ``table`` rows (n,) and
+    their window-relative masked positions (n, k), which this loop, and no
+    other code, turns into target offsets by task. An example's stream is its
+    input and then its answer region, which shows its targets where ``shown``
+    (broadcast to (G, n)) is true and placeholders elsewhere. No task-match
+    check: evaluation also makes deliberate wrong-task demos.
     """
-    parts = [part for d in demos for part in (d.input, answer_region(d.horizon, d.target))]
-    if query is not None:
-        parts += [query.input, answer_region(query.horizon)]
-    return np.concatenate(parts, axis=0) if parts else np.zeros((0, 3))
-
-
-def sample_streams(samples: Sequence[ContextSample], teach: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The streams (B, (m+1)*(L+h), 3) and targets (B, m+1, h) of samples, in one gather.
-
-    The samples must share a table, a window and a demo count m. A stream is
-    ``build_stream(sample.demos, sample.query)``, or with ``teach``
-    ``build_stream((*sample.demos, sample.query))``, which shows the query's
-    answer as a demo's is, for teacher forcing.
-    """
-    table, w = samples[0].table, samples[0].window
-    if any(s.table is not table or s.window != w for s in samples):
-        raise GeometryError("one gather needs samples of one table and one window geometry")
-    rows = np.stack([s.rows for s in samples])
+    rows = np.stack([group_rows for _, group_rows, _ in groups])
     offsets = np.empty((*rows.shape, w.horizon), dtype=np.int64)
     for task in TASK_ORDER:
-        picked = [i for i, s in enumerate(samples) if s.task is task]
+        picked = [g for g, (group_task, _, _) in enumerate(groups) if group_task is task]
         if picked:
-            offsets[picked] = target_offsets(task, w, np.stack([samples[i].masks for i in picked]))
+            offsets[picked] = target_offsets(task, w, np.stack([groups[g][2] for g in picked]))
     inputs, targets = gather(table.values, rows, offsets, w)
     L, h = w.lookback, w.horizon
     streams = np.empty((*rows.shape, L + h, 3))
     streams[..., :L, :] = inputs
     streams[..., L:, :] = answer_region(h, targets)
-    if not teach:
-        streams[:, -1, L:, :] = answer_region(h)
+    streams[~np.broadcast_to(shown, rows.shape), L:, :] = answer_region(h)
+    return streams, targets
+
+
+def sample_streams(samples: Sequence[ContextSample], teach: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The streams (B, (m+1)*(L+h), 3) and targets (B, m+1, h) of samples, in one ``example_streams``.
+
+    The samples must share a table, a window and a demo count m. A stream is
+    each demo's input and shown answer, then the query's input and
+    placeholders, or with ``teach`` its shown answer too, for teacher forcing.
+    """
+    table, w = samples[0].table, samples[0].window
+    if any(s.table is not table or s.window != w for s in samples):
+        raise GeometryError("one gather needs samples of one table and one window geometry")
+    m = len(samples[0].rows) - 1
+    shown = np.arange(m + 1) < m + teach  # every demo, and the query if taught
+    streams, targets = example_streams(table, w, [(s.task, s.rows, s.masks) for s in samples], shown)
     return streams.reshape(len(samples), -1, 3), targets
 
 

@@ -4,31 +4,33 @@ The protocol mirrors the pre-training split: a model trained on some task set
 is evaluated on a task it never saw. The context path prepends demonstrations
 of the unseen task (train-split data only); the baseline path rewrites each
 query with the adapter ``adapters.adapter_for`` picks. Demo and query windows
-come from the task table in ``tasks``: its valid starts and span widths. Every
-stream ends in ``tasks.answer_region`` placeholders. ``context_path`` builds
-its streams with ``context.build_stream``, which owns the token layout;
-``_fit_adapted`` appends the region (rounded up to whole patches) after each
-adapted history, which is not an example. Both paths return predictions only:
-a query's truth is its ``TaskExample.target``, which ``score_probes`` stacks
-once per channel and scores every probe against. ``score_probes`` is the only
-eval loop, behind ``run_unseen_eval``, which writes one ``EvalRow`` per probe:
-the CLI's ``eval`` scores ``baseline`` and ``ictp``, ``experiment.run_seed``
-all four ``PROBES``. ``batched_predict`` is the only readout, also behind the
-trainer's validation loss. ``context_path`` hands it the demo prefix apart
-from the query streams: the decoder encodes that prefix once per channel and
-probe and reuses its keys and values for every query
-(``model.encode_prefix``), while the encoder, whose prefix rows attend to the
-query, runs each prefix ++ query stream whole. The validation loss passes
-each sample's ``tokens`` whole, as every validation sample has its own demos.
-``score_probes`` checksums the parameters before the loop and in every worker
-after it, to enforce that evaluation never updates them.
+come from the task table in ``tasks``: its valid starts and span widths.
+Queries and demos are rows of ``store.table`` plus masks
+(``tasks.example_rows``), and ``context.example_streams``, the one stream
+builder, gathers them: the query streams, which end in placeholders, and the
+demo prefix, whose answers are shown. ``_fit_adapted`` appends the answer
+region (rounded up to whole patches) after each adapted history, which is not
+an example. Both paths return predictions only: the queries' truth comes from
+their gather, and ``score_probes`` scores every probe against it.
+``score_probes`` is the only eval loop, behind ``run_unseen_eval``, which
+writes one ``EvalRow`` per probe: the CLI's ``eval`` scores ``baseline`` and
+``ictp``, ``experiment.run_seed`` all four ``PROBES``. ``batched_predict`` is
+the only readout, also behind the trainer's validation loss. ``context_path``
+hands it the demo prefix apart from the query streams: the decoder encodes
+that prefix once per channel and probe and reuses its keys and values for
+every query (``model.encode_prefix``), while the encoder, whose prefix rows
+attend to the query, runs each prefix ++ query stream whole. The validation
+loss runs each sample's stream whole, as every validation sample has its own
+demos. ``score_probes`` checksums the parameters before the loop and in every
+worker after it, to enforce that evaluation never updates them.
 
 ``score_probes`` scores channels on every core the process may use: it hands
 contiguous shares of channels to ``workers.fork_join``, which computes the
 first share in the calling process and each other share in a forked child,
-and joins the results in channel order. For the whole call every process runs
-OpenBLAS on one thread, whose small products would otherwise stall, so the
-scores are the same bits on any core count. It stays serial on one core,
+and joins the results in channel order. The store's table is made before the
+fork, so every worker reads the same copy. For the whole call every process
+runs OpenBLAS on one thread, whose small products would otherwise stall, so
+the scores are the same bits on any core count. It stays serial on one core,
 inside a worker, where no OpenBLAS thread count can be set, and where the
 channels hold fewer than ``BATCH`` queries per worker (64, one
 ``batched_predict`` batch): there a fork costs more than it saves.
@@ -43,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import AdaptedQuery, adapter_for
-from .context import build_stream
+from .adapters import adapter_for
+from .context import example_streams
 from .errors import ConfigError, DataError
 from .model import (
     DECODER_CAUSAL,
@@ -54,13 +56,12 @@ from .model import (
     horizon_patch_count,
     readout_rows,
 )
-from .series import SplitStore
+from .series import ChannelSeries, SeriesTable, SplitStore
 from .tasks import (
-    TaskExample,
     TaskKind,
     WindowSpec,
     answer_region,
-    generate_examples,
+    example_rows,
     span_width,
     valid_start_range,
 )
@@ -167,11 +168,15 @@ def improvement_ratio(report: EvalReport) -> float:
     """Mean per-cell relative improvement (baseline - ictp) / baseline.
 
     A cell is one (backbone, task, dataset, horizon, seed, metric) tuple and
-    must carry both methods. Negative improvements are averaged in as-is.
+    must carry both methods, each once. Negative improvements are averaged in
+    as-is.
     """
     by_cell: dict[tuple, dict[str, EvalRow]] = {}
     for r in report.rows:
-        by_cell.setdefault((r.backbone, r.task, r.dataset, r.horizon, r.seed), {})[r.method] = r
+        cell = by_cell.setdefault((r.backbone, r.task, r.dataset, r.horizon, r.seed), {})
+        if r.method in cell:
+            raise DataError(f"repeated row: method {r.method} of cell {(r.backbone, r.task, r.dataset, r.horizon, r.seed)}")
+        cell[r.method] = r
     ratios = []
     for key, methods in by_cell.items():
         if "baseline" not in methods or "ictp" not in methods:
@@ -187,23 +192,18 @@ def improvement_ratio(report: EvalReport) -> float:
     return float(np.mean(ratios))
 
 
-def select_eval_demos(
-    train_s, task: TaskKind, w: WindowSpec, m: int, rng: np.random.Generator
-) -> list[TaskExample]:
-    """The m most recent pairwise-disjoint train windows, oldest first.
+def eval_demo_starts(length: int, task: TaskKind, w: WindowSpec, m: int) -> list[int]:
+    """The starts of the m most recent pairwise-disjoint windows of a train split of this length, oldest first.
 
     Starts step back from the task table's last valid start by its span width.
-    Deterministic by construction; rng is only consumed by imputation masks.
     """
-    if m == 0:
-        return []
-    lo, hi = valid_start_range(task, len(train_s), w)
+    lo, hi = valid_start_range(task, length, w)
     width = span_width(task, w)
     starts = [hi - i * width for i in range(m)]
-    if not starts or starts[-1] < lo:
+    if starts and starts[-1] < lo:
         available = max(0, (hi - lo) // width + 1) if hi >= lo else 0
         raise DataError(f"train split admits only {available} disjoint demo windows, need {m}")
-    return generate_examples(task, train_s, starts[::-1], w, rng)
+    return starts[::-1]
 
 
 def batched_predict(
@@ -244,49 +244,50 @@ def batched_predict(
     return out
 
 
-def _fit_adapted(adapted: AdaptedQuery, config: ModelConfig) -> tuple[np.ndarray, int]:
-    """An adapted history plus its answer region, patch-divisible for the model.
+def _fit_adapted(history: np.ndarray, steps: int, config: ModelConfig) -> tuple[np.ndarray, int]:
+    """An adapted history plus the answer region of ``steps`` values, patch-divisible for the model.
 
     The only place a baseline stream gets its answer region. The region is
     rounded up to whole patches; surplus history is trimmed from the oldest
     end. Extra predicted steps are simply unread.
     """
     p = config.patch_size
-    model_h = -(-adapted.predict_steps // p) * p
-    trim = (len(adapted.tokens) + model_h) % p
-    history = adapted.tokens[trim:]
+    model_h = -(-steps // p) * p
+    trim = (len(history) + model_h) % p
+    history = history[trim:]
     if len(history) < p:
         raise DataError("adapted query has no usable context after patch alignment")
     return np.concatenate([history, answer_region(model_h)]), model_h
 
 
 def context_path(
-    queries: list[TaskExample],
-    demos: list[TaskExample],
+    queries: np.ndarray,
+    prefix: np.ndarray,
     params: dict[str, ad.Parameter],
     config: ModelConfig,
+    horizon: int,
 ) -> np.ndarray:
     """Predictions, stacked (N, h), for the demonstration path.
 
-    Every query stream is ``build_stream((), query)`` behind the one shared
-    demo prefix ``build_stream(demos)``, which ``batched_predict`` takes once.
+    Every query stream (N, L+h, 3) runs behind the one shared demo prefix
+    (n, 3), which ``batched_predict`` takes once.
     """
-    streams = [build_stream((), q) for q in queries]
-    preds = batched_predict(streams, [q.horizon for q in queries], params, config, prefix=build_stream(demos))
-    return np.stack(preds)
+    return np.stack(batched_predict(queries, [horizon] * len(queries), params, config, prefix=prefix))
 
 
 def baseline_path(
-    queries: list[TaskExample],
+    task: TaskKind,
+    inputs: np.ndarray,
+    masks: np.ndarray,
     params: dict[str, ad.Parameter],
     config: ModelConfig,
+    w: WindowSpec,
 ) -> np.ndarray:
-    """Predictions, stacked (N, h), through the matching reprogramming adapter."""
-    adapt = adapter_for(config.variant == DECODER_CAUSAL, queries[0].task)
-    adapted = [adapt(q) for q in queries]
-    fitted = [_fit_adapted(a, config) for a in adapted]
+    """Predictions, stacked (N, h), of the ``task`` queries with these inputs and masks, through the matching adapter."""
+    histories, read = adapter_for(config.variant == DECODER_CAUSAL, task)(inputs, masks, w)
+    fitted = [_fit_adapted(x, int(steps), config) for x, steps in zip(histories, read.max(axis=1) + 1)]
     raw = batched_predict([f[0] for f in fitted], [f[1] for f in fitted], params, config)
-    return np.stack([a.score_prediction(r) for a, r in zip(adapted, raw)])
+    return np.stack([r[i] for r, i in zip(raw, read)])
 
 
 def _query_starts(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> range:
@@ -295,29 +296,25 @@ def _query_starts(test_length: int, task: TaskKind, w: WindowSpec, stride: int) 
     return range(lo, hi + 1, stride)
 
 
-def enumerate_queries(
-    test_s, task: TaskKind, w: WindowSpec, stride: int, rng: np.random.Generator
-) -> list[TaskExample]:
-    """The query at each of ``_query_starts``."""
-    starts = _query_starts(len(test_s), task, w, stride)
-    if not starts:
-        raise DataError(f"test split of length {len(test_s)} admits no {task} window")
-    return generate_examples(task, test_s, starts, w, rng)
-
-
 def _rng(seed: int, stream: int, ch_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream, ch_idx)))
 
 
-def _probe_demos(probe: str, protocol: EvalProtocol, train_s, seed: int, ch_idx: int) -> list[TaskExample]:
+def _probe_prefix(
+    probe: str, protocol: EvalProtocol, table: SeriesTable, train_s: ChannelSeries, seed: int, ch_idx: int
+) -> np.ndarray:
+    """The demo prefix (n, 3) of a context probe: each demo's input and shown answer, none for ``no_context``."""
+    w = protocol.window
     if probe == "no_context":
-        return []
+        return np.zeros((0, 3))
     task, stream = {"ictp": (protocol.eval_task, 3), "wrong_task": (protocol.pretrain_tasks[0], 4)}[probe]
-    return select_eval_demos(train_s, task, protocol.window, protocol.demo_count, _rng(seed, stream, ch_idx))
+    starts = eval_demo_starts(len(train_s), task, w, protocol.demo_count)
+    rows, masks = example_rows(table, task, train_s, starts, w, _rng(seed, stream, ch_idx))
+    return example_streams(table, w, [(task, rows, masks)], shown=True)[0].reshape(-1, 3)
 
 
 def query_count(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> int:
-    """How many queries ``enumerate_queries`` makes on a test split of this length, without making them."""
+    """How many queries ``score_probes`` makes on a test split of this length, without making them."""
     return len(_query_starts(test_length, task, w, stride))
 
 
@@ -354,18 +351,24 @@ def score_probes(
     query_total = sum(query_count(len(store.series(ch, "test")), protocol.eval_task, protocol.window, stride)
                       for ch in channels)
 
+    task, w, table = protocol.eval_task, protocol.window, store.table  # the table before any fork
+
     def score_channel(ch_idx: int) -> tuple[list[np.ndarray], np.ndarray]:
         ch = channels[ch_idx]
         test_s = store.series(ch, "test")
-        queries = enumerate_queries(test_s, protocol.eval_task, protocol.window, stride, _rng(seed, 2, ch_idx))
+        starts = _query_starts(len(test_s), task, w, stride)
+        if not starts:
+            raise DataError(f"test split of length {len(test_s)} admits no {task} window")
+        rows, masks = example_rows(table, task, test_s, starts, w, _rng(seed, 2, ch_idx))
+        (queries,), (truth,) = example_streams(table, w, [(task, rows, masks)], shown=False)
         preds = []
         for probe in probes:
             if probe == "baseline":
-                preds.append(baseline_path(queries, params, config))
+                preds.append(baseline_path(task, queries[:, : w.lookback], masks, params, config, w))
             else:
-                demos = _probe_demos(probe, protocol, store.series(ch, "train"), seed, ch_idx)
-                preds.append(context_path(queries, demos, params, config))
-        return preds, np.stack([q.target for q in queries])
+                prefix = _probe_prefix(probe, protocol, table, store.series(ch, "train"), seed, ch_idx)
+                preds.append(context_path(queries, prefix, params, config, w.horizon))
+        return preds, truth
 
     def score_share(share: range):
         return [score_channel(i) for i in share], params_checksum(params)

@@ -1,6 +1,6 @@
 """Toy patch-transformer backbones over context-sample token streams.
 
-The model runs the streams ``context.build_stream`` lays out and fixes only
+The model runs the streams ``context.example_streams`` lays out and fixes only
 which head row reads an answer patch (``readout_rows``). Two variants cover
 the two pre-training families the pipeline compares:
 

@@ -4,14 +4,14 @@ Every task shows an L-value window (lookback ``L = 2h``) and asks for h values,
 so examples are interchangeable inside a context sequence. ``GEOMETRY`` is the
 only per-task code: where the h target values lie relative to the window.
 ``target_offsets``, ``valid_start_range``, ``span_width`` and ``source_span``
-derive everything else from it. ``gather`` is the one reader of example
-values: from window starts and target offsets it reads the inputs and
-targets of any number of examples at once, out of one series
-(``generate_examples``) or out of the flat ``series.SeriesTable`` that
-context samples index. Token sequences are float64 arrays of shape ``(n, 3)``
-with columns ``(value, mask_flag, segment_flag)``: ``gather`` makes an
-example's input tokens, ``answer_region`` the h answer tokens after it, and
-``token_array`` the input of an adapted query.
+derive everything else from it. An example is integers: the row of its window
+start in the flat ``series.SeriesTable`` and its masked positions.
+``example_rows`` makes them from window starts on one series, refusing a start
+the task table does not admit, and ``gather`` is the one reader of example
+values: from rows and target offsets it reads the inputs and targets of any
+number of examples at once. Token sequences are float64 arrays of shape
+``(n, 3)`` with columns ``(value, mask_flag, segment_flag)``: ``gather`` makes
+an example's input tokens and ``answer_region`` the h answer tokens after it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .series import ChannelSeries
+from .series import ChannelSeries, SeriesTable
 
 VALUE, MASK_FLAG, SEGMENT_FLAG = 0, 1, 2
 
@@ -58,22 +58,6 @@ GEOMETRY = {
     TaskKind.BACKTRACE: TaskGeometry(before=1, after=0, impute=False),
 }
 TASK_ORDER = tuple(GEOMETRY)
-
-
-def token_array(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Pack values and flags into an ``(n, 3)`` token array of the input segment (segment_flag 0).
-
-    Masked positions (mask=1) get value 0 regardless of the input values.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    out = np.zeros((n, 3), dtype=np.float64)
-    out[:, VALUE] = values
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
-        out[:, MASK_FLAG] = m
-        out[m == 1.0, VALUE] = 0.0
-    return out
 
 
 def answer_region(horizon: int, values: np.ndarray | None = None) -> np.ndarray:
@@ -116,36 +100,6 @@ class Span:
         if self.dataset != other.dataset or self.channel != other.channel:
             return False
         return self.start < other.end and other.start < self.end
-
-
-@dataclass(frozen=True)
-class TaskExample:
-    """An (input tokens, target values) pair produced by one task.
-
-    ``source_span`` covers every value the example reads or predicts, in
-    absolute (origin_offset-based) coordinates.
-    """
-
-    task: TaskKind
-    input: np.ndarray  # (L, 3)
-    target: np.ndarray  # (h,)
-    source_span: Span
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "input", np.asarray(self.input, dtype=np.float64))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64))
-
-    @property
-    def lookback(self) -> int:
-        return self.input.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.target.shape[0]
-
-    @property
-    def masked_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.input[:, MASK_FLAG] == 1.0)
 
 
 def sample_mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
@@ -228,31 +182,23 @@ def gather(values: np.ndarray, starts, offsets: np.ndarray, w: WindowSpec) -> tu
     return inputs, values[starts + offsets]
 
 
-def generate_examples(
-    task: TaskKind, s: ChannelSeries, starts: Sequence[int], w: WindowSpec, rng: np.random.Generator | None
-) -> list[TaskExample]:
-    """The example of ``task`` whose input window is s[t : t+L), for each t in ``starts``, in one ``gather``.
+def example_rows(
+    table: SeriesTable, task: TaskKind, s: ChannelSeries, starts: Sequence[int], w: WindowSpec,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``table`` rows of the ``task`` windows of ``s`` that start at ``starts``, and their masks (len(starts), k).
 
-    The target is the ``before`` values, the masked values, then the ``after``
-    values, in ascending time. An impute task draws each example's h masked
-    positions with ``rng``, in ``starts`` order; other tasks ignore ``rng``.
+    An impute task draws each window's h masked positions with ``rng``, in
+    ``starts`` order; other tasks ignore ``rng``. On the flat table a window
+    past either end of ``s`` would read its neighbour, so a start outside
+    ``valid_start_range`` raises ``GeometryError`` before any row is made.
     """
-    if len(starts) == 0:
-        return []
-    L = w.lookback
-    before, after = reach(task, w)
+    lo, hi = valid_start_range(task, len(s), w)
     for t in starts:
-        if t < before:
-            raise GeometryError(f"insufficient history: start {t} < {before}")
-        if t < 0 or t + L + after > len(s):
-            raise GeometryError(f"window [{t}, {t + L + after}) out of range for series of length {len(s)}")
-    masks = np.array([draw_mask(task, w, rng) for _ in starts], dtype=np.int64).reshape(len(starts), -1)
-    inputs, targets = gather(s.values, np.array(starts, dtype=np.int64), target_offsets(task, w, masks), w)
-    return [TaskExample(task, x, y, source_span(task, s, t, w)) for x, y, t in zip(inputs, targets, starts)]
-
-
-def generate_example(
-    task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec, rng: np.random.Generator | None
-) -> TaskExample:
-    """The one example of ``generate_examples`` at window start t."""
-    return generate_examples(task, s, [t], w, rng)[0]
+        if t < lo:
+            raise GeometryError(f"insufficient history: {task} start {t} < {lo}")
+        if t > hi:
+            raise GeometryError(f"{task} window at {t} out of range for series of length {len(s)}")
+    k = w.horizon if GEOMETRY[task].impute else 0
+    masks = np.array([draw_mask(task, w, rng) for _ in starts], dtype=np.int64).reshape(len(starts), k)
+    return table.row(s, 0) + np.asarray(starts, dtype=np.int64), masks

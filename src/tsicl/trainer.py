@@ -2,9 +2,9 @@
 
 Batch streams are gathered, not built sample by sample: ``context.sample_streams``
 reads a batch's streams and targets out of the samples' ``SeriesTable`` in one
-fancy-indexing pass, in the caller and in the worker alike, with the layout of
-``context.build_stream``. The encoder and the validation loss run each
-sample's tokens; the decoder trains with the query's answer shown as a demo's
+fancy-indexing pass, in the caller and in the worker alike. The encoder and
+the validation loss run each sample's stream with placeholders in the query's
+answer region; the decoder trains with the query's answer shown as a demo's
 is (teacher forcing). Validation gathers once per demo count. Loss is
 MSE over the query's answer region only; demonstration answers inside the
 context carry no loss unless ``supervise_demo_outputs`` is set. That option is
@@ -138,7 +138,7 @@ def _bind(params: dict[str, ad.Parameter], flat: np.ndarray) -> None:
 
 def _batch(dataset: ContextDataset, idxs: list[int], variant: str) -> tuple[np.ndarray, np.ndarray]:
     """A batch's streams and (B, m+1, h) targets, in one gather: the decoder is teacher-forced, the encoder
-    runs the samples' tokens."""
+    runs the query's placeholders."""
     return sample_streams([dataset.samples[i] for i in idxs], teach=variant == DECODER_CAUSAL)
 
 
@@ -202,7 +202,7 @@ def _gradient(
 
 
 def _tokens(dataset: ContextDataset, idxs: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The samples' tokens and (len(idxs), h) query targets, in ``idxs`` order, one gather per demo count."""
+    """The samples' streams and (len(idxs), h) query targets, in ``idxs`` order, one gather per demo count."""
     groups: dict[int, list[int]] = {}
     for j, i in enumerate(idxs):
         groups.setdefault(len(dataset.samples[i].rows), []).append(j)

@@ -6,7 +6,10 @@ replaces (``scale``, ``transpose``, ``softmax`` and an operand-times-operand
 op against a chain whose every step is finite-difference checked. They record
 on the active tape through ``autodiff._finish``, as the library's ops do.
 ``mask_positions`` is the documented mask draw as k scalar ``rng.integers``
-calls, which ``tasks.sample_mask_positions`` makes in one call.
+calls, which ``tasks.sample_mask_positions`` makes in one call. ``example``
+reads one task example value by value off its series, as the task table
+describes it, and ``build_stream`` lays examples out one stream at a time:
+``context.example_streams`` gathers what they make.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from tsicl import autodiff as ad
 from tsicl.errors import GeometryError
+from tsicl.tasks import GEOMETRY
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -107,3 +111,35 @@ def mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
         j = int(rng.integers(i, n))
         idx[i], idx[j] = idx[j], idx[i]
     return sorted(idx[:k])
+
+
+def example(task, s, t: int, w, mask=()) -> tuple[np.ndarray, np.ndarray]:
+    """The input tokens (L, 3) and target (h,) of the ``task`` example whose window is ``s.values[t : t+L]``.
+
+    Each token is (value, 0, 0), or (0, 1, 0) at a position of ``mask``; the
+    target is the ``before`` values, the masked values, then the ``after``
+    values, in ascending time.
+    """
+    L, h, g = w.lookback, w.horizon, GEOMETRY[task]
+    tokens = np.zeros((L, 3))
+    for i in range(L):
+        if i in mask:
+            tokens[i, 1] = 1.0
+        else:
+            tokens[i, 0] = s.values[t + i]
+    target = [*s.values[t - g.before * h : t], *(s.values[t + i] for i in sorted(mask)),
+              *s.values[t + L : t + L + g.after * h]]
+    return tokens, np.array(target, dtype=np.float64)
+
+
+def build_stream(demos, query=None) -> np.ndarray:
+    """Each demo's input and its answer shown as (value, 0, 1), then the query's input and h placeholders (0, 1, 1).
+
+    Examples are (tokens, target) pairs. Without a query this is the demo
+    prefix alone; teacher forcing passes the query as one more demo.
+    """
+    parts = [part for tokens, target in demos
+             for part in (tokens, np.column_stack([target, np.zeros(len(target)), np.ones(len(target))]))]
+    if query is not None:
+        parts += [query[0], np.tile([0.0, 1.0, 1.0], (len(query[1]), 1))]
+    return np.concatenate(parts) if parts else np.zeros((0, 3))

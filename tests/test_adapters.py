@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from tsicl import adapters, evalharness, experiment
+from tsicl.context import example_streams
 from tsicl.errors import DataError
-from tsicl.evalharness import EvalProtocol, _fit_adapted, score_probes
+from tsicl.evalharness import EvalProtocol, _fit_adapted, eval_demo_starts, score_probes
 from tsicl.model import (
     DECODER_CAUSAL,
     ENCODER_MASKED,
@@ -20,16 +22,7 @@ from tsicl.model import (
 )
 from tsicl.series import ChannelSeries
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import (
-    MASK_FLAG,
-    Span,
-    TaskExample,
-    TaskKind,
-    WindowSpec,
-    answer_region,
-    generate_example,
-    token_array,
-)
+from tsicl.tasks import MASK_FLAG, TaskKind, WindowSpec, answer_region, example_rows
 
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 WINDOWS = (WindowSpec(24, 12), WindowSpec(12, 6))
@@ -40,22 +33,14 @@ def series(n=96):
     return ChannelSeries("d", "c", values)
 
 
-def impute_example(window: np.ndarray, positions: list[int]) -> TaskExample:
-    mask = np.zeros(len(window))
-    mask[positions] = 1.0
-    span = Span("d", "c", 0, len(window))
-    return TaskExample(TaskKind.IMPUTE, token_array(window, mask=mask), window[positions].copy(), span)
-
-
-def examples(w: WindowSpec) -> dict[TaskKind, TaskExample]:
-    """One example per task; the impute mask is a late block, so truncation keeps a prefix."""
-    s = series()
+def query_batch(task: TaskKind, w: WindowSpec, positions=None, starts=(20, 30, 40)):
+    """Inputs (N, L, 3) and masks (N, k) of ``task`` queries on ``series()``; an impute query masks ``positions``,
+    by default a late block, so truncation keeps a prefix."""
     L, h = w.lookback, w.horizon
-    return {
-        TaskKind.FORECAST: generate_example(TaskKind.FORECAST, s, 20, w, None),
-        TaskKind.BACKTRACE: generate_example(TaskKind.BACKTRACE, s, 20, w, None),
-        TaskKind.IMPUTE: impute_example(s.values[20 : 20 + L], list(range(L - h - 1, L - 1))),
-    }
+    positions = (list(range(L - h - 1, L - 1)) if task is TaskKind.IMPUTE else []) if positions is None else positions
+    s = series()
+    inputs = np.stack([reference.example(task, s, t, w, positions)[0] for t in starts])
+    return inputs, np.array([positions] * len(starts), dtype=np.int64).reshape(len(starts), len(positions))
 
 
 TABLE = {
@@ -79,11 +64,14 @@ def test_adapter_table(variant, task):
 
 
 def test_flip_twice_is_the_identity():
-    example = examples(WindowSpec(24, 12))[TaskKind.BACKTRACE]
-    once = adapters.adapt_backtrace_flip(example)
-    twice = adapters.adapt_backtrace_flip(replace(example, input=once.tokens))
-    assert not np.array_equal(once.tokens, example.input)
-    assert np.array_equal(twice.tokens, example.input)
+    w = WindowSpec(24, 12)
+    inputs, masks = query_batch(TaskKind.BACKTRACE, w)
+    once, read = adapters.adapt_backtrace_flip(inputs, masks, w)
+    twice, _ = adapters.adapt_backtrace_flip(once, masks, w)
+    assert not np.array_equal(once, inputs)
+    assert np.array_equal(twice, inputs)
+    assert all(np.array_equal(x, inputs[i][::-1]) for i, x in enumerate(once))  # each query reversed on its own
+    assert np.array_equal(read, np.tile(np.arange(w.horizon)[::-1], (len(inputs), 1)))
 
 
 @pytest.mark.parametrize(
@@ -92,44 +80,49 @@ def test_flip_twice_is_the_identity():
 )
 def test_truncate_scores_the_masked_positions_in_order(positions):
     window = np.arange(24, dtype=float) * 10.0
-    example = impute_example(window, positions)
-    adapted = adapters.adapt_impute_truncate(example)
+    w = WindowSpec(24, 12)
+    tokens, target = reference.example(TaskKind.IMPUTE, ChannelSeries("d", "c", window), 0, w, positions)
+    (history,), (read,) = adapters.adapt_impute_truncate(tokens[None], np.array([positions]), w)
     first, last = positions[0], positions[-1]
-    assert np.array_equal(adapted.score_offsets + first, example.masked_positions)
     # the model forecasts the hull forward from the prefix, or backward from the suffix
     hull = window[first : last + 1]
-    raw = hull[::-1] if adapted.reverse_output else hull
-    pred = adapted.score_prediction(np.concatenate([raw, [-1.0, -1.0]]))
+    forward = first + last >= w.lookback
+    assert np.array_equal(history, tokens[:first] if forward else tokens[last + 1 :][::-1])
+    raw = hull if forward else hull[::-1]
+    assert read.max() + 1 == len(hull)
+    pred = np.concatenate([raw, [-1.0, -1.0]])[read]
     assert np.array_equal(pred, window[positions])
-    assert np.array_equal(pred, example.target)
+    assert np.array_equal(pred, target)
 
 
 def test_truncate_refuses_a_mask_at_both_ends():
+    w = WindowSpec(24, 12)
     with pytest.raises(DataError, match="both ends"):
-        adapters.adapt_impute_truncate(impute_example(np.arange(24, dtype=float), [0, 5, 23]))
+        adapters.adapt_impute_truncate(*query_batch(TaskKind.IMPUTE, w, positions=[0, 5, 23]), w)
 
 
 @pytest.mark.parametrize("w", WINDOWS, ids=lambda w: f"{w.lookback}/{w.horizon}")
 @pytest.mark.parametrize("task", [TaskKind.FORECAST, TaskKind.BACKTRACE, TaskKind.IMPUTE])
 def test_fitted_streams_are_patch_aligned_and_end_in_the_answer_region(w, task):
-    example = examples(w)[task]
     adapt = {
         TaskKind.FORECAST: adapters.adapt_identity,
         TaskKind.BACKTRACE: adapters.adapt_backtrace_flip,
         TaskKind.IMPUTE: adapters.adapt_impute_truncate,
     }[task]
-    adapted = adapt(example)
-    stream, model_h = _fit_adapted(adapted, TINY_MODEL)
+    histories, read = adapt(*query_batch(task, w), w)
     p = TINY_MODEL.patch_size
-    assert len(stream) % p == 0 and model_h % p == 0
-    assert adapted.predict_steps <= model_h < adapted.predict_steps + p
-    assert np.array_equal(stream[-model_h:], answer_region(model_h))
-    history = stream[:-model_h]
-    assert np.array_equal(history, adapted.tokens[len(adapted.tokens) - len(history) :])
+    for history, steps in zip(histories, read.max(axis=1) + 1):
+        stream, model_h = _fit_adapted(history, int(steps), TINY_MODEL)
+        assert len(stream) % p == 0 and model_h % p == 0
+        assert steps <= model_h < steps + p
+        assert np.array_equal(stream[-model_h:], answer_region(model_h))
+        kept = stream[:-model_h]
+        assert np.array_equal(kept, history[len(history) - len(kept) :])
 
 
 def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
-    example = examples(WindowSpec(24, 12))[TaskKind.BACKTRACE]
+    w = WindowSpec(24, 12)
+    inputs, masks = query_batch(TaskKind.BACKTRACE, w, starts=(20,))
     fed = []
     real = evalharness.batched_predict
 
@@ -139,10 +132,12 @@ def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
 
     monkeypatch.setattr(evalharness, "batched_predict", recording)
     config = replace(TINY_MODEL, variant=ENCODER_MASKED)
-    evalharness.baseline_path([example], init_params(config), config)
-    h = example.horizon
+    evalharness.baseline_path(TaskKind.BACKTRACE, inputs, masks, init_params(config), config, w)
+    h = w.horizon
+    flipped = np.zeros((w.lookback, 3))
+    flipped[:, 0] = inputs[0][::-1, 0]
     placeholders = np.tile([0.0, 1.0, 1.0], (h, 1))  # value 0, masked, answer segment
-    want = np.concatenate([token_array(example.input[::-1, 0]), placeholders])
+    want = np.concatenate([flipped, placeholders])
     (stream, horizon), = fed
     assert horizon == h
     assert stream.dtype == want.dtype and stream.tobytes() == want.tobytes()
@@ -173,9 +168,12 @@ def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
     w = WindowSpec(24, 12)
     config = replace(TINY_MODEL, variant=variant)
     rng = np.random.default_rng(0)
-    channel = store.channels[0]
-    demos = evalharness.select_eval_demos(store.series(channel, "train"), TaskKind.BACKTRACE, w, 2, rng)
-    queries = evalharness.enumerate_queries(store.series(channel, "test"), TaskKind.BACKTRACE, w, 6, rng)
+    task, table, channel = TaskKind.BACKTRACE, store.table, store.channels[0]
+    train_s, test_s = store.series(channel, "train"), store.series(channel, "test")
+    rows, masks = example_rows(table, task, train_s, eval_demo_starts(len(train_s), task, w, 2), w, rng)
+    prefix = example_streams(table, w, [(task, rows, masks)], True)[0].reshape(-1, 3)
+    rows, masks = example_rows(table, task, test_s, range(w.horizon, len(test_s) - w.lookback + 1, 6), w, rng)
+    (queries,), _ = example_streams(table, w, [(task, rows, masks)], False)
     fed = []
     real = evalharness.batched_predict
 
@@ -187,8 +185,8 @@ def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
 
     monkeypatch.setattr(evalharness, "batched_predict", recording)
     params = init_params(config)
-    evalharness.context_path(queries, demos, params, config)
-    evalharness.baseline_path(queries, params, config)
+    evalharness.context_path(queries, prefix, params, config, w.horizon)
+    evalharness.baseline_path(task, queries[:, : w.lookback], masks, params, config, w)
     assert [len(streams) for streams in fed] == [len(queries)] * 2 and len(queries) > 1
 
     p = config.patch_size

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import TINY_CLI
 from tsicl import context
 from tsicl.cli import main
@@ -35,7 +36,6 @@ from tsicl.tasks import (
     WindowSpec,
     answer_region,
     draw_mask,
-    generate_example,
     source_span,
     valid_start_range,
 )
@@ -112,25 +112,25 @@ class TestSampleDemos:
 
 class TestAssemble:
     def test_empty_context_identity(self):
-        q = generate_example(TaskKind.FORECAST, series_of(10), 0, W42, None)
-        out = sample_of(series_of(10), TaskKind.FORECAST, [0], W42)
-        assert np.array_equal(out.tokens, np.concatenate([q.input, answer_region(2)]))
-        assert np.array_equal(out.query.target, q.target)
+        q = reference.example(TaskKind.FORECAST, series_of(10), 0, W42)
+        (tokens,), (targets,) = sample_streams([sample_of(series_of(10), TaskKind.FORECAST, [0], W42)])
+        assert np.array_equal(tokens, np.concatenate([q[0], answer_region(2)]))
+        assert np.array_equal(targets[-1], q[1])
 
     def test_paper_scale_token_count(self):
         w = WindowSpec(192, 96)
         out = sample_of(series_of(288 * 6), TaskKind.FORECAST, [*(288 * (i + 1) for i in range(4)), 0], w)
-        assert len(out.tokens) == 5 * 288 == 1440
+        assert sample_streams([out])[0].shape == (1, 1440, 3)  # 5 examples of L + h = 288
 
     def test_hand_built_concatenation(self):
         s = series_of(40)
-        out = sample_of(s, TaskKind.FORECAST, [10, 20, 0], W42)
+        (tokens,), _ = sample_streams([sample_of(s, TaskKind.FORECAST, [10, 20, 0], W42)])
         expected_values = np.concatenate(
             [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4], [0, 0]]
         )
-        assert np.array_equal(out.tokens[:, VALUE], expected_values)
-        assert np.array_equal(out.tokens[:, SEGMENT_FLAG], [0, 0, 0, 0, 1, 1] * 3)
-        assert np.array_equal(out.tokens[:, MASK_FLAG], [0] * 16 + [1, 1])
+        assert np.array_equal(tokens[:, VALUE], expected_values)
+        assert np.array_equal(tokens[:, SEGMENT_FLAG], [0, 0, 0, 0, 1, 1] * 3)
+        assert np.array_equal(tokens[:, MASK_FLAG], [0] * 16 + [1, 1])
 
     def test_task_mismatch(self, tmp_path):
         """A sample holds one task, so on disk a demo of another task is a record that does not replay."""
@@ -181,7 +181,7 @@ class TestBuildDataset:
         ds = build_context_dataset([series_of(30)], {TaskKind.BACKTRACE}, W42, 0, stride=2, seed=1)
         assert ds.skipped_windows >= 1
         for s in ds.samples:
-            assert s.query.task is TaskKind.BACKTRACE
+            assert s.task is TaskKind.BACKTRACE
 
     def test_empty_result(self):
         # forecast never fits: series shorter than L+h windows at every stride start
@@ -205,7 +205,7 @@ class TestBuildDataset:
             foreign_demos = 0
             for m, train, valid in parts:
                 for name, ds in (("train", train), ("valid", valid)):
-                    assert {s.query.task for s in ds.samples} == set(TASK_ORDER)
+                    assert {s.task for s in ds.samples} == set(TASK_ORDER)
                     path = tmp_path / f"{name}_m{m}.jsonl"
                     write_jsonl(ds, path)
                     loaded = read_jsonl(path, store)
@@ -213,14 +213,12 @@ class TestBuildDataset:
                     assert loaded.window == ds.window
                     assert loaded.skipped_windows == ds.skipped_windows
                     for a, b in zip(loaded.samples, ds.samples):
-                        assert np.array_equal(a.tokens, b.tokens)
-                        assert np.array_equal(a.query.target, b.query.target)
-                        assert len(a.demos) == len(b.demos) == m
-                        for x, y in zip((*a.demos, a.query), (*b.demos, b.query)):
-                            assert x.task is y.task and x.source_span == y.source_span
-                            assert np.array_equal(x.masked_positions, y.masked_positions)
-                            assert np.array_equal(x.target, y.target)
-                        foreign_demos += sum(d.source_span.channel != b.query.source_span.channel for d in b.demos)
+                        assert a.task is b.task and len(a.rows) == len(b.rows) == m + 1
+                        assert a.spans == b.spans and a.masks.tolist() == b.masks.tolist()
+                        for x, y in zip(sample_streams([a]), sample_streams([b])):  # streams, then targets
+                            assert np.array_equal(x, y)
+                        *demos, query = b.spans
+                        foreign_demos += sum(d.channel != query.channel for d in demos)
                     # replay is value-exact, so a second write is byte-identical
                     again = tmp_path / f"{name}_m{m}_again.jsonl"
                     write_jsonl(loaded, again)
@@ -285,12 +283,14 @@ class TestStructuralInvariants:
             return  # pool too small for m disjoint demos: acceptable outcome
         L, h = w.lookback, w.horizon
         for sample in ds.samples:
-            assert len(sample.tokens) == (m + 1) * (L + h)
-            assert np.array_equal(sample.tokens[-h:], answer_region(h))
-            assert len(sample.query.target) == h
-            assert len(sample.demos) == m
-            for span in (d.source_span for d in sample.demos):
-                assert not span.overlaps(sample.query.source_span)
+            (tokens,), targets = sample_streams([sample])
+            assert len(tokens) == (m + 1) * (L + h)
+            assert np.array_equal(tokens[-h:], answer_region(h))
+            assert targets.shape == (1, m + 1, h)
+            *demos, query = sample.spans
+            assert len(demos) == m
+            for span in demos:
+                assert not span.overlaps(query)
                 # demos must come from the train-split pool
                 assert span.start >= 0 and span.end <= n
 
@@ -345,6 +345,6 @@ def test_a_replayed_sample_holds_integers(tmp_path):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    examples = sum(len(s.demos) + 1 for s in replayed.samples)
+    examples = sum(len(s.rows) for s in replayed.samples)
     assert examples == 25 * len(train) > 0
     assert held / examples < 256, f"{held / examples:.0f} bytes per example"

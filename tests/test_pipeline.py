@@ -8,25 +8,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from conftest import benchmark_module, overrides, settings
 from tsicl import autodiff as ad
 from tsicl import evalharness, experiment
 from tsicl.cli import main, resolve_config
-from tsicl.context import build_stream, build_train_valid, pool_datasets, read_jsonl
+from tsicl.errors import DataError
+from tsicl.context import build_train_valid, example_streams, pool_datasets, read_jsonl, sample_streams
 from tsicl.evalharness import (
     BATCH,
     PROBES,
     EvalProtocol,
     EvalReport,
     batched_predict,
-    enumerate_queries,
+    eval_demo_starts,
     score_probes,
-    select_eval_demos,
 )
 from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, VARIANTS, ModelConfig, init_params
 from tsicl.series import load_store
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import TaskKind, WindowSpec, answer_region
+from tsicl.tasks import TaskKind, WindowSpec, example_rows, source_span, target_offsets
 from tsicl.trainer import evaluate_loss
 
 WINDOW = WindowSpec(8, 4)
@@ -45,10 +46,11 @@ def test_evaluate_loss_is_the_mse_of_batched_predict(variant):
     tasks = [TaskKind.FORECAST, TaskKind.IMPUTE]
     parts = [v for _, _, v in build_train_valid(tiny_store(), tasks, WINDOW, [0, 1], seed=0, stride=1)]
     valid = pool_datasets(parts)
-    assert len({len(s.tokens) for s in valid.samples}) == 2 and len(valid.samples) > 64
-    streams = [s.tokens for s in valid.samples]
+    assert len({len(s.rows) for s in valid.samples}) == 2 and len(valid.samples) > 64
+    gathered = [sample_streams([s]) for s in valid.samples]
+    streams = [streams[0] for streams, _ in gathered]
     preds = np.stack(batched_predict(streams, [4] * len(streams), params, config))
-    truth = np.stack([s.query.target for s in valid.samples])
+    truth = np.stack([targets[0, -1] for _, targets in gathered])
     assert evaluate_loss(valid, params, config) == np.mean((preds - truth) ** 2)
 
 
@@ -91,43 +93,61 @@ def test_report_lists_every_method(pipeline_dir, seed_run, tmp_path, capsys):
     assert lines[-2:-1] == staged_ratio
 
 
+def test_report_refuses_a_row_given_twice(pipeline_dir, tmp_path, capsys):
+    """The same one-seed report twice is not two seeds: ``report`` exits 3 naming the row, and writes nothing."""
+    path = pipeline_dir / "eval_report.csv"
+    assert main(["report", *overrides(tmp_path), "--set", f"reports={path},{path}"]) == 3
+    assert "repeated row: method baseline of cell ('decoder_causal', 'backtrace'" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+    report = EvalReport.read_csv(path)
+    with pytest.raises(DataError, match="repeated row: method ictp"):
+        evalharness.improvement_ratio(EvalReport([*report.rows, report.rows[-1]]))
+
+
 def test_eval_demos_and_queries_do_not_leak(monkeypatch):
+    """Every value a query reads lies in its channel's test split, every value a demo reads in its train split."""
     store = tiny_store()
     protocol = EvalProtocol(TaskKind.BACKTRACE, (TaskKind.IMPUTE, TaskKind.FORECAST), WINDOW, demo_count=3)
     seen = []
-    real = evalharness.context_path
+    real = evalharness.example_rows
 
-    def recording(queries, demos, *args):
-        seen.append((queries, demos))
-        return real(queries, demos, *args)
+    def recording(table, task, s, starts, w, rng):
+        rows, masks = real(table, task, s, starts, w, rng)
+        seen.append((task, rows, target_offsets(task, w, masks)))
+        return rows, masks
 
-    monkeypatch.setattr(evalharness, "context_path", recording)
+    monkeypatch.setattr(evalharness, "example_rows", recording)
     score_probes(protocol, PROBES, store, init_params(TINY_MODEL), TINY_MODEL, seed=0)
 
-    def bounds(channel, split):
-        s = store.series(channel, split)
-        return s.origin_offset, s.origin_offset + len(s)
+    # per channel: its queries, then the ictp and the wrong_task demos
+    assert [task for task, _, _ in seen] == [TaskKind.BACKTRACE, TaskKind.BACKTRACE, TaskKind.IMPUTE] * len(store.channels)
+    table = store.table
+    for k, (task, rows, offsets) in enumerate(seen):
+        split = store.series(store.channels[k // 3], "test" if k % 3 == 0 else "train")
+        i = next(i for i, s in enumerate(table.series) if s is split)
+        first = rows + np.minimum(offsets.min(axis=1), 0)
+        end = rows + np.maximum(offsets.max(axis=1) + 1, WINDOW.lookback)
+        assert len(rows) > 0 and (table.firsts[i] <= first).all() and (end <= table.firsts[i + 1]).all()
 
-    assert len(seen) == 3 * len(store.channels)
-    assert {d.task for _, demos in seen for d in demos} == {TaskKind.BACKTRACE, TaskKind.IMPUTE}
-    for queries, demos in seen:
-        for d in demos:
-            lo, hi = bounds(d.source_span.channel, "train")
-            assert lo <= d.source_span.start and d.source_span.end <= hi
-        for q in queries:
-            lo, hi = bounds(q.source_span.channel, "test")
-            assert lo <= q.source_span.start and q.source_span.end <= hi
-            assert not any(d.source_span.overlaps(q.source_span) for d in demos)
+
+def impute_probe(store, demo_count: int, rng):
+    """Channel 0's impute demo prefix and stride-4 query streams as eval gathers them, and their reference examples."""
+    table, channel, task = store.table, store.channels[0], TaskKind.IMPUTE
+    train_s, test_s = store.series(channel, "train"), store.series(channel, "test")
+    made = []
+    for s, starts, shown in ((train_s, eval_demo_starts(len(train_s), task, WINDOW, demo_count), True),
+                             (test_s, range(0, len(test_s) - WINDOW.lookback + 1, 4), False)):
+        rows, masks = example_rows(table, task, s, starts, WINDOW, rng)
+        (streams,), _ = example_streams(table, WINDOW, [(task, rows, masks)], shown)
+        made.append((streams, [reference.example(task, s, t, WINDOW, mask) for t, mask in zip(starts, masks.tolist())]))
+    (prefix, demos), (queries, examples) = made
+    return prefix.reshape(-1, 3), demos, queries, examples
 
 
 @pytest.mark.parametrize("demo_count", [0, 3])
 def test_context_path_streams_are_demos_then_query(demo_count, monkeypatch):
-    """The model sees build_stream(demos, q): as one stream, or as a cached prefix and the rest."""
-    store = tiny_store()
-    channel = store.channels[0]
-    rng = np.random.default_rng(0)
-    demos = select_eval_demos(store.series(channel, "train"), TaskKind.IMPUTE, WINDOW, demo_count, rng)
-    queries = enumerate_queries(store.series(channel, "test"), TaskKind.IMPUTE, WINDOW, 4, rng)
+    """The model sees ``reference.build_stream(demos, q)``: as one stream, or as a cached prefix and the rest."""
+    prefix, demos, queries, examples = impute_probe(tiny_store(), demo_count, np.random.default_rng(0))
     real_encode, real_forward = evalharness.encode_prefix, evalharness.forward_patch_predictions
     for variant in VARIANTS:
         config = replace(TINY_MODEL, variant=variant)
@@ -143,11 +163,11 @@ def test_context_path_streams_are_demos_then_query(demo_count, monkeypatch):
 
         monkeypatch.setattr(evalharness, "encode_prefix", encoding)
         monkeypatch.setattr(evalharness, "forward_patch_predictions", forwarding)
-        evalharness.context_path(queries, demos, init_params(config), config)
+        evalharness.context_path(queries, prefix, init_params(config), config, WINDOW.horizon)
         cached = variant == DECODER_CAUSAL and demo_count > 0
-        assert len(prefixes) == cached and len(fed) == len(queries) > 1, variant
-        for stream, q in zip(fed, queries):
-            want = build_stream(demos, q)
+        assert len(prefixes) == cached and len(fed) == len(examples) > 1, variant
+        for stream, q in zip(fed, examples):
+            want = reference.build_stream(demos, q)
             seen = np.concatenate([prefixes[0], stream]) if cached else stream
             assert seen.dtype == want.dtype and seen.shape == want.shape, variant
             assert seen.tobytes() == want.tobytes(), variant
@@ -158,16 +178,13 @@ def test_context_path_equals_the_prepended_streams(variant):
     """The encoder, and the decoder without demos, run the very streams they did before the prefix cache."""
     config = replace(TINY_MODEL, variant=variant)
     store = tiny_store()
-    channel = store.channels[0]
     rng = np.random.default_rng(0)
     params = init_params(config, seed=2)
-    queries = enumerate_queries(store.series(channel, "test"), TaskKind.IMPUTE, WINDOW, 4, rng)
-    region = answer_region(WINDOW.horizon)
     for demo_count in (0, 3):
-        demos = select_eval_demos(store.series(channel, "train"), TaskKind.IMPUTE, WINDOW, demo_count, rng)
-        prepended = [np.concatenate([build_stream(demos), q.input, region]) for q in queries]
-        want = np.stack(batched_predict(prepended, [WINDOW.horizon] * len(queries), params, config))
-        got = evalharness.context_path(queries, demos, params, config)
+        prefix, demos, queries, examples = impute_probe(store, demo_count, rng)
+        prepended = [reference.build_stream(demos, q) for q in examples]
+        want = np.stack(batched_predict(prepended, [WINDOW.horizon] * len(examples), params, config))
+        got = evalharness.context_path(queries, prefix, params, config, WINDOW.horizon)
         assert got.dtype == want.dtype and got.shape == want.shape
         if variant == DECODER_CAUSAL and demo_count:
             # equal here; BLAS may round the prefix's batch of one apart from a batch of many
@@ -216,17 +233,18 @@ EVAL_CELLS = (
 def test_eval_decisions_are_pinned(tmp_path, monkeypatch):
     """The same decisions on the forked path (two or more cores) and the serial one (one core)."""
     store = experiment.store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
-    real = evalharness.generate_examples
+    real = evalharness.example_rows
 
-    def recording(task, s, starts, w, rng):
-        examples = real(task, s, starts, w, rng)
-        spans = [e.source_span for e in examples]
-        records = [[x.dataset, x.channel, x.start, x.end, e.masked_positions.tolist()] for x, e in zip(spans, examples)]
+    def recording(table, task, s, starts, w, rng):
+        rows, masks = real(table, task, s, starts, w, rng)
+        located = zip(table.locate(rows).tolist(), rows.tolist())
+        spans = [source_span(task, table.series[i], row - int(table.firsts[i]), w) for i, row in located]
+        records = [[x.dataset, x.channel, x.start, x.end, mask] for x, mask in zip(spans, masks.tolist())]
         with (tmp_path / f"{os.getpid()}.jsonl").open("a") as fh:  # a forked worker records in its own file
             fh.write(json.dumps([s.channel, str(task), records]) + "\n")
-        return examples
+        return rows, masks
 
-    monkeypatch.setattr(evalharness, "generate_examples", recording)
+    monkeypatch.setattr(evalharness, "example_rows", recording)
     digest = hashlib.sha256()
     for variant, task, pretrain in EVAL_CELLS:
         config = replace(TINY_MODEL, variant=variant)

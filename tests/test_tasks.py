@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from tsicl.context import ContextDataset, ContextSample, read_jsonl, write_jsonl
+from tsicl.context import ContextDataset, ContextSample, read_jsonl, sample_streams, write_jsonl
 from tsicl.errors import DataError, GeometryError
-from tsicl.evalharness import select_eval_demos
-from tsicl.series import ChannelSeries, SplitStore
+from tsicl.evalharness import eval_demo_starts
+from tsicl.series import ChannelSeries, SeriesTable, SplitStore
 from tsicl.tasks import (
     MASK_FLAG,
     SEGMENT_FLAG,
@@ -15,15 +15,27 @@ from tsicl.tasks import (
     VALUE,
     TaskKind,
     WindowSpec,
-    generate_example,
+    example_rows,
+    gather,
     sample_mask_positions,
+    source_span,
     span_width,
+    target_offsets,
     valid_start_range,
 )
 
 
 def series_of(n, offset=0):
     return ChannelSeries("d", "c", np.arange(n, dtype=float), origin_offset=offset)
+
+
+def example(task, s, t, w, rng=None):
+    """The input tokens (L, 3), target (h,) and masked positions of the ``task`` example at window start t:
+    its row through ``example_rows``, its values through ``gather`` at its ``target_offsets``."""
+    table = SeriesTable([s])
+    rows, masks = example_rows(table, task, s, [t], w, rng)
+    inputs, targets = gather(table.values, rows, target_offsets(task, w, masks), w)
+    return inputs[0], targets[0], masks[0]
 
 
 class TestWindowSpec:
@@ -38,39 +50,54 @@ class TestWindowSpec:
 
 class TestForecast:
     def test_definition(self):
-        ex = generate_example(TaskKind.FORECAST, series_of(10), 0, WindowSpec(4, 2), None)
-        assert np.array_equal(ex.input[:, VALUE], [0, 1, 2, 3])
-        assert np.array_equal(ex.input[:, MASK_FLAG], [0, 0, 0, 0])
-        assert np.array_equal(ex.target, [4, 5])
-        assert (ex.source_span.start, ex.source_span.end) == (0, 6)
+        inputs, target, _ = example(TaskKind.FORECAST, series_of(10), 0, WindowSpec(4, 2))
+        assert np.array_equal(inputs[:, VALUE], [0, 1, 2, 3])
+        assert np.array_equal(inputs[:, MASK_FLAG], [0, 0, 0, 0])
+        assert np.array_equal(target, [4, 5])
+        span = source_span(TaskKind.FORECAST, series_of(10), 0, WindowSpec(4, 2))
+        assert (span.start, span.end) == (0, 6)
 
     def test_last_window_valid(self):
-        ex = generate_example(TaskKind.FORECAST, series_of(10), 4, WindowSpec(4, 2), None)
-        assert np.array_equal(ex.target, [8, 9])
+        _, target, _ = example(TaskKind.FORECAST, series_of(10), 4, WindowSpec(4, 2))
+        assert np.array_equal(target, [8, 9])
 
     def test_out_of_range(self):
         with pytest.raises(GeometryError, match="out of range"):
-            generate_example(TaskKind.FORECAST, series_of(10), 5, WindowSpec(4, 2), None)
+            example(TaskKind.FORECAST, series_of(10), 5, WindowSpec(4, 2))
 
     def test_span_uses_absolute_offsets(self):
-        ex = generate_example(TaskKind.FORECAST, series_of(10, offset=100), 2, WindowSpec(4, 2), None)
-        assert (ex.source_span.start, ex.source_span.end) == (102, 108)
+        span = source_span(TaskKind.FORECAST, series_of(10, offset=100), 2, WindowSpec(4, 2))
+        assert (span.start, span.end) == (102, 108)
+
+    def test_a_start_past_the_last_is_refused_before_it_reads_the_next_series(self):
+        """On the flat table the row after a series' last valid start reads the next series' first value."""
+        w, first = WindowSpec(4, 2), series_of(10)
+        second = ChannelSeries("d", "c2", np.arange(10, dtype=float) + 100)
+        table = SeriesTable([first, second])
+        _, hi = valid_start_range(TaskKind.FORECAST, len(first), w)
+        offsets = target_offsets(TaskKind.FORECAST, w, np.zeros((1, 0), dtype=np.int64))
+        assert gather(table.values, [table.row(first, hi + 1)], offsets, w)[1][0, -1] == second.values[0]
+        with pytest.raises(GeometryError, match="out of range"):
+            example_rows(table, TaskKind.FORECAST, first, [hi + 1], w, None)
+        with pytest.raises(GeometryError, match="insufficient history"):
+            example_rows(table, TaskKind.BACKTRACE, second, [w.horizon - 1], w, None)
 
 
 class TestBacktrace:
     def test_definition(self):
-        ex = generate_example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2), None)
-        assert np.array_equal(ex.input[:, VALUE], [2, 3, 4, 5])
-        assert np.array_equal(ex.target, [0, 1])  # chronological order
-        assert (ex.source_span.start, ex.source_span.end) == (0, 6)
+        inputs, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2))
+        assert np.array_equal(inputs[:, VALUE], [2, 3, 4, 5])
+        assert np.array_equal(target, [0, 1])  # chronological order
+        span = source_span(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2))
+        assert (span.start, span.end) == (0, 6)
 
     def test_start_at_horizon_boundary(self):
-        ex = generate_example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2), None)
-        assert ex.target[0] == 0.0
+        _, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2))
+        assert target[0] == 0.0
 
     def test_insufficient_history(self):
         with pytest.raises(GeometryError, match="insufficient history"):
-            generate_example(TaskKind.BACKTRACE, series_of(10), 1, WindowSpec(4, 2), None)
+            example(TaskKind.BACKTRACE, series_of(10), 1, WindowSpec(4, 2))
 
 
 def reference_mask_draw(seed_args, n, k):
@@ -90,10 +117,10 @@ class TestImpute:
         # independent reference implementation, then check the generator
         seed = self.find_seed_masking([1, 3])
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-        ex = generate_example(TaskKind.IMPUTE, series_of(10), 0, WindowSpec(4, 2), rng)
-        assert np.array_equal(ex.input[:, VALUE], [0, 0, 2, 0])
-        assert np.array_equal(ex.input[:, MASK_FLAG], [0, 1, 0, 1])
-        assert np.array_equal(ex.target, [1, 3])
+        inputs, target, _ = example(TaskKind.IMPUTE, series_of(10), 0, WindowSpec(4, 2), rng)
+        assert np.array_equal(inputs[:, VALUE], [0, 0, 2, 0])
+        assert np.array_equal(inputs[:, MASK_FLAG], [0, 1, 0, 1])
+        assert np.array_equal(target, [1, 3])
 
     def test_one_call_draws_what_the_scalar_loop_draws(self):
         """Over 10,000 seeds, every mask count of windows 6 to 48: the same positions and the same next state."""
@@ -114,14 +141,13 @@ class TestImpute:
 
     def test_same_seed_same_mask(self):
         w = WindowSpec(8, 4)
-        a = generate_example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
-        b = generate_example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
-        assert np.array_equal(a.input, b.input)
-        assert np.array_equal(a.target, b.target)
+        a = example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
+        b = example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_window_out_of_range(self):
         with pytest.raises(GeometryError, match="out of range"):
-            generate_example(TaskKind.IMPUTE, series_of(5), 2, WindowSpec(4, 2), np.random.default_rng(0))
+            example(TaskKind.IMPUTE, series_of(5), 2, WindowSpec(4, 2), np.random.default_rng(0))
 
     def test_uniformity_of_positions(self):
         # each position should be masked with probability h/L
@@ -148,42 +174,38 @@ class TestTaskTable:
     def test_both_ends_of_the_start_range(self, task):
         s = self.split()
         lo, hi = valid_start_range(task, len(s), self.W)
-        first, last = (generate_example(task, s, t, self.W, np.random.default_rng(0)).source_span for t in (lo, hi))
+        first, last = (source_span(task, s, t, self.W) for t in (lo, hi))
         assert (first.start, last.end) == (s.origin_offset, s.origin_offset + len(s))  # the whole split, no more
         assert first.end - first.start == last.end - last.start == span_width(task, self.W)
+        for t in (lo, hi):
+            example(task, s, t, self.W, np.random.default_rng(0))
         for t in (lo - 1, hi + 1):
             with pytest.raises(GeometryError):
-                generate_example(task, s, t, self.W, np.random.default_rng(0))
+                example(task, s, t, self.W, np.random.default_rng(0))
 
     @pytest.mark.parametrize("task", TASK_ORDER)
     def test_eval_demos_tile_a_split_of_whole_spans(self, task):
         width = span_width(task, self.W)
         s = ChannelSeries("d", "c", np.arange(2 * width, dtype=float), origin_offset=30, split="train")
-        demos = select_eval_demos(s, task, self.W, 2, np.random.default_rng(0))
-        spans = [(d.source_span.start, d.source_span.end) for d in demos]
-        assert spans == [(30, 30 + width), (30 + width, 30 + 2 * width)]
+        spans = [source_span(task, s, t, self.W) for t in eval_demo_starts(len(s), task, self.W, 2)]
+        assert [(x.start, x.end) for x in spans] == [(30, 30 + width), (30 + width, 30 + 2 * width)]
         with pytest.raises(DataError, match="admits only 2 disjoint demo windows"):
-            select_eval_demos(s, task, self.W, 3, np.random.default_rng(0))
+            eval_demo_starts(len(s), task, self.W, 3)
 
     @pytest.mark.parametrize("task", TASK_ORDER)
     def test_read_jsonl_replays_each_example_from_its_record(self, task, tmp_path):
         s = self.split()
         store = SplitStore("d", splits={"c": {"train": s}})
         lo, hi = valid_start_range(task, len(s), self.W)
-        rng = np.random.default_rng(5)
-        examples = [generate_example(task, s, t, self.W, rng) for t in range(lo, hi + 1)]
         table = store.table
-        ds = ContextDataset(
-            [ContextSample(table, self.W, task, np.array([table.row(s, t)]), e.masked_positions[None])
-             for t, e in zip(range(lo, hi + 1), examples)],
-            self.W,
-        )
+        rows, masks = example_rows(table, task, s, range(lo, hi + 1), self.W, np.random.default_rng(5))
+        ds = ContextDataset([ContextSample(table, self.W, task, row[None], mask[None]) for row, mask in zip(rows, masks)], self.W)
         write_jsonl(ds, tmp_path / "ctx.jsonl")
-        replayed = [sample.query for sample in read_jsonl(tmp_path / "ctx.jsonl", store).samples]
-        assert len(replayed) == len(examples)
-        for x, y in zip(replayed, examples):
-            assert x.source_span == y.source_span
-            assert np.array_equal(x.input, y.input) and np.array_equal(x.target, y.target)
+        replayed = read_jsonl(tmp_path / "ctx.jsonl", store).samples
+        assert len(replayed) == len(ds.samples)
+        for x, y in zip(replayed, ds.samples):
+            assert x.spans == y.spans and x.masks.tolist() == y.masks.tolist()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(sample_streams([x]), sample_streams([y])))
 
 
 @st.composite
@@ -206,42 +228,45 @@ class TestCrossTaskInvariants:
         t_back = int(rng.integers(h, len(s) - L + 1))
         t_imp = int(rng.integers(0, len(s) - L + 1))
 
-        fore = generate_example(TaskKind.FORECAST, s, t_fore, w, None)
-        back = generate_example(TaskKind.BACKTRACE, s, t_back, w, None)
-        imp = generate_example(TaskKind.IMPUTE, s, t_imp, w, rng)
+        fore = example(TaskKind.FORECAST, s, t_fore, w)
+        back = example(TaskKind.BACKTRACE, s, t_back, w)
+        imp = example(TaskKind.IMPUTE, s, t_imp, w, rng)
 
-        for ex in (fore, back, imp):
-            assert ex.input.shape == (L, 3)
-            assert ex.target.shape == (h,)
-            assert np.all(ex.input[ex.input[:, MASK_FLAG] == 1, VALUE] == 0)
-            assert np.all(ex.input[:, SEGMENT_FLAG] == 0)
+        for inputs, target, _ in (fore, back, imp):
+            assert inputs.shape == (L, 3)
+            assert target.shape == (h,)
+            assert np.all(inputs[inputs[:, MASK_FLAG] == 1, VALUE] == 0)
+            assert np.all(inputs[:, SEGMENT_FLAG] == 0)
 
         # reconstruction against the source series
         assert np.array_equal(
-            np.concatenate([fore.input[:, VALUE], fore.target]),
+            np.concatenate([fore[0][:, VALUE], fore[1]]),
             s.values[t_fore : t_fore + L + h],
         )
         assert np.array_equal(
-            np.concatenate([back.target, back.input[:, VALUE]]),
+            np.concatenate([back[1], back[0][:, VALUE]]),
             s.values[t_back - h : t_back + L],
         )
-        masked = imp.masked_positions
+        inputs, target, masked = imp
+        assert np.array_equal(masked, np.flatnonzero(inputs[:, MASK_FLAG] == 1))
         unmasked = np.setdiff1d(np.arange(L), masked)
         window = s.values[t_imp : t_imp + L]
-        assert np.array_equal(imp.input[unmasked, VALUE], window[unmasked])
-        assert np.array_equal(imp.target, window[masked])
+        assert np.array_equal(inputs[unmasked, VALUE], window[unmasked])
+        assert np.array_equal(target, window[masked])
         assert len(masked) == h
 
         # spans cover exactly what is read or predicted (absolute coordinates)
-        assert (fore.source_span.start, fore.source_span.end) == (
+        fore, back, imp = (source_span(task, s, t, w) for task, t in
+                           ((TaskKind.FORECAST, t_fore), (TaskKind.BACKTRACE, t_back), (TaskKind.IMPUTE, t_imp)))
+        assert (fore.start, fore.end) == (
             s.origin_offset + t_fore,
             s.origin_offset + t_fore + L + h,
         )
-        assert (back.source_span.start, back.source_span.end) == (
+        assert (back.start, back.end) == (
             s.origin_offset + t_back - h,
             s.origin_offset + t_back + L,
         )
-        assert (imp.source_span.start, imp.source_span.end) == (
+        assert (imp.start, imp.end) == (
             s.origin_offset + t_imp,
             s.origin_offset + t_imp + L,
         )
@@ -252,8 +277,8 @@ class TestCrossTaskInvariants:
         blobs = []
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence((11, 3)))
-            ex = generate_example(TaskKind.IMPUTE, s, 5, w, rng)
-            blobs.append(ex.input.tobytes() + ex.target.tobytes())
+            inputs, target, _ = example(TaskKind.IMPUTE, s, 5, w, rng)
+            blobs.append(inputs.tobytes() + target.tobytes())
         assert blobs[0] == blobs[1]
 
     def test_task_kind_serialization_names(self):

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from tsicl import autodiff as ad
 from tsicl import trainer
-from tsicl.context import ContextDataset, ContextSample, build_stream, build_train_valid, pool_datasets
+from tsicl.context import ContextDataset, ContextSample, build_train_valid, pool_datasets, sample_streams
 from tsicl.errors import ConfigError
 from tsicl.evalharness import batched_predict
 from tsicl.model import (
@@ -26,13 +27,10 @@ from tsicl.tasks import (
     SEGMENT_FLAG,
     TASK_ORDER,
     VALUE,
-    TaskExample,
     TaskKind,
     WindowSpec,
     answer_region,
-    generate_example,
     reach,
-    token_array,
 )
 from tsicl.trainer import Adam, TrainConfig
 
@@ -92,8 +90,8 @@ def forecast_dataset(w: WindowSpec, m: int):
     series = ChannelSeries("d", "c", np.random.default_rng(0).normal(size=300))
     table = SeriesTable([series])
     starts = [[100 + 24 * (m * i + k) for k in range(m)] + [24 * i] for i in range(3)]
-    queries = [generate_example(TaskKind.FORECAST, series, t[-1], w, None) for t in starts]
-    demos = [[generate_example(TaskKind.FORECAST, series, t, w, None) for t in ts[:-1]] for ts in starts]
+    queries = [reference.example(TaskKind.FORECAST, series, ts[-1], w) for ts in starts]
+    demos = [[reference.example(TaskKind.FORECAST, series, t, w) for t in ts[:-1]] for ts in starts]
     samples = [
         ContextSample(table, w, TaskKind.FORECAST, np.array([table.row(series, t) for t in ts]), np.zeros((m + 1, 0), int))
         for ts in starts
@@ -135,15 +133,15 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     regions = trainer._loss_regions(trainer._batch(dataset, idxs, variant)[1], w, config, supervise_demos=True)
     assert len(regions) == 1 + m
     assert regions[0][:2] == readout_rows(config, total_patches, hp)
-    assert all(np.array_equal(regions[0][2][i].ravel(), queries[i].target) for i in idxs)
+    assert all(np.array_equal(regions[0][2][i].ravel(), queries[i][1]) for i in idxs)
     shift = 1 if variant == DECODER_CAUSAL else 0
     for k, (r0, r1, truth) in enumerate(regions[1:]):
         start = k * (L + h) + L
         assert (r0, r1) == (start // p - shift, start // p + hp - shift)
         assert truth.shape == (len(idxs), hp, p)
         for i in idxs:
-            assert np.array_equal(truth[i].ravel(), demos[i][k].target)
-            assert np.array_equal(truth[i].ravel(), dataset.samples[i].tokens[start : start + h, VALUE])
+            assert np.array_equal(truth[i].ravel(), demos[i][k][1])
+            assert np.array_equal(truth[i].ravel(), reference.build_stream(demos[i], queries[i])[start : start + h, VALUE])
 
     one_step = TrainConfig(batch_size=8, max_epochs=1, patience=1)
     if variant != DECODER_CAUSAL:
@@ -161,12 +159,12 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
 
 
 def test_every_stream_is_the_samples_tokens_but_the_decoders_taught_answer(monkeypatch):
-    """Encoder training and validation run ``sample.tokens``; teacher forcing only shows the query's answer."""
+    """Encoder training and validation run each sample's reference stream; teacher forcing only shows the query's answer."""
     w = WindowSpec(16, 8)
     h = w.horizon
-    dataset, queries, _ = forecast_dataset(w, m=2)
+    dataset, queries, demos = forecast_dataset(w, m=2)
     idxs = [0, 1, 2]
-    tokens = np.stack([dataset.samples[i].tokens for i in idxs])
+    tokens = np.stack([reference.build_stream(demos[i], queries[i]) for i in idxs])
     assert np.array_equal(trainer._batch(dataset, idxs, ENCODER_MASKED)[0], tokens)
 
     validated = []
@@ -186,29 +184,22 @@ def test_every_stream_is_the_samples_tokens_but_the_decoders_taught_answer(monke
     assert forced.shape == tokens.shape and np.array_equal(forced[:, :-h], tokens[:, :-h])
     assert np.array_equal(forced[:, -h:, SEGMENT_FLAG], tokens[:, -h:, SEGMENT_FLAG])
     for i in idxs:
-        assert np.array_equal(forced[i, -h:], answer_region(h, queries[i].target))
+        assert np.array_equal(forced[i, -h:], answer_region(h, queries[i][1]))
         assert np.array_equal(tokens[i, -h:], answer_region(h))
 
 
-def materialised(store, example: TaskExample, w: WindowSpec) -> TaskExample:
-    """The example at ``example``'s span and mask, read straight off its split, as the task table says."""
-    channel, start = example.source_span.channel, example.source_span.start
-    split = next(s for s in store.splits[channel].values() if s.origin_offset <= start < s.origin_offset + len(s))
-    before, after = reach(example.task, w)
-    t = start - split.origin_offset + before
-    window = split.values[t : t + w.lookback]
-    mask = np.zeros(w.lookback)
-    mask[example.masked_positions] = 1.0
-    target = np.concatenate([split.values[t - before : t], window[example.masked_positions],
-                             split.values[t + w.lookback : t + w.lookback + after]])
-    return TaskExample(example.task, token_array(window, mask), target, example.source_span)
+def materialised(store, task: TaskKind, span, mask: list[int], w: WindowSpec):
+    """The example at ``span`` with ``mask``, read straight off its split by ``reference.example``."""
+    split = next(s for s in store.splits[span.channel].values()
+                 if s.origin_offset <= span.start < s.origin_offset + len(s))
+    return reference.example(task, split, span.start - split.origin_offset + reach(task, w)[0], w, mask)
 
 
 @pytest.mark.parametrize(
     "variant, supervise", [(DECODER_CAUSAL, False), (ENCODER_MASKED, False), (DECODER_CAUSAL, True)]
 )
 def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, supervise):
-    """Every batch stream and truth grid, bit for bit, against ``build_stream`` of examples read off the store."""
+    """Every batch stream and truth grid, bit for bit, against ``reference.build_stream`` of examples read off the store."""
     store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
     w = WindowSpec(8, 4)
     parts = [train for _, train, _ in build_train_valid(store, TASK_ORDER, w, [0, 2], seed=3, stride=2)]
@@ -220,10 +211,11 @@ def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, s
         streams, targets = trainer._batch(dataset, idxs, variant)
         regions = trainer._loss_regions(targets, w, config, supervise)
         for j, i in enumerate(idxs):
-            *demos, query = (materialised(store, e, w) for e in dataset.samples[i].examples)
-            want = build_stream((*demos, query)) if variant == DECODER_CAUSAL else build_stream(demos, query)
+            sample = dataset.samples[i]
+            *demos, query = (materialised(store, sample.task, x, mask, w) for x, mask in zip(sample.spans, sample.masks.tolist()))
+            want = reference.build_stream((*demos, query)) if variant == DECODER_CAUSAL else reference.build_stream(demos, query)
             assert streams[j].tobytes() == want.tobytes()
-            truths = [query.target, *(d.target for d in demos)] if supervise else [query.target]
+            truths = [query[1], *(d[1] for d in demos)] if supervise else [query[1]]
             assert len(regions) == len(truths)
             for (_, _, grid), truth in zip(regions, truths):
                 assert grid[j].tobytes() == truth.tobytes()
@@ -262,7 +254,7 @@ def test_batched_predict_reads_the_full_forward_readout_rows(variant):
     for p in params.values():  # float64, with non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     h = dataset.window.horizon
-    streams = [s.tokens for s in dataset.samples]
+    streams = list(sample_streams(dataset.samples)[0])
     got = np.stack(batched_predict(streams, [h] * len(streams), params, config))
 
     full = forward_patch_predictions(np.stack(streams), params, config).data
@@ -325,7 +317,7 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     # every op recorded for the loss ran its rule once
     assert kinds.count("dout") == kinds.count("out") > 0
     optimizer.step(grad)
-    streams = [s.tokens for s in dataset.samples]
+    streams = list(sample_streams(dataset.samples)[0])
     preds = batched_predict(streams, [w.horizon] * len(streams), params, config)
     preds += batched_predict(streams, [w.horizon] * len(streams), params, config, prefix=streams[0])
 

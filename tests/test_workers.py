@@ -112,10 +112,10 @@ def fail_the_baseline_in_children(monkeypatch) -> None:
     """``baseline_path`` raises a ``DataError`` in a forked worker only; the caller's share scores as usual."""
     real, test_pid = evalharness.baseline_path, os.getpid()
 
-    def failing(queries, params, config):
+    def failing(*args):
         if _in_a_child(test_pid):
             raise DataError("the baseline failed in a worker")
-        return real(queries, params, config)
+        return real(*args)
 
     monkeypatch.setattr(evalharness, "baseline_path", failing)
 
