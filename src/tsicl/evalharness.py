@@ -173,9 +173,10 @@ def improvement_ratio(report: EvalReport) -> float:
     """
     by_cell: dict[tuple, dict[str, EvalRow]] = {}
     for r in report.rows:
-        cell = by_cell.setdefault((r.backbone, r.task, r.dataset, r.horizon, r.seed), {})
+        key = (r.backbone, r.task, r.dataset, r.horizon, r.seed)
+        cell = by_cell.setdefault(key, {})
         if r.method in cell:
-            raise DataError(f"repeated row: method {r.method} of cell {(r.backbone, r.task, r.dataset, r.horizon, r.seed)}")
+            raise DataError(f"repeated row: method {r.method} of cell {key}")
         cell[r.method] = r
     ratios = []
     for key, methods in by_cell.items():
@@ -304,9 +305,9 @@ def _probe_prefix(
     probe: str, protocol: EvalProtocol, table: SeriesTable, train_s: ChannelSeries, seed: int, ch_idx: int
 ) -> np.ndarray:
     """The demo prefix (n, 3) of a context probe: each demo's input and shown answer, none for ``no_context``."""
-    w = protocol.window
     if probe == "no_context":
         return np.zeros((0, 3))
+    w = protocol.window
     task, stream = {"ictp": (protocol.eval_task, 3), "wrong_task": (protocol.pretrain_tasks[0], 4)}[probe]
     starts = eval_demo_starts(len(train_s), task, w, protocol.demo_count)
     rows, masks = example_rows(table, task, train_s, starts, w, _rng(seed, stream, ch_idx))
