@@ -1,12 +1,13 @@
 """Stage-based pipeline CLI: synth -> ingest -> build -> train -> eval -> report.
 
 Stages communicate through files only, so each one is independently runnable
-and every artifact embeds the resolved configuration and seed. Configuration
-comes from a flat ``key = value`` file; ``--set key=value`` flags override file
-values, which override defaults. ``SCHEMA`` takes the model and training keys,
-with their kinds and defaults, from ``ModelConfig``'s and ``TrainConfig``'s
-fields. ``experiment`` reads the resolved dict into the library's objects and
-runs the same pipeline in memory (``run_seed``).
+and every artifact embeds the resolved configuration but its file paths
+(``PATH_KEYS``), and the seed. Configuration comes from a flat ``key = value``
+file; ``--set key=value`` flags override file values, which override defaults.
+``SCHEMA`` takes the model and training keys, with their kinds and defaults,
+from ``ModelConfig``'s and ``TrainConfig``'s fields. ``experiment`` reads the
+resolved dict into the library's objects and runs the same pipeline in memory
+(``run_seed``).
 
 Exit codes: 0 success, 2 configuration error, 3 missing/invalid input,
 4 numerical failure.
@@ -92,6 +93,8 @@ SCHEMA: dict[str, tuple[str, object]] = {
 }
 # what ``build`` reads (position k of demo_counts sets the k-th build seed): a context file must match them
 BUILD_KEYS = ("seed", "lookback", "horizon", "tasks", "demo_counts", "stride", "valid_stride", "cross_channel_demos")
+# where files go: left out of what artifacts embed, so their bytes do not depend on the paths
+PATH_KEYS = ("out_dir", "csv", "store", "checkpoint", "train_record", "report", "reports", "summary")
 
 
 def _coerce(key: str, raw: str):
@@ -164,10 +167,14 @@ def _path(cfg: dict, key: str, default_name: str, write: bool = False) -> Path:
     return Path(cfg[key]) if cfg[key] else out_dir / default_name
 
 
+def _embedded(cfg: dict) -> dict:
+    return {key: value for key, value in cfg.items() if key not in PATH_KEYS}
+
+
 def _append_config(path: Path, cfg: dict) -> None:
     """End a CSV artifact with the line that embeds the resolved configuration."""
     with path.open("a") as fh:
-        fh.write(f"# config,{json.dumps(cfg, separators=(',', ':'))}\n")
+        fh.write(f"# config,{json.dumps(_embedded(cfg), separators=(',', ':'))}\n")
 
 
 def cmd_synth(cfg: dict) -> None:
@@ -182,7 +189,7 @@ def cmd_ingest(cfg: dict) -> None:
     if not csv_path.exists():
         raise DataError(f"missing input csv: {csv_path}")
     raw = load_csv(csv_path, channels=cfg["channels"] or None, name=cfg["dataset_name"])
-    store = build_store(raw, meta={"config": cfg, "seed": cfg["seed"]})
+    store = build_store(raw, meta={"config": _embedded(cfg), "seed": cfg["seed"]})
     out = _path(cfg, "store", "store.json", write=True)
     save_store(store, out)
     print(f"ingest: {len(store.channels)} channels split and normalized -> {out}")
@@ -196,7 +203,7 @@ def cmd_build(cfg: dict) -> None:
     for m, *parts in build_datasets(store, cfg):
         out_dir.mkdir(parents=True, exist_ok=True)
         for part, dataset in zip(("train", "valid"), parts):
-            write_jsonl(dataset, out_dir / f"ctx_{part}_m{m}.jsonl", meta={"config": cfg, "store_sha256": digest})
+            write_jsonl(dataset, out_dir / f"ctx_{part}_m{m}.jsonl", meta={"config": _embedded(cfg), "store_sha256": digest})
             total += len(dataset)
     print(f"build: wrote {total} samples across demo counts {cfg['demo_counts']} -> {cfg['out_dir']}")
 
@@ -232,7 +239,7 @@ def cmd_train(cfg: dict) -> None:
     ad.save_params(
         params,
         ckpt,
-        meta={"config": cfg, "model": asdict(model_cfg), "seed": cfg["seed"], "best_epoch": record.best_epoch},
+        meta={"config": _embedded(cfg), "model": asdict(model_cfg), "seed": cfg["seed"], "best_epoch": record.best_epoch},
     )
     record_path = _path(cfg, "train_record", "train_record.csv")
     record.write_csv(record_path)

@@ -129,18 +129,18 @@ def example_streams(
     return streams, targets
 
 
-def sample_streams(samples: Sequence[ContextSample], teach: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def sample_streams(samples: Sequence[ContextSample]) -> tuple[np.ndarray, np.ndarray]:
     """The streams (B, (m+1)*(L+h), 3) and targets (B, m+1, h) of samples, in one ``example_streams``.
 
     The samples must share a table, a window and a demo count m. A stream is
     each demo's input and shown answer, then the query's input and
-    placeholders, or with ``teach`` its shown answer too, for teacher forcing.
+    placeholders: what training, validation and evaluation all run.
     """
     table, w = samples[0].table, samples[0].window
     if any(s.table is not table or s.window != w for s in samples):
         raise GeometryError("one gather needs samples of one table and one window geometry")
     m = len(samples[0].rows) - 1
-    shown = np.arange(m + 1) < m + teach  # every demo, and the query if taught
+    shown = np.arange(m + 1) < m  # every demo, not the query
     streams, targets = example_streams(table, w, [(s.task, s.rows, s.masks) for s in samples], shown)
     return streams.reshape(len(samples), -1, 3), targets
 

@@ -5,9 +5,9 @@ which head row reads an answer patch (``readout_rows``). Two variants cover
 the two pre-training families the pipeline compares:
 
 * ``decoder_causal`` — causal self-attention over patches; a linear head maps
-  each patch representation to the next patch's values. Training shows the
-  query's answer as a demo's is shown (teacher forcing); evaluation feeds
-  placeholder tokens and reads the same positions in one pass.
+  each patch representation to the next patch's values. Training and
+  evaluation both feed placeholder tokens in the query's answer region and
+  read its positions in one pass.
 * ``encoder_masked`` — bidirectional attention; the head reconstructs each
   patch's own values, and the query's answer region is always masked
   placeholder tokens.

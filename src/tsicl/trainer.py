@@ -2,10 +2,9 @@
 
 Batch streams are gathered, not built sample by sample: ``context.sample_streams``
 reads a batch's streams and targets out of the samples' ``SeriesTable`` in one
-fancy-indexing pass, in the caller and in the worker alike. The encoder and
-the validation loss run each sample's stream with placeholders in the query's
-answer region; the decoder trains with the query's answer shown as a demo's
-is (teacher forcing). Validation gathers once per demo count. Loss is
+fancy-indexing pass, in the caller and in the worker alike. Training and the
+validation loss run the same stream, with placeholders in the query's answer
+region, for both variants. Validation gathers once per demo count. Loss is
 MSE over the query's answer region only; demonstration answers inside the
 context carry no loss unless ``supervise_demo_outputs`` is set. That option is
 refused on ``encoder_masked``: a demo's answer sits unmasked in the encoder's
@@ -44,7 +43,6 @@ from .context import ContextDataset, sample_streams
 from .errors import ConfigError, NumericalError
 from .evalharness import batched_predict, mse
 from .model import (
-    DECODER_CAUSAL,
     ENCODER_MASKED,
     ModelConfig,
     forward_patch_predictions,
@@ -136,12 +134,6 @@ def _bind(params: dict[str, ad.Parameter], flat: np.ndarray) -> None:
         offset += p.data.size
 
 
-def _batch(dataset: ContextDataset, idxs: list[int], variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's streams and (B, m+1, h) targets, in one gather: the decoder is teacher-forced, the encoder
-    runs the query's placeholders."""
-    return sample_streams([dataset.samples[i] for i in idxs], teach=variant == DECODER_CAUSAL)
-
-
 def _loss_regions(
     targets: np.ndarray, w: WindowSpec, config: ModelConfig, supervise_demos: bool
 ) -> list[tuple[int, int, np.ndarray]]:
@@ -170,7 +162,7 @@ def _batch_loss_graph(
 
     ``idxs`` may be part of a batch of ``batch_size`` samples, whose element count the loss divides by.
     """
-    streams, targets = _batch(dataset, idxs, config.variant)
+    streams, targets = sample_streams([dataset.samples[i] for i in idxs])
     regions = _loss_regions(targets, dataset.window, config, supervise_demos)
     first = min(r0 for r0, _, _ in regions)
     preds = forward_patch_predictions(streams, params, config, first_row=first)

@@ -136,7 +136,7 @@ def build_stream(demos, query=None) -> np.ndarray:
     """Each demo's input and its answer shown as (value, 0, 1), then the query's input and h placeholders (0, 1, 1).
 
     Examples are (tokens, target) pairs. Without a query this is the demo
-    prefix alone; teacher forcing passes the query as one more demo.
+    prefix alone.
     """
     parts = [part for tokens, target in demos
              for part in (tokens, np.column_stack([target, np.zeros(len(target)), np.ones(len(target))]))]

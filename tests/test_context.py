@@ -1,7 +1,6 @@
 import hashlib
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,23 +294,25 @@ class TestStructuralInvariants:
                 assert span.start >= 0 and span.end <= n
 
 
-# SHA-256 of every context file a tiny build writes, recorded when samples still
-# held token arrays: holding rows must not move a byte. The header's
+# SHA-256 of every context file a tiny build writes. Its sample lines are the
+# bytes written when samples still held token arrays: holding rows must not
+# move them. Its header's config has no file paths (``cli.PATH_KEYS``), so
+# out_dir does not move the bytes either. The header's
 # ``store_sha256`` is left out of the digest and checked to name the store
 # instead, since the store's floats come from numpy's sin and cos, whose last
 # bits may differ between numpy builds; everything else is integers and config.
 CONTEXT_FILES_SHA256 = {
     "decoder": {
-        "ctx_train_m0.jsonl": "858ad11864b672fb105e6e1f04925dbf39ef9964f85bf64f5ba1aefcc2b1f99c",
-        "ctx_train_m1.jsonl": "fc32900b5ff1bd6bb18b9c753298bd7fe0edc7ccc847b9fd2986d0c966f8d26d",
-        "ctx_valid_m0.jsonl": "2dcae22eae28d32c55331d166324b94e65fc8e657307718059b9f66f04433bfb",
-        "ctx_valid_m1.jsonl": "f5cccb643618106d5f3089ef9fff54c2960ef2084415ccd1b481d410bb70a59b",
+        "ctx_train_m0.jsonl": "2ce6ace00cd1b5b0e0b6a9bb91ab5a7b97e7b07ddbc27982735a2f67d9c31823",
+        "ctx_train_m1.jsonl": "bb370afcd898788b004fbed7a04a799acfcabb8083ac386418cf407762fe0a52",
+        "ctx_valid_m0.jsonl": "7ba49cac46a1d5b0bab06ff42e15cdc12090ebe2db75958ac7f75e0a1201fe95",
+        "ctx_valid_m1.jsonl": "31d074551b1445c03bb99094e80b82c16ba75026d8156994e6dcf8e94f60a8fb",
     },
     "cross_channel": {
-        "ctx_train_m0.jsonl": "2b9530b9f64a3aa6691185340af91803e5415fcdde1b9dfe16cd948a7b7d0959",
-        "ctx_train_m2.jsonl": "4922315d0e09cb00e6eb7d5cdd9bc2b767a1789f7da426b99710c240ec4fa70e",
-        "ctx_valid_m0.jsonl": "3a59a96113164b04e820ca97db1c5a7d95d0be36090b3d27357470e1e58ab007",
-        "ctx_valid_m2.jsonl": "ce69d58484fef1dec350e3c90ca6471d3c639eb56feed9b49baeef61731ce338",
+        "ctx_train_m0.jsonl": "e86940ec8086faacdc69342d77dee1006afbd7992ae9fcb19afc6a4320dff887",
+        "ctx_train_m2.jsonl": "c4c8fcf844b4a91ef04ff6b44413bb0e390c5b15c460adcfef0e866e241fdf64",
+        "ctx_valid_m0.jsonl": "c885fe210df0e6838efacefaf7ca2188d18606ad8b29ae618e581be8f676b390",
+        "ctx_valid_m2.jsonl": "44c4fc2964ba1309e8b53df020710e1863b57c0407b9043e948ea2289ec54851",
     },
 }
 
@@ -319,14 +320,13 @@ CONTEXT_FILES_SHA256 = {
 @pytest.mark.parametrize(
     "name, settings", [("decoder", {}), ("cross_channel", {"cross_channel_demos": "true", "demo_counts": "0,2"})]
 )
-def test_context_files_keep_their_bytes(tmp_path, monkeypatch, name, settings):
-    monkeypatch.chdir(tmp_path)  # every file embeds out_dir: a relative one keeps the bytes fixed
-    args = [arg for key, value in {**TINY_CLI, **settings, "out_dir": "run"}.items() for arg in ("--set", f"{key}={value}")]
+def test_context_files_keep_their_bytes(tmp_path, name, settings):
+    args = [arg for key, value in {**TINY_CLI, **settings, "out_dir": tmp_path}.items() for arg in ("--set", f"{key}={value}")]
     for stage in ("synth", "ingest", "build"):
         assert main([stage, *args]) == 0
-    store = hashlib.sha256(Path("run/store.json").read_bytes()).hexdigest().encode()
+    store = hashlib.sha256((tmp_path / "store.json").read_bytes()).hexdigest().encode()
     digests = {}
-    for path in sorted(Path("run").glob("ctx_*.jsonl")):
+    for path in sorted(tmp_path.glob("ctx_*.jsonl")):
         data = path.read_bytes()
         assert data.count(store) == 1
         digests[path.name] = hashlib.sha256(data.replace(store, b"")).hexdigest()

@@ -206,15 +206,26 @@ def test_eval_that_moves_a_weight_is_refused(monkeypatch):
         score_probes(protocol, ("ictp",), tiny_store(), init_params(TINY_MODEL), TINY_MODEL)
 
 
-def test_same_seed_gives_byte_identical_artifacts(tmp_path):
-    def run() -> dict[str, bytes]:
-        for stage in STAGES:
-            assert main([stage, *overrides(tmp_path)]) == 0
-        return {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+def staged(out_dir) -> dict[str, bytes]:
+    """Every stage of the tiny configuration, writing to ``out_dir``: the files it leaves there."""
+    for stage in STAGES:
+        assert main([stage, *overrides(out_dir)]) == 0
+    return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
 
-    first = run()
+
+def test_same_seed_gives_byte_identical_artifacts(tmp_path):
+    first = staged(tmp_path)
     assert {"synth.csv", "store.json", "checkpoint.json", "eval_report.csv", "summary.csv"} <= set(first)
-    assert run() == first
+    assert staged(tmp_path) == first
+
+
+def test_artifacts_do_not_depend_on_the_output_path(tmp_path):
+    """The same run under two out_dir names of different lengths leaves the same files, byte for byte."""
+    short = staged(tmp_path / "a")
+    contexts = {f"ctx_{part}_m{m}.jsonl" for part in ("train", "valid") for m in (0, 1)}
+    assert set(short) == contexts | {"synth.csv", "store.json", "checkpoint.json", "train_record.csv",
+                                     "eval_report.csv", "summary.csv"}
+    assert staged(tmp_path / "a_much_longer_output_directory") == short
 
 
 # SHA-256 of every integer decision ``score_probes`` makes at seed 0 in the three

@@ -24,7 +24,6 @@ from tsicl.series import ChannelSeries, SeriesTable
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import (
     GEOMETRY,
-    SEGMENT_FLAG,
     TASK_ORDER,
     VALUE,
     TaskKind,
@@ -99,6 +98,11 @@ def forecast_dataset(w: WindowSpec, m: int):
     return ContextDataset(samples, w), queries, demos
 
 
+def batch(dataset: ContextDataset, idxs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The streams and targets that ``_batch_loss_graph`` gathers for ``idxs``."""
+    return sample_streams([dataset.samples[i] for i in idxs])
+
+
 def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
     """Validation losses 3, 1, 2, 4 make epoch 1 the best: four epochs end where a two-epoch run does."""
     config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
@@ -130,7 +134,7 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     idxs = [0, 1, 2]
     total_patches = (m * (L + h) + L + h) // p
 
-    regions = trainer._loss_regions(trainer._batch(dataset, idxs, variant)[1], w, config, supervise_demos=True)
+    regions = trainer._loss_regions(batch(dataset, idxs)[1], w, config, supervise_demos=True)
     assert len(regions) == 1 + m
     assert regions[0][:2] == readout_rows(config, total_patches, hp)
     assert all(np.array_equal(regions[0][2][i].ravel(), queries[i][1]) for i in idxs)
@@ -158,34 +162,84 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     assert np.isfinite(losses[1]) and losses[1] != losses[0]
 
 
-def test_every_stream_is_the_samples_tokens_but_the_decoders_taught_answer(monkeypatch):
-    """Encoder training and validation run each sample's reference stream; teacher forcing only shows the query's answer."""
+def test_every_stream_is_the_samples_reference_stream(monkeypatch):
+    """Training, for both variants, and validation run each sample's reference stream: demos shown, query placeholders."""
     w = WindowSpec(16, 8)
     h = w.horizon
     dataset, queries, demos = forecast_dataset(w, m=2)
     idxs = [0, 1, 2]
     tokens = np.stack([reference.build_stream(demos[i], queries[i]) for i in idxs])
-    assert np.array_equal(trainer._batch(dataset, idxs, ENCODER_MASKED)[0], tokens)
+    for i in idxs:
+        assert np.array_equal(tokens[i, -h:], answer_region(h))
+
+    trained = []
+    real_forward = trainer.forward_patch_predictions
+
+    def recording_forward(streams, *args, **kwargs):
+        trained.append(streams)
+        return real_forward(streams, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_patch_predictions", recording_forward)
+    for variant in VARIANTS:
+        config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+        trainer._batch_loss_graph(dataset, idxs, init_params(config), config, supervise_demos=False)
+        assert trained.pop().tobytes() == tokens.tobytes()
 
     validated = []
-    real = trainer.batched_predict
+    real_predict = trainer.batched_predict
 
-    def recording(streams, *args, **kwargs):
+    def recording_predict(streams, *args, **kwargs):
         validated.extend(streams)
-        return real(streams, *args, **kwargs)
+        return real_predict(streams, *args, **kwargs)
 
-    monkeypatch.setattr(trainer, "batched_predict", recording)
+    monkeypatch.setattr(trainer, "batched_predict", recording_predict)
     config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
     trainer.evaluate_loss(dataset, init_params(config), config)
     assert np.array_equal(np.stack(validated), tokens)
 
-    # the decoder's stream differs from the tokens in the query answer's value and mask columns alone
-    forced = trainer._batch(dataset, idxs, DECODER_CAUSAL)[0]
-    assert forced.shape == tokens.shape and np.array_equal(forced[:, :-h], tokens[:, :-h])
-    assert np.array_equal(forced[:, -h:, SEGMENT_FLAG], tokens[:, -h:, SEGMENT_FLAG])
-    for i in idxs:
-        assert np.array_equal(forced[i, -h:], answer_region(h, queries[i][1]))
-        assert np.array_equal(tokens[i, -h:], answer_region(h))
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_reads_the_loss_that_validation_reads(variant):
+    """On one bucket, the training loss graph without a tape is the validation loss, in float64 to 1e-10.
+
+    A decoder that trained with the query's true answer in its input would
+    read answer patches 2..hp off shown values here and placeholders there.
+    """
+    config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
+    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+    assert dataset.window.horizon // config.patch_size > 1
+    rng = np.random.default_rng(5)
+    params = init_params(config, seed=3)
+    for p in params.values():  # float64, with non-trivial biases and gains
+        p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+    idxs = list(range(len(dataset.samples)))
+    trained = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise_demos=False).data)
+    validated = trainer.evaluate_loss(dataset, params, config)
+    assert abs(trained - validated) <= 1e-10 * validated
+
+
+def test_a_trained_decoder_reads_its_later_answer_patches_about_as_well_as_the_first():
+    """Ten epochs at seed 0: the validation MSE of answer patches 2..hp is at most 1.5x that of patch 1.
+
+    Later patches sit farther from the input, so some growth is expected
+    (1.27x here). A decoder trained with the query's true answer shown in its
+    input meets placeholders first at validation, and reads 1.92x here.
+    """
+    store = store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
+    w = WindowSpec(24, 12)
+    parts = list(build_train_valid(store, [TaskKind.FORECAST, TaskKind.IMPUTE], w, [0, 2], seed=0, stride=2))
+    train_ds, valid = (pool_datasets([part[k] for part in parts]) for k in (1, 2))
+    config = ModelConfig(patch_size=4, d_model=16, n_layers=1, n_heads=2, ff_mult=2)
+    run = TrainConfig(batch_size=16, max_epochs=10, patience=10, seed=0)
+    params, _ = trainer.train(init_params(config, seed=0), train_ds, valid, config, run)
+
+    gathered = [sample_streams([s]) for s in valid.samples]
+    streams = [s[0] for s, _ in gathered]
+    truth = np.stack([targets[0, -1] for _, targets in gathered])
+    preds = np.stack(batched_predict(streams, [w.horizon] * len(streams), params, config))
+    per_patch = ((preds - truth) ** 2).reshape(len(streams), -1, config.patch_size).mean(axis=(0, 2))
+    assert len(per_patch) == 3
+    assert per_patch[1:].mean() <= 1.5 * per_patch[0]
 
 
 def materialised(store, task: TaskKind, span, mask: list[int], w: WindowSpec):
@@ -208,13 +262,12 @@ def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, s
     config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
     for first, part in zip(np.cumsum([0, *map(len, parts)]), parts):  # one bucket each
         idxs = list(range(first, first + len(part)))
-        streams, targets = trainer._batch(dataset, idxs, variant)
+        streams, targets = batch(dataset, idxs)
         regions = trainer._loss_regions(targets, w, config, supervise)
         for j, i in enumerate(idxs):
             sample = dataset.samples[i]
             *demos, query = (materialised(store, sample.task, x, mask, w) for x, mask in zip(sample.spans, sample.masks.tolist()))
-            want = reference.build_stream((*demos, query)) if variant == DECODER_CAUSAL else reference.build_stream(demos, query)
-            assert streams[j].tobytes() == want.tobytes()
+            assert streams[j].tobytes() == reference.build_stream(demos, query).tobytes()
             truths = [query[1], *(d[1] for d in demos)] if supervise else [query[1]]
             assert len(regions) == len(truths)
             for (_, _, grid), truth in zip(regions, truths):
@@ -235,7 +288,7 @@ def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
     idxs = [0, 1, 2]
     got = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise).data)
 
-    streams, targets = trainer._batch(dataset, idxs, variant)
+    streams, targets = batch(dataset, idxs)
     full = forward_patch_predictions(streams, params, config).data
     regions = trainer._loss_regions(targets, dataset.window, config, supervise)
     assert len(regions) == (3 if supervise else 1)
