@@ -14,14 +14,13 @@ an example. Both paths return predictions only: the queries' truth comes from
 their gather, and ``score_probes`` scores every probe against it.
 ``score_probes`` is the only eval loop, behind ``run_unseen_eval``, which
 writes one ``EvalRow`` per probe: the CLI's ``eval`` scores ``baseline`` and
-``ictp``, ``experiment.run_seed`` all four ``PROBES``. ``batched_predict`` is
-the only readout, also behind the trainer's validation loss. ``context_path``
-hands it the demo prefix apart from the query streams: the decoder encodes
-that prefix once per channel and probe and reuses its keys and values for
-every query (``model.encode_prefix``), while the encoder, whose prefix rows
-attend to the query, runs each prefix ++ query stream whole. The validation
-loss runs each sample's stream whole, as every validation sample has its own
-demos. ``score_probes`` checksums the parameters before the loop and in every
+``ictp``, ``experiment.run_seed`` all four ``PROBES``. ``batched_predict``, the
+only readout, takes one rectangular batch of streams. ``context_path`` owns the
+demo prefix: the decoder encodes it once per channel and probe and reuses its
+keys and values for every query (``model.encode_prefix``), while the encoder,
+whose prefix rows attend to the query, runs prefix ++ query whole.
+``baseline_path`` predicts equal-length adapted histories together.
+``score_probes`` checksums the parameters before the loop and in every
 worker after it, to enforce that evaluation never updates them.
 
 ``score_probes`` scores channels on every core the process may use: it hands
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,7 @@ from .context import example_streams
 from .errors import ConfigError, DataError
 from .model import (
     DECODER_CAUSAL,
+    KeysValues,
     ModelConfig,
     encode_prefix,
     forward_patch_predictions,
@@ -208,45 +209,29 @@ def eval_demo_starts(length: int, task: TaskKind, w: WindowSpec, m: int) -> list
 
 
 def batched_predict(
-    streams: list[np.ndarray],
-    horizons: list[int],
+    streams: np.ndarray,
+    horizon: int,
     params: dict[str, ad.Parameter],
     config: ModelConfig,
-    batch_size: int = BATCH,
-    prefix: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Evaluation-mode predictions for streams that already end in answer regions.
+    prefix: list[KeysValues] | None = None,
+) -> np.ndarray:
+    """Evaluation-mode predictions (N, h) for streams (N, n, 3) that end in an answer region of ``horizon``.
 
-    Streams are grouped by (length, horizon) so each batch is rectangular;
-    outputs come back in input order. The model runs its last block only from
-    the first readout row. ``prefix`` (n, 3), if given, precedes every stream:
-    the decoder encodes a non-empty one once and reuses its keys and values
-    for every batch, so it must be whole patches; otherwise each stream runs
-    as prefix ++ stream.
+    The model runs ``BATCH`` streams at a time, and its last block only from
+    the first readout row. ``prefix``, a decoder's ``encode_prefix`` cache,
+    stands for the patches that precede every stream.
     """
-    p, past, cache = config.patch_size, 0, None
-    if prefix is not None and len(prefix) and config.variant == DECODER_CAUSAL:
-        past, cache = len(prefix) // p, encode_prefix(prefix, params, config)
-    elif prefix is not None:
-        streams = [np.concatenate([prefix, s]) for s in streams]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (s, h) in enumerate(zip(streams, horizons)):
-        groups.setdefault((len(s), h), []).append(i)
-    out: list[np.ndarray | None] = [None] * len(streams)
-    for (n, h), idxs in sorted(groups.items()):
-        r0, r1 = readout_rows(config, past + n // p, horizon_patch_count(h, config))
-        for lo in range(0, len(idxs), batch_size):
-            chunk = idxs[lo : lo + batch_size]
-            batch = np.stack([streams[i] for i in chunk])
-            preds = forward_patch_predictions(batch, params, config, r0 - past, cache)
-            values = preds.data[:, : r1 - r0, :].reshape(len(chunk), h)
-            for row, i in enumerate(chunk):
-                out[i] = values[row]
-    return out
+    past = 0 if prefix is None else prefix[0][0].shape[1]
+    r0, r1 = readout_rows(config, past + streams.shape[1] // config.patch_size, horizon_patch_count(horizon, config))
+    return np.concatenate([
+        forward_patch_predictions(streams[lo : lo + BATCH], params, config, r0 - past, prefix).data[:, : r1 - r0]
+        .reshape(-1, horizon)
+        for lo in range(0, len(streams), BATCH)
+    ])
 
 
-def _fit_adapted(history: np.ndarray, steps: int, config: ModelConfig) -> tuple[np.ndarray, int]:
-    """An adapted history plus the answer region of ``steps`` values, patch-divisible for the model.
+def _fit_adapted(histories: np.ndarray, steps: int, config: ModelConfig) -> tuple[np.ndarray, int]:
+    """Adapted histories (N, n, 3) plus the answer region of ``steps`` values, patch-divisible for the model.
 
     The only place a baseline stream gets its answer region. The region is
     rounded up to whole patches; surplus history is trimmed from the oldest
@@ -254,11 +239,11 @@ def _fit_adapted(history: np.ndarray, steps: int, config: ModelConfig) -> tuple[
     """
     p = config.patch_size
     model_h = -(-steps // p) * p
-    trim = (len(history) + model_h) % p
-    history = history[trim:]
-    if len(history) < p:
+    trim = (histories.shape[1] + model_h) % p
+    if histories.shape[1] - trim < p:
         raise DataError("adapted query has no usable context after patch alignment")
-    return np.concatenate([history, answer_region(model_h)]), model_h
+    region = np.broadcast_to(answer_region(model_h), (len(histories), model_h, 3))
+    return np.concatenate([histories[:, trim:], region], axis=1), model_h
 
 
 def context_path(
@@ -268,12 +253,15 @@ def context_path(
     config: ModelConfig,
     horizon: int,
 ) -> np.ndarray:
-    """Predictions, stacked (N, h), for the demonstration path.
+    """Predictions (N, h) for the demonstration path: every query stream (N, L+h, 3) behind the one demo prefix (n, 3).
 
-    Every query stream (N, L+h, 3) runs behind the one shared demo prefix
-    (n, 3), which ``batched_predict`` takes once.
+    The decoder encodes a non-empty prefix once and reuses its keys and
+    values for every query; the encoder runs prefix ++ query whole.
     """
-    return np.stack(batched_predict(queries, [horizon] * len(queries), params, config, prefix=prefix))
+    if len(prefix) and config.variant == DECODER_CAUSAL:
+        return batched_predict(queries, horizon, params, config, prefix=encode_prefix(prefix, params, config))
+    prefixes = np.broadcast_to(prefix, (len(queries), *prefix.shape))
+    return batched_predict(np.concatenate([prefixes, queries], axis=1), horizon, params, config)
 
 
 def baseline_path(
@@ -284,11 +272,17 @@ def baseline_path(
     config: ModelConfig,
     w: WindowSpec,
 ) -> np.ndarray:
-    """Predictions, stacked (N, h), of the ``task`` queries with these inputs and masks, through the matching adapter."""
+    """Predictions (N, h) of the ``task`` queries with these inputs and masks, through the matching adapter,
+    one batch per adapted history length and step count."""
     histories, read = adapter_for(config.variant == DECODER_CAUSAL, task)(inputs, masks, w)
-    fitted = [_fit_adapted(x, int(steps), config) for x, steps in zip(histories, read.max(axis=1) + 1)]
-    raw = batched_predict([f[0] for f in fitted], [f[1] for f in fitted], params, config)
-    return np.stack([r[i] for r, i in zip(raw, read)])
+    keys = [(len(x), steps) for x, steps in zip(histories, (read.max(axis=1) + 1).tolist())]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    preds = []
+    for (_, steps), group in groupby(order, keys.__getitem__):
+        group = list(group)
+        fitted, model_h = _fit_adapted(np.stack([histories[i] for i in group]), steps, config)
+        preds.append(np.take_along_axis(batched_predict(fitted, model_h, params, config), read[group], axis=1))
+    return np.concatenate(preds)[np.argsort(order)]
 
 
 def _query_starts(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> range:

@@ -25,8 +25,9 @@ prefix once, as a batch of one, and keeps the keys and values each block's
 attention read; its last block runs on one row. ``forward_patch_predictions``
 then runs only each query's own rows, at positions after the prefix,
 attending to the cached keys and values ahead of their own. The encoder
-cannot reuse a prefix: its prefix rows attend to the query. Training does
-not: every sample has its own demos, and the loss needs gradients through them.
+cannot reuse a prefix: its prefix rows attend to the query. Training and
+validation, which runs the training loss without a tape, do not: every
+sample has its own demos, and the loss needs gradients through them.
 
 Input tokens are (value, mask_flag, segment_flag) triples; ``patch_size``
 consecutive steps are flattened into one 3*patch_size feature vector before a

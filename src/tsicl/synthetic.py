@@ -1,8 +1,10 @@
 """Seeded synthetic series families for desk-scale experiments.
 
-SinusoidMixture sums a few random sinusoids with AR(1) noise; AR2 draws its
-coefficients inside the stationarity triangle. Output is round-trip compatible
-with the CSV ingestion format.
+``FAMILIES`` maps each family's name to its generator, which draws one
+channel's values from the spec and the channel's rng. ``sinusoid_mixture``
+sums a few random sinusoids with AR(1) noise; ``ar2`` draws its coefficients
+inside the stationarity triangle. Output is round-trip compatible with the CSV
+ingestion format.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .series import ChannelSeries
 
 SINUSOID_MIXTURE = "sinusoid_mixture"
 AR2 = "ar2"
-FAMILIES = (SINUSOID_MIXTURE, AR2)
 
 AR2_BURN_IN = 128
 
@@ -38,7 +39,7 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise ConfigError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         if self.count < 1 or self.length < 10:
             raise ConfigError("count must be >= 1 and length >= 10")
         if self.noise_sigma < 0:
@@ -101,13 +102,15 @@ def _ar2_series(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     return x[AR2_BURN_IN:]
 
 
+FAMILIES = {SINUSOID_MIXTURE: _sinusoid_series, AR2: _ar2_series}
+
+
 def generate(spec: SynthSpec) -> list[ChannelSeries]:
     """One ChannelSeries per requested channel, deterministic per (seed, index)."""
     out = []
     for i in range(spec.count):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        values = _sinusoid_series(spec, rng) if spec.family == SINUSOID_MIXTURE else _ar2_series(spec, rng)
-        out.append(ChannelSeries(dataset=spec.name, channel=f"s{i:03d}", values=values))
+        out.append(ChannelSeries(spec.name, f"s{i:03d}", FAMILIES[spec.family](spec, rng)))
     return out
 
 

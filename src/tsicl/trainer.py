@@ -4,20 +4,22 @@ Batch streams are gathered, not built sample by sample: ``context.sample_streams
 reads a batch's streams and targets out of the samples' ``SeriesTable`` in one
 fancy-indexing pass, in the caller and in the worker alike. Training and the
 validation loss run the same stream, with placeholders in the query's answer
-region, for both variants. Validation gathers once per demo count. Loss is
-MSE over the query's answer region only; demonstration answers inside the
-context carry no loss unless ``supervise_demo_outputs`` is set. That option is
-refused on ``encoder_masked``: a demo's answer sits unmasked in the encoder's
-own input, so supervising it teaches the model to copy. Samples are bucketed
-by demo count, which sets their token length, and both bucket-internal order
-and batch order are reshuffled per epoch from the run seed, so training is
-fully reproducible. The validation loss reads the model out through
-``evalharness.batched_predict``, as evaluation does.
+region, for both variants. Loss is MSE over the query's answer region only;
+demonstration answers inside the context carry no loss unless
+``supervise_demo_outputs`` is set. That option is refused on
+``encoder_masked``: a demo's answer sits unmasked in the encoder's own input,
+so supervising it teaches the model to copy. ``_batches`` buckets samples by
+demo count, which sets their token length, and cuts each bucket into batches.
+Training reshuffles bucket-internal order and batch order per epoch from the
+run seed, so it is fully reproducible. Validation is a training step without
+the tape: ``evaluate_loss`` runs ``_batch_loss_graph`` of the query answers
+over the unshuffled batches, with no tape active, and weights each batch's
+MSE by its sample count.
 
 Every batch splits into two fixed halves, its first ceil(B/2) samples and the
 rest. Each half's MSE divides by the whole batch's element count, and the
 halves' losses and gradients are summed in that order before the one Adam
-step. The second half, and the second half of the validation set, run in one
+step. The second half of every batch, training's and validation's, runs in one
 persistent ``workers.one_worker`` process, forked once per ``train`` call.
 When ``train`` starts, every parameter's ``data`` becomes a view of one flat
 array: row 0 of a (2, N) ``workers.shared_zeros`` array, whose row 1 takes the
@@ -32,7 +34,6 @@ a run's bits depend on neither the core count nor ``OPENBLAS_NUM_THREADS``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +42,6 @@ import numpy as np
 from . import autodiff as ad
 from .context import ContextDataset, sample_streams
 from .errors import ConfigError, NumericalError
-from .evalharness import batched_predict, mse
 from .model import (
     ENCODER_MASKED,
     ModelConfig,
@@ -82,7 +82,6 @@ class TrainRecord:
     train_losses: list[float] = field(default_factory=list)
     valid_losses: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    wall_time_s: float = 0.0
 
     @property
     def best_valid_loss(self) -> float:
@@ -193,27 +192,26 @@ def _gradient(
     return float(loss.data)
 
 
-def _tokens(dataset: ContextDataset, idxs: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The samples' streams and (len(idxs), h) query targets, in ``idxs`` order, one gather per demo count."""
-    groups: dict[int, list[int]] = {}
-    for j, i in enumerate(idxs):
-        groups.setdefault(len(dataset.samples[i].rows), []).append(j)
-    streams: list = [None] * len(idxs)
-    truth = np.empty((len(idxs), dataset.window.horizon))
-    for js in groups.values():
-        gathered, targets = sample_streams([dataset.samples[idxs[j]] for j in js])
-        truth[js] = targets[:, -1]
-        for j, stream in zip(js, gathered):
-            streams[j] = stream
-    return streams, truth
+def _query_loss(
+    dataset: ContextDataset, idxs: list[int], params: dict[str, ad.Parameter], config: ModelConfig, batch_size: int
+) -> float:
+    """``_batch_loss_graph`` of the query answers alone; with no tape active, nothing is recorded."""
+    return float(_batch_loss_graph(dataset, idxs, params, config, False, batch_size).data)
 
 
-def _predictions(
-    dataset: ContextDataset, idxs: list[int], params: dict[str, ad.Parameter], config: ModelConfig
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The samples' predictions and query targets, in ``idxs`` order."""
-    streams, truth = _tokens(dataset, idxs)
-    return batched_predict(streams, [dataset.window.horizon] * len(streams), params, config), truth
+def _batches(dataset: ContextDataset, batch_size: int, rng: np.random.Generator | None = None) -> list[list[int]]:
+    """Sample indices in batches of at most ``batch_size``, one demo-count bucket at a time, by ascending count.
+
+    With ``rng``, each bucket is permuted before it is cut, and then the batches are.
+    """
+    buckets: dict[int, list[int]] = {}
+    for i, s in enumerate(dataset.samples):
+        buckets.setdefault(len(s.rows), []).append(i)
+    batches = []
+    for _, idxs in sorted(buckets.items()):
+        order = idxs if rng is None else [idxs[j] for j in rng.permutation(len(idxs))]
+        batches += [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+    return batches if rng is None else [batches[j] for j in rng.permutation(len(batches))]
 
 
 def _in_halves(here, answer, part: str, idxs: list[int], worker: Worker | None):
@@ -235,18 +233,21 @@ def evaluate_loss(
     params: dict[str, ad.Parameter],
     config: ModelConfig,
     worker: Worker | None = None,
+    batch_size: int = TrainConfig.batch_size,
 ) -> float:
-    """Deployment-mode MSE over the answer region through ``batched_predict``, no tape; the second
-    half of the samples runs in ``worker``, the trainer's, if given."""
-    mine, theirs = _in_halves(
-        lambda half: _predictions(dataset, half, params, config),
-        lambda request: _predictions(dataset, request[1], params, config),
-        "valid", list(range(len(dataset.samples))), worker,
-    )
-    preds, truth = mine
-    if theirs is not None:
-        preds, truth = preds + theirs[0], np.concatenate([truth, theirs[1]])
-    return mse(np.stack(preds), truth)
+    """Deployment-mode MSE over the query answers: the training loss without a tape, over the unshuffled
+    batches of ``batch_size``, each weighted by its sample count. Each batch's second half runs in
+    ``worker``, the trainer's, if given."""
+    total = 0.0
+    for batch in _batches(dataset, batch_size):
+        n = len(batch)
+        value, theirs = _in_halves(
+            lambda half: _query_loss(dataset, half, params, config, n),
+            lambda request: _query_loss(dataset, request[1], params, config, n),
+            "valid", batch, worker,
+        )
+        total += (value if theirs is None else value + theirs) * n
+    return total / len(dataset.samples)
 
 
 def train(
@@ -268,11 +269,7 @@ def train(
     for data in (dataset, valid):
         horizon_patch_count(data.window.horizon, model_config)  # a whole-patch horizon makes L = 2h whole too
 
-    start = time.perf_counter()
     record = TrainRecord()
-    buckets: dict[int, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        buckets.setdefault(len(s.rows), []).append(i)
     best_valid, best, stale = np.inf, None, 0
 
     # the worker reads the parameters (row 0) and writes its half's gradient (row 1), shared with this process
@@ -284,24 +281,17 @@ def train(
     optimizer = Adam(data, train_config)
 
     def answer(request):
-        """The second half's part: its loss, with its gradient left in ``their_grad``, or its predictions."""
+        """The second half's loss: a training one, with its gradient left in ``their_grad``, or a validation one."""
         part, idxs, n = request
         if part == "valid":
-            return _predictions(valid, idxs, params, model_config)
+            return _query_loss(valid, idxs, params, model_config, n)
         return _gradient(dataset, idxs, params, model_config, supervise, n, their_grad)
 
     with one_worker(answer) as worker:
         for epoch in range(train_config.max_epochs):
             rng = np.random.default_rng(np.random.SeedSequence((train_config.seed, 1, epoch)))
-            batches: list[list[int]] = []
-            for _, idxs in sorted(buckets.items()):
-                order = [idxs[j] for j in rng.permutation(len(idxs))]
-                for lo in range(0, len(order), train_config.batch_size):
-                    batches.append(order[lo : lo + train_config.batch_size])
-            batches = [batches[j] for j in rng.permutation(len(batches))]
-
             loss_sum, n_seen = 0.0, 0
-            for batch in batches:
+            for batch in _batches(dataset, train_config.batch_size, rng):
                 n = len(batch)
                 value, their_loss = _in_halves(
                     lambda half: _gradient(dataset, half, params, model_config, supervise, n, grad),
@@ -316,7 +306,7 @@ def train(
                 loss_sum += value * n
                 n_seen += n
 
-            valid_loss = evaluate_loss(valid, params, model_config, worker)
+            valid_loss = evaluate_loss(valid, params, model_config, worker, train_config.batch_size)
             record.train_losses.append(loss_sum / n_seen)
             record.valid_losses.append(valid_loss)
 
@@ -335,5 +325,4 @@ def train(
             f"no finite validation loss in {len(record.valid_losses)} epochs: {record.valid_losses}"
         )
     _bind(params, best)
-    record.wall_time_s = time.perf_counter() - start
     return params, record

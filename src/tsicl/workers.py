@@ -16,7 +16,7 @@ fork).
 ``fork_join`` computes the first contiguous share of ``range(n)`` in the caller
 and each other share in a worker of its own, and returns the results in share
 order. ``one_worker`` keeps one worker for a whole block: training sends it the
-second half of every batch and of the validation set. Forking once per training
+second half of every batch, validation's included. Forking once per training
 step instead was slower than one process, because each fork faults the heap
 back in. An array that ``shared_zeros`` makes before the fork is read and
 written by both processes, so the parameters and a half's gradient, two rows

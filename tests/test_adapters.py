@@ -112,12 +112,29 @@ def test_fitted_streams_are_patch_aligned_and_end_in_the_answer_region(w, task):
     histories, read = adapt(*query_batch(task, w), w)
     p = TINY_MODEL.patch_size
     for history, steps in zip(histories, read.max(axis=1) + 1):
-        stream, model_h = _fit_adapted(history, int(steps), TINY_MODEL)
+        (stream,), model_h = _fit_adapted(history[None], int(steps), TINY_MODEL)
         assert len(stream) % p == 0 and model_h % p == 0
         assert steps <= model_h < steps + p
         assert np.array_equal(stream[-model_h:], answer_region(model_h))
         kept = stream[:-model_h]
         assert np.array_equal(kept, history[len(history) - len(kept) :])
+
+
+def test_a_ragged_impute_baseline_is_each_query_scored_alone():
+    """Truncated histories of several lengths are predicted in groups; each query gets its own answer, in order."""
+    w = WindowSpec(24, 12)
+    late, early, split = list(range(11, 23)), list(range(12)), [*range(1, 7), *range(13, 19)]
+    masks = np.array([late, split, early, list(range(8, 20)), early, [*range(5, 11), *range(17, 23)], late])
+    starts = range(0, 6 * len(masks), 6)
+    inputs = np.stack([reference.example(TaskKind.IMPUTE, series(), t, w, m)[0] for t, m in zip(starts, masks.tolist())])
+    histories, read = adapters.adapt_impute_truncate(inputs, masks, w)
+    keys = [(len(x), steps) for x, steps in zip(histories, read.max(axis=1) + 1)]
+    assert len({length for length, _ in keys}) >= 2 and keys != sorted(keys)  # several groups, out of query order
+    params = init_params(TINY_MODEL, seed=4)
+    got = evalharness.baseline_path(TaskKind.IMPUTE, inputs, masks, params, TINY_MODEL, w)
+    alone = [evalharness.baseline_path(TaskKind.IMPUTE, inputs[i : i + 1], masks[i : i + 1], params, TINY_MODEL, w)
+             for i in range(len(inputs))]
+    assert got.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
@@ -126,9 +143,9 @@ def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
     fed = []
     real = evalharness.batched_predict
 
-    def recording(streams, horizons, params, config):
-        fed.extend(zip(streams, horizons))
-        return real(streams, horizons, params, config)
+    def recording(streams, horizon, params, config):
+        fed.extend((stream, horizon) for stream in streams)
+        return real(streams, horizon, params, config)
 
     monkeypatch.setattr(evalharness, "batched_predict", recording)
     config = replace(TINY_MODEL, variant=ENCODER_MASKED)
@@ -177,11 +194,11 @@ def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
     fed = []
     real = evalharness.batched_predict
 
-    def recording(streams, horizons, params, config, prefix=None):
-        # each stream as the model sees it, with the rows a cached prefix covers
-        head = np.zeros((0, 3)) if prefix is None else prefix
-        fed.append([(np.concatenate([head, s]), h, len(head)) for s, h in zip(streams, horizons)])
-        return real(streams, horizons, params, config, prefix=prefix)
+    def recording(streams, horizon, params, config, prefix=None):
+        # each stream behind the rows a cached prefix covers; their tokens are unmasked, so zeros stand in
+        head = np.zeros((0 if prefix is None else prefix[0][0].shape[1] * config.patch_size, 3))
+        fed.append([(np.concatenate([head, s]), horizon, len(head)) for s in streams])
+        return real(streams, horizon, params, config, prefix=prefix)
 
     monkeypatch.setattr(evalharness, "batched_predict", recording)
     params = init_params(config)

@@ -41,17 +41,20 @@ def tiny_store():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_evaluate_loss_is_the_mse_of_batched_predict(variant):
+    """Over two demo counts and several batches, in float64 to 1e-10: the sum order differs, the readout does not."""
     config = replace(TINY_MODEL, variant=variant)
     params = init_params(config, seed=1)
+    for p in params.values():
+        p.data = p.data.astype(np.float64)
     tasks = [TaskKind.FORECAST, TaskKind.IMPUTE]
     parts = [v for _, _, v in build_train_valid(tiny_store(), tasks, WINDOW, [0, 1], seed=0, stride=1)]
-    valid = pool_datasets(parts)
-    assert len({len(s.rows) for s in valid.samples}) == 2 and len(valid.samples) > 64
-    gathered = [sample_streams([s]) for s in valid.samples]
-    streams = [streams[0] for streams, _ in gathered]
-    preds = np.stack(batched_predict(streams, [4] * len(streams), params, config))
-    truth = np.stack([targets[0, -1] for _, targets in gathered])
-    assert evaluate_loss(valid, params, config) == np.mean((preds - truth) ** 2)
+    assert all(len(part.samples) > 32 for part in parts)  # more than one batch of the default size each
+    errors = []
+    for part in parts:  # one demo count, so one stream length, each
+        streams, targets = sample_streams(part.samples)
+        errors.append(batched_predict(streams, WINDOW.horizon, params, config) - targets[:, -1])
+    want = np.mean(np.concatenate(errors) ** 2)
+    assert abs(evaluate_loss(pool_datasets(parts), params, config) - want) <= 1e-10 * want
 
 
 def test_context_headers_count_the_replayed_samples(pipeline_dir, monkeypatch):
@@ -182,8 +185,8 @@ def test_context_path_equals_the_prepended_streams(variant):
     params = init_params(config, seed=2)
     for demo_count in (0, 3):
         prefix, demos, queries, examples = impute_probe(store, demo_count, rng)
-        prepended = [reference.build_stream(demos, q) for q in examples]
-        want = np.stack(batched_predict(prepended, [WINDOW.horizon] * len(examples), params, config))
+        prepended = np.stack([reference.build_stream(demos, q) for q in examples])
+        want = batched_predict(prepended, WINDOW.horizon, params, config)
         got = evalharness.context_path(queries, prefix, params, config, WINDOW.horizon)
         assert got.dtype == want.dtype and got.shape == want.shape
         if variant == DECODER_CAUSAL and demo_count:
@@ -197,9 +200,9 @@ def test_eval_that_moves_a_weight_is_refused(monkeypatch):
     protocol = EvalProtocol(TaskKind.BACKTRACE, (TaskKind.FORECAST,), WINDOW, demo_count=1)
     real = evalharness.batched_predict
 
-    def nudging(streams, horizons, params, config, **kwargs):
+    def nudging(streams, horizon, params, config, **kwargs):
         params["head.b"].data = params["head.b"].data + 1e-12
-        return real(streams, horizons, params, config, **kwargs)
+        return real(streams, horizon, params, config, **kwargs)
 
     monkeypatch.setattr(evalharness, "batched_predict", nudging)
     with pytest.raises(RuntimeError, match="frozen-model contract"):

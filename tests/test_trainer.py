@@ -9,7 +9,7 @@ from tsicl import autodiff as ad
 from tsicl import trainer
 from tsicl.context import ContextDataset, ContextSample, build_train_valid, pool_datasets, sample_streams
 from tsicl.errors import ConfigError
-from tsicl.evalharness import batched_predict
+from tsicl.evalharness import batched_predict, context_path
 from tsicl.model import (
     DECODER_CAUSAL,
     ENCODER_MASKED,
@@ -163,7 +163,7 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
 
 
 def test_every_stream_is_the_samples_reference_stream(monkeypatch):
-    """Training, for both variants, and validation run each sample's reference stream: demos shown, query placeholders."""
+    """Training and validation, for both variants, run each sample's reference stream: demos shown, query placeholders."""
     w = WindowSpec(16, 8)
     h = w.horizon
     dataset, queries, demos = forecast_dataset(w, m=2)
@@ -172,30 +172,22 @@ def test_every_stream_is_the_samples_reference_stream(monkeypatch):
     for i in idxs:
         assert np.array_equal(tokens[i, -h:], answer_region(h))
 
-    trained = []
+    fed = []
     real_forward = trainer.forward_patch_predictions
 
     def recording_forward(streams, *args, **kwargs):
-        trained.append(streams)
+        fed.append(streams)
         return real_forward(streams, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "forward_patch_predictions", recording_forward)
     for variant in VARIANTS:
         config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
         trainer._batch_loss_graph(dataset, idxs, init_params(config), config, supervise_demos=False)
-        assert trained.pop().tobytes() == tokens.tobytes()
-
-    validated = []
-    real_predict = trainer.batched_predict
-
-    def recording_predict(streams, *args, **kwargs):
-        validated.extend(streams)
-        return real_predict(streams, *args, **kwargs)
-
-    monkeypatch.setattr(trainer, "batched_predict", recording_predict)
-    config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-    trainer.evaluate_loss(dataset, init_params(config), config)
-    assert np.array_equal(np.stack(validated), tokens)
+        assert fed.pop().tobytes() == tokens.tobytes()
+        trainer.evaluate_loss(dataset, init_params(config), config)
+        assert [len(streams) for streams in fed] == [2, 1]  # the batch's two halves
+        assert np.concatenate(fed).tobytes() == tokens.tobytes()
+        fed.clear()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -233,11 +225,12 @@ def test_a_trained_decoder_reads_its_later_answer_patches_about_as_well_as_the_f
     run = TrainConfig(batch_size=16, max_epochs=10, patience=10, seed=0)
     params, _ = trainer.train(init_params(config, seed=0), train_ds, valid, config, run)
 
-    gathered = [sample_streams([s]) for s in valid.samples]
-    streams = [s[0] for s, _ in gathered]
-    truth = np.stack([targets[0, -1] for _, targets in gathered])
-    preds = np.stack(batched_predict(streams, [w.horizon] * len(streams), params, config))
-    per_patch = ((preds - truth) ** 2).reshape(len(streams), -1, config.patch_size).mean(axis=(0, 2))
+    errors = []
+    for m in {len(s.rows) for s in valid.samples}:  # one stream length per demo count
+        streams, targets = sample_streams([s for s in valid.samples if len(s.rows) == m])
+        errors.append(batched_predict(streams, w.horizon, params, config) - targets[:, -1])
+    errors = np.concatenate(errors)
+    per_patch = (errors**2).reshape(len(errors), -1, config.patch_size).mean(axis=(0, 2))
     assert len(per_patch) == 3
     assert per_patch[1:].mean() <= 1.5 * per_patch[0]
 
@@ -307,10 +300,10 @@ def test_batched_predict_reads_the_full_forward_readout_rows(variant):
     for p in params.values():  # float64, with non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     h = dataset.window.horizon
-    streams = list(sample_streams(dataset.samples)[0])
-    got = np.stack(batched_predict(streams, [h] * len(streams), params, config))
+    streams = sample_streams(dataset.samples)[0]
+    got = batched_predict(streams, h, params, config)
 
-    full = forward_patch_predictions(np.stack(streams), params, config).data
+    full = forward_patch_predictions(streams, params, config).data
     r0, r1 = readout_rows(config, full.shape[1], h // config.patch_size)
     want = full[:, r0:r1].reshape(len(streams), h)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -370,9 +363,8 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     # every op recorded for the loss ran its rule once
     assert kinds.count("dout") == kinds.count("out") > 0
     optimizer.step(grad)
-    streams = list(sample_streams(dataset.samples)[0])
-    preds = batched_predict(streams, [w.horizon] * len(streams), params, config)
-    preds += batched_predict(streams, [w.horizon] * len(streams), params, config, prefix=streams[0])
+    streams = sample_streams(dataset.samples)[0]
+    preds = [batched_predict(streams, w.horizon, params, config), context_path(streams, streams[0], params, config, w.horizon)]
 
     assert {"matmul", "attention", "gelu", "layer_norm", "mse_loss"} <= {op for op, _, _ in seen}
     assert [entry for entry in seen if entry[2] != dtype] == []

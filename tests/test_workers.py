@@ -147,10 +147,10 @@ def test_a_weight_moved_in_a_worker_is_refused(monkeypatch):
     cores(monkeypatch, 2)
     real, test_pid = evalharness.batched_predict, os.getpid()
 
-    def nudging(streams, horizons, params, config, **kwargs):
+    def nudging(streams, horizon, params, config, **kwargs):
         if _in_a_child(test_pid):
             params["head.b"].data = params["head.b"].data + 1e-12
-        return real(streams, horizons, params, config, **kwargs)
+        return real(streams, horizon, params, config, **kwargs)
 
     monkeypatch.setattr(evalharness, "batched_predict", nudging)
     with pytest.raises(RuntimeError, match="frozen-model contract"):
