@@ -57,25 +57,15 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "synth_family": ("str", "sinusoid_mixture"),
     "synth_count": ("int", 32),
     "synth_length": ("int", 2048),
-    "synth_noise_sigma": ("float", 0.05),
-    "synth_noise_ar": ("float", 0.5),
-    "synth_components_min": ("int", 2),
-    "synth_components_max": ("int", 3),
-    "synth_amplitude_min": ("float", 0.5),
-    "synth_amplitude_max": ("float", 1.5),
-    "synth_frequency_min": ("float", float(2 * np.pi / 64)),
-    "synth_frequency_max": ("float", float(2 * np.pi / 16)),
     # ingest
     "csv": ("str", ""),
     "channels": ("strs", []),
     "store": ("str", ""),
-    # window + build
-    "lookback": ("int", 24),
+    # window (lookback = 2 * horizon) + build
     "horizon": ("int", 12),
     "tasks": ("strs", ["forecast", "impute"]),
     "demo_counts": ("ints", [0, 2, 4]),
-    "stride": ("int", 0),  # 0 = horizon
-    "valid_stride": ("int", 0),
+    "stride": ("int", 0),  # 0 = horizon, for train and valid queries alike
     "cross_channel_demos": ("bool", False),
     # model
     **_field_entries(ModelConfig),
@@ -92,7 +82,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "summary": ("str", ""),
 }
 # what ``build`` reads (position k of demo_counts sets the k-th build seed): a context file must match them
-BUILD_KEYS = ("seed", "lookback", "horizon", "tasks", "demo_counts", "stride", "valid_stride", "cross_channel_demos")
+BUILD_KEYS = ("seed", "horizon", "tasks", "demo_counts", "stride", "cross_channel_demos")
 # where files go: left out of what artifacts embed, so their bytes do not depend on the paths
 PATH_KEYS = ("out_dir", "csv", "store", "checkpoint", "train_record", "report", "reports", "summary")
 
@@ -127,8 +117,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
+    try:  # a directory, an unreadable file or bytes that are not text
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

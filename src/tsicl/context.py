@@ -16,9 +16,9 @@ placeholders; evaluation gathers a demo prefix and query streams apart
 encoding stays invertible without separator tokens.
 
 A context file stores the same decisions. Its first line, the header, holds
-``lookback``, ``horizon``, ``samples`` and ``skipped_windows``, then the
-writer's ``meta`` (``build`` adds its ``config`` and ``store_sha256``);
-``read_header`` reads it alone. Each later line is one sample,
+``horizon``, ``samples`` and ``skipped_windows``, then the writer's ``meta``
+(``build`` adds its ``config`` and ``store_sha256``); ``read_header`` reads
+it alone. Each later line is one sample,
 ``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``,
 demos then query; spans are absolute, masked positions window-relative.
 ``read_jsonl`` turns them back into rows of the store's table, and refuses
@@ -278,14 +278,13 @@ def build_train_valid(
     demo_counts: Sequence[int],
     seed: int,
     stride: int | None = None,
-    valid_stride: int | None = None,
     **options,
 ) -> Iterator[tuple[int, ContextDataset, ContextDataset]]:
     """Yield (m, train, valid) per demo count m, the k-th seeded ``seed*1000 + 2k`` and ``+ 1``.
 
-    Valid queries come from the valid split and draw their demos from the
-    train split; ``valid_stride`` falls back to ``stride``. Every sample holds
-    rows of ``store.table``. ``options`` go to ``build_context_dataset``.
+    Valid queries come from the valid split, at the same ``stride``, and draw
+    their demos from the train split. Every sample holds rows of
+    ``store.table``. ``options`` go to ``build_context_dataset``.
     Every count is checked before the first build; a repeated count is
     refused, since both builds would claim one ``m``.
     """
@@ -293,8 +292,6 @@ def build_train_valid(
         raise ConfigError(f"demo_counts must be one or more counts >= 0, got {list(demo_counts)}")
     if len(set(demo_counts)) < len(demo_counts):
         raise ConfigError(f"demo_counts must not repeat a count, got {list(demo_counts)}")
-    if valid_stride is not None and valid_stride < 1:
-        raise ConfigError(f"valid_stride must be >= 1, got {valid_stride}")
     train_series = [store.series(ch, "train") for ch in store.channels]
     valid_series = [store.series(ch, "valid") for ch in store.channels]
     for k, m in enumerate(demo_counts):
@@ -302,7 +299,7 @@ def build_train_valid(
             train_series, tasks, w, m, stride=stride, seed=seed * 1000 + 2 * k, table=store.table, **options
         )
         valid = build_context_dataset(
-            valid_series, tasks, w, m, stride=valid_stride or stride,
+            valid_series, tasks, w, m, stride=stride,
             seed=seed * 1000 + 2 * k + 1, demo_pool=train_series, table=store.table, **options,
         )
         yield m, train, valid
@@ -311,7 +308,6 @@ def build_train_valid(
 def write_jsonl(dataset: ContextDataset, path: str | Path, meta: dict | None = None) -> None:
     """The header line (window, sample count, skipped windows, then ``meta``), then per sample its task and examples."""
     header = {
-        "lookback": dataset.window.lookback,
         "horizon": dataset.window.horizon,
         "samples": len(dataset.samples),
         "skipped_windows": dataset.skipped_windows,
@@ -404,8 +400,11 @@ def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
     lineno = 1
     # JSONDecodeError is a ValueError; a bad key, type or span is a malformed file too
     try:
-        w = WindowSpec(header["lookback"], header["horizon"])
+        w = WindowSpec(header["horizon"])
         h = w.horizon
+        skipped = header["skipped_windows"]
+        if type(skipped) is not int or skipped < 0:
+            raise ValueError(f"skipped_windows must be an integer >= 0, got {skipped!r}")
         tasks: list[TaskKind] = []
         counts: list[int] = []
         fields = array("q")  # per example: channel index, span start and end, h masked positions or zeros
@@ -449,4 +448,4 @@ def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
             raise DataError(f"{len(samples)} samples, the header promises {header['samples']}")
     except (KeyError, TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed dataset {path}, line {lineno}: {exc!r}") from None
-    return ContextDataset(samples, w, header["skipped_windows"])
+    return ContextDataset(samples, w, skipped)

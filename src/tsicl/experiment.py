@@ -29,7 +29,7 @@ from .trainer import TrainConfig, TrainRecord, train
 
 
 def window(cfg: dict) -> WindowSpec:
-    return WindowSpec(cfg["lookback"], cfg["horizon"])
+    return WindowSpec(cfg["horizon"])
 
 
 def task_kinds(names: list[str]) -> list[TaskKind]:
@@ -56,12 +56,7 @@ def synth_spec(cfg: dict) -> SynthSpec:
         length=cfg["synth_length"],
         seed=cfg["seed"],
         name=cfg["dataset_name"],
-        components=(cfg["synth_components_min"], cfg["synth_components_max"]),
-        amplitude=(cfg["synth_amplitude_min"], cfg["synth_amplitude_max"]),
-        frequency=(cfg["synth_frequency_min"], cfg["synth_frequency_max"]),
-        noise_sigma=cfg["synth_noise_sigma"],
-        noise_ar=cfg["synth_noise_ar"],
-        min_window=cfg["lookback"] + cfg["horizon"],
+        min_window=3 * cfg["horizon"],  # lookback 2h plus horizon h
     )
 
 
@@ -83,7 +78,6 @@ def build_datasets(store: SplitStore, cfg: dict):
         cfg["demo_counts"],
         cfg["seed"],
         stride=cfg["stride"] or None,
-        valid_stride=cfg["valid_stride"] or None,
         cross_channel_demos=cfg["cross_channel_demos"],
     )
 

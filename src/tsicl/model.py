@@ -51,6 +51,7 @@ from .errors import ConfigError, GeometryError
 DECODER_CAUSAL = "decoder_causal"
 ENCODER_MASKED = "encoder_masked"
 VARIANTS = (DECODER_CAUSAL, ENCODER_MASKED)
+MAX_TOKENS = 2048  # the longest stream, cached prefix included, that a forward pass accepts
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,11 @@ class ModelConfig:
     n_layers: int = 2
     n_heads: int = 4
     ff_mult: int = 4
-    max_tokens: int = 2048
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        for name in ("patch_size", "d_model", "n_layers", "n_heads", "ff_mult", "max_tokens"):
+        for name in ("patch_size", "d_model", "n_layers", "n_heads", "ff_mult"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -197,8 +197,8 @@ def _check_tokens(n: int, config: ModelConfig, cached: bool) -> None:
         raise GeometryError(
             f"{config.variant} cannot reuse a cached prefix: its prefix rows attend to what follows them"
         )
-    if n > config.max_tokens:
-        raise GeometryError(f"token length {n} exceeds max_tokens {config.max_tokens}")
+    if n > MAX_TOKENS:
+        raise GeometryError(f"token length {n} exceeds MAX_TOKENS {MAX_TOKENS}")
 
 
 def encode_prefix(tokens: np.ndarray, params: dict[str, ad.Parameter], config: ModelConfig) -> list[KeysValues]:

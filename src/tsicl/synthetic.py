@@ -3,8 +3,9 @@
 ``FAMILIES`` maps each family's name to its generator, which draws one
 channel's values from the spec and the channel's rng. ``sinusoid_mixture``
 sums a few random sinusoids with AR(1) noise; ``ar2`` draws its coefficients
-inside the stationarity triangle. Output is round-trip compatible with the CSV
-ingestion format.
+inside the stationarity triangle. A family's shape is its module constants,
+not configuration. Output is round-trip compatible with the CSV ingestion
+format.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ SINUSOID_MIXTURE = "sinusoid_mixture"
 AR2 = "ar2"
 
 AR2_BURN_IN = 128
+COMPONENTS = (2, 3)  # sinusoid count range, inclusive
+AMPLITUDE = (0.5, 1.5)
+FREQUENCY = (2 * np.pi / 64, 2 * np.pi / 16)
+NOISE_SIGMA = 0.05  # the sinusoid noise's stationary std, and the ar2 innovation std
+NOISE_AR = 0.5  # AR(1) coefficient of the sinusoid noise term
 
 
 @dataclass(frozen=True)
@@ -30,11 +36,6 @@ class SynthSpec:
     length: int = 2048
     seed: int = 0
     name: str = "synth"
-    components: tuple[int, int] = (2, 3)  # sinusoid count range, inclusive
-    amplitude: tuple[float, float] = (0.5, 1.5)
-    frequency: tuple[float, float] = (2 * np.pi / 64, 2 * np.pi / 16)
-    noise_sigma: float = 0.05
-    noise_ar: float = 0.5  # AR(1) coefficient of the sinusoid noise term
     min_window: int | None = None  # when set, require length >= 10 * min_window
 
     def __post_init__(self) -> None:
@@ -42,41 +43,33 @@ class SynthSpec:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         if self.count < 1 or self.length < 10:
             raise ConfigError("count must be >= 1 and length >= 10")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        if not -1 < self.noise_ar < 1:
-            raise ConfigError("noise_ar must lie in (-1, 1)")
-        if self.components[0] < 1 or self.components[0] > self.components[1]:
-            raise ConfigError(f"bad component range {self.components}")
         if self.min_window is not None and self.length < 10 * self.min_window:
             raise ConfigError(
                 f"length {self.length} shorter than 10 windows of {self.min_window} steps"
             )
 
 
-def _ar1_noise(rng: np.random.Generator, n: int, sigma: float, rho: float) -> np.ndarray:
-    if sigma == 0.0:
-        return np.zeros(n)
-    # Innovations scaled so the stationary marginal std equals sigma.
-    e = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=n)
+def _ar1_noise(rng: np.random.Generator, n: int) -> np.ndarray:
+    # Innovations scaled so the stationary marginal std equals NOISE_SIGMA.
+    e = rng.normal(0.0, NOISE_SIGMA * np.sqrt(1.0 - NOISE_AR * NOISE_AR), size=n)
     out = np.empty(n)
-    prev = rng.normal(0.0, sigma)
+    prev = rng.normal(0.0, NOISE_SIGMA)
     for i in range(n):
-        prev = rho * prev + e[i]
+        prev = NOISE_AR * prev + e[i]
         out[i] = prev
     return out
 
 
 def _sinusoid_series(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    k = int(rng.integers(spec.components[0], spec.components[1] + 1))
+    k = int(rng.integers(COMPONENTS[0], COMPONENTS[1] + 1))
     t = np.arange(spec.length)
     x = np.zeros(spec.length)
     for _ in range(k):
-        a = rng.uniform(*spec.amplitude)
-        w = rng.uniform(*spec.frequency)
+        a = rng.uniform(*AMPLITUDE)
+        w = rng.uniform(*FREQUENCY)
         phase = rng.uniform(0.0, 2 * np.pi)
         x += a * np.sin(w * t + phase)
-    return x + _ar1_noise(rng, spec.length, spec.noise_sigma, spec.noise_ar)
+    return x + _ar1_noise(rng, spec.length)
 
 
 def draw_ar2_coefficients(rng: np.random.Generator) -> tuple[float, float]:
@@ -91,7 +84,7 @@ def draw_ar2_coefficients(rng: np.random.Generator) -> tuple[float, float]:
 def _ar2_series(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     phi1, phi2 = draw_ar2_coefficients(rng)
     n = spec.length + AR2_BURN_IN
-    e = rng.normal(0.0, spec.noise_sigma if spec.noise_sigma > 0 else 1.0, size=n)
+    e = rng.normal(0.0, NOISE_SIGMA, size=n)
     x = np.zeros(n)
     for i in range(n):
         x[i] = e[i]

@@ -73,18 +73,17 @@ def answer_region(horizon: int, values: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Lookback/horizon pair; lookback is pinned to twice the horizon."""
+    """A horizon h; its lookback is always L = 2h."""
 
-    lookback: int
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.horizon < 1 or self.lookback < 2:
-            raise GeometryError(f"degenerate window {self.lookback}/{self.horizon}")
-        if self.lookback != 2 * self.horizon:
-            raise GeometryError(
-                f"lookback must equal 2*horizon, got {self.lookback}/{self.horizon}"
-            )
+        if self.horizon < 1:
+            raise GeometryError(f"horizon must be >= 1, got {self.horizon}")
+
+    @property
+    def lookback(self) -> int:
+        return 2 * self.horizon
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from tsicl.cli import main
 TINY_CLI = {
     "synth_count": "2",
     "synth_length": "240",
-    "lookback": "8",
     "horizon": "4",
     "demo_counts": "0,1",
     "demo_count": "1",

@@ -25,7 +25,7 @@ from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import MASK_FLAG, TaskKind, WindowSpec, answer_region, example_rows
 
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-WINDOWS = (WindowSpec(24, 12), WindowSpec(12, 6))
+WINDOWS = (WindowSpec(12), WindowSpec(6))
 
 
 def series(n=96):
@@ -64,7 +64,7 @@ def test_adapter_table(variant, task):
 
 
 def test_flip_twice_is_the_identity():
-    w = WindowSpec(24, 12)
+    w = WindowSpec(12)
     inputs, masks = query_batch(TaskKind.BACKTRACE, w)
     once, read = adapters.adapt_backtrace_flip(inputs, masks, w)
     twice, _ = adapters.adapt_backtrace_flip(once, masks, w)
@@ -80,7 +80,7 @@ def test_flip_twice_is_the_identity():
 )
 def test_truncate_scores_the_masked_positions_in_order(positions):
     window = np.arange(24, dtype=float) * 10.0
-    w = WindowSpec(24, 12)
+    w = WindowSpec(12)
     tokens, target = reference.example(TaskKind.IMPUTE, ChannelSeries("d", "c", window), 0, w, positions)
     (history,), (read,) = adapters.adapt_impute_truncate(tokens[None], np.array([positions]), w)
     first, last = positions[0], positions[-1]
@@ -96,7 +96,7 @@ def test_truncate_scores_the_masked_positions_in_order(positions):
 
 
 def test_truncate_refuses_a_mask_at_both_ends():
-    w = WindowSpec(24, 12)
+    w = WindowSpec(12)
     with pytest.raises(DataError, match="both ends"):
         adapters.adapt_impute_truncate(*query_batch(TaskKind.IMPUTE, w, positions=[0, 5, 23]), w)
 
@@ -122,7 +122,7 @@ def test_fitted_streams_are_patch_aligned_and_end_in_the_answer_region(w, task):
 
 def test_a_ragged_impute_baseline_is_each_query_scored_alone():
     """Truncated histories of several lengths are predicted in groups; each query gets its own answer, in order."""
-    w = WindowSpec(24, 12)
+    w = WindowSpec(12)
     late, early, split = list(range(11, 23)), list(range(12)), [*range(1, 7), *range(13, 19)]
     masks = np.array([late, split, early, list(range(8, 20)), early, [*range(5, 11), *range(17, 23)], late])
     starts = range(0, 6 * len(masks), 6)
@@ -138,7 +138,7 @@ def test_a_ragged_impute_baseline_is_each_query_scored_alone():
 
 
 def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
-    w = WindowSpec(24, 12)
+    w = WindowSpec(12)
     inputs, masks = query_batch(TaskKind.BACKTRACE, w, starts=(20,))
     fed = []
     real = evalharness.batched_predict
@@ -163,7 +163,7 @@ def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
 def test_encoder_forecast_baseline_is_the_no_context_probe():
     store = experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
     config = replace(TINY_MODEL, variant=ENCODER_MASKED)
-    protocol = EvalProtocol(TaskKind.FORECAST, (TaskKind.IMPUTE, TaskKind.BACKTRACE), WindowSpec(8, 4), demo_count=1)
+    protocol = EvalProtocol(TaskKind.FORECAST, (TaskKind.IMPUTE, TaskKind.BACKTRACE), WindowSpec(4), demo_count=1)
     preds, _, _ = score_probes(protocol, ("no_context", "baseline"), store, init_params(config, seed=1), config)
     assert len(preds["baseline"]) > 1
     assert np.array_equal(preds["baseline"], preds["no_context"])
@@ -182,7 +182,7 @@ def masked_tail(stream: np.ndarray, p: int) -> tuple[int, int]:
 def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
     """The encoder reads the masked tail's own rows; the decoder reads them one row earlier."""
     store = experiment.store_from_channels(generate(SynthSpec(count=1, length=240, seed=0)), "synth")
-    w = WindowSpec(24, 12)
+    w = WindowSpec(12)
     config = replace(TINY_MODEL, variant=variant)
     rng = np.random.default_rng(0)
     task, table, channel = TaskKind.BACKTRACE, store.table, store.channels[0]

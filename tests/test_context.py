@@ -39,7 +39,7 @@ from tsicl.tasks import (
     valid_start_range,
 )
 
-W42 = WindowSpec(4, 2)
+W42 = WindowSpec(2)
 
 
 def count_disjoint_starts(pool, query_span: Span, task: TaskKind, w: WindowSpec) -> int:
@@ -117,7 +117,7 @@ class TestAssemble:
         assert np.array_equal(targets[-1], q[1])
 
     def test_paper_scale_token_count(self):
-        w = WindowSpec(192, 96)
+        w = WindowSpec(96)
         out = sample_of(series_of(288 * 6), TaskKind.FORECAST, [*(288 * (i + 1) for i in range(4)), 0], w)
         assert sample_streams([out])[0].shape == (1, 1440, 3)  # 5 examples of L + h = 288
 
@@ -147,7 +147,7 @@ class TestAssemble:
 
     def test_geometry_mismatch(self):
         sm = sample_of(series_of(20), TaskKind.FORECAST, [0], W42)
-        big = sample_of(series_of(40), TaskKind.FORECAST, [0], WindowSpec(8, 4))
+        big = sample_of(series_of(40), TaskKind.FORECAST, [0], WindowSpec(4))
         with pytest.raises(Exception, match="geometry"):
             sample_streams([sm, big])
 
@@ -169,7 +169,7 @@ class TestBuildDataset:
 
     def test_window_count_matches_enumeration(self):
         # L=8, h=4, stride 4, length 60, forecast-only: starts {0,4,...,48} -> 13
-        w = WindowSpec(8, 4)
+        w = WindowSpec(4)
         ds = build_context_dataset([series_of(60)], {TaskKind.FORECAST}, w, 0, stride=4, seed=0)
         expected = len([t for t in range(0, 60 - 8 + 1, 4) if t + 12 <= 60])
         assert expected == 13
@@ -199,7 +199,7 @@ class TestBuildDataset:
         store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
         for cross_channel_demos in (False, True):
             parts = build_train_valid(
-                store, TASK_ORDER, WindowSpec(8, 4), [0, 2], seed=4, stride=3, cross_channel_demos=cross_channel_demos
+                store, TASK_ORDER, WindowSpec(4), [0, 2], seed=4, stride=3, cross_channel_demos=cross_channel_demos
             )
             foreign_demos = 0
             for m, train, valid in parts:
@@ -237,7 +237,7 @@ BUILD_DECISIONS_SHA256 = "07b9159c1d116fe7a3d8070d64053363d070f1a43a26757ee7b817
 def test_build_decisions_are_pinned(tmp_path, monkeypatch):
     store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
     digest = hashlib.sha256()
-    for m, train, valid in build_train_valid(store, TASK_ORDER, WindowSpec(8, 4), [0, 2], seed=4, stride=3):
+    for m, train, valid in build_train_valid(store, TASK_ORDER, WindowSpec(4), [0, 2], seed=4, stride=3):
         for name, ds in (("train", train), ("valid", valid)):
             path = tmp_path / f"{name}_m{m}.jsonl"
             write_jsonl(ds, path)
@@ -259,7 +259,7 @@ def test_build_decisions_are_pinned(tmp_path, monkeypatch):
 @st.composite
 def build_config(draw):
     h = draw(st.integers(min_value=1, max_value=4))
-    w = WindowSpec(2 * h, h)
+    w = WindowSpec(h)
     n = draw(st.integers(min_value=4 * (3 * h), max_value=240))
     m = draw(st.integers(min_value=0, max_value=8))
     tasks = draw(
@@ -303,16 +303,16 @@ class TestStructuralInvariants:
 # bits may differ between numpy builds; everything else is integers and config.
 CONTEXT_FILES_SHA256 = {
     "decoder": {
-        "ctx_train_m0.jsonl": "2ce6ace00cd1b5b0e0b6a9bb91ab5a7b97e7b07ddbc27982735a2f67d9c31823",
-        "ctx_train_m1.jsonl": "bb370afcd898788b004fbed7a04a799acfcabb8083ac386418cf407762fe0a52",
-        "ctx_valid_m0.jsonl": "7ba49cac46a1d5b0bab06ff42e15cdc12090ebe2db75958ac7f75e0a1201fe95",
-        "ctx_valid_m1.jsonl": "31d074551b1445c03bb99094e80b82c16ba75026d8156994e6dcf8e94f60a8fb",
+        "ctx_train_m0.jsonl": "7fd576a127e290cb985923c6a4669ce74e979fb6f9d2019fdbc2cd6f49482c6e",
+        "ctx_train_m1.jsonl": "611ecae48516b39862e7d5b0f3f71c2fffec1227c464eb54ddeccbf6d77f9bd1",
+        "ctx_valid_m0.jsonl": "d87774b753b5015148337a2b434e9f9bf275bf9d5221ea0c9fe40bf0eed2f3ee",
+        "ctx_valid_m1.jsonl": "e8b712e9e24a1d2faf749d77f88928d205b3673cbea2e1a49944ba7e211ac9cb",
     },
     "cross_channel": {
-        "ctx_train_m0.jsonl": "e86940ec8086faacdc69342d77dee1006afbd7992ae9fcb19afc6a4320dff887",
-        "ctx_train_m2.jsonl": "c4c8fcf844b4a91ef04ff6b44413bb0e390c5b15c460adcfef0e866e241fdf64",
-        "ctx_valid_m0.jsonl": "c885fe210df0e6838efacefaf7ca2188d18606ad8b29ae618e581be8f676b390",
-        "ctx_valid_m2.jsonl": "44c4fc2964ba1309e8b53df020710e1863b57c0407b9043e948ea2289ec54851",
+        "ctx_train_m0.jsonl": "1f10e8b1a84519bc51dd8c6bc1bf61c7dd6a95397b23e1732aeea9f902801002",
+        "ctx_train_m2.jsonl": "4c94a0c706d86ce2f6dc1a2249c0cd0459890546199d73be74cf4a291ad3f1d6",
+        "ctx_valid_m0.jsonl": "48e1a416a7e4d83209a6264e728fb424b34dd60c8bb8162589c6538c5586e30b",
+        "ctx_valid_m2.jsonl": "a1fb0b2e97e957744bff51462ba374f87dac7d0bac171cb591af2f6dab013745",
     },
 }
 
@@ -336,7 +336,7 @@ def test_context_files_keep_their_bytes(tmp_path, name, settings):
 def test_a_replayed_sample_holds_integers(tmp_path):
     """A replayed 24-demo dataset holds under 256 bytes per example: rows and masks, no token arrays."""
     store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
-    [(_, train, _)] = build_train_valid(store, TASK_ORDER, WindowSpec(8, 4), [24], seed=0, stride=4)
+    [(_, train, _)] = build_train_valid(store, TASK_ORDER, WindowSpec(4), [24], seed=0, stride=4)
     write_jsonl(train, tmp_path / "ctx.jsonl")
     tracemalloc.start()
     try:

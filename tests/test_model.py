@@ -1,7 +1,6 @@
 import ctypes
 import resource
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,16 +173,17 @@ def test_cached_prefix_forward_equals_the_full_forward_rows(prefix_patches, dtyp
         assert np.max(np.abs(got - want)) <= bound * max(1.0, np.max(np.abs(want))), first_row
 
 
-def test_cached_prefix_counts_against_max_tokens():
+def test_cached_prefix_counts_against_max_tokens(monkeypatch):
     """The guard sees prefix + stream tokens, and names that full length."""
-    config = replace(tiny(DECODER_CAUSAL), max_tokens=40)
+    monkeypatch.setattr(model, "MAX_TOKENS", 40)
+    config = tiny(DECODER_CAUSAL)
     params = init_params(config)
     rng = np.random.default_rng(0)
     cache = model.encode_prefix(random_tokens(rng, batch=1, patches=15, patch_size=2)[0], params, config)
     forward_patch_predictions(random_tokens(rng, batch=2, patches=5, patch_size=2), params, config, 0, cache)
-    with pytest.raises(GeometryError, match="token length 42 exceeds max_tokens 40"):
+    with pytest.raises(GeometryError, match="token length 42 exceeds MAX_TOKENS 40"):
         forward_patch_predictions(random_tokens(rng, batch=2, patches=6, patch_size=2), params, config, 0, cache)
-    with pytest.raises(GeometryError, match="token length 42 exceeds max_tokens 40"):
+    with pytest.raises(GeometryError, match="token length 42 exceeds MAX_TOKENS 40"):
         model.encode_prefix(random_tokens(rng, batch=1, patches=21, patch_size=2)[0], params, config)
 
 

@@ -30,7 +30,7 @@ from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec, example_rows, source_span, target_offsets
 from tsicl.trainer import evaluate_loss
 
-WINDOW = WindowSpec(8, 4)
+WINDOW = WindowSpec(4)
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 STAGES = ("synth", "ingest", "build", "train", "eval", "report")
 

@@ -21,7 +21,7 @@ from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WINDOW = WindowSpec(8, 4)
+WINDOW = WindowSpec(4)
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 
 
@@ -208,6 +208,11 @@ class TestMalformedFiles:
             """The whole file with its first record replaced by ``raw`` whose query is ``query``."""
             return "\n".join([header, json.dumps({**raw, "examples": [*raw["examples"][:-1], query]}), *rest])
 
+        def reheaded(fields):
+            """The first record under a header of ``fields``."""
+            return "\n".join([json.dumps(fields), first])
+
+        meta = json.loads(header)
         dataset, channel, start, end, positions = record["examples"][-1]
         *span, mask = impute["examples"][-1]
         past_end = [dataset, store.channels[0], split_end - 2, split_end - 2 + end - start, positions]
@@ -215,7 +220,10 @@ class TestMalformedFiles:
             "truncated": ("\n".join([header, first, rest[0][:40]]), 3),
             "short": ("\n".join([header, first]), 2),
             "header_not_an_object": ("\n".join(["[]", first]), 1),
-            "header_bad_lookback": ("\n".join([json.dumps({**json.loads(header), "lookback": None}), first]), 1),
+            "header_bad_horizon": (reheaded({**meta, "horizon": None}), 1),
+            "header_without_skipped_windows": (reheaded({k: v for k, v in meta.items() if k != "skipped_windows"}), 1),
+            "header_skipped_windows_not_a_count": (reheaded({**meta, "skipped_windows": "many"}), 1),
+            "header_negative_skipped_windows": (reheaded({**meta, "skipped_windows": -3}), 1),
             "missing_key": ("\n".join([header, json.dumps({k: v for k, v in record.items() if k != "examples"})]), 2),
             "past_split_end": (edited(record, past_end), 2),
             "unknown_channel": (edited(record, [dataset, "no_such_channel", start, end, positions]), 2),
@@ -277,7 +285,7 @@ def test_a_mismatched_context_header_replays_nothing(pipeline_dir, tmp_path, mon
 
 @pytest.mark.parametrize(
     "changed, key",
-    [(["lookback=16", "horizon=8"], "lookback"), (["tasks=forecast"], "tasks")],
+    [(["horizon=8"], "horizon"), (["tasks=forecast"], "tasks")],
     ids=["window", "tasks"],
 )
 def test_train_on_context_built_with_other_settings_exits_3(pipeline_dir, tmp_path, capsys, changed, key):
@@ -321,7 +329,6 @@ def test_supervised_demo_outputs_on_the_encoder_exits_2(pipeline_dir, tmp_path, 
         pytest.param("build", "demo_counts=1,1", "demo_counts must not repeat a count, got [1, 1]",
                      id="duplicate_demo_counts"),
         pytest.param("build", "stride=-1", "stride must be >= 1, got -1", id="negative_stride"),
-        pytest.param("build", "valid_stride=-2", "valid_stride must be >= 1, got -2", id="negative_valid_stride"),
         pytest.param("train", "n_heads=0", "n_heads must be >= 1", id="zero_heads"),
         pytest.param("synth", "seed=-1", "seed must be >= 0, got -1", id="negative_seed"),
     ],
@@ -350,8 +357,13 @@ def test_a_failing_stage_leaves_no_out_dir(tmp_path, capsys, stage, message):
         ("train", "n_heads=0", "n_heads must be >= 1"),
         ("train", "batch_size=0", "batch_size, max_epochs and patience must be >= 1"),
         ("eval", "eval_task=bogus", "unknown task name"),
+        ("build", "lookback=24", "unknown config keys: ['lookback']"),  # lookback is 2 * horizon
+        ("build", "valid_stride=4", "unknown config keys: ['valid_stride']"),  # valid queries use stride
+        ("train", "max_tokens=4096", "unknown config keys: ['max_tokens']"),  # model.MAX_TOKENS
+        ("synth", "synth_noise_sigma=0.1", "unknown config keys: ['synth_noise_sigma']"),  # synthetic.NOISE_SIGMA
     ],
-    ids=["zero_heads", "zero_batch_size", "bogus_eval_task"],
+    ids=["zero_heads", "zero_batch_size", "bogus_eval_task", "removed_lookback", "removed_valid_stride",
+         "removed_max_tokens", "removed_synth_noise_sigma"],
 )
 def test_a_configuration_error_exits_2_before_reading_a_file(
     pipeline_dir, tmp_path, monkeypatch, capsys, stage, setting, message

@@ -40,38 +40,41 @@ def example(task, s, t, w, rng=None):
 
 class TestWindowSpec:
     def test_lookback_must_be_twice_horizon(self):
-        with pytest.raises(GeometryError, match="2\\*horizon"):
-            WindowSpec(10, 4)
+        """The lookback is derived, not given, so no window can hold another one."""
+        with pytest.raises(TypeError):
+            WindowSpec(lookback=10, horizon=4)
+        with pytest.raises(GeometryError, match="horizon must be >= 1, got 0"):
+            WindowSpec(0)
 
     @pytest.mark.parametrize("L,h", [(2, 1), (24, 12), (192, 96), (384, 192)])
     def test_valid_pairs(self, L, h):
-        assert WindowSpec(L, h).lookback == 2 * h
+        assert WindowSpec(h).lookback == L
 
 
 class TestForecast:
     def test_definition(self):
-        inputs, target, _ = example(TaskKind.FORECAST, series_of(10), 0, WindowSpec(4, 2))
+        inputs, target, _ = example(TaskKind.FORECAST, series_of(10), 0, WindowSpec(2))
         assert np.array_equal(inputs[:, VALUE], [0, 1, 2, 3])
         assert np.array_equal(inputs[:, MASK_FLAG], [0, 0, 0, 0])
         assert np.array_equal(target, [4, 5])
-        span = source_span(TaskKind.FORECAST, series_of(10), 0, WindowSpec(4, 2))
+        span = source_span(TaskKind.FORECAST, series_of(10), 0, WindowSpec(2))
         assert (span.start, span.end) == (0, 6)
 
     def test_last_window_valid(self):
-        _, target, _ = example(TaskKind.FORECAST, series_of(10), 4, WindowSpec(4, 2))
+        _, target, _ = example(TaskKind.FORECAST, series_of(10), 4, WindowSpec(2))
         assert np.array_equal(target, [8, 9])
 
     def test_out_of_range(self):
         with pytest.raises(GeometryError, match="out of range"):
-            example(TaskKind.FORECAST, series_of(10), 5, WindowSpec(4, 2))
+            example(TaskKind.FORECAST, series_of(10), 5, WindowSpec(2))
 
     def test_span_uses_absolute_offsets(self):
-        span = source_span(TaskKind.FORECAST, series_of(10, offset=100), 2, WindowSpec(4, 2))
+        span = source_span(TaskKind.FORECAST, series_of(10, offset=100), 2, WindowSpec(2))
         assert (span.start, span.end) == (102, 108)
 
     def test_a_start_past_the_last_is_refused_before_it_reads_the_next_series(self):
         """On the flat table the row after a series' last valid start reads the next series' first value."""
-        w, first = WindowSpec(4, 2), series_of(10)
+        w, first = WindowSpec(2), series_of(10)
         second = ChannelSeries("d", "c2", np.arange(10, dtype=float) + 100)
         table = SeriesTable([first, second])
         _, hi = valid_start_range(TaskKind.FORECAST, len(first), w)
@@ -85,19 +88,19 @@ class TestForecast:
 
 class TestBacktrace:
     def test_definition(self):
-        inputs, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2))
+        inputs, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(2))
         assert np.array_equal(inputs[:, VALUE], [2, 3, 4, 5])
         assert np.array_equal(target, [0, 1])  # chronological order
-        span = source_span(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2))
+        span = source_span(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(2))
         assert (span.start, span.end) == (0, 6)
 
     def test_start_at_horizon_boundary(self):
-        _, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(4, 2))
+        _, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(2))
         assert target[0] == 0.0
 
     def test_insufficient_history(self):
         with pytest.raises(GeometryError, match="insufficient history"):
-            example(TaskKind.BACKTRACE, series_of(10), 1, WindowSpec(4, 2))
+            example(TaskKind.BACKTRACE, series_of(10), 1, WindowSpec(2))
 
 
 def reference_mask_draw(seed_args, n, k):
@@ -117,7 +120,7 @@ class TestImpute:
         # independent reference implementation, then check the generator
         seed = self.find_seed_masking([1, 3])
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-        inputs, target, _ = example(TaskKind.IMPUTE, series_of(10), 0, WindowSpec(4, 2), rng)
+        inputs, target, _ = example(TaskKind.IMPUTE, series_of(10), 0, WindowSpec(2), rng)
         assert np.array_equal(inputs[:, VALUE], [0, 0, 2, 0])
         assert np.array_equal(inputs[:, MASK_FLAG], [0, 1, 0, 1])
         assert np.array_equal(target, [1, 3])
@@ -140,14 +143,14 @@ class TestImpute:
         assert len(positions) == h and len(set(positions)) == h
 
     def test_same_seed_same_mask(self):
-        w = WindowSpec(8, 4)
+        w = WindowSpec(4)
         a = example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
         b = example(TaskKind.IMPUTE, series_of(20), 3, w, np.random.default_rng(42))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_window_out_of_range(self):
         with pytest.raises(GeometryError, match="out of range"):
-            example(TaskKind.IMPUTE, series_of(5), 2, WindowSpec(4, 2), np.random.default_rng(0))
+            example(TaskKind.IMPUTE, series_of(5), 2, WindowSpec(2), np.random.default_rng(0))
 
     def test_uniformity_of_positions(self):
         # each position should be masked with probability h/L
@@ -165,7 +168,7 @@ class TestImpute:
 class TestTaskTable:
     """The edges of each task's record, on a split that does not start at 0."""
 
-    W = WindowSpec(4, 2)
+    W = WindowSpec(2)
 
     def split(self):
         return ChannelSeries("d", "c", np.arange(20, dtype=float), origin_offset=30, split="train")
@@ -211,7 +214,7 @@ class TestTaskTable:
 @st.composite
 def window_and_series(draw):
     h = draw(st.integers(min_value=1, max_value=6))
-    w = WindowSpec(2 * h, h)
+    w = WindowSpec(h)
     n = draw(st.integers(min_value=3 * h + 2, max_value=120))
     offset = draw(st.integers(min_value=0, max_value=50))
     return w, series_of(n, offset=offset), draw(st.integers(min_value=0, max_value=2**31))
@@ -272,7 +275,7 @@ class TestCrossTaskInvariants:
         )
 
     def test_byte_level_determinism(self):
-        w = WindowSpec(8, 4)
+        w = WindowSpec(4)
         s = series_of(40)
         blobs = []
         for _ in range(2):

@@ -106,7 +106,7 @@ def batch(dataset: ContextDataset, idxs: list[int]) -> tuple[np.ndarray, np.ndar
 def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
     """Validation losses 3, 1, 2, 4 make epoch 1 the best: four epochs end where a two-epoch run does."""
     config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+    dataset, _, _ = forecast_dataset(WindowSpec(8), 2)
 
     def run(valid_losses):
         scripted = iter(valid_losses)
@@ -127,7 +127,7 @@ def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
-    w, m, p = WindowSpec(16, 8), 2, 4
+    w, m, p = WindowSpec(8), 2, 4
     L, h, hp = w.lookback, w.horizon, w.horizon // p
     config = ModelConfig(variant=variant, patch_size=p, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
     dataset, queries, demos = forecast_dataset(w, m)
@@ -164,7 +164,7 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
 
 def test_every_stream_is_the_samples_reference_stream(monkeypatch):
     """Training and validation, for both variants, run each sample's reference stream: demos shown, query placeholders."""
-    w = WindowSpec(16, 8)
+    w = WindowSpec(8)
     h = w.horizon
     dataset, queries, demos = forecast_dataset(w, m=2)
     idxs = [0, 1, 2]
@@ -198,7 +198,7 @@ def test_training_reads_the_loss_that_validation_reads(variant):
     read answer patches 2..hp off shown values here and placeholders there.
     """
     config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
-    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+    dataset, _, _ = forecast_dataset(WindowSpec(8), 2)
     assert dataset.window.horizon // config.patch_size > 1
     rng = np.random.default_rng(5)
     params = init_params(config, seed=3)
@@ -218,7 +218,7 @@ def test_a_trained_decoder_reads_its_later_answer_patches_about_as_well_as_the_f
     input meets placeholders first at validation, and reads 1.92x here.
     """
     store = store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
-    w = WindowSpec(24, 12)
+    w = WindowSpec(12)
     parts = list(build_train_valid(store, [TaskKind.FORECAST, TaskKind.IMPUTE], w, [0, 2], seed=0, stride=2))
     train_ds, valid = (pool_datasets([part[k] for part in parts]) for k in (1, 2))
     config = ModelConfig(patch_size=4, d_model=16, n_layers=1, n_heads=2, ff_mult=2)
@@ -248,7 +248,7 @@ def materialised(store, task: TaskKind, span, mask: list[int], w: WindowSpec):
 def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, supervise):
     """Every batch stream and truth grid, bit for bit, against ``reference.build_stream`` of examples read off the store."""
     store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
-    w = WindowSpec(8, 4)
+    w = WindowSpec(4)
     parts = [train for _, train, _ in build_train_valid(store, TASK_ORDER, w, [0, 2], seed=3, stride=2)]
     dataset = pool_datasets(parts)
     assert {s.task for s in dataset.samples} == set(TASK_ORDER) and any(GEOMETRY[s.task].impute for s in dataset.samples)
@@ -273,7 +273,7 @@ def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, s
 def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
     """The loss graph runs its last block from the first supervised row; the loss is unchanged."""
     config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
-    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+    dataset, _, _ = forecast_dataset(WindowSpec(8), 2)
     rng = np.random.default_rng(3)
     params = init_params(config, seed=1)
     for p in params.values():  # float64, with non-trivial biases and gains
@@ -294,7 +294,7 @@ def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_predict_reads_the_full_forward_readout_rows(variant):
     config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
-    dataset, _, _ = forecast_dataset(WindowSpec(16, 8), 2)
+    dataset, _, _ = forecast_dataset(WindowSpec(8), 2)
     rng = np.random.default_rng(4)
     params = init_params(config, seed=2)
     for p in params.values():  # float64, with non-trivial biases and gains
@@ -335,7 +335,7 @@ class StrictArray(np.ndarray):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypatch):
     """Forward, backward, Adam and readout all run in the parameters' dtype: nothing upcasts silently."""
-    w, p = WindowSpec(16, 8), 4
+    w, p = WindowSpec(8), 4
     config = ModelConfig(variant=variant, patch_size=p, d_model=8, n_layers=2, n_heads=2, ff_mult=2)
     dataset, _, _ = forecast_dataset(w, m=2)
     params = init_params(config, seed=0)

@@ -28,7 +28,7 @@ from tsicl.tasks import TaskKind, WindowSpec
 from tsicl.trainer import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WINDOW = WindowSpec(8, 4)
+WINDOW = WindowSpec(4)
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 PROTOCOL = EvalProtocol(TaskKind.BACKTRACE, (TaskKind.FORECAST, TaskKind.IMPUTE), WINDOW, demo_count=2)
 
@@ -238,7 +238,7 @@ def half(*args):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(120)
 trainer._batch_loss_graph = half
-data = build_context_dataset(generate(SynthSpec(count=1, length=240)), [TaskKind.FORECAST], WindowSpec(8, 4), 0, seed=0)
+data = build_context_dataset(generate(SynthSpec(count=1, length=240)), [TaskKind.FORECAST], WindowSpec(4), 0, seed=0)
 config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 trainer.train(init_params(config), data, data, config, trainer.TrainConfig(batch_size=4))
 """
@@ -377,8 +377,8 @@ def test_a_train_inside_a_worker_runs_serially(monkeypatch):
 
 
 # a configuration whose float32 training bits differ between 1 and 2 OpenBLAS threads where the thread count is inherited
-BLAS_SENSITIVE = ["d_model=32", "n_heads=4", "ff_mult=4", "synth_count=4", "synth_length=512", "lookback=24",
-                  "horizon=12", "demo_counts=4", "demo_count=4"]
+BLAS_SENSITIVE = ["d_model=32", "n_heads=4", "ff_mult=4", "synth_count=4", "synth_length=512", "horizon=12",
+                  "demo_counts=4", "demo_count=4"]
 
 
 @needs_openblas
