@@ -56,7 +56,7 @@ def synth_spec(cfg: dict) -> SynthSpec:
         length=cfg["synth_length"],
         seed=cfg["seed"],
         name=cfg["dataset_name"],
-        min_window=3 * cfg["horizon"],  # lookback 2h plus horizon h
+        min_window=window(cfg).lookback + cfg["horizon"],
     )
 
 
