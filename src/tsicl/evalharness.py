@@ -24,13 +24,12 @@ whose prefix rows attend to the query, runs prefix ++ query whole.
 worker after it, to enforce that evaluation never updates them.
 
 ``score_probes`` scores channels on every core the process may use: it hands
-contiguous shares of channels to ``workers.fork_join``, which computes the
-first share in the calling process and each other share in a forked child,
-and joins the results in channel order. The store's table is made before the
-fork, so every worker reads the same copy. For the whole call every process
-runs OpenBLAS on one thread, whose small products would otherwise stall, so
-the scores are the same bits on any core count. It stays serial on one core,
-inside a worker, where no OpenBLAS thread count can be set, and where the
+the contiguous ``workers.shares`` of its channels to ``workers.fork_join``,
+which computes the first share in the calling process and each other share in
+a forked child, and joins the results in channel order. The store's table is
+made before the fork, so every worker reads the same copy. Every process runs
+OpenBLAS on one thread, so the scores are the same bits on any core count; see
+``workers`` for when the call runs serially. It also stays serial where the
 channels hold fewer than ``BATCH`` queries per worker (64, one
 ``batched_predict`` batch): there a fork costs more than it saves.
 """
@@ -331,12 +330,10 @@ def score_probes(
     from the train split only. Raises if the parameters change on the way.
 
     Contiguous shares of channels go to ``workers.fork_join``, one per
-    worker, every process on one BLAS thread; each worker checksums the
-    parameters after its share. A channel's work depends only on its index,
-    through its rng streams, so the results are the same on any core count.
-    It runs serially on one core, inside a worker, without a settable
-    OpenBLAS, or when the channels hold fewer than ``BATCH`` queries per
-    worker, where a fork costs more than it saves.
+    process; each worker checksums the parameters after its share. A
+    channel's work depends only on its index, through its rng streams, so the
+    results are the same on any core count. It uses at most one process per
+    ``BATCH`` queries: with fewer, a fork costs more than it saves.
     """
     stride = stride or protocol.window.horizon
     if stride < 1:

@@ -16,24 +16,26 @@ the tape: ``evaluate_loss`` runs ``_batch_loss_graph`` of the query answers
 over the unshuffled batches, with no tape active, and weights each batch's
 MSE by its sample count.
 
-Every batch splits into two fixed halves, its first ceil(B/2) samples and the
-rest. Each half's MSE divides by the whole batch's element count, and the
-halves' losses and gradients are summed in that order before the one Adam
-step. The second half of every batch, training's and validation's, runs in one
-persistent ``workers.one_worker`` process, forked once per ``train`` call.
+Every batch splits into two fixed halves, ``workers.shares(B, 2)``: its first
+ceil(B/2) samples and the rest. Each half's MSE divides by the whole batch's
+element count, and the halves' losses and gradients are summed in that order
+before the one Adam step. ``train`` runs both halves of every batch, training's
+and validation's, through one ``workers.pool``, made once per ``train`` call,
+whose one handler ``half`` serves both sides: the first half here, the second
+in the pool's worker if it has one (see ``workers`` for when it runs here).
 When ``train`` starts, every parameter's ``data`` becomes a view of one flat
-array: row 0 of a (2, N) ``workers.shared_zeros`` array, whose row 1 takes the
-worker's flat half-gradient, so only indices and losses cross the pipe. Adam,
-the sum of the halves and the best state are each one array operation, and the
-returned parameters are views of the best state. Where ``fork_join`` would run
-serially (one core, inside a worker, no settable OpenBLAS), the caller runs
-both halves itself, with the same bits. Every process runs one BLAS thread, so
-a run's bits depend on neither the core count nor ``OPENBLAS_NUM_THREADS``.
+array: row 0 of a (3, N) ``workers.shared_zeros`` array, whose rows 1 and 2
+take the halves' flat gradients, so only indices and losses cross the pipe.
+Adam, the sum of the halves and the best state are each one array operation,
+and the returned parameters are views of the best state. Every process runs
+one BLAS thread, so a run's bits depend on neither the core count nor
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +52,7 @@ from .model import (
     readout_rows,
 )
 from .tasks import WindowSpec
-from .workers import Worker, one_worker, shared_zeros
+from .workers import pool, shared_zeros, shares
 
 # Adam's moment decays and denominator floor (Kingma & Ba, 2015, Algorithm 1)
 BETA1 = 0.9
@@ -214,39 +216,28 @@ def _batches(dataset: ContextDataset, batch_size: int, rng: np.random.Generator 
     return batches if rng is None else [batches[j] for j in rng.permutation(len(batches))]
 
 
-def _in_halves(here, answer, part: str, idxs: list[int], worker: Worker | None):
-    """``here`` of the first ceil(n/2) of ``idxs``, then ``answer((part, rest, n))`` of the rest: in
-    ``worker``, whose handler is ``answer``, or here without one. The second result is None when the
-    rest is empty."""
-    mid = (len(idxs) + 1) // 2
-    request = (part, idxs[mid:], len(idxs))
-    if worker and request[1]:
-        worker.submit(request)
-    mine = here(idxs[:mid])
-    if not request[1]:
-        return mine, None
-    return mine, worker.result() if worker else answer(request)
+def _halves(part: str, batch: list[int]) -> list[tuple[str, list[int], int, int]]:
+    """``(part, idxs, len(batch), k)`` for the ``k``-th of ``batch``'s two ``shares``; an empty one is dropped."""
+    return [(part, batch[s.start : s.stop], len(batch), k) for k, s in enumerate(shares(len(batch), 2)) if s]
 
 
 def evaluate_loss(
     dataset: ContextDataset,
     params: dict[str, ad.Parameter],
     config: ModelConfig,
-    worker: Worker | None = None,
+    run: Callable[[list], list[float]] | None = None,
     batch_size: int = TrainConfig.batch_size,
 ) -> float:
     """Deployment-mode MSE over the query answers: the training loss without a tape, over the unshuffled
-    batches of ``batch_size``, each weighted by its sample count. Each batch's second half runs in
-    ``worker``, the trainer's, if given."""
+    batches of ``batch_size``, each weighted by its sample count. ``run`` answers each batch's ``_halves``
+    with their losses, the trainer's pool's if given, whose handler scores ``dataset``; by default, here."""
+
+    def serial(halves):
+        return [_query_loss(dataset, idxs, params, config, n) for _, idxs, n, _ in halves]
+
     total = 0.0
     for batch in _batches(dataset, batch_size):
-        n = len(batch)
-        value, theirs = _in_halves(
-            lambda half: _query_loss(dataset, half, params, config, n),
-            lambda request: _query_loss(dataset, request[1], params, config, n),
-            "valid", batch, worker,
-        )
-        total += (value if theirs is None else value + theirs) * n
+        total += sum((run or serial)(_halves("valid", batch))) * len(batch)  # the halves' sum, always in this order
     return total / len(dataset.samples)
 
 
@@ -272,41 +263,36 @@ def train(
     record = TrainRecord()
     best_valid, best, stale = np.inf, None, 0
 
-    # the worker reads the parameters (row 0) and writes its half's gradient (row 1), shared with this process
+    # row 0 holds the parameters and row 1 + k the k-th half's gradient, shared with the pool's worker
     size = sum(p.data.size for p in params.values())
-    data, their_grad = shared_zeros((2, size), np.result_type(*{p.data.dtype for p in params.values()}))
+    data, *grads = shared_zeros((3, size), np.result_type(*{p.data.dtype for p in params.values()}))
     np.concatenate([p.data.ravel() for p in params.values()], out=data)
     _bind(params, data)
-    grad = np.empty_like(data)
     optimizer = Adam(data, train_config)
 
-    def answer(request):
-        """The second half's loss: a training one, with its gradient left in ``their_grad``, or a validation one."""
-        part, idxs, n = request
+    def half(request):
+        """One half's loss: a training one, with its gradient left in ``grads[k]``, or a validation one."""
+        part, idxs, n, k = request
         if part == "valid":
             return _query_loss(valid, idxs, params, model_config, n)
-        return _gradient(dataset, idxs, params, model_config, supervise, n, their_grad)
+        return _gradient(dataset, idxs, params, model_config, supervise, n, grads[k])
 
-    with one_worker(answer) as worker:
+    with pool(half, 2) as (run, _):
         for epoch in range(train_config.max_epochs):
             rng = np.random.default_rng(np.random.SeedSequence((train_config.seed, 1, epoch)))
             loss_sum, n_seen = 0.0, 0
             for batch in _batches(dataset, train_config.batch_size, rng):
-                n = len(batch)
-                value, their_loss = _in_halves(
-                    lambda half: _gradient(dataset, half, params, model_config, supervise, n, grad),
-                    answer, "train", batch, worker,
-                )
-                if their_loss is not None:  # the halves' sum, always in this order
-                    value += their_loss
-                    grad += their_grad
+                losses = run(_halves("train", batch))
+                value = sum(losses)  # the halves' sum, always in this order
+                if len(losses) == 2:
+                    grads[0] += grads[1]
                 if not np.isfinite(value):
                     raise NumericalError(f"training loss diverged at epoch {epoch}")
-                optimizer.step(grad)
-                loss_sum += value * n
-                n_seen += n
+                optimizer.step(grads[0])
+                loss_sum += value * len(batch)
+                n_seen += len(batch)
 
-            valid_loss = evaluate_loss(valid, params, model_config, worker, train_config.batch_size)
+            valid_loss = evaluate_loss(valid, params, model_config, run, train_config.batch_size)
             record.train_losses.append(loss_sum / n_seen)
             record.valid_losses.append(valid_loss)
 

@@ -1,4 +1,4 @@
-"""Forked workers, every process on one BLAS thread: ``fork_join`` and ``one_worker``.
+"""Forked workers, every process on one BLAS thread: ``pool``, and ``fork_join`` on top of it.
 
 A ``Worker`` is a forked child that answers requests one at a time: the caller
 ``submit``s a request and reads its answer with ``result``. Both travel pickled
@@ -13,21 +13,22 @@ caller kills and reaps every worker on every exit path. Workers start by
 the caller must hold no threads of its own (OpenBLAS shuts its pool down on
 fork).
 
-``fork_join`` computes the first contiguous share of ``range(n)`` in the caller
-and each other share in a worker of its own, and returns the results in share
-order. ``one_worker`` keeps one worker for a whole block: training sends it the
-second half of every batch, validation's included. Forking once per training
-step instead was slower than one process, because each fork faults the heap
-back in. An array that ``shared_zeros`` makes before the fork is read and
-written by both processes, so the parameters and a half's gradient, two rows
-of one such array, need no message.
+``pool`` makes every worker, once for a whole block, and its ``run`` answers a
+list of requests in order: the first here, the next ones in the workers, any
+left over here too. ``fork_join`` is one ``run`` of one pool over the
+``shares`` of ``range(n)``, the one split rule. Training keeps one pool for a
+whole ``train`` call: forking once per step was slower than one process,
+because each fork faults the heap back in. An array that ``shared_zeros``
+makes before the fork is read and written by every process, so training's
+parameters and gradients, rows of one such array, need no message.
 
-For the whole call, serial or forked, OpenBLAS runs one thread, set through the
+Inside a pool every process runs OpenBLAS on one thread, set through the
 library numpy loaded (found in ``/proc/self/maps``) and restored afterwards:
 threaded OpenBLAS stalls on small products, two workers with two BLAS threads
 each are slower than one process, and one thread gives the same bits on any
-core count and any ``OPENBLAS_NUM_THREADS``. The call runs serially when one
-process is allowed, where that thread count cannot be set, and inside a worker.
+core count and any ``OPENBLAS_NUM_THREADS``. A pool forks no worker, so
+``run`` answers every request here, on one core, inside a worker, and where
+that thread count cannot be set.
 """
 
 from __future__ import annotations
@@ -87,12 +88,6 @@ def one_blas_thread() -> Iterator[bool]:
         yield True
     finally:
         set_(before)
-
-
-def _processes(capped: bool, most: int) -> int:
-    """Processes a call may use: one per core this process may use, at most ``most``; one inside a
-    worker or where the BLAS thread count could not be set (``capped`` False)."""
-    return max(1, min(len(os.sched_getaffinity(0)), most)) if capped and not _in_worker else 1
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -190,29 +185,40 @@ class Worker:
         self.close()
 
 
-def fork_join(task: Callable[[range], T], n: int, most: int) -> list[T]:
-    """``task`` over contiguous shares of ``range(n)``, in order: one share per core this
-    process may use, at most ``n`` and ``most`` shares, and one share inside a worker."""
-    with one_blas_thread() as capped, ExitStack() as stack:
-        count = _processes(capped, min(n, most))
-        bounds = [n * k // count for k in range(count + 1)]
-        shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        forked = [stack.enter_context(Worker(task)) for _ in shares[1:]]
-        for worker, share in zip(forked, shares[1:]):
-            worker.submit(share)
-        return [task(shares[0]), *(worker.result() for worker in forked)]
+def shares(n: int, count: int) -> list[range]:
+    """``range(n)`` in ``count`` contiguous shares, in order, whose lengths differ by at most 1, longest first."""
+    q, r = divmod(n, count)
+    bounds = [k * q + min(k, r) for k in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @contextmanager
-def one_worker(handler: Callable[[Any], Any]) -> Iterator[Worker | None]:
-    """One BLAS thread for the block, and a ``Worker`` serving ``handler`` where ``fork_join`` would
-    fork; None where it would run serially, so the caller does the worker's part itself."""
-    with one_blas_thread() as capped:
-        if _processes(capped, 2) < 2:
-            yield None
-            return
-        with Worker(handler) as worker:
-            yield worker
+def pool(handler: Callable[[Any], T], most: int) -> Iterator[tuple[Callable[[list], list[T]], int]]:
+    """``(run, count)``: one BLAS thread in the block, and ``count - 1`` ``Worker``s serving ``handler``,
+    where ``count`` is the cores this process may use, at most ``most``, or 1 where it runs serially.
+
+    ``run(requests)`` hands ``requests[1:]`` to the free workers and answers ``requests[0]``, then any
+    request left without a worker, here; it returns the answers in request order.
+    """
+    with one_blas_thread() as capped, ExitStack() as stack:
+        count = max(1, min(len(os.sched_getaffinity(0)), most)) if capped and not _in_worker else 1
+        forked = [stack.enter_context(Worker(handler)) for _ in range(count - 1)]
+
+        def run(requests: list) -> list[T]:
+            busy = forked[: len(requests) - 1]
+            for worker, request in zip(busy, requests[1:]):
+                worker.submit(request)
+            first, rest = handler(requests[0]), [handler(r) for r in requests[1 + len(busy) :]]
+            return [first, *(worker.result() for worker in busy), *rest]
+
+        yield run, count
+
+
+def fork_join(task: Callable[[range], T], n: int, most: int) -> list[T]:
+    """``task`` over the ``shares`` of ``range(n)``, in order: one share per process of a ``pool`` of
+    at most ``n`` and ``most``."""
+    with pool(task, min(n, most)) as (run, count):
+        return run(shares(n, count))
 
 
 def shared_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:

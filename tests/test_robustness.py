@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import overrides
 from tsicl import autodiff as ad
@@ -130,6 +133,47 @@ def test_cli_garbled_artifact_exits_3(pipeline_dir, tmp_path, stage, garble):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert str(target) in proc.stderr
+
+
+# (kind, position, byte): overwrite, insert before or delete the byte at position mod the file's length
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(("replace", "insert", "delete")), st.integers(0, 2**31), st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+
+
+def edited(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, position, byte in edits:
+        i = position % max(len(out), 1)
+        if kind == "insert" or not out:
+            out.insert(i, byte)
+        elif kind == "replace":
+            out[i] = byte
+        else:
+            del out[i]
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "artifact, stage",
+    [("synth.csv", "ingest"), ("store.json", "build"), ("ctx_train_m1.jsonl", "train"),
+     ("checkpoint.json", "eval"), ("eval_report.csv", "report")],
+)
+def test_random_byte_edits_exit_with_a_documented_code(pipeline_dir, tmp_path, artifact, stage):
+    """Whatever a few byte edits do to the artifact, the stage that reads it returns 0, 2, 3 or 4, never raises."""
+    data = (pipeline_dir / artifact).read_bytes()
+
+    @given(BYTE_EDITS)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def stage_exits_cleanly(edits):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as name:
+            out = Path(name)
+            copy_artifacts(pipeline_dir, out)
+            (out / artifact).write_bytes(edited(data, edits))
+            assert main([stage, *overrides(out)]) in (0, 2, 3, 4)
+
+    stage_exits_cleanly()
 
 
 def moved(record: dict, k: int, store, split: str) -> None:

@@ -1,7 +1,8 @@
 """Forked workers for eval scoring and training: same bits as serial, errors and frozen weights cross back, no child is left.
 
-Eval scores shares of channels in ``fork_join`` workers; training runs the second half of every batch and of the
-validation set in one persistent worker. Training's bits depend on neither the core count nor the BLAS thread count.
+``workers.pool`` makes every worker: eval scores ``shares`` of channels through ``fork_join``, one run of a pool, and
+training runs the second half of every batch and of the validation set in one pool's worker. Training's bits depend
+on neither the core count nor the BLAS thread count. After every test here, no child is left unreaped.
 """
 
 import os
@@ -48,7 +49,9 @@ def cores(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def assert_no_child_left() -> None:
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -62,7 +65,6 @@ def test_forked_scores_equal_serial_scores(monkeypatch):
         preds, truth, used = score_probes(PROTOCOL, PROBES, store, params, TINY_MODEL, seed=3, stride=1)
         assert used == n
         runs[n] = {**{probe: p.tobytes() for probe, p in preds.items()}, "truth": truth.tobytes()}
-        assert_no_child_left()
     assert runs[1] == runs[2]
 
 
@@ -77,7 +79,6 @@ def test_a_small_store_is_scored_serially(monkeypatch):
 def test_a_worker_does_not_fork_again(monkeypatch):
     cores(monkeypatch, 2)
     assert workers.fork_join(lambda share: len(workers.fork_join(lambda inner: None, 2, 2)), 2, 2) == [2, 1]
-    assert_no_child_left()
 
 
 @needs_openblas
@@ -93,7 +94,6 @@ def test_an_error_in_the_callers_share_kills_the_workers(monkeypatch):
     with pytest.raises(ValueError, match="the caller's share failed"):
         workers.fork_join(task, 2, 2)
     assert time.monotonic() - start < 30
-    assert_no_child_left()
 
 
 @needs_openblas
@@ -101,7 +101,30 @@ def test_a_worker_that_dies_without_an_answer_is_an_error(monkeypatch):
     cores(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="died without a result: wait status 768"):  # exit code 3
         workers.fork_join(lambda share: os._exit(3) if share.start else None, 2, 2)
-    assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_shares_are_contiguous_in_order_and_longest_first(count):
+    for n in range(41):
+        parts = workers.shares(n, count)
+        lengths = [len(part) for part in parts]
+        assert len(parts) == count and all(part.step == 1 for part in parts)
+        assert [i for part in parts for i in part] == list(range(n))
+        assert lengths == sorted(lengths, reverse=True) and lengths[0] - lengths[-1] <= 1
+
+
+@needs_openblas
+@pytest.mark.parametrize("n_cores, most", [(1, 3), (2, 3), (2, 1)])
+def test_a_pool_with_fewer_processes_than_requests_answers_them_in_order(monkeypatch, n_cores, most):
+    cores(monkeypatch, n_cores)
+    forks, test_pid = counting_forks(monkeypatch), os.getpid()
+    forked = min(n_cores, most) - 1
+    with workers.pool(lambda x: (x * x, _in_a_child(test_pid)), most) as (run, count):
+        assert count == forked + 1
+        for _ in range(3):
+            assert run([1, 2, 3]) == [(1, False), (4, forked > 0), (9, False)]
+            assert run([5]) == [(25, False)]
+    assert len(forks) == forked  # once for the block, not once per run
 
 
 def _in_a_child(test_pid: int) -> bool:
@@ -126,7 +149,6 @@ def test_a_data_error_in_a_worker_reaches_the_caller(monkeypatch):
     fail_the_baseline_in_children(monkeypatch)
     with pytest.raises(DataError, match="the baseline failed in a worker"):
         score_probes(PROTOCOL, ("ictp", "baseline"), wide_store(), init_params(TINY_MODEL), TINY_MODEL, stride=1)
-    assert_no_child_left()
 
 
 @needs_openblas
@@ -139,7 +161,6 @@ def test_a_data_error_in_a_worker_exits_3(pipeline_dir, tmp_path, monkeypatch, c
     fail_the_baseline_in_children(monkeypatch)
     assert main(["eval", *overrides(tmp_path), "--set", "eval_stride=1"]) == 3
     assert "the baseline failed in a worker" in capsys.readouterr().err
-    assert_no_child_left()
 
 
 @needs_openblas
@@ -155,7 +176,6 @@ def test_a_weight_moved_in_a_worker_is_refused(monkeypatch):
     monkeypatch.setattr(evalharness, "batched_predict", nudging)
     with pytest.raises(RuntimeError, match="frozen-model contract"):
         score_probes(PROTOCOL, ("ictp",), wide_store(), init_params(TINY_MODEL), TINY_MODEL, stride=1)
-    assert_no_child_left()
 
 
 @needs_openblas
@@ -285,8 +305,14 @@ def test_forked_training_equals_serial_training(monkeypatch, variant, supervise)
         cores(monkeypatch, n)
         runs[n] = trained_bits(*trainer.train(init_params(config, seed=1), data, valid, config, train_config))
         assert len(forks) == n - 1
-        assert_no_child_left()
     assert runs[1] == runs[2]
+
+
+def test_a_batch_splits_into_the_shares_of_two():
+    for n in range(1, 41):
+        batch = list(range(100, 100 + n))
+        halves = [("train", batch[s.start : s.stop], n, k) for k, s in enumerate(workers.shares(n, 2))]
+        assert trainer._halves("train", batch) == (halves[:1] if n == 1 else halves)
 
 
 def test_a_steps_summed_gradient_is_the_full_batch_gradient(monkeypatch):
@@ -314,7 +340,7 @@ def test_a_steps_summed_gradient_is_the_full_batch_gradient(monkeypatch):
         trainer.train({name: ad.Parameter(p.data.copy(), name) for name, p in start.items()}, data, valid, config,
                       TrainConfig(batch_size=BATCH))
     first, rest = halves
-    assert (len(first), len(rest)) == (9, 8)
+    assert (len(first), len(rest)) == tuple(map(len, workers.shares(BATCH, 2))) == (9, 8)
     with ad.Tape() as tape:
         tape.backward(trainer._batch_loss_graph(data, first + rest, start, config, False))
     full = np.concatenate([p.grad.ravel() for p in start.values()])
@@ -342,7 +368,6 @@ def test_an_error_in_the_training_workers_half_reaches_the_caller(monkeypatch):
     patch_the_loss_in_children(monkeypatch, fail)
     with pytest.raises(DataError, match="the loss failed in a worker"):
         trainer.train(init_params(config), data, valid, config, TrainConfig(batch_size=BATCH))
-    assert_no_child_left()
 
 
 @needs_openblas
@@ -356,7 +381,6 @@ def test_a_nan_loss_in_the_training_workers_half_is_numerical_error(monkeypatch)
     patch_the_loss_in_children(monkeypatch, poison)
     with pytest.raises(NumericalError, match="training loss diverged at epoch 0"):
         trainer.train(init_params(config), data, valid, config, TrainConfig(batch_size=BATCH))
-    assert_no_child_left()
 
 
 @needs_openblas
@@ -373,7 +397,6 @@ def test_a_train_inside_a_worker_runs_serially(monkeypatch):
 
     (caller_forks, caller_bits), (worker_forks, worker_bits) = workers.fork_join(task, 2, 2)
     assert (caller_forks, worker_forks) == (1, 0) and caller_bits == worker_bits
-    assert_no_child_left()
 
 
 # a configuration whose float32 training bits differ between 1 and 2 OpenBLAS threads where the thread count is inherited
