@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -233,6 +234,31 @@ def test_a_trained_decoder_reads_its_later_answer_patches_about_as_well_as_the_f
     per_patch = (errors**2).reshape(len(errors), -1, config.patch_size).mean(axis=(0, 2))
     assert len(per_patch) == 3
     assert per_patch[1:].mean() <= 1.5 * per_patch[0]
+
+
+def test_training_runs_the_pinned_batches_in_order(monkeypatch):
+    """Every batch two epochs of ``train`` run, training's and validation's, in order: each sample's task index,
+    table rows and masks, pinned by a SHA-256 of those integers. Recorded where ``train`` cuts a batch into its
+    halves, in this process, so a half that a worker runs counts too; demo counts are given unsorted."""
+    store = store_from_channels(generate(SynthSpec(count=1, length=240, seed=0)), "synth")
+    _, train_parts, valid_parts = zip(*build_train_valid(store, TASK_ORDER, WindowSpec(4), [2, 0, 1], seed=0))
+    data, valid = pool_datasets(train_parts), pool_datasets(valid_parts)
+    digest, real = hashlib.sha256(), trainer._halves
+
+    def recording(part, batch):
+        samples = (data if part == "train" else valid).samples
+        digest.update(np.array([part == "train", len(batch)], dtype=np.int64).tobytes())
+        for i in batch:
+            s = samples[i]
+            digest.update(np.concatenate([[TASK_ORDER.index(s.task)], s.rows, s.masks.ravel()]).astype(np.int64).tobytes())
+        return real(part, batch)
+
+    monkeypatch.setattr(trainer, "_halves", recording)
+    config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
+    _, record = trainer.train(init_params(config, seed=0), data, valid, config,
+                              TrainConfig(batch_size=3, max_epochs=2, patience=2))
+    assert len(record.train_losses) == 2
+    assert digest.hexdigest() == "1f8e028702356362a6846ca3ed0f2863e3e7b767f10dacabe1afbf3d4ef29c58"
 
 
 def materialised(store, task: TaskKind, span, mask: list[int], w: WindowSpec):
