@@ -48,7 +48,6 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,6 @@ import numpy as np
 from .errors import DataError, GeometryError, NumericalError
 
 _ACTIVE_TAPE = None
-_CHECK_FINITE = False
 
 # glibc's mallopt parameters (malloc.h) and DEFAULT_MMAP_THRESHOLD_MAX, its cap
 # on the dynamic mmap threshold: 4 MiB * sizeof(long), so 32 MiB on 64-bit
@@ -79,18 +77,6 @@ def _keep_freed_memory() -> bool:
 
 
 _keep_freed_memory()
-
-
-@contextmanager
-def finite_checks(enabled: bool = True):
-    """Debug mode: assert every op output is finite (costs one pass per op)."""
-    global _CHECK_FINITE
-    prev = _CHECK_FINITE
-    _CHECK_FINITE = enabled
-    try:
-        yield
-    finally:
-        _CHECK_FINITE = prev
 
 
 class Tensor:
@@ -189,9 +175,7 @@ def _tape() -> Tape | None:
     return _ACTIVE_TAPE
 
 
-def _finish(out: Tensor, backward_fn, op: str) -> Tensor:
-    if _CHECK_FINITE and not np.all(np.isfinite(out.data)):
-        raise NumericalError(f"non-finite output from {op}")
+def _finish(out: Tensor, backward_fn) -> Tensor:
     tape = _tape()
     if tape is not None:
         tape.record(out, backward_fn)
@@ -225,7 +209,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate((flat @ b.data.T).reshape(*lead, k))
         b.accumulate(a.data.reshape(-1, k).T @ flat)
 
-    return _finish(out, backward, "matmul")
+    return _finish(out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -240,7 +224,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             if not isinstance(t, Constant):
                 t.accumulate(_sum_to_shape(dout, t.data.shape))
 
-    return _finish(out, backward, "add")
+    return _finish(out, backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -273,7 +257,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dx = inv * (dxhat - np.mean(dxhat, axis=-1, keepdims=True) - xhat * proj)
         x.accumulate(dx)
 
-    return _finish(out, backward, "layer_norm")
+    return _finish(out, backward)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -316,7 +300,7 @@ def gelu(x: Tensor) -> Tensor:
         du *= dout
         x.accumulate(du)
 
-    return _finish(out, backward, "gelu")
+    return _finish(out, backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -333,7 +317,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             t.accumulate(dout[tuple(idx)])
             offset += n
 
-    return _finish(out, backward, "concat")
+    return _finish(out, backward)
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -351,7 +335,7 @@ def split_heads(x: Tensor, heads: int) -> Tensor:
     def backward(dout: np.ndarray) -> None:
         x.accumulate(dout.reshape(b, heads, s, dh).transpose(0, 2, 1, 3).reshape(b, s, d))
 
-    return _finish(out, backward, "split_heads")
+    return _finish(out, backward)
 
 
 def merge_heads(x: Tensor, heads: int) -> Tensor:
@@ -365,7 +349,7 @@ def merge_heads(x: Tensor, heads: int) -> Tensor:
     def backward(dout: np.ndarray) -> None:
         x.accumulate(dout.reshape(b, s, heads, dh).transpose(0, 2, 1, 3).reshape(bh, s, dh))
 
-    return _finish(out, backward, "merge_heads")
+    return _finish(out, backward)
 
 
 _ATTENTION_TILE = 64
@@ -435,7 +419,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
         k.accumulate(dk)
         v.accumulate(dv)
 
-    return _finish(out, backward, "attention")
+    return _finish(out, backward)
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
@@ -450,7 +434,7 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
         g[..., start:stop, :] = dout
         a.accumulate(g)
 
-    return _finish(out, backward, "row_slice")
+    return _finish(out, backward)
 
 
 def mse_loss(pred: Tensor, target: np.ndarray, count: int | None = None) -> Tensor:
@@ -469,7 +453,7 @@ def mse_loss(pred: Tensor, target: np.ndarray, count: int | None = None) -> Tens
     def backward(dout: np.ndarray) -> None:
         pred.accumulate(dout * 2.0 * diff / count)
 
-    return _finish(out, backward, "mse_loss")
+    return _finish(out, backward)
 
 
 _CHECKPOINT_DTYPES = ("float32", "float64")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .context import pool_datasets, read_header, read_jsonl, write_jsonl
+from .context import read_header, read_jsonl, write_jsonl
 from .errors import ConfigError, DataError, GeometryError, NumericalError
 from .evalharness import EvalReport, improvement_ratio, run_unseen_eval
 from .experiment import build_datasets, eval_protocol, model_config, synth_spec, train_config
@@ -203,7 +203,8 @@ def cmd_build(cfg: dict) -> None:
 
 
 def _read_context_files(cfg: dict, store: SplitStore):
-    """The pooled train and valid context files, replayed once every header names this store and build."""
+    """The train and valid context files, one dataset per demo count, replayed once every header names this
+    store and build."""
     paths = [Path(cfg["out_dir"]) / f"ctx_{part}_m{m}.jsonl" for part in ("train", "valid") for m in cfg["demo_counts"]]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
@@ -220,7 +221,7 @@ def _read_context_files(cfg: dict, store: SplitStore):
         if changed:
             raise DataError(f"{path} was not built with {changed[0]} = {cfg[changed[0]]!r} (run `build` again)")
     datasets, k = [read_jsonl(p, store) for p in paths], len(cfg["demo_counts"])
-    return pool_datasets(datasets[:k]), pool_datasets(datasets[k:])
+    return datasets[:k], datasets[k:]
 
 
 def cmd_train(cfg: dict) -> None:

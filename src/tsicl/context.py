@@ -2,28 +2,32 @@
 
 For each query window the builder draws a task, places the query, and
 samples demonstration windows of the same task whose source spans are
-disjoint from the query's. A sample is integers, in memory as on disk: a
-``ContextSample`` holds its task and, for each demo and then the query, the
-row of its window start in a ``series.SeriesTable`` (one flat copy of the
-series it was built from) and its window-relative masked positions. Values
-are read only when a stream is made, and ``example_streams`` is the one
-stream builder: from rows it gathers each example's input and then its
+disjoint from the query's. A sample is integers, in memory as on disk, and a
+``ContextDataset`` holds the samples of one demo count m as arrays: per sample
+its task's index in ``TASK_ORDER``, and per demo and last the query the row of
+its window start in a ``series.SeriesTable`` (one flat copy of the series it
+was built from) and where its h targets lie from that row
+(``tasks.target_offsets``, computed once, where a sample is built or
+replayed; an impute example's are its masked positions). Values are read
+only when a stream is made, and ``example_streams`` is the one stream
+builder: from rows and offsets it gathers each example's input and then its
 ``tasks.answer_region``, showing its true values or placeholders. Every model
-input is laid out with it: ``sample_streams`` gathers a batch of samples,
-each stream its demos with answers shown and last the query with
-placeholders; evaluation gathers a demo prefix and query streams apart
-(``evalharness.score_probes``). Answer tokens carry segment_flag=1, so the
-encoding stays invertible without separator tokens.
+input is laid out with it: ``sample_streams`` gathers a batch of one
+dataset's samples, each stream its demos with answers shown and last the
+query with placeholders; evaluation gathers a demo prefix and query streams
+apart (``evalharness.score_probes``). Answer tokens carry segment_flag=1, so
+the encoding stays invertible without separator tokens.
 
-A context file stores the same decisions. Its first line, the header, holds
+A context file stores one dataset. Its first line, the header, holds
 ``horizon``, ``samples`` and ``skipped_windows``, then the writer's ``meta``
 (``build`` adds its ``config`` and ``store_sha256``); ``read_header`` reads
 it alone. Each later line is one sample,
 ``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``,
 demos then query; spans are absolute, masked positions window-relative.
-``read_jsonl`` turns them back into rows of the store's table, and refuses
-what ``build`` never writes: an example in the test split, a demo outside
-the train split, or a demo that overlaps its query.
+``read_jsonl`` turns them back into rows and offsets of the store's table,
+and refuses what ``build`` never writes: samples of different example counts
+in one file, an example in the test split, a demo outside the train split,
+or a demo that overlaps its query.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GeometryError
+from .errors import ConfigError, DataError
 from .series import ChannelSeries, SeriesTable, SplitStore
 from .tasks import (
     GEOMETRY,
@@ -57,41 +61,25 @@ from .tasks import (
 DEMO_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ContextSample:
-    """One record as integers: its task, and per demo and last the query, the ``table`` row of its
-    window start (``rows``, (m+1,)) and its window-relative masked positions (``masks``, (m+1, h)
-    on impute, (m+1, 0) otherwise). Its values are read only by ``sample_streams``."""
+@dataclass
+class ContextDataset:
+    """The samples of one demo count m as integer arrays, their window and the query windows the build skipped.
+
+    Per sample, ``tasks`` (N,) holds its task's index in ``TASK_ORDER``; per
+    demo and last the query, ``rows`` (N, m+1) holds the ``table`` row of its
+    window start and ``offsets`` (N, m+1, h) where its targets lie from that
+    row. A context file's header holds the window and ``skipped_windows``.
+    """
 
     table: SeriesTable
     window: WindowSpec
-    task: TaskKind
+    tasks: np.ndarray
     rows: np.ndarray
-    masks: np.ndarray
-
-    @property
-    def spans(self) -> list[Span]:
-        """Each example's source span: the demos', then the query's."""
-        table, located = self.table, zip(self.table.locate(self.rows).tolist(), self.rows.tolist())
-        return [source_span(self.task, table.series[i], row - int(table.firsts[i]), self.window) for i, row in located]
-
-
-@dataclass
-class ContextDataset:
-    """Built samples, their window and the query windows the build skipped: what a context header holds."""
-
-    samples: list[ContextSample]
-    window: WindowSpec
+    offsets: np.ndarray
     skipped_windows: int = 0
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-
-def pool_datasets(datasets: Sequence[ContextDataset]) -> ContextDataset:
-    """The samples of datasets built with one window and several demo counts, as one set."""
-    samples = [s for d in datasets for s in d.samples]
-    return ContextDataset(samples, datasets[0].window, sum(d.skipped_windows for d in datasets))
+        return len(self.tasks)
 
 
 def sample_task(rng: np.random.Generator, tasks: set[TaskKind] | list[TaskKind]) -> TaskKind:
@@ -103,23 +91,16 @@ def sample_task(rng: np.random.Generator, tasks: set[TaskKind] | list[TaskKind])
 
 
 def example_streams(
-    table: SeriesTable, w: WindowSpec, groups: Sequence[tuple[TaskKind, np.ndarray, np.ndarray]], shown
+    table: SeriesTable, w: WindowSpec, rows: np.ndarray, offsets: np.ndarray, shown
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The streams (G, n, L+h, 3) and targets (G, n, h) of G groups of n examples each, in one ``gather``.
+    """The streams (..., L+h, 3) and targets (..., h) of the examples at ``table`` rows ``rows`` (...) whose
+    targets lie at ``offsets`` (..., h) from them, in one ``gather``.
 
-    A group is examples of one task: the task, their ``table`` rows (n,) and
-    their window-relative masked positions (n, k), which this loop, and no
-    other code, turns into target offsets by task. An example's stream is its
-    input and then its answer region, which shows its targets where ``shown``
-    (broadcast to (G, n)) is true and placeholders elsewhere. No task-match
-    check: evaluation also makes deliberate wrong-task demos.
+    An example's stream is its input and then its answer region, which shows
+    its targets where ``shown`` (broadcast to ``rows``' shape) is true and
+    placeholders elsewhere. The offsets say everything the task does, so
+    evaluation's deliberate wrong-task demos are gathered like any others.
     """
-    rows = np.stack([group_rows for _, group_rows, _ in groups])
-    offsets = np.empty((*rows.shape, w.horizon), dtype=np.int64)
-    for task in TASK_ORDER:
-        picked = [g for g, (group_task, _, _) in enumerate(groups) if group_task is task]
-        if picked:
-            offsets[picked] = target_offsets(task, w, np.stack([groups[g][2] for g in picked]))
     inputs, targets = gather(table.values, rows, offsets, w)
     L, h = w.lookback, w.horizon
     streams = np.empty((*rows.shape, L + h, 3))
@@ -129,20 +110,16 @@ def example_streams(
     return streams, targets
 
 
-def sample_streams(samples: Sequence[ContextSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The streams (B, (m+1)*(L+h), 3) and targets (B, m+1, h) of samples, in one ``example_streams``.
+def sample_streams(dataset: ContextDataset, idxs) -> tuple[np.ndarray, np.ndarray]:
+    """The streams (B, (m+1)*(L+h), 3) and targets (B, m+1, h) of the B samples ``idxs`` of ``dataset``.
 
-    The samples must share a table, a window and a demo count m. A stream is
-    each demo's input and shown answer, then the query's input and
-    placeholders: what training, validation and evaluation all run.
+    A stream is each demo's input and shown answer, then the query's input
+    and placeholders: what training and validation run.
     """
-    table, w = samples[0].table, samples[0].window
-    if any(s.table is not table or s.window != w for s in samples):
-        raise GeometryError("one gather needs samples of one table and one window geometry")
-    m = len(samples[0].rows) - 1
+    m = dataset.rows.shape[1] - 1
     shown = np.arange(m + 1) < m  # every demo, not the query
-    streams, targets = example_streams(table, w, [(s.task, s.rows, s.masks) for s in samples], shown)
-    return streams.reshape(len(samples), -1, 3), targets
+    streams, targets = example_streams(dataset.table, dataset.window, dataset.rows[idxs], dataset.offsets[idxs], shown)
+    return streams.reshape(len(streams), -1, 3), targets
 
 
 def sample_demos(
@@ -238,7 +215,7 @@ def build_context_dataset(
         by_channel.setdefault((s.dataset, s.channel), []).append(s)
 
     L, h = w.lookback, w.horizon
-    samples: list[ContextSample] = []
+    task_ids, rows, offsets = [], [], []
     skipped = 0
     window_index = 0
     for s in series:
@@ -263,12 +240,12 @@ def build_context_dataset(
                 skipped += 1
                 continue
             picks = [*demos, query]
-            rows = np.array([table.row(p, start) for p, start, _ in picks], dtype=np.int32)
-            masks = np.array([mask for _, _, mask in picks], dtype=np.int32).reshape(len(picks), -1)
-            samples.append(ContextSample(table, w, task, rows, masks))
-    if not samples:
+            task_ids.append(TASK_ORDER.index(task))
+            rows.append([table.row(p, start) for p, start, _ in picks])
+            offsets.append(target_offsets(task, w, [mask for _, _, mask in picks]))
+    if not rows:
         raise DataError(f"empty dataset: all {skipped} windows skipped")
-    return ContextDataset(samples, w, skipped)
+    return ContextDataset(table, w, np.array(task_ids), np.array(rows, np.int32), np.array(offsets, np.int32), skipped)
 
 
 def build_train_valid(
@@ -306,19 +283,23 @@ def build_train_valid(
 
 
 def write_jsonl(dataset: ContextDataset, path: str | Path, meta: dict | None = None) -> None:
-    """The header line (window, sample count, skipped windows, then ``meta``), then per sample its task and examples."""
-    header = {
-        "horizon": dataset.window.horizon,
-        "samples": len(dataset.samples),
-        "skipped_windows": dataset.skipped_windows,
-        **(meta or {}),
-    }
+    """The header line (window, sample count, skipped windows, then ``meta``), then per sample its task and
+    examples: each one's source span, found from its row as ``_replay_rows`` finds the row back, and its
+    masked positions, the offsets of an impute example."""
+    w, table = dataset.window, dataset.table
+    header = {"horizon": w.horizon, "samples": len(dataset), "skipped_windows": dataset.skipped_windows, **(meta or {})}
+    held = table.locate(dataset.rows)
+    origin = np.array([s.origin_offset for s in table.series])
+    before = np.array([reach(t, w)[0] for t in TASK_ORDER])[dataset.tasks]
+    starts = origin[held] + dataset.rows - table.firsts[held] - before[:, None]
+    names = [(s.dataset, s.channel) for s in table.series]
     with Path(path).open("w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for s in dataset.samples:
-            examples = [[x.dataset, x.channel, x.start, x.end, mask] for x, mask in zip(s.spans, s.masks.tolist())]
-            record = {"task": str(s.task), "examples": examples}
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        for t, located, first, offsets in zip(*(x.tolist() for x in (dataset.tasks, held, starts, dataset.offsets))):
+            task = TASK_ORDER[t]
+            width, impute = span_width(task, w), GEOMETRY[task].impute
+            examples = [[*names[i], a, a + width, o if impute else []] for i, a, o in zip(located, first, offsets)]
+            fh.write(json.dumps({"task": str(task), "examples": examples}, separators=(",", ":")) + "\n")
 
 
 def read_header(path: str | Path) -> dict:
@@ -347,7 +328,7 @@ class _Refused(ValueError):
 def _replay_rows(
     table: SeriesTable, w: WindowSpec, names: list, task_ids: np.ndarray, query: np.ndarray, fields: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The table row of each stored example's window start and its (h,) mask row, checked as arrays.
+    """The table row of each stored example's window start and its (h,) target offsets, checked as arrays.
 
     Per example, in file order: its task's index in ``TASK_ORDER``, whether it
     ends its record (the query), and its ``fields`` row: its channel's index
@@ -381,17 +362,22 @@ def _replay_rows(
         first = int(np.argmax(failed))
         raise _Refused(first, next(why for bad, why in checks if bad[first]))
     before = np.array([reach(t, w)[0] for t in TASK_ORDER])[task_ids]
-    return (table.firsts[held] + start - origin[held] + before).astype(np.int32), masks.astype(np.int32)
+    offsets = np.empty(masks.shape, dtype=np.int32)
+    for t, task in enumerate(TASK_ORDER):
+        picked = task_ids == t
+        offsets[picked] = target_offsets(task, w, masks[picked, : w.horizon if GEOMETRY[task].impute else 0])
+    return (table.firsts[held] + start - origin[held] + before).astype(np.int32), offsets
 
 
 def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
-    """Read a context file into samples that hold rows of ``store.table``, as ``build`` made them.
+    """Read a context file into a dataset of rows of ``store.table``, as ``build`` made it.
 
-    Each line is parsed into integers as it is read; then the whole file's
-    examples are checked and turned into rows at once (``_replay_rows``): the
-    row of the split that holds an example's span, plus the values its task
-    reads before its window. A malformed or refused example raises
-    ``DataError`` naming its line.
+    Each line is parsed into integers as it is read, and must hold as many
+    examples as the first; then the whole file's examples are checked and
+    turned into rows and offsets at once (``_replay_rows``): the row of the
+    split that holds an example's span, plus the values its task reads before
+    its window. A malformed or refused example raises ``DataError`` naming
+    its line.
     """
     header = read_header(path)
     table = store.table
@@ -405,8 +391,8 @@ def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
         skipped = header["skipped_windows"]
         if type(skipped) is not int or skipped < 0:
             raise ValueError(f"skipped_windows must be an integer >= 0, got {skipped!r}")
-        tasks: list[TaskKind] = []
-        counts: list[int] = []
+        tasks: list[int] = []
+        n = 0  # examples per sample, the first sample's
         fields = array("q")  # per example: channel index, span start and end, h masked positions or zeros
         with Path(path).open() as fh:
             fh.readline()
@@ -417,6 +403,9 @@ def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
                 pad = [0] * (h - k)
                 if not record["examples"]:
                     raise ValueError("a sample needs a query")
+                n = n or len(record["examples"])
+                if len(record["examples"]) != n:
+                    raise ValueError(f"example count {len(record['examples'])}, the file's first sample's {n}")
                 for example in record["examples"]:
                     dataset, name, first, last, mask = example
                     channel = channel_of.get((dataset, name))
@@ -425,27 +414,19 @@ def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
                     if len(mask) != k:
                         raise ValueError(f"example {example} masks {len(mask)} positions, a {task} example {k}")
                     fields.extend([channel, first, last, *mask, *pad])
-                tasks.append(task)
-                counts.append(len(record["examples"]))
-        samples = []
-        if counts:
-            record_of = np.repeat(np.arange(len(counts)), counts)
-            query = np.zeros(len(record_of), dtype=bool)
-            query[np.cumsum(counts) - 1] = True
-            task_ids = np.array([TASK_ORDER.index(t) for t in tasks])[record_of]
-            table_fields = np.frombuffer(fields, dtype=np.int64).reshape(-1, 3 + h)
-            try:
-                rows, masks = _replay_rows(table, w, names, task_ids, query, table_fields)
-            except _Refused as exc:
-                lineno = 2 + int(record_of[exc.index])
-                channel, first, last, *mask = table_fields[exc.index].tolist()
-                k = h if GEOMETRY[tasks[record_of[exc.index]]].impute else 0
-                raise ValueError(f"example {[*names[channel], first, last, mask[:k]]} {exc}") from None
-            bounds = np.cumsum([0, *counts]).tolist()
-            for task, a, b in zip(tasks, bounds, bounds[1:]):
-                samples.append(ContextSample(table, w, task, rows[a:b], masks[a:b, : h if GEOMETRY[task].impute else 0]))
-        if len(samples) != header["samples"]:
-            raise DataError(f"{len(samples)} samples, the header promises {header['samples']}")
+                tasks.append(TASK_ORDER.index(task))
+        sample_tasks = np.array(tasks, dtype=np.int64)
+        task_ids, query = np.repeat(sample_tasks, n), np.tile(np.arange(n) == n - 1, len(tasks))
+        table_fields = np.frombuffer(fields, dtype=np.int64).reshape(-1, 3 + h)
+        try:
+            rows, offsets = _replay_rows(table, w, names, task_ids, query, table_fields)
+        except _Refused as exc:
+            lineno = 2 + exc.index // n
+            channel, first, last, *mask = table_fields[exc.index].tolist()
+            k = h if GEOMETRY[TASK_ORDER[task_ids[exc.index]]].impute else 0
+            raise ValueError(f"example {[*names[channel], first, last, mask[:k]]} {exc}") from None
+        if len(tasks) != header["samples"]:
+            raise DataError(f"{len(tasks)} samples, the header promises {header['samples']}")
     except (KeyError, TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed dataset {path}, line {lineno}: {exc!r}") from None
-    return ContextDataset(samples, w, skipped)
+    return ContextDataset(table, w, sample_tasks, rows.reshape(len(tasks), n), offsets.reshape(len(tasks), n, h), skipped)

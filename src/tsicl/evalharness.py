@@ -6,9 +6,11 @@ of the unseen task (train-split data only); the baseline path rewrites each
 query with the adapter ``adapters.adapter_for`` picks. Demo and query windows
 come from the task table in ``tasks``: its valid starts and span widths.
 Queries and demos are rows of ``store.table`` plus masks
-(``tasks.example_rows``), and ``context.example_streams``, the one stream
-builder, gathers them: the query streams, which end in placeholders, and the
-demo prefix, whose answers are shown. ``_fit_adapted`` appends the answer
+(``tasks.example_rows``), which ``tasks.target_offsets`` turns into the
+offsets of their targets, as a context dataset holds them. From rows and
+offsets ``context.example_streams``, the one stream builder, gathers the query
+streams, which end in placeholders, and the demo prefix, whose answers are
+shown. ``_fit_adapted`` appends the answer
 region (rounded up to whole patches) after each adapted history, which is not
 an example. Both paths return predictions only: the queries' truth comes from
 their gather, and ``score_probes`` scores every probe against it.
@@ -63,6 +65,7 @@ from .tasks import (
     answer_region,
     example_rows,
     span_width,
+    target_offsets,
     valid_start_range,
 )
 from .workers import fork_join
@@ -304,7 +307,7 @@ def _probe_prefix(
     task, stream = {"ictp": (protocol.eval_task, 3), "wrong_task": (protocol.pretrain_tasks[0], 4)}[probe]
     starts = eval_demo_starts(len(train_s), task, w, protocol.demo_count)
     rows, masks = example_rows(table, task, train_s, starts, w, _rng(seed, stream, ch_idx))
-    return example_streams(table, w, [(task, rows, masks)], shown=True)[0].reshape(-1, 3)
+    return example_streams(table, w, rows, target_offsets(task, w, masks), shown=True)[0].reshape(-1, 3)
 
 
 def query_count(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> int:
@@ -352,7 +355,7 @@ def score_probes(
         if not starts:
             raise DataError(f"test split of length {len(test_s)} admits no {task} window")
         rows, masks = example_rows(table, task, test_s, starts, w, _rng(seed, 2, ch_idx))
-        (queries,), (truth,) = example_streams(table, w, [(task, rows, masks)], shown=False)
+        queries, truth = example_streams(table, w, rows, target_offsets(task, w, masks), shown=False)
         preds = []
         for probe in probes:
             if probe == "baseline":

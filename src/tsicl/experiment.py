@@ -18,7 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .context import build_train_valid, pool_datasets
+from .context import build_train_valid
 from .errors import ConfigError
 from .evalharness import PROBES, EvalProtocol, EvalReport, run_unseen_eval
 from .model import ModelConfig, init_params
@@ -98,9 +98,8 @@ def run_seed(cfg: dict) -> tuple[EvalReport, TrainRecord]:
     """One run of the configuration in memory: the report holds one row per probe, in ``PROBES`` order."""
     store = store_from_channels(generate(synth_spec(cfg)), cfg["dataset_name"])
     _, train_parts, valid_parts = zip(*build_datasets(store, cfg))
-    train_ds, valid_ds = pool_datasets(train_parts), pool_datasets(valid_parts)
     config = model_config(cfg)
-    params, record = train(init_params(config, seed=cfg["seed"]), train_ds, valid_ds, config, train_config(cfg))
+    params, record = train(init_params(config, seed=cfg["seed"]), train_parts, valid_parts, config, train_config(cfg))
     stride = cfg["eval_stride"] or None
     report = run_unseen_eval(eval_protocol(cfg), config, params, store, cfg["seed"], stride, probes=PROBES)
     return report, record

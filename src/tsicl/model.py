@@ -1,8 +1,11 @@
 """Toy patch-transformer backbones over context-sample token streams.
 
 The model runs the streams ``context.example_streams`` lays out and fixes only
-which head row reads an answer patch (``readout_rows``). Two variants cover
-the two pre-training families the pipeline compares:
+which head row reads an answer patch (``readout_rows``). A training or
+validation batch is samples of one ``context.ContextDataset``, whose samples
+share a demo count and so a stream length: ``context.sample_streams`` gathers
+them as one rectangular (B, n, 3) array.
+Two variants cover the two pre-training families the pipeline compares:
 
 * ``decoder_causal`` — causal self-attention over patches; a linear head maps
   each patch representation to the next patch's values. Training and

@@ -288,7 +288,9 @@ def save_store(store: SplitStore, path: str | Path) -> None:
 
 
 def load_store(path: str | Path) -> SplitStore:
-    """The store a ``save_store`` file holds: one or more channels, each split exactly into ``SPLIT_NAMES``."""
+    """The store a ``save_store`` file holds: one or more channels, each split exactly into ``SPLIT_NAMES``,
+    which tile its timeline in that order. Replay finds an example's split by its span, so splits that
+    overlap would hand it the wrong one."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such store: {path}")
@@ -315,6 +317,12 @@ def load_store(path: str | Path) -> SplitStore:
             bad = [split for split, s in store.splits[ch].items() if not np.isfinite(s.values).all()]
             if bad:
                 raise ValueError(f"non-finite value in channel {ch!r}, split {bad[0]!r}")
+            parts = [store.splits[ch][split] for split in SPLIT_NAMES]
+            origins = [s.origin_offset for s in parts]
+            ends = [s.origin_offset + len(s) for s in parts]
+            if any(type(o) is not int for o in origins) or origins[1:] != ends[:-1]:
+                raise ValueError(f"the splits of channel {ch!r}, at origin offsets {origins} and of lengths "
+                                 f"{[len(s) for s in parts]}, do not tile its timeline")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"malformed store {path}: {exc!r}") from None
     return store

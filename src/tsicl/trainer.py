@@ -1,20 +1,22 @@
 """Adam training loop over context datasets with early stopping.
 
-Batch streams are gathered, not built sample by sample: ``context.sample_streams``
-reads a batch's streams and targets out of the samples' ``SeriesTable`` in one
-fancy-indexing pass, in the caller and in the worker alike. Training and the
-validation loss run the same stream, with placeholders in the query's answer
-region, for both variants. Loss is MSE over the query's answer region only;
-demonstration answers inside the context carry no loss unless
-``supervise_demo_outputs`` is set. That option is refused on
-``encoder_masked``: a demo's answer sits unmasked in the encoder's own input,
-so supervising it teaches the model to copy. ``_batches`` buckets samples by
-demo count, which sets their token length, and cuts each bucket into batches.
-Training reshuffles bucket-internal order and batch order per epoch from the
-run seed, so it is fully reproducible. Validation is a training step without
-the tape: ``evaluate_loss`` runs ``_batch_loss_graph`` of the query answers
-over the unshuffled batches, with no tape active, and weights each batch's
-MSE by its sample count.
+Training and validation each take a list of ``context.ContextDataset``s, one
+per demo count, which sets their token length. ``_batches`` walks the
+datasets by ascending demo count and cuts each into batches of sample
+indices, ``(k, idxs)`` for dataset k. Batch streams are gathered, not built
+sample by sample: ``context.sample_streams`` reads a batch's streams and
+targets out of its dataset's rows and offsets in one fancy-indexing pass, in
+the caller and in the worker alike. Training and the validation loss run the
+same stream, with placeholders in the query's answer region, for both
+variants. Loss is MSE over the query's answer region only; demonstration
+answers inside the context carry no loss unless ``supervise_demo_outputs`` is
+set. That option is refused on ``encoder_masked``: a demo's answer sits
+unmasked in the encoder's own input, so supervising it teaches the model to
+copy. Training reshuffles each dataset's order and the batch order per epoch
+from the run seed, so it is fully reproducible. Validation is a training
+step without the tape: ``evaluate_loss`` runs ``_batch_loss_graph`` of the
+query answers over the unshuffled batches, with no tape active, and weights
+each batch's MSE by its sample count.
 
 Every batch splits into two fixed halves, ``workers.shares(B, 2)``: its first
 ceil(B/2) samples and the rest. Each half's MSE divides by the whole batch's
@@ -23,19 +25,20 @@ before the one Adam step. ``train`` runs both halves of every batch, training's
 and validation's, through one ``workers.pool``, made once per ``train`` call,
 whose one handler ``half`` serves both sides: the first half here, the second
 in the pool's worker if it has one (see ``workers`` for when it runs here).
-When ``train`` starts, every parameter's ``data`` becomes a view of one flat
-array: row 0 of a (3, N) ``workers.shared_zeros`` array, whose rows 1 and 2
-take the halves' flat gradients, so only indices and losses cross the pipe.
-Adam, the sum of the halves and the best state are each one array operation,
-and the returned parameters are views of the best state. Every process runs
-one BLAS thread, so a run's bits depend on neither the core count nor
-``OPENBLAS_NUM_THREADS``.
+A half's request names its side, its dataset k, its sample indices, its
+batch's size and which half it is. When ``train`` starts, every parameter's
+``data`` becomes a view of one flat array: row 0 of a (3, N)
+``workers.shared_zeros`` array, whose rows 1 and 2 take the halves' flat
+gradients, so only indices and losses cross the pipe. Adam, the sum of the
+halves and the best state are each one array operation, and the returned
+parameters are views of the best state. Every process runs one BLAS thread,
+so a run's bits depend on neither the core count nor ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,7 +166,7 @@ def _batch_loss_graph(
 
     ``idxs`` may be part of a batch of ``batch_size`` samples, whose element count the loss divides by.
     """
-    streams, targets = sample_streams([dataset.samples[i] for i in idxs])
+    streams, targets = sample_streams(dataset, idxs)
     regions = _loss_regions(targets, dataset.window, config, supervise_demos)
     first = min(r0 for r0, _, _ in regions)
     preds = forward_patch_predictions(streams, params, config, first_row=first)
@@ -201,28 +204,28 @@ def _query_loss(
     return float(_batch_loss_graph(dataset, idxs, params, config, False, batch_size).data)
 
 
-def _batches(dataset: ContextDataset, batch_size: int, rng: np.random.Generator | None = None) -> list[list[int]]:
-    """Sample indices in batches of at most ``batch_size``, one demo-count bucket at a time, by ascending count.
-
-    With ``rng``, each bucket is permuted before it is cut, and then the batches are.
-    """
-    buckets: dict[int, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        buckets.setdefault(len(s.rows), []).append(i)
+def _batches(
+    datasets: Sequence[ContextDataset], batch_size: int, rng: np.random.Generator | None = None
+) -> list[tuple[int, list[int]]]:
+    """``(k, idxs)``: indices of samples of ``datasets[k]`` in batches of at most ``batch_size``, one dataset at a
+    time, by ascending demo count. With ``rng``, each dataset's indices are permuted before they are cut, and
+    then the batches are."""
     batches = []
-    for _, idxs in sorted(buckets.items()):
-        order = idxs if rng is None else [idxs[j] for j in rng.permutation(len(idxs))]
-        batches += [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+    for k in sorted(range(len(datasets)), key=lambda k: datasets[k].rows.shape[1]):
+        n = len(datasets[k])
+        order = list(range(n)) if rng is None else rng.permutation(n).tolist()
+        batches += [(k, order[lo : lo + batch_size]) for lo in range(0, n, batch_size)]
     return batches if rng is None else [batches[j] for j in rng.permutation(len(batches))]
 
 
-def _halves(part: str, batch: list[int]) -> list[tuple[str, list[int], int, int]]:
-    """``(part, idxs, len(batch), k)`` for the ``k``-th of ``batch``'s two ``shares``; an empty one is dropped."""
-    return [(part, batch[s.start : s.stop], len(batch), k) for k, s in enumerate(shares(len(batch), 2)) if s]
+def _halves(part: str, k: int, batch: list[int]) -> list[tuple[str, int, list[int], int, int]]:
+    """``(part, k, idxs, len(batch), j)`` for the ``j``-th of ``batch``'s two ``shares``, samples of dataset ``k``;
+    an empty one is dropped."""
+    return [(part, k, batch[s.start : s.stop], len(batch), j) for j, s in enumerate(shares(len(batch), 2)) if s]
 
 
 def evaluate_loss(
-    dataset: ContextDataset,
+    datasets: Sequence[ContextDataset],
     params: dict[str, ad.Parameter],
     config: ModelConfig,
     run: Callable[[list], list[float]] | None = None,
@@ -230,26 +233,27 @@ def evaluate_loss(
 ) -> float:
     """Deployment-mode MSE over the query answers: the training loss without a tape, over the unshuffled
     batches of ``batch_size``, each weighted by its sample count. ``run`` answers each batch's ``_halves``
-    with their losses, the trainer's pool's if given, whose handler scores ``dataset``; by default, here."""
+    with their losses, the trainer's pool's if given, whose handler scores ``datasets``; by default, here."""
 
     def serial(halves):
-        return [_query_loss(dataset, idxs, params, config, n) for _, idxs, n, _ in halves]
+        return [_query_loss(datasets[k], idxs, params, config, n) for _, k, idxs, n, _ in halves]
 
     total = 0.0
-    for batch in _batches(dataset, batch_size):
-        total += sum((run or serial)(_halves("valid", batch))) * len(batch)  # the halves' sum, always in this order
-    return total / len(dataset.samples)
+    for k, batch in _batches(datasets, batch_size):
+        total += sum((run or serial)(_halves("valid", k, batch))) * len(batch)  # the halves' sum, always in this order
+    return total / sum(map(len, datasets))
 
 
 def train(
     params: dict[str, ad.Parameter],
-    dataset: ContextDataset,
-    valid: ContextDataset,
+    datasets: Sequence[ContextDataset],
+    valid: Sequence[ContextDataset],
     model_config: ModelConfig,
     train_config: TrainConfig,
 ) -> tuple[dict[str, ad.Parameter], TrainRecord]:
-    """Optimize in place; restore and return the best-validation parameters."""
-    if not dataset.samples or not valid.samples:
+    """Optimize in place on ``datasets``, one per demo count; restore and return the parameters with the best
+    loss on ``valid``."""
+    if not sum(map(len, datasets)) or not sum(map(len, valid)):
         raise ConfigError("train/valid datasets must be non-empty")
     supervise = train_config.supervise_demo_outputs
     if supervise and model_config.variant == ENCODER_MASKED:
@@ -257,7 +261,7 @@ def train(
             "supervise_demo_outputs is refused on encoder_masked: demo answers are unmasked "
             "in its input, so the encoder would learn to copy them"
         )
-    for data in (dataset, valid):
+    for data in (*datasets, *valid):
         horizon_patch_count(data.window.horizon, model_config)  # a whole-patch horizon makes L = 2h whole too
 
     record = TrainRecord()
@@ -271,18 +275,18 @@ def train(
     optimizer = Adam(data, train_config)
 
     def half(request):
-        """One half's loss: a training one, with its gradient left in ``grads[k]``, or a validation one."""
-        part, idxs, n, k = request
+        """One half's loss: a training one, with its gradient left in ``grads[j]``, or a validation one."""
+        part, k, idxs, n, j = request
         if part == "valid":
-            return _query_loss(valid, idxs, params, model_config, n)
-        return _gradient(dataset, idxs, params, model_config, supervise, n, grads[k])
+            return _query_loss(valid[k], idxs, params, model_config, n)
+        return _gradient(datasets[k], idxs, params, model_config, supervise, n, grads[j])
 
     with pool(half, 2) as (run, _):
         for epoch in range(train_config.max_epochs):
             rng = np.random.default_rng(np.random.SeedSequence((train_config.seed, 1, epoch)))
             loss_sum, n_seen = 0.0, 0
-            for batch in _batches(dataset, train_config.batch_size, rng):
-                losses = run(_halves("train", batch))
+            for k, batch in _batches(datasets, train_config.batch_size, rng):
+                losses = run(_halves("train", k, batch))
                 value = sum(losses)  # the halves' sum, always in this order
                 if len(losses) == 2:
                     grads[0] += grads[1]

@@ -9,7 +9,9 @@ on the active tape through ``autodiff._finish``, as the library's ops do.
 calls, which ``tasks.sample_mask_positions`` makes in one call. ``example``
 reads one task example value by value off its series, as the task table
 describes it, and ``build_stream`` lays examples out one stream at a time:
-``context.example_streams`` gathers what they make.
+``context.example_streams`` gathers what they make. ``sample_spans`` finds a
+context sample's source spans one example at a time, which
+``context.write_jsonl`` does for a whole dataset at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from tsicl import autodiff as ad
 from tsicl.errors import GeometryError
-from tsicl.tasks import GEOMETRY
+from tsicl.tasks import GEOMETRY, TASK_ORDER, source_span
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -43,7 +45,7 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
         a.accumulate(_sum_to_shape(np.matmul(dout, np.swapaxes(b.data, -1, -2)), a.data.shape))
         b.accumulate(_sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), dout), b.data.shape))
 
-    return ad._finish(out, backward, "matmul")
+    return ad._finish(out, backward)
 
 
 def scale(a: ad.Tensor, c: float) -> ad.Tensor:
@@ -52,7 +54,7 @@ def scale(a: ad.Tensor, c: float) -> ad.Tensor:
     def backward(dout: np.ndarray) -> None:
         a.accumulate(dout * c)
 
-    return ad._finish(out, backward, "scale")
+    return ad._finish(out, backward)
 
 
 def transpose(a: ad.Tensor) -> ad.Tensor:
@@ -64,7 +66,7 @@ def transpose(a: ad.Tensor) -> ad.Tensor:
     def backward(dout: np.ndarray) -> None:
         a.accumulate(np.swapaxes(dout, -1, -2))
 
-    return ad._finish(out, backward, "transpose")
+    return ad._finish(out, backward)
 
 
 def softmax(a: ad.Tensor, allowed: np.ndarray | None = None) -> ad.Tensor:
@@ -88,7 +90,7 @@ def softmax(a: ad.Tensor, allowed: np.ndarray | None = None) -> ad.Tensor:
         g *= y
         a.accumulate(g)
 
-    return ad._finish(out, backward, "softmax")
+    return ad._finish(out, backward)
 
 
 def attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, causal: bool) -> ad.Tensor:
@@ -143,3 +145,10 @@ def build_stream(demos, query=None) -> np.ndarray:
     if query is not None:
         parts += [query[0], np.tile([0.0, 1.0, 1.0], (len(query[1]), 1))]
     return np.concatenate(parts) if parts else np.zeros((0, 3))
+
+
+def sample_spans(dataset, i: int) -> list:
+    """The source spans of sample ``i`` of a ``context.ContextDataset``, its demos' then its query's."""
+    table, task = dataset.table, TASK_ORDER[dataset.tasks[i]]
+    located = zip(table.locate(dataset.rows[i]).tolist(), dataset.rows[i].tolist())
+    return [source_span(task, table.series[j], row - int(table.firsts[j]), dataset.window) for j, row in located]

@@ -22,7 +22,7 @@ from tsicl.model import (
 )
 from tsicl.series import ChannelSeries
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import MASK_FLAG, TaskKind, WindowSpec, answer_region, example_rows
+from tsicl.tasks import MASK_FLAG, TaskKind, WindowSpec, answer_region, example_rows, target_offsets
 
 TINY_MODEL = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 WINDOWS = (WindowSpec(12), WindowSpec(6))
@@ -188,9 +188,9 @@ def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
     task, table, channel = TaskKind.BACKTRACE, store.table, store.channels[0]
     train_s, test_s = store.series(channel, "train"), store.series(channel, "test")
     rows, masks = example_rows(table, task, train_s, eval_demo_starts(len(train_s), task, w, 2), w, rng)
-    prefix = example_streams(table, w, [(task, rows, masks)], True)[0].reshape(-1, 3)
+    prefix = example_streams(table, w, rows, target_offsets(task, w, masks), True)[0].reshape(-1, 3)
     rows, masks = example_rows(table, task, test_s, range(w.horizon, len(test_s) - w.lookback + 1, 6), w, rng)
-    (queries,), _ = example_streams(table, w, [(task, rows, masks)], False)
+    queries, _ = example_streams(table, w, rows, target_offsets(task, w, masks), False)
     fed = []
     real = evalharness.batched_predict
 

@@ -12,7 +12,7 @@ from conftest import TINY_CLI
 from tsicl import context
 from tsicl.cli import main
 from tsicl.context import (
-    ContextSample,
+    ContextDataset,
     build_context_dataset,
     build_train_valid,
     read_jsonl,
@@ -36,6 +36,7 @@ from tsicl.tasks import (
     answer_region,
     draw_mask,
     source_span,
+    target_offsets,
     valid_start_range,
 )
 
@@ -56,10 +57,12 @@ def series_of(n, channel="c", offset=0, split="train"):
 
 
 def sample_of(s, task, starts, w, rng=None):
-    """The sample of ``s`` whose examples start at ``starts``, demos then the query, masks drawn with ``rng``."""
+    """A dataset of the one sample of ``s`` whose examples start at ``starts``, demos then the query, masks drawn
+    with ``rng``."""
     table = SeriesTable([s])
     masks = np.array([draw_mask(task, w, rng) for _ in starts]).reshape(len(starts), -1)
-    return ContextSample(table, w, task, np.array([table.row(s, t) for t in starts]), masks)
+    rows = np.array([[table.row(s, t) for t in starts]])
+    return ContextDataset(table, w, np.array([TASK_ORDER.index(task)]), rows, target_offsets(task, w, masks)[None])
 
 
 class TestSampleTask:
@@ -112,18 +115,18 @@ class TestSampleDemos:
 class TestAssemble:
     def test_empty_context_identity(self):
         q = reference.example(TaskKind.FORECAST, series_of(10), 0, W42)
-        (tokens,), (targets,) = sample_streams([sample_of(series_of(10), TaskKind.FORECAST, [0], W42)])
+        (tokens,), (targets,) = sample_streams(sample_of(series_of(10), TaskKind.FORECAST, [0], W42), [0])
         assert np.array_equal(tokens, np.concatenate([q[0], answer_region(2)]))
         assert np.array_equal(targets[-1], q[1])
 
     def test_paper_scale_token_count(self):
         w = WindowSpec(96)
         out = sample_of(series_of(288 * 6), TaskKind.FORECAST, [*(288 * (i + 1) for i in range(4)), 0], w)
-        assert sample_streams([out])[0].shape == (1, 1440, 3)  # 5 examples of L + h = 288
+        assert sample_streams(out, [0])[0].shape == (1, 1440, 3)  # 5 examples of L + h = 288
 
     def test_hand_built_concatenation(self):
         s = series_of(40)
-        (tokens,), _ = sample_streams([sample_of(s, TaskKind.FORECAST, [10, 20, 0], W42)])
+        (tokens,), _ = sample_streams(sample_of(s, TaskKind.FORECAST, [10, 20, 0], W42), [0])
         expected_values = np.concatenate(
             [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4], [0, 0]]
         )
@@ -135,21 +138,14 @@ class TestAssemble:
         """A sample holds one task, so on disk a demo of another task is a record that does not replay."""
         s = series_of(40)
         store = SplitStore("d", splits={"c": {"train": s}})
-        sample = sample_of(s, TaskKind.FORECAST, [10, 0], W42)
         path = tmp_path / "ctx.jsonl"
-        write_jsonl(context.ContextDataset([sample], W42), path)
+        write_jsonl(sample_of(s, TaskKind.FORECAST, [10, 0], W42), path)
         header, line = path.read_text().splitlines()
         record = json.loads(line)
         record["examples"][0] = ["d", "c", 10, 14, [1, 3]]  # the impute example at 10
         path.write_text("\n".join([header, json.dumps(record)]) + "\n")
         with pytest.raises(DataError, match="masks 2 positions, a forecast example 0"):
             read_jsonl(path, store)
-
-    def test_geometry_mismatch(self):
-        sm = sample_of(series_of(20), TaskKind.FORECAST, [0], W42)
-        big = sample_of(series_of(40), TaskKind.FORECAST, [0], WindowSpec(4))
-        with pytest.raises(Exception, match="geometry"):
-            sample_streams([sm, big])
 
 
 class TestBuildDataset:
@@ -179,8 +175,7 @@ class TestBuildDataset:
         # backtrace start 0 lacks history, so some windows are skipped
         ds = build_context_dataset([series_of(30)], {TaskKind.BACKTRACE}, W42, 0, stride=2, seed=1)
         assert ds.skipped_windows >= 1
-        for s in ds.samples:
-            assert s.task is TaskKind.BACKTRACE
+        assert (ds.tasks == TASK_ORDER.index(TaskKind.BACKTRACE)).all()
 
     def test_empty_result(self):
         # forecast never fits: series shorter than L+h windows at every stride start
@@ -202,22 +197,22 @@ class TestBuildDataset:
                 store, TASK_ORDER, WindowSpec(4), [0, 2], seed=4, stride=3, cross_channel_demos=cross_channel_demos
             )
             foreign_demos = 0
+            channels = np.array([s.channel for s in store.table.series])
             for m, train, valid in parts:
                 for name, ds in (("train", train), ("valid", valid)):
-                    assert {s.task for s in ds.samples} == set(TASK_ORDER)
+                    assert set(ds.tasks.tolist()) == set(range(len(TASK_ORDER)))
                     path = tmp_path / f"{name}_m{m}.jsonl"
                     write_jsonl(ds, path)
                     loaded = read_jsonl(path, store)
-                    assert len(loaded) == len(ds)
-                    assert loaded.window == ds.window
+                    assert loaded.table is ds.table and loaded.window == ds.window
                     assert loaded.skipped_windows == ds.skipped_windows
-                    for a, b in zip(loaded.samples, ds.samples):
-                        assert a.task is b.task and len(a.rows) == len(b.rows) == m + 1
-                        assert a.spans == b.spans and a.masks.tolist() == b.masks.tolist()
-                        for x, y in zip(sample_streams([a]), sample_streams([b])):  # streams, then targets
-                            assert np.array_equal(x, y)
-                        *demos, query = b.spans
-                        foreign_demos += sum(d.channel != query.channel for d in demos)
+                    assert ds.rows.shape == (len(ds), m + 1)
+                    for got, want in zip((loaded.tasks, loaded.rows, loaded.offsets), (ds.tasks, ds.rows, ds.offsets)):
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                    for i in range(len(ds)):
+                        assert reference.sample_spans(loaded, i) == reference.sample_spans(ds, i)
+                    example_channels = channels[store.table.locate(ds.rows)]
+                    foreign_demos += int((example_channels[:, :-1] != example_channels[:, -1:]).sum())
                     # replay is value-exact, so a second write is byte-identical
                     again = tmp_path / f"{name}_m{m}_again.jsonl"
                     write_jsonl(loaded, again)
@@ -281,12 +276,12 @@ class TestStructuralInvariants:
         except DataError:
             return  # pool too small for m disjoint demos: acceptable outcome
         L, h = w.lookback, w.horizon
-        for sample in ds.samples:
-            (tokens,), targets = sample_streams([sample])
+        for i in range(len(ds)):
+            (tokens,), targets = sample_streams(ds, [i])
             assert len(tokens) == (m + 1) * (L + h)
             assert np.array_equal(tokens[-h:], answer_region(h))
             assert targets.shape == (1, m + 1, h)
-            *demos, query = sample.spans
+            *demos, query = reference.sample_spans(ds, i)
             assert len(demos) == m
             for span in demos:
                 assert not span.overlaps(query)
@@ -345,6 +340,6 @@ def test_a_replayed_sample_holds_integers(tmp_path):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    examples = sum(len(s.rows) for s in replayed.samples)
+    examples = replayed.rows.size
     assert examples == 25 * len(train) > 0
     assert held / examples < 256, f"{held / examples:.0f} bytes per example"

@@ -14,7 +14,7 @@ from tsicl import autodiff as ad
 from tsicl import evalharness, experiment
 from tsicl.cli import main, resolve_config
 from tsicl.errors import DataError
-from tsicl.context import build_train_valid, example_streams, pool_datasets, read_jsonl, sample_streams
+from tsicl.context import build_train_valid, example_streams, read_jsonl, sample_streams
 from tsicl.evalharness import (
     BATCH,
     PROBES,
@@ -48,13 +48,13 @@ def test_evaluate_loss_is_the_mse_of_batched_predict(variant):
         p.data = p.data.astype(np.float64)
     tasks = [TaskKind.FORECAST, TaskKind.IMPUTE]
     parts = [v for _, _, v in build_train_valid(tiny_store(), tasks, WINDOW, [0, 1], seed=0, stride=1)]
-    assert all(len(part.samples) > 32 for part in parts)  # more than one batch of the default size each
+    assert all(len(part) > 32 for part in parts)  # more than one batch of the default size each
     errors = []
     for part in parts:  # one demo count, so one stream length, each
-        streams, targets = sample_streams(part.samples)
+        streams, targets = sample_streams(part, range(len(part)))
         errors.append(batched_predict(streams, WINDOW.horizon, params, config) - targets[:, -1])
     want = np.mean(np.concatenate(errors) ** 2)
-    assert abs(evaluate_loss(pool_datasets(parts), params, config) - want) <= 1e-10 * want
+    assert abs(evaluate_loss(parts, params, config) - want) <= 1e-10 * want
 
 
 def test_context_headers_count_the_replayed_samples(pipeline_dir, monkeypatch):
@@ -141,7 +141,7 @@ def impute_probe(store, demo_count: int, rng):
     for s, starts, shown in ((train_s, eval_demo_starts(len(train_s), task, WINDOW, demo_count), True),
                              (test_s, range(0, len(test_s) - WINDOW.lookback + 1, 4), False)):
         rows, masks = example_rows(table, task, s, starts, WINDOW, rng)
-        (streams,), _ = example_streams(table, WINDOW, [(task, rows, masks)], shown)
+        streams, _ = example_streams(table, WINDOW, rows, target_offsets(task, WINDOW, masks), shown)
         made.append((streams, [reference.example(task, s, t, WINDOW, mask) for t, mask in zip(starts, masks.tolist())]))
     (prefix, demos), (queries, examples) = made
     return prefix.reshape(-1, 3), demos, queries, examples

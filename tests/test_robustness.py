@@ -102,6 +102,12 @@ def drop_split(name: str):
     return edit
 
 
+def untiled_splits(payload):
+    """Every channel's valid split moved to origin 0, over its train split."""
+    for entry in payload["channels"].values():
+        entry["splits"]["valid"]["origin_offset"] = 0
+
+
 def undecodable_csv(out_dir: Path) -> Path:
     """synth.csv behind a UTF-16 byte-order mark, which is not UTF-8."""
     path = out_dir / "synth.csv"
@@ -121,6 +127,7 @@ def undecodable_csv(out_dir: Path) -> Path:
         pytest.param("ingest", undecodable_csv, id="undecodable_csv"),
         pytest.param("build", edit_json("store.json", nan_train_value), id="nan_store_value"),
         pytest.param("build", edit_json("store.json", drop_split("train")), id="store_without_a_train_split"),
+        pytest.param("build", edit_json("store.json", untiled_splits), id="store_splits_not_tiling_the_timeline"),
         pytest.param("eval", edit_json("store.json", drop_split("test")), id="store_without_a_test_split"),
         pytest.param("eval", edit_json("store.json", lambda payload: payload.update(channels={})),
                      id="store_without_channels"),
@@ -190,23 +197,26 @@ def moved(record: dict, k: int, store, split: str) -> None:
         (lambda record, store: moved(record, 0, store, "valid"), "is a demo outside the train split"),
         (lambda record, store: record["examples"].__setitem__(0, record["examples"][-1]),
          "is a demo that overlaps its query"),
+        (lambda record, store: record["examples"].pop(0), "example count 1, the file's first sample's 2"),
     ],
-    ids=["query_in_test_split", "demo_in_valid_split", "demo_is_its_query"],
+    ids=["query_in_test_split", "demo_in_valid_split", "demo_is_its_query", "one_demo_fewer"],
 )
 def test_replay_refuses_a_record_build_never_writes(pipeline_dir, tmp_path, capsys, edit, why):
-    """One hand-edited record per rule of the split contract: read_jsonl names file and line, train exits 3."""
+    """One hand-edited record, the file's last, per rule of the split contract and for a sample of another
+    demo count than the file's first: read_jsonl names file and line, train exits 3."""
     copy_artifacts(pipeline_dir, tmp_path)
     store = load_store(tmp_path / "store.json")
     path = tmp_path / "ctx_train_m1.jsonl"
-    header, first, *rest = path.read_text().splitlines()
-    record = json.loads(first)
+    *lines, last = path.read_text().splitlines()
+    record = json.loads(last)
     edit(record, store)
-    path.write_text("\n".join([header, json.dumps(record, separators=(",", ":")), *rest]) + "\n")
-    with pytest.raises(DataError, match=f"malformed dataset {path}, line 2: .*{why}"):
+    path.write_text("\n".join([*lines, json.dumps(record, separators=(",", ":"))]) + "\n")
+    line = len(lines) + 1
+    with pytest.raises(DataError, match=f"malformed dataset {path}, line {line}: .*{why}"):
         read_jsonl(path, store)
     before = (tmp_path / "checkpoint.json").read_bytes()
     assert main(["train", *overrides(tmp_path)]) == 3
-    assert f"{path}, line 2: " in capsys.readouterr().err
+    assert f"{path}, line {line}: " in capsys.readouterr().err
     assert (tmp_path / "checkpoint.json").read_bytes() == before
 
 
@@ -432,7 +442,7 @@ def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
     monkeypatch.setattr(trainer, "evaluate_loss", lambda *args, **kwargs: float("nan"))
     config = trainer.TrainConfig(batch_size=64, max_epochs=2, patience=2)
     with pytest.raises(NumericalError, match="no finite validation loss"):
-        trainer.train(init_params(TINY_MODEL), data, data, TINY_MODEL, config)
+        trainer.train(init_params(TINY_MODEL), [data], [data], TINY_MODEL, config)
 
 
 def test_run_unseen_eval_scores_every_probe_in_order():

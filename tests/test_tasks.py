@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from tsicl.context import ContextDataset, ContextSample, read_jsonl, sample_streams, write_jsonl
+from tsicl.context import ContextDataset, read_jsonl, write_jsonl
 from tsicl.errors import DataError, GeometryError
 from tsicl.evalharness import eval_demo_starts
 from tsicl.series import ChannelSeries, SeriesTable, SplitStore
@@ -202,13 +202,15 @@ class TestTaskTable:
         lo, hi = valid_start_range(task, len(s), self.W)
         table = store.table
         rows, masks = example_rows(table, task, s, range(lo, hi + 1), self.W, np.random.default_rng(5))
-        ds = ContextDataset([ContextSample(table, self.W, task, row[None], mask[None]) for row, mask in zip(rows, masks)], self.W)
+        tasks, offsets = np.full(len(rows), TASK_ORDER.index(task)), target_offsets(task, self.W, masks)
+        ds = ContextDataset(table, self.W, tasks, rows[:, None].astype(np.int32), offsets[:, None].astype(np.int32))
         write_jsonl(ds, tmp_path / "ctx.jsonl")
-        replayed = read_jsonl(tmp_path / "ctx.jsonl", store).samples
-        assert len(replayed) == len(ds.samples)
-        for x, y in zip(replayed, ds.samples):
-            assert x.spans == y.spans and x.masks.tolist() == y.masks.tolist()
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(sample_streams([x]), sample_streams([y])))
+        replayed = read_jsonl(tmp_path / "ctx.jsonl", store)
+        assert np.array_equal(replayed.tasks, ds.tasks) and np.array_equal(replayed.rows, ds.rows)
+        assert np.array_equal(replayed.offsets, ds.offsets)
+        assert [reference.sample_spans(replayed, i) for i in range(len(ds))] == [
+            [source_span(task, s, t, self.W)] for t in range(lo, hi + 1)
+        ]
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 import reference
 from tsicl import autodiff as ad
 from tsicl import trainer
-from tsicl.context import ContextDataset, ContextSample, build_train_valid, pool_datasets, sample_streams
+from tsicl.context import ContextDataset, build_train_valid, sample_streams
 from tsicl.errors import ConfigError
 from tsicl.evalharness import batched_predict, context_path
 from tsicl.model import (
@@ -31,6 +31,7 @@ from tsicl.tasks import (
     WindowSpec,
     answer_region,
     reach,
+    target_offsets,
 )
 from tsicl.trainer import Adam, TrainConfig
 
@@ -92,16 +93,9 @@ def forecast_dataset(w: WindowSpec, m: int):
     starts = [[100 + 24 * (m * i + k) for k in range(m)] + [24 * i] for i in range(3)]
     queries = [reference.example(TaskKind.FORECAST, series, ts[-1], w) for ts in starts]
     demos = [[reference.example(TaskKind.FORECAST, series, t, w) for t in ts[:-1]] for ts in starts]
-    samples = [
-        ContextSample(table, w, TaskKind.FORECAST, np.array([table.row(series, t) for t in ts]), np.zeros((m + 1, 0), int))
-        for ts in starts
-    ]
-    return ContextDataset(samples, w), queries, demos
-
-
-def batch(dataset: ContextDataset, idxs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The streams and targets that ``_batch_loss_graph`` gathers for ``idxs``."""
-    return sample_streams([dataset.samples[i] for i in idxs])
+    rows = np.array([[table.row(series, t) for t in ts] for ts in starts], dtype=np.int32)
+    offsets = target_offsets(TaskKind.FORECAST, w, np.zeros((3, m + 1, 0), int)).astype(np.int32)
+    return ContextDataset(table, w, np.zeros(3, int), rows, offsets), queries, demos
 
 
 def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
@@ -114,7 +108,7 @@ def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
         monkeypatch.setattr(trainer, "evaluate_loss", lambda *args: next(scripted))
         epochs = len(valid_losses)
         run_config = TrainConfig(batch_size=2, max_epochs=epochs, patience=epochs)
-        params, record = trainer.train(init_params(config, seed=0), dataset, dataset, config, run_config)
+        params, record = trainer.train(init_params(config, seed=0), [dataset], [dataset], config, run_config)
         assert len(record.valid_losses) == epochs
         return record.best_epoch, {name: p.data.tobytes() for name, p in params.items()}
 
@@ -135,7 +129,7 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     idxs = [0, 1, 2]
     total_patches = (m * (L + h) + L + h) // p
 
-    regions = trainer._loss_regions(batch(dataset, idxs)[1], w, config, supervise_demos=True)
+    regions = trainer._loss_regions(sample_streams(dataset, idxs)[1], w, config, supervise_demos=True)
     assert len(regions) == 1 + m
     assert regions[0][:2] == readout_rows(config, total_patches, hp)
     assert all(np.array_equal(regions[0][2][i].ravel(), queries[i][1]) for i in idxs)
@@ -152,13 +146,13 @@ def test_supervise_demo_outputs_adds_one_region_per_demo(variant):
     if variant != DECODER_CAUSAL:
         # the encoder sees each demo answer in its input: supervising it would teach a copy
         with pytest.raises(ConfigError, match="refused on encoder_masked"):
-            trainer.train(init_params(config, seed=0), dataset, dataset, config,
+            trainer.train(init_params(config, seed=0), [dataset], [dataset], config,
                           replace(one_step, supervise_demo_outputs=True))
         return
     losses = []
     for supervise in (False, True):
         run = replace(one_step, supervise_demo_outputs=supervise)
-        _, record = trainer.train(init_params(config, seed=0), dataset, dataset, config, run)
+        _, record = trainer.train(init_params(config, seed=0), [dataset], [dataset], config, run)
         losses.append(record.train_losses[0])
     assert np.isfinite(losses[1]) and losses[1] != losses[0]
 
@@ -185,7 +179,7 @@ def test_every_stream_is_the_samples_reference_stream(monkeypatch):
         config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
         trainer._batch_loss_graph(dataset, idxs, init_params(config), config, supervise_demos=False)
         assert fed.pop().tobytes() == tokens.tobytes()
-        trainer.evaluate_loss(dataset, init_params(config), config)
+        trainer.evaluate_loss([dataset], init_params(config), config)
         assert [len(streams) for streams in fed] == [2, 1]  # the batch's two halves
         assert np.concatenate(fed).tobytes() == tokens.tobytes()
         fed.clear()
@@ -205,9 +199,9 @@ def test_training_reads_the_loss_that_validation_reads(variant):
     params = init_params(config, seed=3)
     for p in params.values():  # float64, with non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
-    idxs = list(range(len(dataset.samples)))
+    idxs = list(range(len(dataset)))
     trained = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise_demos=False).data)
-    validated = trainer.evaluate_loss(dataset, params, config)
+    validated = trainer.evaluate_loss([dataset], params, config)
     assert abs(trained - validated) <= 1e-10 * validated
 
 
@@ -221,14 +215,14 @@ def test_a_trained_decoder_reads_its_later_answer_patches_about_as_well_as_the_f
     store = store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
     w = WindowSpec(12)
     parts = list(build_train_valid(store, [TaskKind.FORECAST, TaskKind.IMPUTE], w, [0, 2], seed=0, stride=2))
-    train_ds, valid = (pool_datasets([part[k] for part in parts]) for k in (1, 2))
+    train_ds, valid = ([part[k] for part in parts] for k in (1, 2))
     config = ModelConfig(patch_size=4, d_model=16, n_layers=1, n_heads=2, ff_mult=2)
     run = TrainConfig(batch_size=16, max_epochs=10, patience=10, seed=0)
     params, _ = trainer.train(init_params(config, seed=0), train_ds, valid, config, run)
 
     errors = []
-    for m in {len(s.rows) for s in valid.samples}:  # one stream length per demo count
-        streams, targets = sample_streams([s for s in valid.samples if len(s.rows) == m])
+    for part in valid:  # one stream length per demo count
+        streams, targets = sample_streams(part, range(len(part)))
         errors.append(batched_predict(streams, w.horizon, params, config) - targets[:, -1])
     errors = np.concatenate(errors)
     per_patch = (errors**2).reshape(len(errors), -1, config.patch_size).mean(axis=(0, 2))
@@ -242,20 +236,20 @@ def test_training_runs_the_pinned_batches_in_order(monkeypatch):
     halves, in this process, so a half that a worker runs counts too; demo counts are given unsorted."""
     store = store_from_channels(generate(SynthSpec(count=1, length=240, seed=0)), "synth")
     _, train_parts, valid_parts = zip(*build_train_valid(store, TASK_ORDER, WindowSpec(4), [2, 0, 1], seed=0))
-    data, valid = pool_datasets(train_parts), pool_datasets(valid_parts)
     digest, real = hashlib.sha256(), trainer._halves
 
-    def recording(part, batch):
-        samples = (data if part == "train" else valid).samples
+    def recording(part, k, batch):
+        dataset = (train_parts if part == "train" else valid_parts)[k]
         digest.update(np.array([part == "train", len(batch)], dtype=np.int64).tobytes())
         for i in batch:
-            s = samples[i]
-            digest.update(np.concatenate([[TASK_ORDER.index(s.task)], s.rows, s.masks.ravel()]).astype(np.int64).tobytes())
-        return real(part, batch)
+            task = dataset.tasks[i]
+            masks = dataset.offsets[i] if GEOMETRY[TASK_ORDER[task]].impute else dataset.offsets[i, :, :0]
+            digest.update(np.concatenate([[task], dataset.rows[i], masks.ravel()]).astype(np.int64).tobytes())
+        return real(part, k, batch)
 
     monkeypatch.setattr(trainer, "_halves", recording)
     config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-    _, record = trainer.train(init_params(config, seed=0), data, valid, config,
+    _, record = trainer.train(init_params(config, seed=0), train_parts, valid_parts, config,
                               TrainConfig(batch_size=3, max_epochs=2, patience=2))
     assert len(record.train_losses) == 2
     assert digest.hexdigest() == "1f8e028702356362a6846ca3ed0f2863e3e7b767f10dacabe1afbf3d4ef29c58"
@@ -276,16 +270,15 @@ def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, s
     store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
     w = WindowSpec(4)
     parts = [train for _, train, _ in build_train_valid(store, TASK_ORDER, w, [0, 2], seed=3, stride=2)]
-    dataset = pool_datasets(parts)
-    assert {s.task for s in dataset.samples} == set(TASK_ORDER) and any(GEOMETRY[s.task].impute for s in dataset.samples)
+    assert all(set(part.tasks.tolist()) == set(range(len(TASK_ORDER))) for part in parts)
     config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-    for first, part in zip(np.cumsum([0, *map(len, parts)]), parts):  # one bucket each
-        idxs = list(range(first, first + len(part)))
-        streams, targets = batch(dataset, idxs)
+    for part in parts:
+        streams, targets = sample_streams(part, range(len(part)))
         regions = trainer._loss_regions(targets, w, config, supervise)
-        for j, i in enumerate(idxs):
-            sample = dataset.samples[i]
-            *demos, query = (materialised(store, sample.task, x, mask, w) for x, mask in zip(sample.spans, sample.masks.tolist()))
+        for j, spans in enumerate(reference.sample_spans(part, i) for i in range(len(part))):
+            task = TASK_ORDER[part.tasks[j]]
+            masks = part.offsets[j].tolist() if GEOMETRY[task].impute else [[]] * len(spans)
+            *demos, query = (materialised(store, task, x, mask, w) for x, mask in zip(spans, masks))
             assert streams[j].tobytes() == reference.build_stream(demos, query).tobytes()
             truths = [query[1], *(d[1] for d in demos)] if supervise else [query[1]]
             assert len(regions) == len(truths)
@@ -307,7 +300,7 @@ def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
     idxs = [0, 1, 2]
     got = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise).data)
 
-    streams, targets = batch(dataset, idxs)
+    streams, targets = sample_streams(dataset, idxs)
     full = forward_patch_predictions(streams, params, config).data
     regions = trainer._loss_regions(targets, dataset.window, config, supervise)
     assert len(regions) == (3 if supervise else 1)
@@ -326,7 +319,7 @@ def test_batched_predict_reads_the_full_forward_readout_rows(variant):
     for p in params.values():  # float64, with non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     h = dataset.window.horizon
-    streams = sample_streams(dataset.samples)[0]
+    streams = sample_streams(dataset, range(len(dataset)))[0]
     got = batched_predict(streams, h, params, config)
 
     full = forward_patch_predictions(streams, params, config).data
@@ -374,14 +367,15 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     seen = []  # (op, "out" or "dout", dtype) for every recorded op and every call of its rule
     real_finish = ad._finish
 
-    def recording_finish(out, backward_fn, op):
+    def recording_finish(out, backward_fn):
+        op = backward_fn.__qualname__.split(".")[0]  # every op's rule is its local ``backward``
         seen.append((op, "out", out.data.dtype))
 
         def backward(dout):
             seen.append((op, "dout", dout.dtype))
             backward_fn(dout)
 
-        return real_finish(out, backward, op)
+        return real_finish(out, backward)
 
     monkeypatch.setattr(ad, "_finish", recording_finish)
     trainer._gradient(dataset, [0, 1, 2], params, config, variant == DECODER_CAUSAL, 3, grad)
@@ -389,7 +383,7 @@ def test_a_training_step_stays_in_the_parameters_dtype(variant, dtype, monkeypat
     # every op recorded for the loss ran its rule once
     assert kinds.count("dout") == kinds.count("out") > 0
     optimizer.step(grad)
-    streams = sample_streams(dataset.samples)[0]
+    streams = sample_streams(dataset, [0, 1, 2])[0]
     preds = [batched_predict(streams, w.horizon, params, config), context_path(streams, streams[0], params, config, w.horizon)]
 
     assert {"matmul", "attention", "gelu", "layer_norm", "mse_loss"} <= {op for op, _, _ in seen}

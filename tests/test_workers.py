@@ -20,7 +20,7 @@ from conftest import overrides
 from tsicl import autodiff as ad
 from tsicl import evalharness, experiment, trainer, workers
 from tsicl.cli import main
-from tsicl.context import ContextDataset, build_train_valid, pool_datasets
+from tsicl.context import ContextDataset, build_train_valid
 from tsicl.errors import DataError, NumericalError
 from tsicl.evalharness import PROBES, EvalProtocol, score_probes
 from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, ModelConfig, init_params
@@ -260,7 +260,7 @@ def half(*args):
 trainer._batch_loss_graph = half
 data = build_context_dataset(generate(SynthSpec(count=1, length=240)), [TaskKind.FORECAST], WindowSpec(4), 0, seed=0)
 config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-trainer.train(init_params(config), data, data, config, trainer.TrainConfig(batch_size=4))
+trainer.train(init_params(config), [data], [data], config, trainer.TrainConfig(batch_size=4))
 """
 
 
@@ -272,13 +272,13 @@ def test_killing_the_caller_kills_its_training_worker(tmp_path):
 BATCH = 17
 
 
-def training_data(variant: str) -> tuple[ModelConfig, ContextDataset, ContextDataset]:
-    """69 training samples per demo count: batches of 17 split 9 + 8, and each bucket ends in a batch of 1."""
+def training_data(variant: str) -> tuple[ModelConfig, list[ContextDataset], list[ContextDataset]]:
+    """69 training samples per demo count: batches of 17 split 9 + 8, and each dataset ends in a batch of 1."""
     tasks = [TaskKind.FORECAST, TaskKind.IMPUTE]
     store = experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
     _, train_parts, valid_parts = zip(*build_train_valid(store, tasks, WINDOW, [0, 1], seed=0))
     assert [len(part) for part in train_parts] == [69, 69] and 69 % BATCH == 1 and BATCH % 2 == 1
-    return replace(TINY_MODEL, variant=variant), pool_datasets(train_parts), pool_datasets(valid_parts)
+    return replace(TINY_MODEL, variant=variant), list(train_parts), list(valid_parts)
 
 
 def counting_forks(monkeypatch) -> list[int]:
@@ -311,8 +311,8 @@ def test_forked_training_equals_serial_training(monkeypatch, variant, supervise)
 def test_a_batch_splits_into_the_shares_of_two():
     for n in range(1, 41):
         batch = list(range(100, 100 + n))
-        halves = [("train", batch[s.start : s.stop], n, k) for k, s in enumerate(workers.shares(n, 2))]
-        assert trainer._halves("train", batch) == (halves[:1] if n == 1 else halves)
+        halves = [("train", 1, batch[s.start : s.stop], n, j) for j, s in enumerate(workers.shares(n, 2))]
+        assert trainer._halves("train", 1, batch) == (halves[:1] if n == 1 else halves)
 
 
 def test_a_steps_summed_gradient_is_the_full_batch_gradient(monkeypatch):
@@ -324,7 +324,7 @@ def test_a_steps_summed_gradient_is_the_full_batch_gradient(monkeypatch):
     real_gradient = trainer._gradient
 
     def recording(dataset, idxs, *args):
-        halves.append(list(idxs))
+        halves.append((dataset, list(idxs)))
         return real_gradient(dataset, idxs, *args)
 
     class Stop(Exception):
@@ -339,10 +339,10 @@ def test_a_steps_summed_gradient_is_the_full_batch_gradient(monkeypatch):
     with pytest.raises(Stop):
         trainer.train({name: ad.Parameter(p.data.copy(), name) for name, p in start.items()}, data, valid, config,
                       TrainConfig(batch_size=BATCH))
-    first, rest = halves
-    assert (len(first), len(rest)) == tuple(map(len, workers.shares(BATCH, 2))) == (9, 8)
+    (dataset, first), (other, rest) = halves
+    assert dataset is other and (len(first), len(rest)) == tuple(map(len, workers.shares(BATCH, 2))) == (9, 8)
     with ad.Tape() as tape:
-        tape.backward(trainer._batch_loss_graph(data, first + rest, start, config, False))
+        tape.backward(trainer._batch_loss_graph(dataset, first + rest, start, config, False))
     full = np.concatenate([p.grad.ravel() for p in start.values()])
     assert np.linalg.norm(summed[0] - full) <= 1e-6 * np.linalg.norm(full)
 
