@@ -9,8 +9,8 @@ Without an active tape the same functions run forward-only, which is how
 evaluation avoids bookkeeping cost.
 
 The op set is exactly what the model and its loss run: ``matmul`` (an operand
-times a 2-D weight), ``add``, ``layer_norm``, ``gelu``, ``concat``,
-``row_slice``, ``split_heads``, ``merge_heads``, ``attention`` and
+times a 2-D weight, plus an optional bias), ``add``, ``layer_norm``, ``gelu``,
+``concat``, ``row_slice``, ``split_heads``, ``merge_heads``, ``attention`` and
 ``mse_loss``. Every backward rule is covered by a finite-difference check in
 the test suite, which also keeps the reference ops (``scale``, ``transpose``,
 ``softmax``, an operand-times-operand ``matmul``) that ``attention`` is
@@ -25,6 +25,10 @@ Every op keeps its inputs' dtype: float32 inputs give float32 outputs and
 gradients, float64 inputs float64 ones. Scalars inside the ops are Python
 floats, never numpy float64 scalars or 0-d arrays, which would promote a
 float32 operand to float64 under numpy >= 2 (NEP 50).
+
+A checkpoint is one JSON file: ``meta``, the parameters' one ``dtype`` and per
+parameter its ``shape`` and ``data``, the standard base64 (RFC 4648) of its
+values' little-endian bytes in that dtype, so it reads back bit for bit.
 
 Gradients are never updated in place. A backward rule may hand the same array,
 or a view of it, to several inputs (``add``, ``concat``), so
@@ -45,6 +49,7 @@ glibc) this is a no-op.
 
 from __future__ import annotations
 
+import base64
 import ctypes
 import json
 import math
@@ -193,21 +198,28 @@ def constant(data) -> Constant:
     return Constant(data)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """An operand (..., k) times a weight (k, n): one 2-D GEMM over the flattened leading axes."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """An operand (..., k) times a weight (k, n), plus a bias (n,) if given: one 2-D GEMM, the bias added in place."""
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise GeometryError(f"matmul needs a rank >= 2 operand and a 2-D weight, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise GeometryError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     k, n = b.shape
+    if bias is not None and bias.shape != (n,):
+        raise GeometryError(f"matmul bias shape mismatch: {a.shape} @ {b.shape} + {bias.shape}")
     lead = a.shape[:-1]
-    out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(*lead, n))
+    product = a.data.reshape(-1, k) @ b.data
+    if bias is not None:
+        product += bias.data
+    out = Tensor(product.reshape(*lead, n))
 
     def backward(dout: np.ndarray) -> None:
         flat = dout.reshape(-1, n)
         if not isinstance(a, Constant):  # input data needs no gradient GEMM
             a.accumulate((flat @ b.data.T).reshape(*lead, k))
         b.accumulate(a.data.reshape(-1, k).T @ flat)
+        if bias is not None:
+            bias.accumulate(_sum_to_shape(dout, bias.shape))
 
     return _finish(out, backward)
 
@@ -456,66 +468,49 @@ def mse_loss(pred: Tensor, target: np.ndarray, count: int | None = None) -> Tens
     return _finish(out, backward)
 
 
-_CHECKPOINT_DTYPES = ("float32", "float64")
+_CHECKPOINT_DTYPES = {"float32": "<f4", "float64": "<f8"}  # each with its values' byte layout
 
 
 def save_params(params: dict[str, Parameter], path: str | Path, meta: dict | None = None) -> None:
-    """JSON checkpoint: the parameters' one dtype, then name -> shape + flat values.
+    """Write ``params`` and ``meta`` as the checkpoint that the module docstring describes.
 
-    Every value is written as the shortest decimal that reads back as the same
-    value of the checkpoint's dtype (numpy's round-trip repr), so a float32
-    checkpoint holds about 11 characters a value, and a float64 one the digits
-    of Python's float repr. ``load_params`` parses each number as a float64 and
-    rounds that to the dtype. A short float32 decimal can parse to the float64
-    exactly halfway between two float32s, which rounds to the even one, not
-    always its own (``7.038531e-26``, bits 0x15AE43FD, reads back as
-    0x15AE43FE), so a value that this parse would not give back is written as
-    its float64 widening instead, which parses exactly. A dict that mixes
-    dtypes, or a parameter holding NaN or an infinity, for which JSON has no
-    number, is refused before anything is written.
+    A dict that mixes dtypes, or a parameter holding NaN or an infinity, is
+    refused before anything is written.
     """
     dtypes = sorted({p.data.dtype.name for p in params.values()}) or ["float64"]
     if len(dtypes) > 1:
         raise DataError(f"cannot checkpoint parameters of mixed dtypes {dtypes}")
-    compact = (",", ":")
-    entries = []
+    entries = {}
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise NumericalError(f"cannot checkpoint parameter {name}: it holds a non-finite value")
-        flat = p.data.reshape(-1)
-        texts = flat.astype(str).tolist()  # in the dtype: a Python float widens a float32
-        # read back as load_params reads: a float64 parse, then a rounding to the dtype
-        misread = np.fromiter(map(float, texts), np.float64, len(texts)).astype(flat.dtype) != flat
-        for i in np.flatnonzero(misread):
-            texts[i] = repr(float(flat[i]))
-        shape = json.dumps(list(p.data.shape), separators=compact)
-        entries.append(f'{json.dumps(name)}:{{"shape":{shape},"values":[{",".join(texts)}]}}')
-    head = json.dumps({"meta": meta or {}, "dtype": dtypes[0]}, separators=compact)[:-1]  # the object, left open
-    Path(path).write_text(head + ',"params":{' + ",".join(entries) + "}}\n")
+        data = base64.b64encode(p.data.astype(_CHECKPOINT_DTYPES[dtypes[0]], copy=False).tobytes()).decode()
+        entries[name] = {"shape": list(p.data.shape), "data": data}
+    payload = {"meta": meta or {}, "dtype": dtypes[0], "params": entries}
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:
     """Parameters and meta of a ``save_params`` file, in the dtype it records.
 
-    A file without a dtype (written before checkpoints carried one) is float64.
-    A meta that is not an object, or a non-finite value (JSON's ``NaN`` and
-    ``Infinity``), makes the file malformed.
+    A missing ``dtype`` or ``data``, ``data`` that is not base64 or whose byte
+    count does not fit ``shape``, a non-finite value, or a meta that is not an
+    object makes the file malformed.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
-    # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
+    # JSONDecodeError and binascii.Error are ValueErrors; a bad key, type or shape is a malformed file too
     try:
         payload = json.loads(path.read_text())
-        dtype = payload.get("dtype", "float64")
+        dtype = payload["dtype"]
         if dtype not in _CHECKPOINT_DTYPES:
-            raise ValueError(f"dtype {dtype!r} is not one of {_CHECKPOINT_DTYPES}")
-        params = {
-            name: Parameter(np.array(entry["values"], dtype=dtype).reshape(entry["shape"]), name)
-            for name, entry in payload["params"].items()
-        }
-        for name, p in params.items():
-            if not np.all(np.isfinite(p.data)):
+            raise ValueError(f"dtype {dtype!r} is not one of {tuple(_CHECKPOINT_DTYPES)}")
+        params = {}
+        for name, entry in payload["params"].items():
+            raw = np.frombuffer(base64.b64decode(entry["data"], validate=True), _CHECKPOINT_DTYPES[dtype])
+            params[name] = Parameter(raw.astype(dtype).reshape(entry["shape"]), name)
+            if not np.all(np.isfinite(params[name].data)):
                 raise ValueError(f"parameter {name} holds a non-finite value")
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):

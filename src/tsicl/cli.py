@@ -221,6 +221,9 @@ def _read_context_files(cfg: dict, store: SplitStore):
         if changed:
             raise DataError(f"{path} was not built with {changed[0]} = {cfg[changed[0]]!r} (run `build` again)")
     datasets, k = [read_jsonl(p, store) for p in paths], len(cfg["demo_counts"])
+    for path, m, dataset in zip(paths, cfg["demo_counts"] * 2, datasets):
+        if len(dataset) and dataset.rows.shape[1] != m + 1:
+            raise DataError(f"malformed dataset {path}: its samples hold {dataset.rows.shape[1] - 1} demos, not {m}")
     return datasets[:k], datasets[k:]
 
 

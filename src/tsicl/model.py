@@ -156,16 +156,16 @@ def _attention(
     """
     heads = config.n_heads
     hq = ad.row_slice(h, first_row, h.shape[1]) if first_row else h
-    q = ad.add(ad.matmul(hq, params[pre + "wq"]), params[pre + "bq"])
+    q = ad.matmul(hq, params[pre + "wq"], params[pre + "bq"])
     k = ad.matmul(h, params[pre + "wk"])
-    v = ad.add(ad.matmul(h, params[pre + "wv"]), params[pre + "bv"])
+    v = ad.matmul(h, params[pre + "wv"], params[pre + "bv"])
     if past is not None:
         lead = (h.shape[0],) + past[0].shape[1:]
         k, v = (ad.concat([ad.constant(np.broadcast_to(c, lead)), t], axis=1) for c, t in zip(past, (k, v)))
     causal = config.variant == DECODER_CAUSAL
     mixed = ad.attention(*(ad.split_heads(t, heads) for t in (q, k, v)), causal=causal)
     ctx = ad.merge_heads(mixed, heads)
-    return ad.add(ad.matmul(ctx, params[pre + "wo"]), params[pre + "bo"]), (k.data, v.data)
+    return ad.matmul(ctx, params[pre + "wo"], params[pre + "bo"]), (k.data, v.data)
 
 
 def _block(
@@ -179,9 +179,9 @@ def _block(
     attended, keys_values = _attention(h, params, pre + "attn.", config, first_row, past)
     x = ad.add(x, attended)
     f = ad.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-    f = ad.add(ad.matmul(f, params[pre + "ff.w1"]), params[pre + "ff.b1"])
+    f = ad.matmul(f, params[pre + "ff.w1"], params[pre + "ff.b1"])
     f = ad.gelu(f)
-    f = ad.add(ad.matmul(f, params[pre + "ff.w2"]), params[pre + "ff.b2"])
+    f = ad.matmul(f, params[pre + "ff.w2"], params[pre + "ff.b2"])
     return ad.add(x, f), keys_values
 
 
@@ -191,7 +191,7 @@ def _embed(batch_tokens: np.ndarray, params, config: ModelConfig, past_patches: 
     patches = patchify(batch_tokens, config.patch_size).astype(dtype, copy=False)
     s = patches.shape[1]
     pe = positional_encoding(past_patches + s, config.d_model)[past_patches:]
-    x = ad.add(ad.matmul(ad.constant(patches), params["in.w"]), params["in.b"])
+    x = ad.matmul(ad.constant(patches), params["in.w"], params["in.b"])
     return ad.add(x, ad.constant(pe.astype(dtype, copy=False)))
 
 
@@ -254,7 +254,7 @@ def forward_patch_predictions(
         past = None if prefix is None else prefix[layer]
         x, _ = _block(x, params, layer, config, start, past)
     x = ad.layer_norm(x, params["lnf.g"], params["lnf.b"])
-    return ad.add(ad.matmul(x, params["head.w"]), params["head.b"])
+    return ad.matmul(x, params["head.w"], params["head.b"])
 
 
 def readout_rows(config: ModelConfig, total_patches: int, horizon_patches: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Contracts of the whole pipeline: one eval loop and readout, frozen weights, no leakage, determinism."""
 
+import base64
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import reference
 from conftest import benchmark_module, overrides, settings
 from tsicl import autodiff as ad
 from tsicl import evalharness, experiment
-from tsicl.cli import main, resolve_config
+from tsicl.cli import main, model_config, resolve_config
 from tsicl.errors import DataError
 from tsicl.context import build_train_valid, example_streams, read_jsonl, sample_streams
 from tsicl.evalharness import (
@@ -64,6 +65,16 @@ def test_context_headers_count_the_replayed_samples(pipeline_dir, monkeypatch):
     paths = sorted(pipeline_dir.glob("ctx_train_m*.jsonl"))
     assert [p.name for p in paths] == ["ctx_train_m0.jsonl", "ctx_train_m1.jsonl"]
     assert artifacts.train_sample_count(pipeline_dir) == sum(len(read_jsonl(p, store)) for p in paths) > 0
+
+
+def test_the_checkpoint_is_its_float32_bytes_and_a_small_header(pipeline_dir):
+    """Four bytes a model parameter value, and under 4 KB of everything else: no value is decimal text."""
+    text = (pipeline_dir / "checkpoint.json").read_text()
+    entries = json.loads(text)["params"].values()
+    model = model_config(resolve_config(None, settings(pipeline_dir)))
+    values = sum(p.data.size for p in init_params(model).values())
+    assert sum(len(base64.b64decode(entry["data"], validate=True)) for entry in entries) == 4 * values
+    assert len(text) - sum(len(entry["data"]) for entry in entries) < 4096
 
 
 @pytest.fixture(scope="module")

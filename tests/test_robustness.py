@@ -1,5 +1,6 @@
 """Malformed inputs and failure paths end in the documented errors and exit codes."""
 
+import base64
 import json
 import os
 import subprocess
@@ -84,10 +85,28 @@ def edit_json(name: str, edit):
 
 
 def set_first_value(value):
+    """The checkpoint's first parameter value set to ``value``, as bytes of the checkpoint's dtype."""
     def edit(payload):
-        next(iter(payload["params"].values()))["values"][0] = value
+        entry = next(iter(payload["params"].values()))
+        dtype = np.dtype(payload["dtype"]).newbyteorder("<")
+        raw = bytearray(base64.b64decode(entry["data"]))
+        raw[: dtype.itemsize] = np.array(value, dtype=dtype).tobytes()
+        entry["data"] = base64.b64encode(raw).decode()
 
     return edit
+
+
+def zeros_entry(n: int) -> dict:
+    """A checkpoint entry of n float32 zeros, the dtype the tiny run trains in."""
+    return {"shape": [n], "data": base64.b64encode(np.zeros(n, dtype="<f4").tobytes()).decode()}
+
+
+def copy_over(source: str, target: str):
+    def garble(out_dir: Path) -> Path:
+        (out_dir / target).write_bytes((out_dir / source).read_bytes())
+        return out_dir / target
+
+    return garble
 
 
 def nan_train_value(payload):
@@ -125,6 +144,7 @@ def undecodable_csv(out_dir: Path) -> Path:
         pytest.param("eval", edit_json("checkpoint.json", set_first_value(float("nan"))), id="nan_value"),
         pytest.param("eval", edit_json("checkpoint.json", set_first_value(float("inf"))), id="infinity_value"),
         pytest.param("ingest", undecodable_csv, id="undecodable_csv"),
+        pytest.param("train", copy_over("ctx_train_m1.jsonl", "ctx_train_m0.jsonl"), id="context_file_of_another_demo_count"),
         pytest.param("build", edit_json("store.json", nan_train_value), id="nan_store_value"),
         pytest.param("build", edit_json("store.json", drop_split("train")), id="store_without_a_train_split"),
         pytest.param("build", edit_json("store.json", untiled_splits), id="store_splits_not_tiling_the_timeline"),
@@ -238,16 +258,24 @@ class TestMalformedFiles:
 
     def test_checkpoint(self, pipeline_dir, tmp_path):
         payload = json.loads((pipeline_dir / "checkpoint.json").read_text())
-        name = next(iter(payload["params"]))
-        cases = {
-            "truncated": (pipeline_dir / "checkpoint.json").read_text()[:100],
-            "missing_key": json.dumps({"meta": payload["meta"]}),
-            "bad_shape": json.dumps({"params": {name: {"shape": [3, 5], "values": [1.0, 2.0]}}}),
+        name, entry = next(iter(payload["params"].items()))
+        data = entry["data"]
+
+        def with_entry(edited: dict) -> str:
+            return json.dumps({**payload, "params": {name: edited}})
+
+        cases = {  # case -> (file text, what the error names)
+            "truncated": ((pipeline_dir / "checkpoint.json").read_text()[:100], ""),
+            "missing_key": (json.dumps({"meta": payload["meta"]}), "dtype"),
+            "bad_shape": (with_entry({"shape": [3, 5], "data": zeros_entry(2)["data"]}), "reshape"),
+            "not_base64": (with_entry({**entry, "data": data[:8] + "*" + data[8:]}), "base64"),
+            # an entry as checkpoints were written before they held bytes
+            "decimal_values": (with_entry({"shape": [2], "values": [1.0, 2.0]}), "'data'"),
         }
-        for case, text in cases.items():
+        for case, (text, why) in cases.items():
             path = tmp_path / f"{case}.json"
             path.write_text(text)
-            with pytest.raises(DataError, match=f"malformed checkpoint .*{case}.json"):
+            with pytest.raises(DataError, match=f"malformed checkpoint .*{case}.json.*{why}"):
                 ad.load_params(path)
 
     def test_context_jsonl(self, pipeline_dir, tmp_path):
@@ -458,9 +486,9 @@ def test_run_unseen_eval_scores_every_probe_in_order():
     "case, edit",
     [
         ("missing", lambda params: params.pop("head.b")),
-        ("misshapen", lambda params: params.update({"head.b": {"shape": [5], "values": [0.0] * 5}})),
+        ("misshapen", lambda params: params.update({"head.b": zeros_entry(5)})),
         # a checkpoint from before the key projection lost its bias
-        ("key_bias", lambda params: params.update({"l0.attn.bk": {"shape": [8], "values": [0.0] * 8}})),
+        ("key_bias", lambda params: params.update({"l0.attn.bk": zeros_entry(8)})),
     ],
 )
 def test_eval_on_a_checkpoint_that_does_not_fit_the_model_exits_3(pipeline_dir, tmp_path, capsys, case, edit):
