@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsicl.cli import main
 from tsicl.errors import DataError
 from tsicl.series import (
     ChannelSeries,
@@ -200,3 +201,16 @@ class TestStore:
                 assert np.array_equal(loaded.series(ch, split).values, store.series(ch, split).values)
                 assert loaded.series(ch, split).origin_offset == store.series(ch, split).origin_offset
         assert loaded.meta == {"seed": 1}
+
+
+def test_a_loaded_store_saves_to_the_same_bytes(pipeline_dir, tmp_path):
+    """``save_store(load_store(p))`` rewrites ``p`` byte for byte: the pipeline's store, and a 3-channel CSV's
+    whose channels differ in scale and one is constant (its std floored)."""
+    rows = np.random.default_rng(0).normal(size=(37, 2)) * [1.0, 1e3] + [0.0, 5.0]
+    csv = tmp_path / "three.csv"
+    csv.write_text("timestamp,a,b,c\n" + "".join(f"{t},{a!r},{b!r},2.5\n" for t, (a, b) in enumerate(rows.tolist())))
+    settings = {"csv": csv, "store": tmp_path / "three.json", "out_dir": tmp_path}
+    assert main(["ingest", *(arg for key, value in settings.items() for arg in ("--set", f"{key}={value}"))]) == 0
+    for path in (pipeline_dir / "store.json", tmp_path / "three.json"):
+        save_store(load_store(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
