@@ -2,5 +2,5 @@
 
 __version__ = "0.1.0"
 
-from .series import ChannelSeries, NormStats, RawDataset  # noqa: F401
+from .series import NormStats, RawDataset, SplitStore  # noqa: F401
 from .tasks import TaskKind, WindowSpec  # noqa: F401

@@ -150,6 +150,11 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         resolved[key] = _coerce(key, value)
     if resolved["seed"] < 0:  # numpy's SeedSequence takes no negative entropy
         raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
+    name = resolved["dataset_name"]
+    if "," in name or name.splitlines() not in ([], [name]):  # a field of every eval_report.csv row
+        raise ConfigError(f"dataset_name must hold no comma or line break, got {name!r}")
+    if len(set(resolved["channels"])) < len(resolved["channels"]):
+        raise ConfigError(f"channels must not repeat a name, got {resolved['channels']}")
     return resolved
 
 
@@ -172,10 +177,10 @@ def _append_config(path: Path, cfg: dict) -> None:
 
 
 def cmd_synth(cfg: dict) -> None:
-    series = generate(synth_spec(cfg))
+    data = generate(synth_spec(cfg))
     out = _path(cfg, "csv", "synth.csv", write=True)
-    write_csv(series, out)
-    print(f"synth: wrote {len(series)} channels x {len(series[0])} steps to {out}")
+    write_csv(data, out)
+    print(f"synth: wrote {len(data.channels)} channels x {len(data.values)} steps to {out}")
 
 
 def cmd_ingest(cfg: dict) -> None:

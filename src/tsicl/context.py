@@ -1,12 +1,12 @@
 """Context-sequence assembly: rewrite raw series into context-following samples.
 
-For each query window the builder draws a task, places the query, and
-samples demonstration windows of the same task whose source spans are
-disjoint from the query's. A sample is integers, in memory as on disk, and a
-``ContextDataset`` holds the samples of one demo count m as arrays: per sample
-its task's index in ``TASK_ORDER``, and per demo and last the query the row of
-its window start in a ``series.SeriesTable`` (one flat copy of the series it
-was built from) and where its h targets lie from that row
+For each query window of a split the builder draws a task, places the
+query, and samples demonstration windows of the same task from the train
+splits whose source spans are disjoint from the query's. A sample is
+integers, in memory as on disk, and a ``ContextDataset`` holds the samples of
+one demo count m as arrays: per sample its task's index in ``TASK_ORDER``,
+and per demo and last the query the row of its window start in the store's
+flat table (``series.SplitStore``) and where its h targets lie from that row
 (``tasks.target_offsets``, computed once, where a sample is built or
 replayed; an impute example's are its masked positions). Values are read
 only when a stream is made, and ``example_streams`` is the one stream
@@ -23,8 +23,9 @@ A context file stores one dataset. Its first line, the header, holds
 (``build`` adds its ``config`` and ``store_sha256``); ``read_header`` reads
 it alone. Each later line is one sample,
 ``{"task": ..., "examples": [[dataset, channel, start, end, [masked positions]], ...]}``,
-demos then query; spans are absolute, masked positions window-relative.
-``read_jsonl`` turns them back into rows and offsets of the store's table,
+demos then query; spans are on the channel's timeline (a row less its
+channel's first row), masked positions window-relative. ``read_jsonl`` turns
+them back into rows and offsets of the store's table,
 and refuses what ``build`` never writes: samples of different example counts
 in one file, an example in the test split, a demo outside the train split,
 or a demo that overlaps its query.
@@ -41,18 +42,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .series import ChannelSeries, SeriesTable, SplitStore
+from .series import SPLIT_NAMES, SplitStore
 from .tasks import (
     GEOMETRY,
     TASK_ORDER,
-    Span,
     TaskKind,
     WindowSpec,
     answer_region,
     draw_mask,
     gather,
     reach,
-    source_span,
     span_width,
     target_offsets,
     valid_start_range,
@@ -66,12 +65,13 @@ class ContextDataset:
     """The samples of one demo count m as integer arrays, their window and the query windows the build skipped.
 
     Per sample, ``tasks`` (N,) holds its task's index in ``TASK_ORDER``; per
-    demo and last the query, ``rows`` (N, m+1) holds the ``table`` row of its
-    window start and ``offsets`` (N, m+1, h) where its targets lie from that
-    row. A context file's header holds the window and ``skipped_windows``.
+    demo and last the query, ``rows`` (N, m+1) holds the row of its window
+    start in ``store``'s flat table and ``offsets`` (N, m+1, h) where its
+    targets lie from that row. A context file's header holds the window and
+    ``skipped_windows``.
     """
 
-    table: SeriesTable
+    store: SplitStore
     window: WindowSpec
     tasks: np.ndarray
     rows: np.ndarray
@@ -91,17 +91,17 @@ def sample_task(rng: np.random.Generator, tasks: set[TaskKind] | list[TaskKind])
 
 
 def example_streams(
-    table: SeriesTable, w: WindowSpec, rows: np.ndarray, offsets: np.ndarray, shown
+    values: np.ndarray, w: WindowSpec, rows: np.ndarray, offsets: np.ndarray, shown
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The streams (..., L+h, 3) and targets (..., h) of the examples at ``table`` rows ``rows`` (...) whose
-    targets lie at ``offsets`` (..., h) from them, in one ``gather``.
+    """The streams (..., L+h, 3) and targets (..., h) of the examples at rows ``rows`` (...) of the flat table
+    ``values`` whose targets lie at ``offsets`` (..., h) from them, in one ``gather``.
 
     An example's stream is its input and then its answer region, which shows
     its targets where ``shown`` (broadcast to ``rows``' shape) is true and
     placeholders elsewhere. The offsets say everything the task does, so
     evaluation's deliberate wrong-task demos are gathered like any others.
     """
-    inputs, targets = gather(table.values, rows, offsets, w)
+    inputs, targets = gather(values, rows, offsets, w)
     L, h = w.lookback, w.horizon
     streams = np.empty((*rows.shape, L + h, 3))
     streams[..., :L, :] = inputs
@@ -118,86 +118,77 @@ def sample_streams(dataset: ContextDataset, idxs) -> tuple[np.ndarray, np.ndarra
     """
     m = dataset.rows.shape[1] - 1
     shown = np.arange(m + 1) < m  # every demo, not the query
-    streams, targets = example_streams(dataset.table, dataset.window, dataset.rows[idxs], dataset.offsets[idxs], shown)
+    rows, offsets = dataset.rows[idxs], dataset.offsets[idxs]
+    streams, targets = example_streams(dataset.store.values, dataset.window, rows, offsets, shown)
     return streams.reshape(len(streams), -1, 3), targets
 
 
 def sample_demos(
-    pool: list[ChannelSeries],
-    query_span: Span,
-    task: TaskKind,
-    m: int,
-    w: WindowSpec,
-    rng: np.random.Generator,
-) -> list[tuple[ChannelSeries, int, list[int]]]:
-    """Sample m demonstrations of ``task`` with spans disjoint from the query's: (series, window start, mask).
+    pool: list[range], query: tuple[int, int], task: TaskKind, m: int, w: WindowSpec, rng: np.random.Generator
+) -> list[tuple[int, list[int]]]:
+    """Sample m demonstrations of ``task`` from the splits of rows ``pool`` whose source spans miss the query's
+    rows [start, end): (window start row, mask).
 
-    Rejection-samples uniform window starts, each with its mask drawn before
-    the overlap test; after ``DEMO_ATTEMPTS`` misses per demo it falls back to
-    exhaustive enumeration of the valid starts whose spans miss the query's.
-    Demos may overlap each other.
+    Rejection-samples a split, then a uniform window start in it, each with
+    its mask drawn before the overlap test; after ``DEMO_ATTEMPTS`` misses per
+    demo it falls back to exhaustive enumeration of the valid starts whose
+    spans miss the query's. Spans are rows of the flat table, so spans on
+    different channels never overlap. Demos may overlap each other.
     """
     if m == 0:
         return []
     ranges = []
-    for i, s in enumerate(pool):
-        lo, hi = valid_start_range(task, len(s), w)
+    for rows in pool:
+        lo, hi = valid_start_range(task, len(rows), w)
         if hi >= lo:
-            ranges.append((i, lo, hi))
+            ranges.append((rows.start, lo, hi))
     if not ranges:
         raise DataError(f"no series in the pool admits a {task} window")
+    before, width = reach(task, w)[0], span_width(task, w)
+
+    def misses(row: int) -> bool:
+        return not (row - before < query[1] and query[0] < row - before + width)
 
     demos = []
     for _ in range(m):
         demo = None
         for _ in range(DEMO_ATTEMPTS):
-            sidx, lo, hi = ranges[int(rng.integers(0, len(ranges)))]
-            t = int(rng.integers(lo, hi + 1))
+            first, lo, hi = ranges[int(rng.integers(0, len(ranges)))]
+            row = first + int(rng.integers(lo, hi + 1))
             mask = draw_mask(task, w, rng)
-            if not source_span(task, pool[sidx], t, w).overlaps(query_span):
-                demo = (pool[sidx], t, mask)
+            if misses(row):
+                demo = (row, mask)
                 break
         if demo is None:
             # Exhaustive fallback: enumerate every start whose span misses the query's.
-            valid = [
-                (sidx, t)
-                for sidx, lo, hi in ranges
-                for t in range(lo, hi + 1)
-                if not source_span(task, pool[sidx], t, w).overlaps(query_span)
-            ]
+            valid = [row for first, lo, hi in ranges for row in range(first + lo, first + hi + 1) if misses(row)]
             if not valid:
                 raise DataError(
                     f"insufficient disjoint demo windows: needed {m}, but no {task} window in the pool "
                     "misses the query's span"
                 )
-            sidx, t = valid[int(rng.integers(0, len(valid)))]
-            demo = (pool[sidx], t, draw_mask(task, w, rng))
+            demo = (valid[int(rng.integers(0, len(valid)))], draw_mask(task, w, rng))
         demos.append(demo)
     return demos
 
 
 def build_context_dataset(
-    series: list[ChannelSeries],
+    store: SplitStore,
+    split: str,
     tasks: set[TaskKind] | list[TaskKind],
     w: WindowSpec,
     demo_count: int,
     stride: int | None = None,
     seed: int = 0,
-    demo_pool: list[ChannelSeries] | None = None,
     cross_channel_demos: bool = False,
-    table: SeriesTable | None = None,
 ) -> ContextDataset:
-    """Enumerate query windows over ``series`` and emit context samples.
+    """Enumerate query windows over every channel's ``split`` of ``store`` and emit context samples.
 
     One task is drawn per window; windows whose drawn task cannot fit (e.g. a
     backtrace start without history) are skipped and counted. Each window uses
     an independent sub-seed derived from (seed, window index), so the build is
-    deterministic and order-independent.
-
-    ``demo_pool`` defaults to the query series themselves and must hold train
-    split data only; demos come from the query's own channel unless
-    ``cross_channel_demos``. Samples hold rows of ``table``, which must hold
-    every query and pool series (by default, a table of just those).
+    deterministic and order-independent. Demos come from train splits only:
+    the query's own channel's, or every channel's with ``cross_channel_demos``.
     """
     task_list = [t for t in TASK_ORDER if t in set(tasks)]
     if not task_list:
@@ -205,47 +196,42 @@ def build_context_dataset(
     stride = w.horizon if stride is None else stride
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    pool = series if demo_pool is None else demo_pool
-    for s in pool:
-        if s.split is not None and s.split != "train":
-            raise DataError(f"demo pool must be train-split data, got {s.split!r}")
-    table = SeriesTable([*series, *pool]) if table is None else table
-    by_channel: dict[tuple[str, str], list[ChannelSeries]] = {}
-    for s in pool:
-        by_channel.setdefault((s.dataset, s.channel), []).append(s)
+    train = [store.rows(c, "train") for c in range(len(store.channels))]
 
     L, h = w.lookback, w.horizon
     task_ids, rows, offsets = [], [], []
     skipped = 0
     window_index = 0
-    for s in series:
-        if len(s) < L + h:
+    for c, channel in enumerate(store.channels):
+        queries = store.rows(c, split)
+        if len(queries) < L + h:
             raise DataError(
-                f"series {s.dataset}/{s.channel} of length {len(s)} cannot fit one "
+                f"the {split} split of {store.dataset}/{channel}, of length {len(queries)}, cannot fit one "
                 f"{L}+{h} window"
             )
-        for t in range(0, len(s) - L + 1, stride):
+        for t in range(0, len(queries) - L + 1, stride):
             rng = np.random.default_rng(np.random.SeedSequence((seed, window_index)))
             window_index += 1
             task = sample_task(rng, task_list)
-            lo, hi = valid_start_range(task, len(s), w)
+            lo, hi = valid_start_range(task, len(queries), w)
             if not lo <= t <= hi:
                 skipped += 1
                 continue
-            query = (s, t, draw_mask(task, w, rng))
-            demo_source = pool if cross_channel_demos else by_channel.get((s.dataset, s.channel), [])
+            row, mask = queries.start + t, draw_mask(task, w, rng)
+            start = row - reach(task, w)[0]  # where the query's source span starts
             try:
-                demos = sample_demos(demo_source, source_span(task, s, t, w), task, demo_count, w, rng)
+                demos = sample_demos(train if cross_channel_demos else [train[c]], (start, start + span_width(task, w)),
+                                     task, demo_count, w, rng)
             except DataError:
                 skipped += 1
                 continue
-            picks = [*demos, query]
+            picks = [*demos, (row, mask)]
             task_ids.append(TASK_ORDER.index(task))
-            rows.append([table.row(p, start) for p, start, _ in picks])
-            offsets.append(target_offsets(task, w, [mask for _, _, mask in picks]))
+            rows.append([r for r, _ in picks])
+            offsets.append(target_offsets(task, w, [mask for _, mask in picks]))
     if not rows:
         raise DataError(f"empty dataset: all {skipped} windows skipped")
-    return ContextDataset(table, w, np.array(task_ids), np.array(rows, np.int32), np.array(offsets, np.int32), skipped)
+    return ContextDataset(store, w, np.array(task_ids), np.array(rows, np.int32), np.array(offsets, np.int32), skipped)
 
 
 def build_train_valid(
@@ -259,26 +245,19 @@ def build_train_valid(
 ) -> Iterator[tuple[int, ContextDataset, ContextDataset]]:
     """Yield (m, train, valid) per demo count m, the k-th seeded ``seed*1000 + 2k`` and ``+ 1``.
 
-    Valid queries come from the valid split, at the same ``stride``, and draw
-    their demos from the train split. Every sample holds rows of
-    ``store.table``. ``options`` go to ``build_context_dataset``.
-    Every count is checked before the first build; a repeated count is
-    refused, since both builds would claim one ``m``.
+    Train queries come from the train splits and valid queries from the valid
+    splits, at the same ``stride``; both draw their demos from the train
+    splits. ``options`` go to ``build_context_dataset``. Every count is
+    checked before the first build; a repeated count is refused, since both
+    builds would claim one ``m``.
     """
     if not demo_counts or min(demo_counts) < 0:
         raise ConfigError(f"demo_counts must be one or more counts >= 0, got {list(demo_counts)}")
     if len(set(demo_counts)) < len(demo_counts):
         raise ConfigError(f"demo_counts must not repeat a count, got {list(demo_counts)}")
-    train_series = [store.series(ch, "train") for ch in store.channels]
-    valid_series = [store.series(ch, "valid") for ch in store.channels]
     for k, m in enumerate(demo_counts):
-        train = build_context_dataset(
-            train_series, tasks, w, m, stride=stride, seed=seed * 1000 + 2 * k, table=store.table, **options
-        )
-        valid = build_context_dataset(
-            valid_series, tasks, w, m, stride=stride,
-            seed=seed * 1000 + 2 * k + 1, demo_pool=train_series, table=store.table, **options,
-        )
+        train, valid = (build_context_dataset(store, split, tasks, w, m, stride, seed * 1000 + 2 * k + j, **options)
+                        for j, split in enumerate(("train", "valid")))
         yield m, train, valid
 
 
@@ -286,19 +265,18 @@ def write_jsonl(dataset: ContextDataset, path: str | Path, meta: dict | None = N
     """The header line (window, sample count, skipped windows, then ``meta``), then per sample its task and
     examples: each one's source span, found from its row as ``_replay_rows`` finds the row back, and its
     masked positions, the offsets of an impute example."""
-    w, table = dataset.window, dataset.table
+    w, store = dataset.window, dataset.store
     header = {"horizon": w.horizon, "samples": len(dataset), "skipped_windows": dataset.skipped_windows, **(meta or {})}
-    held = table.locate(dataset.rows)
-    origin = np.array([s.origin_offset for s in table.series])
+    held = store.locate(dataset.rows)
     before = np.array([reach(t, w)[0] for t in TASK_ORDER])[dataset.tasks]
-    starts = origin[held] + dataset.rows - table.firsts[held] - before[:, None]
-    names = [(s.dataset, s.channel) for s in table.series]
+    starts = dataset.rows - store.bounds[held, 0] - before[:, None]
     with Path(path).open("w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for t, located, first, offsets in zip(*(x.tolist() for x in (dataset.tasks, held, starts, dataset.offsets))):
             task = TASK_ORDER[t]
             width, impute = span_width(task, w), GEOMETRY[task].impute
-            examples = [[*names[i], a, a + width, o if impute else []] for i, a, o in zip(located, first, offsets)]
+            examples = [[store.dataset, store.channels[i], a, a + width, o if impute else []]
+                        for i, a, o in zip(located, first, offsets)]
             fh.write(json.dumps({"task": str(task), "examples": examples}, separators=(",", ":")) + "\n")
 
 
@@ -326,35 +304,36 @@ class _Refused(ValueError):
 
 
 def _replay_rows(
-    table: SeriesTable, w: WindowSpec, names: list, task_ids: np.ndarray, query: np.ndarray, fields: np.ndarray
+    store: SplitStore, w: WindowSpec, task_ids: np.ndarray, query: np.ndarray, fields: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The table row of each stored example's window start and its (h,) target offsets, checked as arrays.
+    """The row of each stored example's window start in ``store``'s flat table and its (h,) target offsets,
+    checked as arrays.
 
     Per example, in file order: its task's index in ``TASK_ORDER``, whether it
     ends its record (the query), and its ``fields`` row: its channel's index
-    in ``names`` ((dataset, channel) pairs), its span's start and end, and h
-    masked positions (zeros where its task masks none). A span must lie in
-    one split of its channel and be as wide as its task reads; an impute mask
-    must be h ascending window positions; no example may lie in the test
-    split, and a demo must lie in the train split and miss its query's span.
+    in ``store.channels``, its span's start and end on that channel's
+    timeline, and h masked positions (zeros where its task masks none). A
+    span must lie in one split of its channel and be as wide as its task
+    reads; an impute mask must be h ascending window positions; no example
+    may lie in the test split, and a demo must lie in the train split and
+    miss its query's span.
     The first example that fails raises ``_Refused``.
     """
     channel, start, end, masks = fields[:, 0], fields[:, 1], fields[:, 2], fields[:, 3:]
-    series_channel = np.array([names.index((s.dataset, s.channel)) for s in table.series])
-    origin = np.array([s.origin_offset for s in table.series])
-    split = np.array([s.split for s in table.series])
-    inside = (series_channel == channel[:, None]) & (origin <= start[:, None]) & (end[:, None] <= origin + np.diff(table.firsts))
-    held = inside.argmax(axis=1)
+    first = store.bounds[channel, 0]
+    bounds = store.bounds[channel] - first[:, None]  # where each example's channel's splits start and end, in time
+    held = (bounds[:, :3] <= start[:, None]).sum(axis=1) - 1  # the split a span starts in, -1 before the first
+    inside = (held >= 0) & (end <= bounds[np.arange(len(held)), held + 1])
     impute = np.array([GEOMETRY[t].impute for t in TASK_ORDER])[task_ids]
     bad_mask = (masks[:, 0] < 0) | (masks[:, -1] >= w.lookback) | (np.diff(masks, axis=1) <= 0).any(axis=1)
     own_query = np.flatnonzero(query)[np.cumsum(query) - query]  # records end at their queries
     overlap = (channel == channel[own_query]) & (start < end[own_query]) & (start[own_query] < end)
     checks = [  # in order: an example that fails several is refused by the first
-        (~inside.any(axis=1), "lies in no split of its channel"),
+        (~inside, "lies in no split of its channel"),
         (end - start != np.array([span_width(t, w) for t in TASK_ORDER])[task_ids], "is not as wide as its task reads"),
         (impute & bad_mask, f"does not mask {w.horizon} ascending positions of its window"),
-        (split[held] == "test", "lies in the test split"),
-        (~query & (split[held] != "train"), "is a demo outside the train split"),
+        (held == SPLIT_NAMES.index("test"), "lies in the test split"),
+        (~query & (held != SPLIT_NAMES.index("train")), "is a demo outside the train split"),
         (~query & overlap, "is a demo that overlaps its query"),
     ]
     failed = np.any([bad for bad, _ in checks], axis=0)
@@ -366,23 +345,21 @@ def _replay_rows(
     for t, task in enumerate(TASK_ORDER):
         picked = task_ids == t
         offsets[picked] = target_offsets(task, w, masks[picked, : w.horizon if GEOMETRY[task].impute else 0])
-    return (table.firsts[held] + start - origin[held] + before).astype(np.int32), offsets
+    return (first + start + before).astype(np.int32), offsets
 
 
 def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
-    """Read a context file into a dataset of rows of ``store.table``, as ``build`` made it.
+    """Read a context file into a dataset of rows of ``store``'s flat table, as ``build`` made it.
 
     Each line is parsed into integers as it is read, and must hold as many
     examples as the first; then the whole file's examples are checked and
-    turned into rows and offsets at once (``_replay_rows``): the row of the
-    split that holds an example's span, plus the values its task reads before
-    its window. A malformed or refused example raises ``DataError`` naming
+    turned into rows and offsets at once (``_replay_rows``): the first row of
+    an example's channel, plus its span's start on that channel's timeline
+    and the values its task reads before its window. A malformed or refused example raises ``DataError`` naming
     its line.
     """
     header = read_header(path)
-    table = store.table
-    names = list(dict.fromkeys((s.dataset, s.channel) for s in table.series))
-    channel_of = {name: i for i, name in enumerate(names)}
+    channel_of = {(store.dataset, name): i for i, name in enumerate(store.channels)}
     lineno = 1
     # JSONDecodeError is a ValueError; a bad key, type or span is a malformed file too
     try:
@@ -419,14 +396,15 @@ def read_jsonl(path: str | Path, store: SplitStore) -> ContextDataset:
         task_ids, query = np.repeat(sample_tasks, n), np.tile(np.arange(n) == n - 1, len(tasks))
         table_fields = np.frombuffer(fields, dtype=np.int64).reshape(-1, 3 + h)
         try:
-            rows, offsets = _replay_rows(table, w, names, task_ids, query, table_fields)
+            rows, offsets = _replay_rows(store, w, task_ids, query, table_fields)
         except _Refused as exc:
             lineno = 2 + exc.index // n
             channel, first, last, *mask = table_fields[exc.index].tolist()
             k = h if GEOMETRY[TASK_ORDER[task_ids[exc.index]]].impute else 0
-            raise ValueError(f"example {[*names[channel], first, last, mask[:k]]} {exc}") from None
+            example = [store.dataset, store.channels[channel], first, last, mask[:k]]
+            raise ValueError(f"example {example} {exc}") from None
         if len(tasks) != header["samples"]:
             raise DataError(f"{len(tasks)} samples, the header promises {header['samples']}")
     except (KeyError, TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed dataset {path}, line {lineno}: {exc!r}") from None
-    return ContextDataset(table, w, sample_tasks, rows.reshape(len(tasks), n), offsets.reshape(len(tasks), n, h), skipped)
+    return ContextDataset(store, w, sample_tasks, rows.reshape(len(tasks), n), offsets.reshape(len(tasks), n, h), skipped)

@@ -5,9 +5,9 @@ is evaluated on a task it never saw. The context path prepends demonstrations
 of the unseen task (train-split data only); the baseline path rewrites each
 query with the adapter ``adapters.adapter_for`` picks. Demo and query windows
 come from the task table in ``tasks``: its valid starts and span widths.
-Queries and demos are rows of ``store.table`` plus masks
-(``tasks.example_rows``), which ``tasks.target_offsets`` turns into the
-offsets of their targets, as a context dataset holds them. From rows and
+Queries and demos are rows of the store's flat table plus masks
+(``tasks.example_rows`` of a split's rows), which ``tasks.target_offsets``
+turns into the offsets of their targets, as a context dataset holds them. From rows and
 offsets ``context.example_streams``, the one stream builder, gathers the query
 streams, which end in placeholders, and the demo prefix, whose answers are
 shown. ``_fit_adapted`` appends the answer
@@ -28,8 +28,7 @@ worker after it, to enforce that evaluation never updates them.
 ``score_probes`` scores channels on every core the process may use: it hands
 the contiguous ``workers.shares`` of its channels to ``workers.fork_join``,
 which computes the first share in the calling process and each other share in
-a forked child, and joins the results in channel order. The store's table is
-made before the fork, so every worker reads the same copy. Every process runs
+a forked child, and joins the results in channel order. Every process runs
 OpenBLAS on one thread, so the scores are the same bits on any core count; see
 ``workers`` for when the call runs serially. It also stays serial where the
 channels hold fewer than ``BATCH`` queries per worker (64, one
@@ -58,7 +57,7 @@ from .model import (
     horizon_patch_count,
     readout_rows,
 )
-from .series import ChannelSeries, SeriesTable, SplitStore
+from .series import SplitStore
 from .tasks import (
     TaskKind,
     WindowSpec,
@@ -297,17 +296,16 @@ def _rng(seed: int, stream: int, ch_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream, ch_idx)))
 
 
-def _probe_prefix(
-    probe: str, protocol: EvalProtocol, table: SeriesTable, train_s: ChannelSeries, seed: int, ch_idx: int
-) -> np.ndarray:
+def _probe_prefix(probe: str, protocol: EvalProtocol, store: SplitStore, seed: int, ch_idx: int) -> np.ndarray:
     """The demo prefix (n, 3) of a context probe: each demo's input and shown answer, none for ``no_context``."""
     if probe == "no_context":
         return np.zeros((0, 3))
     w = protocol.window
     task, stream = {"ictp": (protocol.eval_task, 3), "wrong_task": (protocol.pretrain_tasks[0], 4)}[probe]
-    starts = eval_demo_starts(len(train_s), task, w, protocol.demo_count)
-    rows, masks = example_rows(table, task, train_s, starts, w, _rng(seed, stream, ch_idx))
-    return example_streams(table, w, rows, target_offsets(task, w, masks), shown=True)[0].reshape(-1, 3)
+    train = store.rows(ch_idx, "train")
+    starts = eval_demo_starts(len(train), task, w, protocol.demo_count)
+    rows, masks = example_rows(task, train, starts, w, _rng(seed, stream, ch_idx))
+    return example_streams(store.values, w, rows, target_offsets(task, w, masks), shown=True)[0].reshape(-1, 3)
 
 
 def query_count(test_length: int, task: TaskKind, w: WindowSpec, stride: int) -> int:
@@ -342,26 +340,22 @@ def score_probes(
     if stride < 1:
         raise ConfigError(f"eval_stride must be >= 1, got {stride}")
     before = params_checksum(params)
-    channels = store.channels
-    query_total = sum(query_count(len(store.series(ch, "test")), protocol.eval_task, protocol.window, stride)
-                      for ch in channels)
-
-    task, w, table = protocol.eval_task, protocol.window, store.table  # the table before any fork
+    task, w, channels = protocol.eval_task, protocol.window, range(len(store.channels))
+    query_total = sum(query_count(len(store.rows(c, "test")), task, w, stride) for c in channels)
 
     def score_channel(ch_idx: int) -> tuple[list[np.ndarray], np.ndarray]:
-        ch = channels[ch_idx]
-        test_s = store.series(ch, "test")
-        starts = _query_starts(len(test_s), task, w, stride)
+        test = store.rows(ch_idx, "test")
+        starts = _query_starts(len(test), task, w, stride)
         if not starts:
-            raise DataError(f"test split of length {len(test_s)} admits no {task} window")
-        rows, masks = example_rows(table, task, test_s, starts, w, _rng(seed, 2, ch_idx))
-        queries, truth = example_streams(table, w, rows, target_offsets(task, w, masks), shown=False)
+            raise DataError(f"test split of length {len(test)} admits no {task} window")
+        rows, masks = example_rows(task, test, starts, w, _rng(seed, 2, ch_idx))
+        queries, truth = example_streams(store.values, w, rows, target_offsets(task, w, masks), shown=False)
         preds = []
         for probe in probes:
             if probe == "baseline":
                 preds.append(baseline_path(task, queries[:, : w.lookback], masks, params, config, w))
             else:
-                prefix = _probe_prefix(probe, protocol, table, store.series(ch, "train"), seed, ch_idx)
+                prefix = _probe_prefix(probe, protocol, store, seed, ch_idx)
                 preds.append(context_path(queries, prefix, params, config, w.horizon))
         return preds, truth
 

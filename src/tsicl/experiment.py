@@ -6,9 +6,11 @@ objects (``window``, ``task_kinds``, ``model_config``, ``train_config``,
 ``synth_spec``, ``eval_protocol``) and ``build_datasets`` builds its context
 data, so the CLI's stages and ``run_seed`` read a configuration the same way.
 The stages hand their results on through files; ``run_seed`` runs synth ->
-store -> build -> train -> eval in memory and scores the held-out task four
-ways on the same frozen weights: with correct demonstrations (``ictp``), with
-none, with wrong-task demonstrations, and through the reprogramming baseline.
+store -> build -> train -> eval in memory (the synthetic ``series.RawDataset``
+goes straight into ``series.build_store``, as ingest's CSV would) and scores
+the held-out task four ways on the same frozen weights: with correct
+demonstrations (``ictp``), with none, with wrong-task demonstrations, and
+through the reprogramming baseline.
 The probes run in ``evalharness.score_probes``, the one eval loop.
 """
 
@@ -16,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-import numpy as np
-
 from .context import build_train_valid
 from .errors import ConfigError
 from .evalharness import PROBES, EvalProtocol, EvalReport, run_unseen_eval
 from .model import ModelConfig, init_params
-from .series import RawDataset, SplitStore, build_store
+from .series import SplitStore, build_store
 from .synthetic import SynthSpec, generate
 from .tasks import TaskKind, WindowSpec
 from .trainer import TrainConfig, TrainRecord, train
@@ -82,21 +82,9 @@ def build_datasets(store: SplitStore, cfg: dict):
     )
 
 
-def store_from_channels(channels, name: str) -> SplitStore:
-    """Stack generated channels into a dataset and run the ingest transform."""
-    values = np.stack([c.values for c in channels], axis=1)
-    raw = RawDataset(
-        name=name,
-        timestamps=tuple(range(values.shape[0])),
-        channels=tuple(c.channel for c in channels),
-        values=values,
-    )
-    return build_store(raw)
-
-
 def run_seed(cfg: dict) -> tuple[EvalReport, TrainRecord]:
     """One run of the configuration in memory: the report holds one row per probe, in ``PROBES`` order."""
-    store = store_from_channels(generate(synth_spec(cfg)), cfg["dataset_name"])
+    store = build_store(generate(synth_spec(cfg)))
     _, train_parts, valid_parts = zip(*build_datasets(store, cfg))
     config = model_config(cfg)
     params, record = train(init_params(config, seed=cfg["seed"]), train_parts, valid_parts, config, train_config(cfg))

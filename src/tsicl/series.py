@@ -1,18 +1,19 @@
-"""Raw series ingestion, channel-independent expansion, splitting and normalization.
+"""Raw series ingestion, chronological splitting and normalization, into one flat table.
 
-Every channel of a multivariate CSV becomes its own univariate series, split
-chronologically 60:20:20, and z-scored with statistics fitted on the train
-segment only.
+Every channel of a multivariate CSV becomes its own univariate timeline,
+split chronologically 60:20:20 and z-scored with statistics fitted on its
+train split only. ``SplitStore`` lays the normalized timelines end to end in
+one flat table and records where each channel and split begins: it is the one
+place that knows where a split's values live, and everything downstream is
+rows of it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,33 +42,6 @@ class RawDataset:
             raise DataError("timestamp count does not match row count")
         if self.values.shape[0] < 1:
             raise DataError("no data rows")
-
-
-@dataclass(frozen=True)
-class ChannelSeries:
-    """One univariate channel; the unit of all windowing.
-
-    ``origin_offset`` is the index of ``values[0]`` in the parent dataset's
-    timeline, so split segments keep their absolute position.
-    """
-
-    dataset: str
-    channel: str
-    values: np.ndarray
-    origin_offset: int = 0
-    split: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1:
-            raise DataError(f"channel values must be 1-d, got shape {self.values.shape}")
-        if self.origin_offset < 0:
-            raise DataError("origin_offset must be >= 0")
-        if self.split is not None and self.split not in SPLIT_NAMES:
-            raise DataError(f"unknown split name {self.split!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -130,6 +104,9 @@ def _read_csv(reader, channels: list[str] | None) -> tuple[list[str], list, list
     if len(header) < 2:
         raise DataError("need a timestamp column and at least one channel column")
     available = [h.strip() for h in header[1:]]
+    repeated = sorted({c for c in available if available.count(c) > 1})
+    if repeated:
+        raise DataError(f"the header names channels {repeated} more than once")
     if channels is None:
         selected = available
     else:
@@ -165,164 +142,96 @@ def _read_csv(reader, channels: list[str] | None) -> tuple[list[str], list, list
     return selected, timestamps, rows
 
 
-def expand_channels(d: RawDataset) -> list[ChannelSeries]:
-    """Split a multivariate dataset into independent univariate channels."""
-    return [
-        ChannelSeries(dataset=d.name, channel=ch, values=d.values[:, i].copy())
-        for i, ch in enumerate(d.channels)
-    ]
-
-
-def chronological_split(
-    s: ChannelSeries, fractions: tuple[float, float] = (0.6, 0.8)
-) -> tuple[ChannelSeries, ChannelSeries, ChannelSeries]:
-    """Split into (train, valid, test) at floor(0.6*T) and floor(0.8*T).
-
-    The remainder after flooring lands in the test segment; concatenating the
-    three pieces reproduces the input exactly.
-    """
-    t = len(s)
-    b1 = int(np.floor(fractions[0] * t))
-    b2 = int(np.floor(fractions[1] * t))
-    if t < 5 or b1 < 1 or b2 - b1 < 1 or t - b2 < 1:
-        raise DataError(f"series of length {t} too short for a non-empty 60:20:20 split")
-    pieces = []
-    for split, (lo, hi) in zip(SPLIT_NAMES, ((0, b1), (b1, b2), (b2, t))):
-        pieces.append(
-            replace(s, values=s.values[lo:hi].copy(), origin_offset=s.origin_offset + lo, split=split)
-        )
-    return pieces[0], pieces[1], pieces[2]
-
-
-def fit_norm(train: ChannelSeries) -> NormStats:
-    """Mean and population std of the train segment (std floored at 1e-8)."""
-    if train.split is not None and train.split != "train":
-        raise DataError(f"normalization statistics must come from the train split, got {train.split!r}")
-    if len(train) == 0:
-        raise DataError("cannot fit normalization on an empty series")
-    return NormStats(mean=float(np.mean(train.values)), std=float(np.std(train.values)))
-
-
-def normalize(s: ChannelSeries, n: NormStats) -> ChannelSeries:
-    return replace(s, values=(s.values - n.mean) / n.std)
-
-
-class SeriesTable:
-    """Series laid end to end in one flat array, so that a position in any of them is one integer.
-
-    Row ``firsts[i] + t`` of ``values`` holds ``series[i].values[t]``; ``firsts``
-    ends with the row count. A series given twice is laid out once, and
-    ``row`` finds it by identity, not by its names or values.
-    """
-
-    def __init__(self, series: Sequence[ChannelSeries]):
-        self.series = tuple({id(s): s for s in series}.values())
-        self.firsts = np.cumsum([0, *(len(s) for s in self.series)])
-        self.values = np.concatenate([s.values for s in self.series]) if self.series else np.zeros(0)
-        self._first = {id(s): int(first) for s, first in zip(self.series, self.firsts)}
-
-    def row(self, s: ChannelSeries, t: int) -> int:
-        """The row of ``s.values[t]``."""
-        return self._first[id(s)] + t
-
-    def locate(self, rows: np.ndarray) -> np.ndarray:
-        """The index in ``series`` of the series that holds each row."""
-        return np.searchsorted(self.firsts, rows, side="right") - 1
 
 
 @dataclass
 class SplitStore:
-    """Normalized per-channel splits plus the stats that produced them; ``table`` lays them out flat."""
+    """Every channel's normalized timeline, laid end to end once in one flat table, and the stats that normalized it.
+
+    Channel c fills rows ``bounds[c, 0]`` to ``bounds[c, 3]`` of ``values``,
+    channel after channel; its train, valid and test splits start at
+    ``bounds[c, 0]``, ``bounds[c, 1]`` and ``bounds[c, 2]``. Row r of channel
+    c is time ``r - bounds[c, 0]`` on its timeline, so a position in any split
+    of any channel is one integer.
+    """
 
     dataset: str
-    splits: dict[str, dict[str, ChannelSeries]] = field(default_factory=dict)  # channel -> split -> series
-    stats: dict[str, NormStats] = field(default_factory=dict)
+    channels: list[str]
+    values: np.ndarray  # (rows,) float64
+    bounds: np.ndarray  # (channels, 4) int64
+    stats: list[NormStats] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def channels(self) -> list[str]:
-        return list(self.splits.keys())
+    def rows(self, c: int, split: str) -> range:
+        """The rows of channel c's ``split``."""
+        k = SPLIT_NAMES.index(split)
+        return range(int(self.bounds[c, k]), int(self.bounds[c, k + 1]))
 
-    def series(self, channel: str, split: str) -> ChannelSeries:
-        return self.splits[channel][split]
-
-    @cached_property
-    def table(self) -> SeriesTable:
-        """Every split of every channel in one ``SeriesTable``, made on first use: context samples index it."""
-        return SeriesTable([s for splits in self.splits.values() for s in splits.values()])
+    def locate(self, rows) -> np.ndarray:
+        """The index of the channel that holds each row."""
+        return np.searchsorted(self.bounds[:, 0], rows, side="right") - 1
 
 
 def build_store(d: RawDataset, meta: dict | None = None) -> SplitStore:
-    """Expand, split and normalize every channel of a dataset."""
-    store = SplitStore(dataset=d.name, meta=dict(meta or {}))
-    for ch in expand_channels(d):
-        train, valid, test = chronological_split(ch)
-        stats = fit_norm(train)
-        store.stats[ch.channel] = stats
-        store.splits[ch.channel] = {
-            part.split: normalize(part, stats) for part in (train, valid, test)
-        }
-    return store
+    """Split every channel of a dataset chronologically 60:20:20 and z-score it with its train split's stats.
+
+    The splits end at floor(0.6*T) and floor(0.8*T): the remainder after
+    flooring lands in the test split, and each split must hold a value.
+    """
+    t = len(d.values)
+    b1, b2 = int(np.floor(0.6 * t)), int(np.floor(0.8 * t))
+    if t < 5 or b1 < 1 or b2 - b1 < 1 or t - b2 < 1:
+        raise DataError(f"series of length {t} too short for a non-empty 60:20:20 split")
+    stats, timelines = [], []
+    for x in d.values.T.copy():  # each channel's values, contiguous
+        stats.append(NormStats(mean=float(np.mean(x[:b1])), std=float(np.std(x[:b1]))))
+        timelines.append((x - stats[-1].mean) / stats[-1].std)
+    bounds = np.arange(len(d.channels))[:, None] * t + np.array([0, b1, b2, t])
+    return SplitStore(d.name, list(d.channels), np.concatenate(timelines), bounds, stats, dict(meta or {}))
 
 
 def save_store(store: SplitStore, path: str | Path) -> None:
-    payload = {
-        "dataset": store.dataset,
-        "meta": store.meta,
-        "channels": {
-            ch: {
-                "mean": store.stats[ch].mean,
-                "std": store.stats[ch].std,
-                "splits": {
-                    split: {
-                        "origin_offset": s.origin_offset,
-                        "values": s.values.tolist(),
-                    }
-                    for split, s in store.splits[ch].items()
-                },
-            }
-            for ch in store.channels
-        },
-    }
+    """The store as JSON: per channel its stats and per split its values and ``origin_offset``, its first time."""
+    channels = {}
+    for ch, stats, (first, *ends) in zip(store.channels, store.stats, store.bounds.tolist()):
+        splits = {split: {"origin_offset": lo - first, "values": store.values[lo:hi].tolist()}
+                  for split, lo, hi in zip(SPLIT_NAMES, [first, *ends], ends)}
+        channels[ch] = {"mean": stats.mean, "std": stats.std, "splits": splits}
+    payload = {"dataset": store.dataset, "meta": store.meta, "channels": channels}
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def load_store(path: str | Path) -> SplitStore:
     """The store a ``save_store`` file holds: one or more channels, each split exactly into ``SPLIT_NAMES``,
-    which tile its timeline in that order. Replay finds an example's split by its span, so splits that
-    overlap would hand it the wrong one."""
+    which tile its timeline from time 0 in that order. Replay finds an example's split by its span, so splits
+    that overlap would hand it the wrong one."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such store: {path}")
     # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
     try:
         payload = json.loads(path.read_text())
-        store = SplitStore(dataset=payload["dataset"], meta=payload.get("meta", {}))
+        dataset, meta = payload["dataset"], payload.get("meta", {})
         if not payload["channels"]:
             raise ValueError("no channels")
+        stats, parts = [], []
         for ch, entry in payload["channels"].items():
             if sorted(entry["splits"]) != sorted(SPLIT_NAMES):
                 raise ValueError(f"channel {ch!r} has splits {sorted(entry['splits'])}, not {list(SPLIT_NAMES)}")
-            store.stats[ch] = NormStats(mean=entry["mean"], std=entry["std"])
-            store.splits[ch] = {
-                split: ChannelSeries(
-                    dataset=store.dataset,
-                    channel=ch,
-                    values=np.array(sp["values"], dtype=np.float64),
-                    origin_offset=sp["origin_offset"],
-                    split=split,
-                )
-                for split, sp in entry["splits"].items()
-            }
-            bad = [split for split, s in store.splits[ch].items() if not np.isfinite(s.values).all()]
-            if bad:
-                raise ValueError(f"non-finite value in channel {ch!r}, split {bad[0]!r}")
-            parts = [store.splits[ch][split] for split in SPLIT_NAMES]
-            origins = [s.origin_offset for s in parts]
-            ends = [s.origin_offset + len(s) for s in parts]
-            if any(type(o) is not int for o in origins) or origins[1:] != ends[:-1]:
+            stats.append(NormStats(mean=entry["mean"], std=entry["std"]))
+            splits = [entry["splits"][split] for split in SPLIT_NAMES]
+            for split, sp in zip(SPLIT_NAMES, splits):
+                parts.append(np.array(sp["values"], dtype=np.float64))
+                if parts[-1].ndim != 1:
+                    raise ValueError(f"channel {ch!r}, split {split!r}: values of shape {parts[-1].shape}, not 1-d")
+                if not np.isfinite(parts[-1]).all():
+                    raise ValueError(f"non-finite value in channel {ch!r}, split {split!r}")
+            origins, lengths = [sp["origin_offset"] for sp in splits], [len(v) for v in parts[-3:]]
+            if any(type(o) is not int for o in origins) or origins != [0, lengths[0], lengths[0] + lengths[1]]:
                 raise ValueError(f"the splits of channel {ch!r}, at origin offsets {origins} and of lengths "
-                                 f"{[len(s) for s in parts]}, do not tile its timeline")
+                                 f"{lengths}, do not tile its timeline from 0")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"malformed store {path}: {exc!r}") from None
-    return store
+    ends = np.cumsum([0, *map(len, parts)])
+    bounds = ends[np.arange(len(stats))[:, None] * len(SPLIT_NAMES) + np.arange(len(SPLIT_NAMES) + 1)]
+    return SplitStore(dataset, list(payload["channels"]), np.concatenate(parts), bounds, stats, meta)

@@ -4,8 +4,8 @@
 channel's values from the spec and the channel's rng. ``sinusoid_mixture``
 sums a few random sinusoids with AR(1) noise; ``ar2`` draws its coefficients
 inside the stationarity triangle. A family's shape is its module constants,
-not configuration. Output is round-trip compatible with the CSV ingestion
-format.
+not configuration. ``generate`` returns the ``series.RawDataset`` that
+``series.load_csv`` reads back from ``write_csv``'s file.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .series import ChannelSeries
+from .series import RawDataset
 
 SINUSOID_MIXTURE = "sinusoid_mixture"
 AR2 = "ar2"
@@ -98,23 +98,19 @@ def _ar2_series(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 FAMILIES = {SINUSOID_MIXTURE: _sinusoid_series, AR2: _ar2_series}
 
 
-def generate(spec: SynthSpec) -> list[ChannelSeries]:
-    """One ChannelSeries per requested channel, deterministic per (seed, index)."""
-    out = []
-    for i in range(spec.count):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        out.append(ChannelSeries(spec.name, f"s{i:03d}", FAMILIES[spec.family](spec, rng)))
-    return out
+def generate(spec: SynthSpec) -> RawDataset:
+    """The dataset ``spec`` names, with integer timestamps from 0: channel i is ``s{i:03d}``, drawn from the rng
+    of (seed, i)."""
+    columns = [
+        FAMILIES[spec.family](spec, np.random.default_rng(np.random.SeedSequence((spec.seed, i))))
+        for i in range(spec.count)
+    ]
+    channels = tuple(f"s{i:03d}" for i in range(spec.count))
+    return RawDataset(spec.name, tuple(range(spec.length)), channels, np.stack(columns, axis=1))
 
 
-def write_csv(series: list[ChannelSeries], path: str | Path) -> None:
-    """Emit the ingestion CSV format: integer timestamps plus one column per channel."""
-    if not series:
-        raise ConfigError("nothing to write")
-    n = len(series[0])
-    if any(len(s) != n for s in series):
-        raise ConfigError("all channels must share one length")
-    lines = ["timestamp," + ",".join(s.channel for s in series)]
-    for t in range(n):
-        lines.append(str(t) + "," + ",".join(repr(float(s.values[t])) for s in series))
+def write_csv(d: RawDataset, path: str | Path) -> None:
+    """Emit the ingestion CSV format: a timestamp column plus one column per channel."""
+    lines = ["timestamp," + ",".join(d.channels)]
+    lines += [f"{t}," + ",".join(repr(v) for v in row) for t, row in zip(d.timestamps, d.values.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -3,15 +3,16 @@
 Every task shows an L-value window (lookback ``L = 2h``) and asks for h values,
 so examples are interchangeable inside a context sequence. ``GEOMETRY`` is the
 only per-task code: where the h target values lie relative to the window.
-``target_offsets``, ``valid_start_range``, ``span_width`` and ``source_span``
+``reach``, ``target_offsets``, ``valid_start_range`` and ``span_width``
 derive everything else from it. An example is integers: the row of its window
-start in the flat ``series.SeriesTable`` and its masked positions.
-``example_rows`` makes them from window starts on one series, refusing a start
-the task table does not admit, and ``gather`` is the one reader of example
-values: from rows and target offsets it reads the inputs and targets of any
-number of examples at once. Token sequences are float64 arrays of shape
-``(n, 3)`` with columns ``(value, mask_flag, segment_flag)``: ``gather`` makes
-an example's input tokens and ``answer_region`` the h answer tokens after it.
+start in the store's flat table (``series.SplitStore``) and its masked
+positions. ``example_rows`` makes them from window starts on one split's
+rows, refusing a start the task table does not admit, and ``gather`` is the
+one reader of example values: from rows and target offsets it reads the
+inputs and targets of any number of examples at once. Token sequences are
+float64 arrays of shape ``(n, 3)`` with columns ``(value, mask_flag,
+segment_flag)``: ``gather`` makes an example's input tokens and
+``answer_region`` the h answer tokens after it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .series import ChannelSeries, SeriesTable
 
 VALUE, MASK_FLAG, SEGMENT_FLAG = 0, 1, 2
 
@@ -86,21 +86,6 @@ class WindowSpec:
         return 2 * self.horizon
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open index range [start, end) on a channel's absolute timeline."""
-
-    dataset: str
-    channel: str
-    start: int
-    end: int
-
-    def overlaps(self, other: "Span") -> bool:
-        if self.dataset != other.dataset or self.channel != other.channel:
-            return False
-        return self.start < other.end and other.start < self.end
-
-
 def sample_mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
     """Draw k distinct positions from range(n) uniformly, ascending.
 
@@ -140,12 +125,6 @@ def span_width(task: TaskKind, w: WindowSpec) -> int:
     return w.lookback + sum(reach(task, w))
 
 
-def source_span(task: TaskKind, s: ChannelSeries, t: int, w: WindowSpec) -> Span:
-    """The span the example of the window at t reads, without building it."""
-    before, after = reach(task, w)
-    return Span(s.dataset, s.channel, s.origin_offset + t - before, s.origin_offset + t + w.lookback + after)
-
-
 def target_offsets(task: TaskKind, w: WindowSpec, masks) -> np.ndarray:
     """Where the h targets of ``task`` examples lie, relative to their window starts, (..., h).
 
@@ -182,22 +161,22 @@ def gather(values: np.ndarray, starts, offsets: np.ndarray, w: WindowSpec) -> tu
 
 
 def example_rows(
-    table: SeriesTable, task: TaskKind, s: ChannelSeries, starts: Sequence[int], w: WindowSpec,
-    rng: np.random.Generator | None,
+    task: TaskKind, split: range, starts: Sequence[int], w: WindowSpec, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``table`` rows of the ``task`` windows of ``s`` that start at ``starts``, and their masks (len(starts), k).
+    """The rows of the ``task`` windows that start at ``starts`` in the split of rows ``split``, and their masks
+    (len(starts), k).
 
     An impute task draws each window's h masked positions with ``rng``, in
     ``starts`` order; other tasks ignore ``rng``. On the flat table a window
-    past either end of ``s`` would read its neighbour, so a start outside
+    past either end of the split would read its neighbour, so a start outside
     ``valid_start_range`` raises ``GeometryError`` before any row is made.
     """
-    lo, hi = valid_start_range(task, len(s), w)
+    lo, hi = valid_start_range(task, len(split), w)
     for t in starts:
         if t < lo:
             raise GeometryError(f"insufficient history: {task} start {t} < {lo}")
         if t > hi:
-            raise GeometryError(f"{task} window at {t} out of range for series of length {len(s)}")
+            raise GeometryError(f"{task} window at {t} out of range for series of length {len(split)}")
     k = w.horizon if GEOMETRY[task].impute else 0
     masks = np.array([draw_mask(task, w, rng) for _ in starts], dtype=np.int64).reshape(len(starts), k)
-    return table.row(s, 0) + np.asarray(starts, dtype=np.int64), masks
+    return split.start + np.asarray(starts, dtype=np.int64), masks

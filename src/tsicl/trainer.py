@@ -160,7 +160,7 @@ def _batch_loss_graph(
     params: dict[str, ad.Parameter],
     config: ModelConfig,
     supervise_demos: bool,
-    batch_size: int | None = None,
+    batch_size: int,
 ) -> ad.Tensor:
     """MSE over the supervised regions; the model runs its last block from the first of them.
 
@@ -173,8 +173,7 @@ def _batch_loss_graph(
     slices = [ad.row_slice(preds, r0 - first, r1 - first) for r0, r1, _ in regions]
     pred_cat = slices[0] if len(slices) == 1 else ad.concat(slices, axis=1)
     truth = np.concatenate([t for _, _, t in regions], axis=1)
-    samples = len(idxs) if batch_size is None else batch_size
-    return ad.mse_loss(pred_cat, truth, pred_cat.data.size // len(idxs) * samples)
+    return ad.mse_loss(pred_cat, truth, pred_cat.data.size // len(idxs) * batch_size)
 
 
 def _gradient(

@@ -4,9 +4,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tsicl.cli import main
+from tsicl.series import SPLIT_NAMES, SplitStore
 
 TINY_CLI = {
     "synth_count": "2",
@@ -42,6 +44,16 @@ def settings(out_dir: Path) -> list[str]:
 
 def overrides(out_dir: Path) -> list[str]:
     return [arg for item in settings(out_dir) for arg in ("--set", item)]
+
+
+def store_of(*channels) -> SplitStore:
+    """A store of dataset ``d`` whose channels are given as ``(name, train, valid, test)`` value lists,
+    unnormalized, laid out as ``series.build_store`` lays them: channel after channel, each its train, valid
+    then test values."""
+    parts = [np.asarray(part, dtype=np.float64) for _, *splits in channels for part in splits]
+    ends = np.cumsum([0, *map(len, parts)])
+    bounds = ends[np.arange(len(channels))[:, None] * len(SPLIT_NAMES) + np.arange(len(SPLIT_NAMES) + 1)]
+    return SplitStore("d", [name for name, *_ in channels], np.concatenate(parts), bounds)
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,12 @@ op against a chain whose every step is finite-difference checked. They record
 on the active tape through ``autodiff._finish``, as the library's ops do.
 ``mask_positions`` is the documented mask draw as k scalar ``rng.integers``
 calls, which ``tasks.sample_mask_positions`` makes in one call. ``example``
-reads one task example value by value off its series, as the task table
-describes it, and ``build_stream`` lays examples out one stream at a time:
-``context.example_streams`` gathers what they make. ``sample_spans`` finds a
-context sample's source spans one example at a time, which
-``context.write_jsonl`` does for a whole dataset at once.
+reads one task example value by value off a split's values, as the task
+table describes it, and ``build_stream`` lays examples out one stream at a
+time: ``context.example_streams`` gathers what they make. ``source_span``
+finds one example's source span on its channel's timeline, ``overlaps``
+compares two, and ``sample_spans`` lists a context sample's, which
+``context.write_jsonl`` finds for a whole dataset at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from tsicl import autodiff as ad
 from tsicl.errors import GeometryError
-from tsicl.tasks import GEOMETRY, TASK_ORDER, source_span
+from tsicl.tasks import GEOMETRY, TASK_ORDER
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -115,8 +116,8 @@ def mask_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
     return sorted(idx[:k])
 
 
-def example(task, s, t: int, w, mask=()) -> tuple[np.ndarray, np.ndarray]:
-    """The input tokens (L, 3) and target (h,) of the ``task`` example whose window is ``s.values[t : t+L]``.
+def example(task, values, t: int, w, mask=()) -> tuple[np.ndarray, np.ndarray]:
+    """The input tokens (L, 3) and target (h,) of the ``task`` example whose window is ``values[t : t+L]``.
 
     Each token is (value, 0, 0), or (0, 1, 0) at a position of ``mask``; the
     target is the ``before`` values, the masked values, then the ``after``
@@ -128,9 +129,9 @@ def example(task, s, t: int, w, mask=()) -> tuple[np.ndarray, np.ndarray]:
         if i in mask:
             tokens[i, 1] = 1.0
         else:
-            tokens[i, 0] = s.values[t + i]
-    target = [*s.values[t - g.before * h : t], *(s.values[t + i] for i in sorted(mask)),
-              *s.values[t + L : t + L + g.after * h]]
+            tokens[i, 0] = values[t + i]
+    target = [*values[t - g.before * h : t], *(values[t + i] for i in sorted(mask)),
+              *values[t + L : t + L + g.after * h]]
     return tokens, np.array(target, dtype=np.float64)
 
 
@@ -147,8 +148,21 @@ def build_stream(demos, query=None) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros((0, 3))
 
 
+def source_span(store, task, row: int, w) -> tuple[str, str, int, int]:
+    """(dataset, channel, start, end) of the ``task`` example whose window starts at ``row`` of ``store``: the
+    values it reads, from ``before`` horizons ahead of its window to ``after`` past it, as times on its channel's
+    timeline, whose first row is time 0."""
+    c = next(c for c in range(len(store.channels)) if store.bounds[c, 0] <= row < store.bounds[c, 3])
+    g, t = GEOMETRY[task], row - int(store.bounds[c, 0])
+    return store.dataset, store.channels[c], t - g.before * w.horizon, t + w.lookback + g.after * w.horizon
+
+
+def overlaps(a: tuple, b: tuple) -> bool:
+    """Whether two source spans share a value: the same channel of the same dataset, and intersecting times."""
+    return a[:2] == b[:2] and a[2] < b[3] and b[2] < a[3]
+
+
 def sample_spans(dataset, i: int) -> list:
     """The source spans of sample ``i`` of a ``context.ContextDataset``, its demos' then its query's."""
-    table, task = dataset.table, TASK_ORDER[dataset.tasks[i]]
-    located = zip(table.locate(dataset.rows[i]).tolist(), dataset.rows[i].tolist())
-    return [source_span(task, table.series[j], row - int(table.firsts[j]), dataset.window) for j, row in located]
+    task = TASK_ORDER[dataset.tasks[i]]
+    return [source_span(dataset.store, task, row, dataset.window) for row in dataset.rows[i].tolist()]

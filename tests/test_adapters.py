@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference
-from tsicl import adapters, evalharness, experiment
+from tsicl import adapters, evalharness
 from tsicl.context import example_streams
 from tsicl.errors import DataError
 from tsicl.evalharness import EvalProtocol, _fit_adapted, eval_demo_starts, score_probes
@@ -20,7 +20,7 @@ from tsicl.model import (
     patchify,
     readout_rows,
 )
-from tsicl.series import ChannelSeries
+from tsicl.series import build_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import MASK_FLAG, TaskKind, WindowSpec, answer_region, example_rows, target_offsets
 
@@ -29,8 +29,7 @@ WINDOWS = (WindowSpec(12), WindowSpec(6))
 
 
 def series(n=96):
-    values = np.random.default_rng(7).standard_normal(n)
-    return ChannelSeries("d", "c", values)
+    return np.random.default_rng(7).standard_normal(n)
 
 
 def query_batch(task: TaskKind, w: WindowSpec, positions=None, starts=(20, 30, 40)):
@@ -81,7 +80,7 @@ def test_flip_twice_is_the_identity():
 def test_truncate_scores_the_masked_positions_in_order(positions):
     window = np.arange(24, dtype=float) * 10.0
     w = WindowSpec(12)
-    tokens, target = reference.example(TaskKind.IMPUTE, ChannelSeries("d", "c", window), 0, w, positions)
+    tokens, target = reference.example(TaskKind.IMPUTE, window, 0, w, positions)
     (history,), (read,) = adapters.adapt_impute_truncate(tokens[None], np.array([positions]), w)
     first, last = positions[0], positions[-1]
     # the model forecasts the hull forward from the prefix, or backward from the suffix
@@ -161,7 +160,7 @@ def test_encoder_backtrace_stream_is_the_flip_plus_a_masked_tail(monkeypatch):
 
 
 def test_encoder_forecast_baseline_is_the_no_context_probe():
-    store = experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=240, seed=0)))
     config = replace(TINY_MODEL, variant=ENCODER_MASKED)
     protocol = EvalProtocol(TaskKind.FORECAST, (TaskKind.IMPUTE, TaskKind.BACKTRACE), WindowSpec(4), demo_count=1)
     preds, _, _ = score_probes(protocol, ("no_context", "baseline"), store, init_params(config, seed=1), config)
@@ -181,16 +180,15 @@ def masked_tail(stream: np.ndarray, p: int) -> tuple[int, int]:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_readout_rows_cover_exactly_the_masked_tail(variant, monkeypatch):
     """The encoder reads the masked tail's own rows; the decoder reads them one row earlier."""
-    store = experiment.store_from_channels(generate(SynthSpec(count=1, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=1, length=240, seed=0)))
     w = WindowSpec(12)
     config = replace(TINY_MODEL, variant=variant)
     rng = np.random.default_rng(0)
-    task, table, channel = TaskKind.BACKTRACE, store.table, store.channels[0]
-    train_s, test_s = store.series(channel, "train"), store.series(channel, "test")
-    rows, masks = example_rows(table, task, train_s, eval_demo_starts(len(train_s), task, w, 2), w, rng)
-    prefix = example_streams(table, w, rows, target_offsets(task, w, masks), True)[0].reshape(-1, 3)
-    rows, masks = example_rows(table, task, test_s, range(w.horizon, len(test_s) - w.lookback + 1, 6), w, rng)
-    queries, _ = example_streams(table, w, rows, target_offsets(task, w, masks), False)
+    task, train, test = TaskKind.BACKTRACE, store.rows(0, "train"), store.rows(0, "test")
+    rows, masks = example_rows(task, train, eval_demo_starts(len(train), task, w, 2), w, rng)
+    prefix = example_streams(store.values, w, rows, target_offsets(task, w, masks), True)[0].reshape(-1, 3)
+    rows, masks = example_rows(task, test, range(w.horizon, len(test) - w.lookback + 1, 6), w, rng)
+    queries, _ = example_streams(store.values, w, rows, target_offsets(task, w, masks), False)
     fed = []
     real = evalharness.batched_predict
 

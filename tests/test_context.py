@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import TINY_CLI
+from conftest import TINY_CLI, store_of
 from tsicl import context
 from tsicl.cli import main
 from tsicl.context import (
@@ -22,20 +22,19 @@ from tsicl.context import (
     write_jsonl,
 )
 from tsicl.errors import DataError
-from tsicl.experiment import store_from_channels
-from tsicl.series import ChannelSeries, SeriesTable, SplitStore
+from tsicl.series import build_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import (
     MASK_FLAG,
     SEGMENT_FLAG,
     TASK_ORDER,
     VALUE,
-    Span,
     TaskKind,
     WindowSpec,
     answer_region,
     draw_mask,
-    source_span,
+    reach,
+    span_width,
     target_offsets,
     valid_start_range,
 )
@@ -43,26 +42,28 @@ from tsicl.tasks import (
 W42 = WindowSpec(2)
 
 
-def count_disjoint_starts(pool, query_span: Span, task: TaskKind, w: WindowSpec) -> int:
-    """Number of admissible demo starts, by brute force over every series of the pool."""
+def count_disjoint_starts(pool: list[range], query_span: tuple[int, int], task: TaskKind, w: WindowSpec) -> int:
+    """Number of admissible demo starts, by brute force over every split of the pool."""
     count = 0
-    for s in pool:
-        lo, hi = valid_start_range(task, len(s), w)
-        count += sum(not source_span(task, s, t, w).overlaps(query_span) for t in range(lo, hi + 1))
+    for rows in pool:
+        lo, hi = valid_start_range(task, len(rows), w)
+        for t in range(lo, hi + 1):
+            first = rows.start + t - reach(task, w)[0]
+            count += not (first < query_span[1] and query_span[0] < first + span_width(task, w))
     return count
 
 
-def series_of(n, channel="c", offset=0, split="train"):
-    return ChannelSeries("d", channel, np.arange(n, dtype=float), origin_offset=offset, split=split)
+def train_store(n):
+    """A store of one channel ``c`` whose train split holds the n values 0, 1, ..., n-1, and no other split."""
+    return store_of(("c", np.arange(n), [], []))
 
 
-def sample_of(s, task, starts, w, rng=None):
-    """A dataset of the one sample of ``s`` whose examples start at ``starts``, demos then the query, masks drawn
-    with ``rng``."""
-    table = SeriesTable([s])
+def sample_of(store, task, starts, w, rng=None):
+    """A dataset of the one sample of the train split of ``store``'s first channel whose examples start at
+    ``starts``, demos then the query, masks drawn with ``rng``."""
     masks = np.array([draw_mask(task, w, rng) for _ in starts]).reshape(len(starts), -1)
-    rows = np.array([[table.row(s, t) for t in starts]])
-    return ContextDataset(table, w, np.array([TASK_ORDER.index(task)]), rows, target_offsets(task, w, masks)[None])
+    rows = store.rows(0, "train").start + np.array([starts])
+    return ContextDataset(store, w, np.array([TASK_ORDER.index(task)]), rows, target_offsets(task, w, masks)[None])
 
 
 class TestSampleTask:
@@ -84,18 +85,23 @@ class TestSampleTask:
 
 class TestSampleDemos:
     def test_disjointness_forced(self):
-        pool = [series_of(40)]
-        query_span = Span("d", "c", 0, 6)
+        pool = [range(0, 40)]
+        query_span = (0, 6)
         demos = sample_demos(pool, query_span, TaskKind.FORECAST, 1, W42, np.random.default_rng(0))
         assert len(demos) == 1
-        series, t, mask = demos[0]
-        assert series is pool[0] and mask == []
-        assert source_span(TaskKind.FORECAST, series, t, W42).start >= 6
-        assert source_span(TaskKind.FORECAST, series, t, W42).end <= 40
+        row, mask = demos[0]
+        assert mask == []
+        assert row >= 6 and row + span_width(TaskKind.FORECAST, W42) <= 40
+
+    def test_a_demo_on_another_split_in_the_pool_misses_the_query(self):
+        """Spans are rows of one table: a query's span in one split overlaps no window of another."""
+        pool = [range(0, 8), range(8, 20)]  # every window of the first split overlaps the query's [0, 6)
+        demos = sample_demos(pool, (0, 6), TaskKind.FORECAST, 20, W42, np.random.default_rng(0))
+        assert all(8 <= row <= 20 - span_width(TaskKind.FORECAST, W42) for row, _ in demos)
 
     def test_insufficient_reports_available_count(self):
-        pool = [series_of(8)]  # starts 0..2: every window overlaps the query's [0, 6)
-        query_span = Span("d", "c", 0, 6)
+        pool = [range(0, 8)]  # starts 0..2: every window overlaps the query's [0, 6)
+        query_span = (0, 6)
         assert count_disjoint_starts(pool, query_span, TaskKind.FORECAST, W42) == 0
         m = 5
         with pytest.raises(DataError, match="insufficient disjoint demo windows") as err:
@@ -103,43 +109,40 @@ class TestSampleDemos:
         assert f"needed {m}" in str(err.value)
 
     def test_zero_demos(self):
-        assert sample_demos([series_of(40)], Span("d", "c", 0, 6), TaskKind.FORECAST, 0, W42, np.random.default_rng(0)) == []
+        assert sample_demos([range(0, 40)], (0, 6), TaskKind.FORECAST, 0, W42, np.random.default_rng(0)) == []
 
     def test_demos_may_overlap_each_other_by_default(self):
-        pool = [series_of(14)]  # only a handful of start positions
-        query_span = Span("d", "c", 0, 6)
+        pool = [range(0, 14)]  # only a handful of start positions
+        query_span = (0, 6)
         demos = sample_demos(pool, query_span, TaskKind.FORECAST, 6, W42, np.random.default_rng(1))
         assert len(demos) == 6  # more demos than disjoint slots: overlap happened
 
 
 class TestAssemble:
     def test_empty_context_identity(self):
-        q = reference.example(TaskKind.FORECAST, series_of(10), 0, W42)
-        (tokens,), (targets,) = sample_streams(sample_of(series_of(10), TaskKind.FORECAST, [0], W42), [0])
+        q = reference.example(TaskKind.FORECAST, np.arange(10.0), 0, W42)
+        (tokens,), (targets,) = sample_streams(sample_of(train_store(10), TaskKind.FORECAST, [0], W42), [0])
         assert np.array_equal(tokens, np.concatenate([q[0], answer_region(2)]))
         assert np.array_equal(targets[-1], q[1])
 
     def test_paper_scale_token_count(self):
         w = WindowSpec(96)
-        out = sample_of(series_of(288 * 6), TaskKind.FORECAST, [*(288 * (i + 1) for i in range(4)), 0], w)
+        out = sample_of(train_store(288 * 6), TaskKind.FORECAST, [*(288 * (i + 1) for i in range(4)), 0], w)
         assert sample_streams(out, [0])[0].shape == (1, 1440, 3)  # 5 examples of L + h = 288
 
     def test_hand_built_concatenation(self):
-        s = series_of(40)
-        (tokens,), _ = sample_streams(sample_of(s, TaskKind.FORECAST, [10, 20, 0], W42), [0])
-        expected_values = np.concatenate(
-            [s.values[10:14], s.values[14:16], s.values[20:24], s.values[24:26], s.values[0:4], [0, 0]]
-        )
+        s = np.arange(40.0)
+        (tokens,), _ = sample_streams(sample_of(train_store(40), TaskKind.FORECAST, [10, 20, 0], W42), [0])
+        expected_values = np.concatenate([s[10:14], s[14:16], s[20:24], s[24:26], s[0:4], [0, 0]])
         assert np.array_equal(tokens[:, VALUE], expected_values)
         assert np.array_equal(tokens[:, SEGMENT_FLAG], [0, 0, 0, 0, 1, 1] * 3)
         assert np.array_equal(tokens[:, MASK_FLAG], [0] * 16 + [1, 1])
 
     def test_task_mismatch(self, tmp_path):
         """A sample holds one task, so on disk a demo of another task is a record that does not replay."""
-        s = series_of(40)
-        store = SplitStore("d", splits={"c": {"train": s}})
+        store = train_store(40)
         path = tmp_path / "ctx.jsonl"
-        write_jsonl(sample_of(s, TaskKind.FORECAST, [10, 0], W42), path)
+        write_jsonl(sample_of(store, TaskKind.FORECAST, [10, 0], W42), path)
         header, line = path.read_text().splitlines()
         record = json.loads(line)
         record["examples"][0] = ["d", "c", 10, 14, [1, 3]]  # the impute example at 10
@@ -150,14 +153,14 @@ class TestAssemble:
 
 class TestBuildDataset:
     def test_single_window(self):
-        ds = build_context_dataset([series_of(6)], {TaskKind.FORECAST}, W42, 0, stride=1, seed=0)
+        ds = build_context_dataset(train_store(6), "train", {TaskKind.FORECAST}, W42, 0, stride=1, seed=0)
         assert len(ds) == 1
 
     def test_deterministic_bytes(self, tmp_path):
-        series = [series_of(60)]
+        store = train_store(60)
         blobs = []
         for run in range(2):
-            ds = build_context_dataset(series, {TaskKind.FORECAST, TaskKind.IMPUTE}, W42, 2, stride=3, seed=9)
+            ds = build_context_dataset(store, "train", {TaskKind.FORECAST, TaskKind.IMPUTE}, W42, 2, stride=3, seed=9)
             path = tmp_path / f"run{run}.jsonl"
             write_jsonl(ds, path)
             blobs.append(path.read_bytes())
@@ -166,52 +169,57 @@ class TestBuildDataset:
     def test_window_count_matches_enumeration(self):
         # L=8, h=4, stride 4, length 60, forecast-only: starts {0,4,...,48} -> 13
         w = WindowSpec(4)
-        ds = build_context_dataset([series_of(60)], {TaskKind.FORECAST}, w, 0, stride=4, seed=0)
+        ds = build_context_dataset(train_store(60), "train", {TaskKind.FORECAST}, w, 0, stride=4, seed=0)
         expected = len([t for t in range(0, 60 - 8 + 1, 4) if t + 12 <= 60])
         assert expected == 13
         assert len(ds) == 13
 
     def test_skips_are_counted(self):
         # backtrace start 0 lacks history, so some windows are skipped
-        ds = build_context_dataset([series_of(30)], {TaskKind.BACKTRACE}, W42, 0, stride=2, seed=1)
+        ds = build_context_dataset(train_store(30), "train", {TaskKind.BACKTRACE}, W42, 0, stride=2, seed=1)
         assert ds.skipped_windows >= 1
         assert (ds.tasks == TASK_ORDER.index(TaskKind.BACKTRACE)).all()
 
     def test_empty_result(self):
         # forecast never fits: series shorter than L+h windows at every stride start
         with pytest.raises(DataError, match="cannot fit|empty dataset"):
-            build_context_dataset([series_of(5)], {TaskKind.FORECAST}, W42, 0, stride=1, seed=0)
+            build_context_dataset(train_store(5), "train", {TaskKind.FORECAST}, W42, 0, stride=1, seed=0)
 
-    def test_demo_pool_split_enforced(self):
-        bad_pool = [series_of(40, split="valid")]
-        with pytest.raises(DataError, match="train-split"):
-            build_context_dataset(
-                [series_of(40)], {TaskKind.FORECAST}, W42, 1, stride=4, seed=0, demo_pool=bad_pool
-            )
+    def test_valid_queries_draw_their_demos_from_the_train_split(self):
+        """Of each channel's own train split, or of any channel's with ``cross_channel_demos``."""
+        store = store_of(("a", np.arange(40), np.arange(40, 60), [60]), ("b", np.arange(40), np.arange(40, 60), [60]))
+        for cross_channel_demos in (False, True):
+            ds = build_context_dataset(store, "valid", {TaskKind.FORECAST}, W42, 3, stride=1, seed=0,
+                                       cross_channel_demos=cross_channel_demos)
+            held = store.locate(ds.rows)
+            assert [store.rows(c, "valid") for c in set(held[:, -1].tolist())] == [range(40, 60), range(101, 121)]
+            for c, demo in zip(held[:, :-1].ravel().tolist(), ds.rows[:, :-1].ravel().tolist()):
+                assert demo in store.rows(c, "train")
+            assert (held[:, :-1] != held[:, -1:]).any() == cross_channel_demos
 
     def test_jsonl_round_trip(self, tmp_path):
         """Store-built train and valid parts, with and without cross-channel demos, replay exactly."""
-        store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+        store = build_store(generate(SynthSpec(count=2, length=240, seed=0)))
         for cross_channel_demos in (False, True):
             parts = build_train_valid(
                 store, TASK_ORDER, WindowSpec(4), [0, 2], seed=4, stride=3, cross_channel_demos=cross_channel_demos
             )
             foreign_demos = 0
-            channels = np.array([s.channel for s in store.table.series])
+            channels = np.array(store.channels)
             for m, train, valid in parts:
                 for name, ds in (("train", train), ("valid", valid)):
                     assert set(ds.tasks.tolist()) == set(range(len(TASK_ORDER)))
                     path = tmp_path / f"{name}_m{m}.jsonl"
                     write_jsonl(ds, path)
                     loaded = read_jsonl(path, store)
-                    assert loaded.table is ds.table and loaded.window == ds.window
+                    assert loaded.store is ds.store and loaded.window == ds.window
                     assert loaded.skipped_windows == ds.skipped_windows
                     assert ds.rows.shape == (len(ds), m + 1)
                     for got, want in zip((loaded.tasks, loaded.rows, loaded.offsets), (ds.tasks, ds.rows, ds.offsets)):
                         assert got.dtype == want.dtype and np.array_equal(got, want)
                     for i in range(len(ds)):
                         assert reference.sample_spans(loaded, i) == reference.sample_spans(ds, i)
-                    example_channels = channels[store.table.locate(ds.rows)]
+                    example_channels = channels[store.locate(ds.rows)]
                     foreign_demos += int((example_channels[:, :-1] != example_channels[:, -1:]).sum())
                     # replay is value-exact, so a second write is byte-identical
                     again = tmp_path / f"{name}_m{m}_again.jsonl"
@@ -230,7 +238,7 @@ BUILD_DECISIONS_SHA256 = "07b9159c1d116fe7a3d8070d64053363d070f1a43a26757ee7b817
 
 
 def test_build_decisions_are_pinned(tmp_path, monkeypatch):
-    store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=240, seed=0)))
     digest = hashlib.sha256()
     for m, train, valid in build_train_valid(store, TASK_ORDER, WindowSpec(4), [0, 2], seed=4, stride=3):
         for name, ds in (("train", train), ("valid", valid)):
@@ -243,10 +251,9 @@ def test_build_decisions_are_pinned(tmp_path, monkeypatch):
     real = context.draw_mask
     monkeypatch.setattr(context, "draw_mask", lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(context, "DEMO_ATTEMPTS", 1)
-    demos = sample_demos([series_of(14)], Span("d", "c", 0, 6), TaskKind.IMPUTE, 3, W42, np.random.default_rng(0))
+    demos = sample_demos([range(0, 14)], (0, 6), TaskKind.IMPUTE, 3, W42, np.random.default_rng(0))
     assert len(calls) > 3  # a rejected candidate: at least one demo came through the exhaustive fallback
-    spans = [source_span(TaskKind.IMPUTE, s, t, W42) for s, t, _ in demos]
-    records = [[span.start, span.end, mask] for span, (_, _, mask) in zip(spans, demos)]
+    records = [[row, row + span_width(TaskKind.IMPUTE, W42), mask] for row, mask in demos]  # impute reads its window
     digest.update(json.dumps(records).encode())
     assert digest.hexdigest() == BUILD_DECISIONS_SHA256
 
@@ -270,9 +277,8 @@ class TestStructuralInvariants:
     @settings(max_examples=60, deadline=None)
     def test_emitted_samples_are_well_formed(self, cfg):
         w, n, m, tasks, seed, stride = cfg
-        series = [series_of(n)]
         try:
-            ds = build_context_dataset(series, tasks, w, m, stride=stride, seed=seed)
+            ds = build_context_dataset(train_store(n), "train", tasks, w, m, stride=stride, seed=seed)
         except DataError:
             return  # pool too small for m disjoint demos: acceptable outcome
         L, h = w.lookback, w.horizon
@@ -284,9 +290,9 @@ class TestStructuralInvariants:
             *demos, query = reference.sample_spans(ds, i)
             assert len(demos) == m
             for span in demos:
-                assert not span.overlaps(query)
+                assert not reference.overlaps(span, query)
                 # demos must come from the train-split pool
-                assert span.start >= 0 and span.end <= n
+                assert span[2] >= 0 and span[3] <= n
 
 
 # SHA-256 of every context file a tiny build writes. Its sample lines are the
@@ -330,7 +336,7 @@ def test_context_files_keep_their_bytes(tmp_path, name, settings):
 
 def test_a_replayed_sample_holds_integers(tmp_path):
     """A replayed 24-demo dataset holds under 256 bytes per example: rows and masks, no token arrays."""
-    store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=240, seed=0)))
     [(_, train, _)] = build_train_valid(store, TASK_ORDER, WindowSpec(4), [24], seed=0, stride=4)
     write_jsonl(train, tmp_path / "ctx.jsonl")
     tracemalloc.start()

@@ -26,9 +26,9 @@ from tsicl.evalharness import (
     score_probes,
 )
 from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, VARIANTS, ModelConfig, init_params
-from tsicl.series import load_store
+from tsicl.series import build_store, load_store
 from tsicl.synthetic import SynthSpec, generate
-from tsicl.tasks import TaskKind, WindowSpec, example_rows, source_span, target_offsets
+from tsicl.tasks import TaskKind, WindowSpec, example_rows, target_offsets
 from tsicl.trainer import evaluate_loss
 
 WINDOW = WindowSpec(4)
@@ -37,7 +37,7 @@ STAGES = ("synth", "ingest", "build", "train", "eval", "report")
 
 
 def tiny_store():
-    return experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    return build_store(generate(SynthSpec(count=2, length=240, seed=0)))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -125,8 +125,8 @@ def test_eval_demos_and_queries_do_not_leak(monkeypatch):
     seen = []
     real = evalharness.example_rows
 
-    def recording(table, task, s, starts, w, rng):
-        rows, masks = real(table, task, s, starts, w, rng)
+    def recording(task, split, starts, w, rng):
+        rows, masks = real(task, split, starts, w, rng)
         seen.append((task, rows, target_offsets(task, w, masks)))
         return rows, masks
 
@@ -135,25 +135,24 @@ def test_eval_demos_and_queries_do_not_leak(monkeypatch):
 
     # per channel: its queries, then the ictp and the wrong_task demos
     assert [task for task, _, _ in seen] == [TaskKind.BACKTRACE, TaskKind.BACKTRACE, TaskKind.IMPUTE] * len(store.channels)
-    table = store.table
     for k, (task, rows, offsets) in enumerate(seen):
-        split = store.series(store.channels[k // 3], "test" if k % 3 == 0 else "train")
-        i = next(i for i, s in enumerate(table.series) if s is split)
+        split = store.rows(k // 3, "test" if k % 3 == 0 else "train")
         first = rows + np.minimum(offsets.min(axis=1), 0)
         end = rows + np.maximum(offsets.max(axis=1) + 1, WINDOW.lookback)
-        assert len(rows) > 0 and (table.firsts[i] <= first).all() and (end <= table.firsts[i + 1]).all()
+        assert len(rows) > 0 and (split.start <= first).all() and (end <= split.stop).all()
 
 
 def impute_probe(store, demo_count: int, rng):
     """Channel 0's impute demo prefix and stride-4 query streams as eval gathers them, and their reference examples."""
-    table, channel, task = store.table, store.channels[0], TaskKind.IMPUTE
-    train_s, test_s = store.series(channel, "train"), store.series(channel, "test")
+    task, train, test = TaskKind.IMPUTE, store.rows(0, "train"), store.rows(0, "test")
     made = []
-    for s, starts, shown in ((train_s, eval_demo_starts(len(train_s), task, WINDOW, demo_count), True),
-                             (test_s, range(0, len(test_s) - WINDOW.lookback + 1, 4), False)):
-        rows, masks = example_rows(table, task, s, starts, WINDOW, rng)
-        streams, _ = example_streams(table, WINDOW, rows, target_offsets(task, WINDOW, masks), shown)
-        made.append((streams, [reference.example(task, s, t, WINDOW, mask) for t, mask in zip(starts, masks.tolist())]))
+    for split, starts, shown in ((train, eval_demo_starts(len(train), task, WINDOW, demo_count), True),
+                                 (test, range(0, len(test) - WINDOW.lookback + 1, 4), False)):
+        rows, masks = example_rows(task, split, starts, WINDOW, rng)
+        streams, _ = example_streams(store.values, WINDOW, rows, target_offsets(task, WINDOW, masks), shown)
+        values = store.values[split.start : split.stop]
+        examples = [reference.example(task, values, t, WINDOW, mask) for t, mask in zip(starts, masks.tolist())]
+        made.append((streams, examples))
     (prefix, demos), (queries, examples) = made
     return prefix.reshape(-1, 3), demos, queries, examples
 
@@ -257,16 +256,16 @@ EVAL_CELLS = (
 
 def test_eval_decisions_are_pinned(tmp_path, monkeypatch):
     """The same decisions on the forked path (two or more cores) and the serial one (one core)."""
-    store = experiment.store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=480, seed=0)))
     real = evalharness.example_rows
 
-    def recording(table, task, s, starts, w, rng):
-        rows, masks = real(table, task, s, starts, w, rng)
-        located = zip(table.locate(rows).tolist(), rows.tolist())
-        spans = [source_span(task, table.series[i], row - int(table.firsts[i]), w) for i, row in located]
-        records = [[x.dataset, x.channel, x.start, x.end, mask] for x, mask in zip(spans, masks.tolist())]
+    def recording(task, split, starts, w, rng):
+        rows, masks = real(task, split, starts, w, rng)
+        spans = [reference.source_span(store, task, row, w) for row in rows.tolist()]
+        records = [[*span, mask] for span, mask in zip(spans, masks.tolist())]
+        channel = store.channels[store.locate(split.start)]
         with (tmp_path / f"{os.getpid()}.jsonl").open("a") as fh:  # a forked worker records in its own file
-            fh.write(json.dumps([s.channel, str(task), records]) + "\n")
+            fh.write(json.dumps([channel, str(task), records]) + "\n")
         return rows, masks
 
     monkeypatch.setattr(evalharness, "example_rows", recording)

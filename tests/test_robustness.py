@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from conftest import overrides
 from tsicl import autodiff as ad
-from tsicl import cli, evalharness, experiment, trainer
+from tsicl import cli, evalharness, trainer
 from tsicl.cli import main
 from tsicl.context import build_context_dataset, read_jsonl
 from tsicl.errors import DataError, NumericalError
 from tsicl.model import ModelConfig, init_params
-from tsicl.series import load_store
+from tsicl.series import build_store, load_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec
 
@@ -127,6 +127,22 @@ def untiled_splits(payload):
         entry["splits"]["valid"]["origin_offset"] = 0
 
 
+def shifted_splits(payload):
+    """Every split of every channel 5 steps later: they still tile a timeline, but one that starts at 5."""
+    for entry in payload["channels"].values():
+        for split in entry["splits"].values():
+            split["origin_offset"] += 5
+
+
+def repeated_csv_channel(out_dir: Path) -> Path:
+    """synth.csv whose header names its first channel twice, over both channels' columns."""
+    path = out_dir / "synth.csv"
+    header, rest = path.read_text().split("\n", 1)
+    first = header.split(",")[1]
+    path.write_text(",".join(["timestamp", first, first]) + "\n" + rest)
+    return path
+
+
 def undecodable_csv(out_dir: Path) -> Path:
     """synth.csv behind a UTF-16 byte-order mark, which is not UTF-8."""
     path = out_dir / "synth.csv"
@@ -148,6 +164,8 @@ def undecodable_csv(out_dir: Path) -> Path:
         pytest.param("build", edit_json("store.json", nan_train_value), id="nan_store_value"),
         pytest.param("build", edit_json("store.json", drop_split("train")), id="store_without_a_train_split"),
         pytest.param("build", edit_json("store.json", untiled_splits), id="store_splits_not_tiling_the_timeline"),
+        pytest.param("build", edit_json("store.json", shifted_splits), id="store_train_split_not_at_origin_0"),
+        pytest.param("ingest", repeated_csv_channel, id="csv_header_repeating_a_channel"),
         pytest.param("eval", edit_json("store.json", drop_split("test")), id="store_without_a_test_split"),
         pytest.param("eval", edit_json("store.json", lambda payload: payload.update(channels={})),
                      id="store_without_channels"),
@@ -206,7 +224,8 @@ def test_random_byte_edits_exit_with_a_documented_code(pipeline_dir, tmp_path, a
 def moved(record: dict, k: int, store, split: str) -> None:
     """Example k of ``record`` moved to the start of ``split`` of its channel, with its width and mask."""
     dataset, channel, start, end, mask = record["examples"][k]
-    origin = store.series(channel, split).origin_offset
+    c = store.channels.index(channel)
+    origin = store.rows(c, split).start - int(store.bounds[c, 0])
     record["examples"][k] = [dataset, channel, origin, origin + end - start, mask]
 
 
@@ -283,8 +302,7 @@ class TestMalformedFiles:
         header, first, *rest = (pipeline_dir / "ctx_train_m1.jsonl").read_text().splitlines()
         record = json.loads(first)
         impute = next(json.loads(line) for line in rest if json.loads(line)["task"] == "impute")
-        train = store.series(store.channels[0], "train")
-        split_end = train.origin_offset + len(train)
+        split_end = len(store.rows(0, "train"))
 
         def edited(raw, query):
             """The whole file with its first record replaced by ``raw`` whose query is ``query``."""
@@ -443,9 +461,14 @@ def test_a_failing_stage_leaves_no_out_dir(tmp_path, capsys, stage, message):
         ("build", "valid_stride=4", "unknown config keys: ['valid_stride']"),  # valid queries use stride
         ("train", "max_tokens=4096", "unknown config keys: ['max_tokens']"),  # model.MAX_TOKENS
         ("synth", "synth_noise_sigma=0.1", "unknown config keys: ['synth_noise_sigma']"),  # synthetic.NOISE_SIGMA
+        # a dataset_name field of eval_report.csv that report would split or cut
+        ("synth", "dataset_name=syn,th", "dataset_name must hold no comma or line break, got 'syn,th'"),
+        ("report", "dataset_name=syn\nth", "dataset_name must hold no comma or line break, got 'syn\\nth'"),
+        ("ingest", "channels=s000,s001,s000", "channels must not repeat a name, got ['s000', 's001', 's000']"),
     ],
     ids=["zero_heads", "zero_batch_size", "bogus_eval_task", "removed_lookback", "removed_valid_stride",
-         "removed_max_tokens", "removed_synth_noise_sigma"],
+         "removed_max_tokens", "removed_synth_noise_sigma", "comma_in_dataset_name", "line_break_in_dataset_name",
+         "repeated_channel"],
 )
 def test_a_configuration_error_exits_2_before_reading_a_file(
     pipeline_dir, tmp_path, monkeypatch, capsys, stage, setting, message
@@ -465,8 +488,8 @@ def test_a_configuration_error_exits_2_before_reading_a_file(
 
 
 def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
-    series = generate(SynthSpec(count=1, length=240, seed=0))
-    data = build_context_dataset(series, [TaskKind.FORECAST], WINDOW, 0, seed=0)
+    store = build_store(generate(SynthSpec(count=1, length=240, seed=0)))
+    data = build_context_dataset(store, "train", [TaskKind.FORECAST], WINDOW, 0, seed=0)
     monkeypatch.setattr(trainer, "evaluate_loss", lambda *args, **kwargs: float("nan"))
     config = trainer.TrainConfig(batch_size=64, max_epochs=2, patience=2)
     with pytest.raises(NumericalError, match="no finite validation loss"):
@@ -475,7 +498,7 @@ def test_train_without_a_finite_valid_loss_is_numerical_error(monkeypatch):
 
 def test_run_unseen_eval_scores_every_probe_in_order():
     protocol = evalharness.EvalProtocol(TaskKind.BACKTRACE, (TaskKind.FORECAST, TaskKind.IMPUTE), WINDOW, 1)
-    store = experiment.store_from_channels(generate(SynthSpec(count=1, length=240)), "synth")
+    store = build_store(generate(SynthSpec(count=1, length=240)))
     params = init_params(TINY_MODEL)
     report = evalharness.run_unseen_eval(protocol, TINY_MODEL, params, store, probes=evalharness.PROBES)
     assert [r.method for r in report.rows] == list(evalharness.PROBES)

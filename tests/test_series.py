@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,7 @@ from hypothesis import strategies as st
 
 from tsicl.cli import main
 from tsicl.errors import DataError
-from tsicl.series import (
-    ChannelSeries,
-    NormStats,
-    build_store,
-    chronological_split,
-    expand_channels,
-    fit_norm,
-    load_csv,
-    load_store,
-    normalize,
-    save_store,
-)
+from tsicl.series import SPLIT_NAMES, RawDataset, build_store, load_csv, load_store, save_store
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -74,58 +65,75 @@ class TestLoadCsv:
         assert np.array_equal(d.values[:, 0], [2.0, 4.0])
 
 
+def store_of_columns(*columns, names=None):
+    """``build_store`` of a dataset with these equal-length value columns, named a, b, ... unless ``names``."""
+    values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    names = tuple(names or "abcdefghij"[: len(columns)])
+    return build_store(RawDataset("d", tuple(range(len(values))), names, values))
+
+
+def timeline(store, c):
+    """Channel c's normalized values, train then valid then test."""
+    return store.values[store.bounds[c, 0] : store.bounds[c, 3]]
+
+
 class TestExpandChannels:
     def test_two_channels(self, tmp_path):
-        p = write(tmp_path, "timestamp,a,b\n0,1,4\n1,2,5\n2,3,6\n")
-        out = expand_channels(load_csv(p))
-        assert len(out) == 2
-        assert [len(s) for s in out] == [3, 3]
-        assert np.array_equal(out[1].values, [4, 5, 6])
+        p = write(tmp_path, "timestamp,a,b\n" + "".join(f"{t},{t + 1},{t + 4}\n" for t in range(5)))
+        store = build_store(load_csv(p))
+        assert store.channels == ["a", "b"]
+        assert [len(timeline(store, c)) for c in range(2)] == [5, 5]
+        assert np.allclose(timeline(store, 1) * store.stats[1].std + store.stats[1].mean, [4, 5, 6, 7, 8])
 
     def test_single_channel(self, tmp_path):
-        p = write(tmp_path, "timestamp,a\n0,1\n1,2\n")
-        assert len(expand_channels(load_csv(p))) == 1
+        p = write(tmp_path, "timestamp,a\n" + "".join(f"{t},{t}\n" for t in range(5)))
+        assert len(build_store(load_csv(p)).channels) == 1
 
     def test_seven_channels_order_preserved(self, tmp_path):
         names = [f"c{i}" for i in range(7)]
-        rows = "\n".join(f"{t}," + ",".join(str(t * 7 + i) for i in range(7)) for t in range(4))
+        rows = "\n".join(f"{t}," + ",".join(str(t * 7 + i) for i in range(7)) for t in range(5))
         p = write(tmp_path, "timestamp," + ",".join(names) + "\n" + rows + "\n")
-        out = expand_channels(load_csv(p))
-        assert [s.channel for s in out] == names
-        assert np.array_equal(out[3].values, [3, 10, 17, 24])
+        store = build_store(load_csv(p))
+        assert store.channels == names
+        assert np.allclose(timeline(store, 3) * store.stats[3].std + store.stats[3].mean, [3, 10, 17, 24, 31])
 
-
-def series_of(n, dataset="d", channel="c"):
-    return ChannelSeries(dataset=dataset, channel=channel, values=np.arange(n, dtype=float))
+    def test_a_header_naming_a_channel_twice_is_refused(self, tmp_path):
+        """Both columns would be read as the first one's values, and the second silently lost."""
+        p = write(tmp_path, "timestamp,a,a,b\n0,1,2,3\n1,4,5,6\n")
+        with pytest.raises(DataError, match=r"malformed csv .*data.csv.*\['a'\] more than once"):
+            load_csv(p)
 
 
 class TestChronologicalSplit:
     @pytest.mark.parametrize("t,expected", [(100, (60, 20, 20)), (101, (60, 20, 21)), (10, (6, 2, 2))])
     def test_lengths(self, t, expected):
-        parts = chronological_split(series_of(t))
-        assert tuple(len(p) for p in parts) == expected
+        store = store_of_columns(np.arange(t))
+        assert tuple(len(store.rows(0, split)) for split in SPLIT_NAMES) == expected
 
     def test_too_short(self):
         with pytest.raises(DataError, match="too short"):
-            chronological_split(series_of(4))
+            store_of_columns(np.arange(4))
 
     @given(st.integers(min_value=5, max_value=2000))
     @settings(max_examples=200, deadline=None)
     def test_split_exactness_and_chronology(self, t):
-        train, valid, test = chronological_split(series_of(t))
-        assert len(train) + len(valid) + len(test) == t
-        assert len(train) == int(np.floor(0.6 * t))
-        assert len(train) + len(valid) == int(np.floor(0.8 * t))
-        # chronology by origin_offset + local index
-        assert train.origin_offset + len(train) - 1 < valid.origin_offset
-        assert valid.origin_offset + len(valid) - 1 < test.origin_offset
-        # concatenation reproduces the original
-        rebuilt = np.concatenate([train.values, valid.values, test.values])
-        assert np.array_equal(rebuilt, np.arange(t, dtype=float))
+        store = store_of_columns(np.arange(t), np.arange(t) * 2.0)
+        for c in range(2):
+            train, valid, test = (store.rows(c, split) for split in SPLIT_NAMES)
+            assert len(train) + len(valid) + len(test) == t
+            assert len(train) == int(np.floor(0.6 * t))
+            assert len(train) + len(valid) == int(np.floor(0.8 * t))
+            # chronology: each split starts where the previous one ends, on the channel's own rows
+            assert (train.start, train.stop, valid.stop, test.stop) == (c * t, valid.start, test.start, (c + 1) * t)
+        # the splits concatenated are the normalized channel, value for value
+        stats = store.stats[0]
+        assert np.array_equal(timeline(store, 0), (np.arange(t) - stats.mean) / stats.std)
 
-    def test_split_labels(self):
-        train, valid, test = chronological_split(series_of(20))
-        assert (train.split, valid.split, test.split) == ("train", "valid", "test")
+    def test_split_labels(self, tmp_path):
+        """A store file keys each channel's splits train, valid and test, at their first times."""
+        save_store(store_of_columns(np.arange(20)), tmp_path / "store.json")
+        splits = json.loads((tmp_path / "store.json").read_text())["channels"]["a"]["splits"]
+        assert {name: split["origin_offset"] for name, split in splits.items()} == {"train": 0, "valid": 12, "test": 16}
 
 
 def two_pass_stats(values):
@@ -138,68 +146,62 @@ def two_pass_stats(values):
 
 class TestFitNorm:
     def test_constant_series_floors_std(self):
-        stats = fit_norm(ChannelSeries("d", "c", [1.0, 1.0, 1.0], split="train"))
+        stats = store_of_columns([1.0] * 5).stats[0]
         assert stats.mean == 1.0
         assert stats.std == 1e-8
 
     def test_hand_arithmetic(self):
-        stats = fit_norm(ChannelSeries("d", "c", [0.0, 2.0], split="train"))
+        stats = store_of_columns([0.0, 2.0] * 3 + [7.0, 7.0, 9.0, 9.0]).stats[0]
         assert (stats.mean, stats.std) == (1.0, 1.0)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(7)
-        values = rng.normal(3.0, 2.5, size=1000)
-        stats = fit_norm(ChannelSeries("d", "c", values, split="train"))
-        mean, std = two_pass_stats(values.tolist())
+        values = rng.normal(3.0, 2.5, size=1667)  # a train split of 1000
+        stats = store_of_columns(values).stats[0]
+        mean, std = two_pass_stats(values[:1000].tolist())
         assert abs(stats.mean - mean) < 1e-12
         assert abs(stats.std - std) < 1e-12
 
-    def test_empty_input(self):
-        with pytest.raises(DataError, match="empty"):
-            fit_norm(ChannelSeries("d", "c", [], split="train"))
-
     @pytest.mark.parametrize("split", ["valid", "test"])
-    def test_rejects_non_train_split(self, split):
-        with pytest.raises(DataError, match="train split"):
-            fit_norm(ChannelSeries("d", "c", [1.0, 2.0], split=split))
+    def test_valid_and_test_values_do_not_enter_the_stats(self, split):
+        values = np.arange(20.0)
+        store = store_of_columns(values)
+        lo, hi = (store.rows(0, split).start, store.rows(0, split).stop)
+        values[lo:hi] = 1e6
+        assert store_of_columns(values).stats == store.stats
 
 
 class TestNormalize:
     def test_hand_arithmetic(self):
-        s = ChannelSeries("d", "c", [0.0, 2.0])
-        out = normalize(s, NormStats(1.0, 1.0))
-        assert np.array_equal(out.values, [-1.0, 1.0])
+        store = store_of_columns([0.0, 2.0] * 3 + [7.0, 7.0, 9.0, 9.0])
+        assert np.array_equal(timeline(store, 0), [-1.0, 1.0] * 3 + [6.0, 6.0, 8.0, 8.0])
 
     def test_constant_to_zeros(self):
-        s = ChannelSeries("d", "c", [5.0, 5.0, 5.0], split="train")
-        out = normalize(s, fit_norm(s))
-        assert np.array_equal(out.values, [0.0, 0.0, 0.0])
+        assert np.array_equal(timeline(store_of_columns([5.0] * 5), 0), [0.0] * 5)
 
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=5, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_property(self, values):
-        s = ChannelSeries("d", "c", values, split="train")
-        stats = fit_norm(s)
-        back = normalize(s, stats).values * stats.std + stats.mean
-        assert np.max(np.abs(back - s.values)) < 1e-9
+        store = store_of_columns(values)
+        back = timeline(store, 0) * store.stats[0].std + store.stats[0].mean
+        assert np.max(np.abs(back - values)) < 1e-9
 
 
 class TestStore:
     def test_build_and_round_trip(self, tmp_path):
         p = write(tmp_path, "timestamp,a,b\n" + "\n".join(f"{t},{t * 0.5},{t * 2.0}" for t in range(50)) + "\n")
         store = build_store(load_csv(p), meta={"seed": 1})
-        assert sorted(store.channels) == ["a", "b"]
-        assert store.series("a", "train").split == "train"
+        assert store.channels == ["a", "b"]
+        assert store.bounds.tolist() == [[0, 30, 40, 50], [50, 80, 90, 100]]
+        assert store.locate([0, 49, 50, 99]).tolist() == [0, 0, 1, 1]
         # statistics from train split only
-        train = store.series("a", "train")
-        assert abs(float(np.mean(train.values))) < 1e-12
+        train = store.rows(0, "train")
+        assert abs(float(np.mean(store.values[train.start : train.stop]))) < 1e-12
         path = tmp_path / "store.json"
         save_store(store, path)
         loaded = load_store(path)
-        for ch in store.channels:
-            for split in ("train", "valid", "test"):
-                assert np.array_equal(loaded.series(ch, split).values, store.series(ch, split).values)
-                assert loaded.series(ch, split).origin_offset == store.series(ch, split).origin_offset
+        assert loaded.channels == store.channels and loaded.stats == store.stats
+        assert np.array_equal(loaded.values, store.values) and np.array_equal(loaded.bounds, store.bounds)
         assert loaded.meta == {"seed": 1}
 
 

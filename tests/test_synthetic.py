@@ -23,7 +23,8 @@ def test_every_family_is_pinned():
 @pytest.mark.parametrize("family", sorted(FAMILY_VALUES_SHA256))
 def test_each_familys_draw_keeps_its_values(family):
     digest = hashlib.sha256()
-    for s in generate(SynthSpec(family=family, count=2, length=64, seed=3)):
-        digest.update(s.channel.encode())
-        digest.update(np.round(s.values, 10).tobytes())
+    data = generate(SynthSpec(family=family, count=2, length=64, seed=3))
+    for channel, values in zip(data.channels, data.values.T):
+        digest.update(channel.encode())
+        digest.update(np.round(values, 10).tobytes())
     assert digest.hexdigest() == FAMILY_VALUES_SHA256[family]

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import store_of
 from tsicl.context import ContextDataset, read_jsonl, write_jsonl
 from tsicl.errors import DataError, GeometryError
 from tsicl.evalharness import eval_demo_starts
-from tsicl.series import ChannelSeries, SeriesTable, SplitStore
 from tsicl.tasks import (
     MASK_FLAG,
     SEGMENT_FLAG,
@@ -18,7 +18,6 @@ from tsicl.tasks import (
     example_rows,
     gather,
     sample_mask_positions,
-    source_span,
     span_width,
     target_offsets,
     valid_start_range,
@@ -26,16 +25,23 @@ from tsicl.tasks import (
 
 
 def series_of(n, offset=0):
-    return ChannelSeries("d", "c", np.arange(n, dtype=float), origin_offset=offset)
+    """A store whose channel ``c`` holds ``offset`` train values and then a valid split of the n values
+    0, 1, ..., n-1, at times offset to offset + n: the split that the examples below read."""
+    return store_of(("c", np.full(offset, -1.0), np.arange(n), []))
 
 
-def example(task, s, t, w, rng=None):
-    """The input tokens (L, 3), target (h,) and masked positions of the ``task`` example at window start t:
-    its row through ``example_rows``, its values through ``gather`` at its ``target_offsets``."""
-    table = SeriesTable([s])
-    rows, masks = example_rows(table, task, s, [t], w, rng)
-    inputs, targets = gather(table.values, rows, target_offsets(task, w, masks), w)
+def example(task, store, t, w, rng=None):
+    """The input tokens (L, 3), target (h,) and masked positions of the ``task`` example at window start t of
+    ``store``'s valid split: its row through ``example_rows``, its values through ``gather`` at its
+    ``target_offsets``."""
+    rows, masks = example_rows(task, store.rows(0, "valid"), [t], w, rng)
+    inputs, targets = gather(store.values, rows, target_offsets(task, w, masks), w)
     return inputs[0], targets[0], masks[0]
+
+
+def source_span(task, store, t, w):
+    """(start, end) of the source span of the ``task`` example at window start t of ``store``'s valid split."""
+    return reference.source_span(store, task, store.rows(0, "valid").start + t, w)[2:]
 
 
 class TestWindowSpec:
@@ -57,8 +63,7 @@ class TestForecast:
         assert np.array_equal(inputs[:, VALUE], [0, 1, 2, 3])
         assert np.array_equal(inputs[:, MASK_FLAG], [0, 0, 0, 0])
         assert np.array_equal(target, [4, 5])
-        span = source_span(TaskKind.FORECAST, series_of(10), 0, WindowSpec(2))
-        assert (span.start, span.end) == (0, 6)
+        assert source_span(TaskKind.FORECAST, series_of(10), 0, WindowSpec(2)) == (0, 6)
 
     def test_last_window_valid(self):
         _, target, _ = example(TaskKind.FORECAST, series_of(10), 4, WindowSpec(2))
@@ -69,21 +74,19 @@ class TestForecast:
             example(TaskKind.FORECAST, series_of(10), 5, WindowSpec(2))
 
     def test_span_uses_absolute_offsets(self):
-        span = source_span(TaskKind.FORECAST, series_of(10, offset=100), 2, WindowSpec(2))
-        assert (span.start, span.end) == (102, 108)
+        assert source_span(TaskKind.FORECAST, series_of(10, offset=100), 2, WindowSpec(2)) == (102, 108)
 
     def test_a_start_past_the_last_is_refused_before_it_reads_the_next_series(self):
-        """On the flat table the row after a series' last valid start reads the next series' first value."""
-        w, first = WindowSpec(2), series_of(10)
-        second = ChannelSeries("d", "c2", np.arange(10, dtype=float) + 100)
-        table = SeriesTable([first, second])
+        """On the flat table the row after a split's last valid start reads the next split's first value."""
+        w, store = WindowSpec(2), store_of(("c", np.arange(10), np.arange(10) + 100, []))
+        first, second = store.rows(0, "train"), store.rows(0, "valid")
         _, hi = valid_start_range(TaskKind.FORECAST, len(first), w)
         offsets = target_offsets(TaskKind.FORECAST, w, np.zeros((1, 0), dtype=np.int64))
-        assert gather(table.values, [table.row(first, hi + 1)], offsets, w)[1][0, -1] == second.values[0]
+        assert gather(store.values, [first.start + hi + 1], offsets, w)[1][0, -1] == 100
         with pytest.raises(GeometryError, match="out of range"):
-            example_rows(table, TaskKind.FORECAST, first, [hi + 1], w, None)
+            example_rows(TaskKind.FORECAST, first, [hi + 1], w, None)
         with pytest.raises(GeometryError, match="insufficient history"):
-            example_rows(table, TaskKind.BACKTRACE, second, [w.horizon - 1], w, None)
+            example_rows(TaskKind.BACKTRACE, second, [w.horizon - 1], w, None)
 
 
 class TestBacktrace:
@@ -91,8 +94,7 @@ class TestBacktrace:
         inputs, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(2))
         assert np.array_equal(inputs[:, VALUE], [2, 3, 4, 5])
         assert np.array_equal(target, [0, 1])  # chronological order
-        span = source_span(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(2))
-        assert (span.start, span.end) == (0, 6)
+        assert source_span(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(2)) == (0, 6)
 
     def test_start_at_horizon_boundary(self):
         _, target, _ = example(TaskKind.BACKTRACE, series_of(10), 2, WindowSpec(2))
@@ -171,15 +173,15 @@ class TestTaskTable:
     W = WindowSpec(2)
 
     def split(self):
-        return ChannelSeries("d", "c", np.arange(20, dtype=float), origin_offset=30, split="train")
+        return series_of(20, offset=30)
 
     @pytest.mark.parametrize("task", TASK_ORDER)
     def test_both_ends_of_the_start_range(self, task):
         s = self.split()
-        lo, hi = valid_start_range(task, len(s), self.W)
+        lo, hi = valid_start_range(task, 20, self.W)
         first, last = (source_span(task, s, t, self.W) for t in (lo, hi))
-        assert (first.start, last.end) == (s.origin_offset, s.origin_offset + len(s))  # the whole split, no more
-        assert first.end - first.start == last.end - last.start == span_width(task, self.W)
+        assert (first[0], last[1]) == (30, 30 + 20)  # the whole split, no more
+        assert first[1] - first[0] == last[1] - last[0] == span_width(task, self.W)
         for t in (lo, hi):
             example(task, s, t, self.W, np.random.default_rng(0))
         for t in (lo - 1, hi + 1):
@@ -189,27 +191,25 @@ class TestTaskTable:
     @pytest.mark.parametrize("task", TASK_ORDER)
     def test_eval_demos_tile_a_split_of_whole_spans(self, task):
         width = span_width(task, self.W)
-        s = ChannelSeries("d", "c", np.arange(2 * width, dtype=float), origin_offset=30, split="train")
-        spans = [source_span(task, s, t, self.W) for t in eval_demo_starts(len(s), task, self.W, 2)]
-        assert [(x.start, x.end) for x in spans] == [(30, 30 + width), (30 + width, 30 + 2 * width)]
+        s = series_of(2 * width, offset=30)
+        spans = [source_span(task, s, t, self.W) for t in eval_demo_starts(2 * width, task, self.W, 2)]
+        assert spans == [(30, 30 + width), (30 + width, 30 + 2 * width)]
         with pytest.raises(DataError, match="admits only 2 disjoint demo windows"):
-            eval_demo_starts(len(s), task, self.W, 3)
+            eval_demo_starts(2 * width, task, self.W, 3)
 
     @pytest.mark.parametrize("task", TASK_ORDER)
     def test_read_jsonl_replays_each_example_from_its_record(self, task, tmp_path):
-        s = self.split()
-        store = SplitStore("d", splits={"c": {"train": s}})
-        lo, hi = valid_start_range(task, len(s), self.W)
-        table = store.table
-        rows, masks = example_rows(table, task, s, range(lo, hi + 1), self.W, np.random.default_rng(5))
+        store = self.split()
+        lo, hi = valid_start_range(task, 20, self.W)
+        rows, masks = example_rows(task, store.rows(0, "valid"), range(lo, hi + 1), self.W, np.random.default_rng(5))
         tasks, offsets = np.full(len(rows), TASK_ORDER.index(task)), target_offsets(task, self.W, masks)
-        ds = ContextDataset(table, self.W, tasks, rows[:, None].astype(np.int32), offsets[:, None].astype(np.int32))
+        ds = ContextDataset(store, self.W, tasks, rows[:, None].astype(np.int32), offsets[:, None].astype(np.int32))
         write_jsonl(ds, tmp_path / "ctx.jsonl")
         replayed = read_jsonl(tmp_path / "ctx.jsonl", store)
         assert np.array_equal(replayed.tasks, ds.tasks) and np.array_equal(replayed.rows, ds.rows)
         assert np.array_equal(replayed.offsets, ds.offsets)
         assert [reference.sample_spans(replayed, i) for i in range(len(ds))] == [
-            [source_span(task, s, t, self.W)] for t in range(lo, hi + 1)
+            [("d", "c", *source_span(task, store, t, self.W))] for t in range(lo, hi + 1)
         ]
 
 
@@ -219,19 +219,20 @@ def window_and_series(draw):
     w = WindowSpec(h)
     n = draw(st.integers(min_value=3 * h + 2, max_value=120))
     offset = draw(st.integers(min_value=0, max_value=50))
-    return w, series_of(n, offset=offset), draw(st.integers(min_value=0, max_value=2**31))
+    return w, n, offset, draw(st.integers(min_value=0, max_value=2**31))
 
 
 class TestCrossTaskInvariants:
     @given(window_and_series())
     @settings(max_examples=150, deadline=None)
     def test_alignment_reconstruction_and_spans(self, case):
-        w, s, seed = case
+        w, n, offset, seed = case
+        s, values = series_of(n, offset=offset), np.arange(n)
         rng = np.random.default_rng(seed)
         L, h = w.lookback, w.horizon
-        t_fore = int(rng.integers(0, len(s) - L - h + 1))
-        t_back = int(rng.integers(h, len(s) - L + 1))
-        t_imp = int(rng.integers(0, len(s) - L + 1))
+        t_fore = int(rng.integers(0, n - L - h + 1))
+        t_back = int(rng.integers(h, n - L + 1))
+        t_imp = int(rng.integers(0, n - L + 1))
 
         fore = example(TaskKind.FORECAST, s, t_fore, w)
         back = example(TaskKind.BACKTRACE, s, t_back, w)
@@ -246,16 +247,16 @@ class TestCrossTaskInvariants:
         # reconstruction against the source series
         assert np.array_equal(
             np.concatenate([fore[0][:, VALUE], fore[1]]),
-            s.values[t_fore : t_fore + L + h],
+            values[t_fore : t_fore + L + h],
         )
         assert np.array_equal(
             np.concatenate([back[1], back[0][:, VALUE]]),
-            s.values[t_back - h : t_back + L],
+            values[t_back - h : t_back + L],
         )
         inputs, target, masked = imp
         assert np.array_equal(masked, np.flatnonzero(inputs[:, MASK_FLAG] == 1))
         unmasked = np.setdiff1d(np.arange(L), masked)
-        window = s.values[t_imp : t_imp + L]
+        window = values[t_imp : t_imp + L]
         assert np.array_equal(inputs[unmasked, VALUE], window[unmasked])
         assert np.array_equal(target, window[masked])
         assert len(masked) == h
@@ -263,18 +264,9 @@ class TestCrossTaskInvariants:
         # spans cover exactly what is read or predicted (absolute coordinates)
         fore, back, imp = (source_span(task, s, t, w) for task, t in
                            ((TaskKind.FORECAST, t_fore), (TaskKind.BACKTRACE, t_back), (TaskKind.IMPUTE, t_imp)))
-        assert (fore.start, fore.end) == (
-            s.origin_offset + t_fore,
-            s.origin_offset + t_fore + L + h,
-        )
-        assert (back.start, back.end) == (
-            s.origin_offset + t_back - h,
-            s.origin_offset + t_back + L,
-        )
-        assert (imp.start, imp.end) == (
-            s.origin_offset + t_imp,
-            s.origin_offset + t_imp + L,
-        )
+        assert fore == (offset + t_fore, offset + t_fore + L + h)
+        assert back == (offset + t_back - h, offset + t_back + L)
+        assert imp == (offset + t_imp, offset + t_imp + L)
 
     def test_byte_level_determinism(self):
         w = WindowSpec(4)

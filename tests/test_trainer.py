@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import store_of
 from tsicl import autodiff as ad
 from tsicl import trainer
 from tsicl.context import ContextDataset, build_train_valid, sample_streams
@@ -20,8 +21,7 @@ from tsicl.model import (
     init_params,
     readout_rows,
 )
-from tsicl.experiment import store_from_channels
-from tsicl.series import ChannelSeries, SeriesTable
+from tsicl.series import build_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import (
     GEOMETRY,
@@ -88,14 +88,13 @@ def test_adam_matches_the_reference_over_two_steps():
 
 def forecast_dataset(w: WindowSpec, m: int):
     """Three forecast samples with m demos each, demos after every query and disjoint from each other."""
-    series = ChannelSeries("d", "c", np.random.default_rng(0).normal(size=300))
-    table = SeriesTable([series])
+    series = np.random.default_rng(0).normal(size=300)
     starts = [[100 + 24 * (m * i + k) for k in range(m)] + [24 * i] for i in range(3)]
     queries = [reference.example(TaskKind.FORECAST, series, ts[-1], w) for ts in starts]
     demos = [[reference.example(TaskKind.FORECAST, series, t, w) for t in ts[:-1]] for ts in starts]
-    rows = np.array([[table.row(series, t) for t in ts] for ts in starts], dtype=np.int32)
+    store = store_of(("c", series, [], []))  # the train split of its one channel starts at row 0
     offsets = target_offsets(TaskKind.FORECAST, w, np.zeros((3, m + 1, 0), int)).astype(np.int32)
-    return ContextDataset(table, w, np.zeros(3, int), rows, offsets), queries, demos
+    return ContextDataset(store, w, np.zeros(3, int), np.array(starts, dtype=np.int32), offsets), queries, demos
 
 
 def test_train_returns_the_best_epochs_parameters_not_the_last(monkeypatch):
@@ -177,7 +176,7 @@ def test_every_stream_is_the_samples_reference_stream(monkeypatch):
     monkeypatch.setattr(trainer, "forward_patch_predictions", recording_forward)
     for variant in VARIANTS:
         config = ModelConfig(variant=variant, patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
-        trainer._batch_loss_graph(dataset, idxs, init_params(config), config, supervise_demos=False)
+        trainer._batch_loss_graph(dataset, idxs, init_params(config), config, False, len(idxs))
         assert fed.pop().tobytes() == tokens.tobytes()
         trainer.evaluate_loss([dataset], init_params(config), config)
         assert [len(streams) for streams in fed] == [2, 1]  # the batch's two halves
@@ -200,7 +199,7 @@ def test_training_reads_the_loss_that_validation_reads(variant):
     for p in params.values():  # float64, with non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     idxs = list(range(len(dataset)))
-    trained = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise_demos=False).data)
+    trained = float(trainer._batch_loss_graph(dataset, idxs, params, config, False, len(idxs)).data)
     validated = trainer.evaluate_loss([dataset], params, config)
     assert abs(trained - validated) <= 1e-10 * validated
 
@@ -212,7 +211,7 @@ def test_a_trained_decoder_reads_its_later_answer_patches_about_as_well_as_the_f
     (1.27x here). A decoder trained with the query's true answer shown in its
     input meets placeholders first at validation, and reads 1.92x here.
     """
-    store = store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=480, seed=0)))
     w = WindowSpec(12)
     parts = list(build_train_valid(store, [TaskKind.FORECAST, TaskKind.IMPUTE], w, [0, 2], seed=0, stride=2))
     train_ds, valid = ([part[k] for part in parts] for k in (1, 2))
@@ -234,7 +233,7 @@ def test_training_runs_the_pinned_batches_in_order(monkeypatch):
     """Every batch two epochs of ``train`` run, training's and validation's, in order: each sample's task index,
     table rows and masks, pinned by a SHA-256 of those integers. Recorded where ``train`` cuts a batch into its
     halves, in this process, so a half that a worker runs counts too; demo counts are given unsorted."""
-    store = store_from_channels(generate(SynthSpec(count=1, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=1, length=240, seed=0)))
     _, train_parts, valid_parts = zip(*build_train_valid(store, TASK_ORDER, WindowSpec(4), [2, 0, 1], seed=0))
     digest, real = hashlib.sha256(), trainer._halves
 
@@ -256,10 +255,11 @@ def test_training_runs_the_pinned_batches_in_order(monkeypatch):
 
 
 def materialised(store, task: TaskKind, span, mask: list[int], w: WindowSpec):
-    """The example at ``span`` with ``mask``, read straight off its split by ``reference.example``."""
-    split = next(s for s in store.splits[span.channel].values()
-                 if s.origin_offset <= span.start < s.origin_offset + len(s))
-    return reference.example(task, split, span.start - split.origin_offset + reach(task, w)[0], w, mask)
+    """The example at ``span`` (dataset, channel, start, end) with ``mask``, read straight off its channel's
+    timeline by ``reference.example``."""
+    c = store.channels.index(span[1])
+    timeline = store.values[store.bounds[c, 0] : store.bounds[c, 3]]
+    return reference.example(task, timeline, span[2] + reach(task, w)[0], w, mask)
 
 
 @pytest.mark.parametrize(
@@ -267,7 +267,7 @@ def materialised(store, task: TaskKind, span, mask: list[int], w: WindowSpec):
 )
 def test_a_gathered_batch_is_the_streams_of_its_materialised_examples(variant, supervise):
     """Every batch stream and truth grid, bit for bit, against ``reference.build_stream`` of examples read off the store."""
-    store = store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=240, seed=0)))
     w = WindowSpec(4)
     parts = [train for _, train, _ in build_train_valid(store, TASK_ORDER, w, [0, 2], seed=3, stride=2)]
     assert all(set(part.tasks.tolist()) == set(range(len(TASK_ORDER))) for part in parts)
@@ -298,7 +298,7 @@ def test_batch_loss_is_the_mse_of_the_full_forward_regions(variant, supervise):
     for p in params.values():  # float64, with non-trivial biases and gains
         p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
     idxs = [0, 1, 2]
-    got = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise).data)
+    got = float(trainer._batch_loss_graph(dataset, idxs, params, config, supervise, len(idxs)).data)
 
     streams, targets = sample_streams(dataset, idxs)
     full = forward_patch_predictions(streams, params, config).data

@@ -18,12 +18,13 @@ import pytest
 
 from conftest import overrides
 from tsicl import autodiff as ad
-from tsicl import evalharness, experiment, trainer, workers
+from tsicl import evalharness, trainer, workers
 from tsicl.cli import main
 from tsicl.context import ContextDataset, build_train_valid
 from tsicl.errors import DataError, NumericalError
 from tsicl.evalharness import PROBES, EvalProtocol, score_probes
 from tsicl.model import DECODER_CAUSAL, ENCODER_MASKED, ModelConfig, init_params
+from tsicl.series import build_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec
 from tsicl.trainer import TrainConfig
@@ -38,9 +39,9 @@ needs_openblas = pytest.mark.skipif(workers.blas_threads_functions() is None, re
 
 def wide_store():
     """Two channels with 85 backtrace queries each at stride 1: two workers' worth."""
-    store = experiment.store_from_channels(generate(SynthSpec(count=2, length=480, seed=0)), "synth")
-    queries = sum(evalharness.query_count(len(store.series(ch, "test")), TaskKind.BACKTRACE, WINDOW, 1)
-                  for ch in store.channels)
+    store = build_store(generate(SynthSpec(count=2, length=480, seed=0)))
+    queries = sum(evalharness.query_count(len(store.rows(c, "test")), TaskKind.BACKTRACE, WINDOW, 1)
+                  for c in range(len(store.channels)))
     assert queries == 170 >= 2 * evalharness.BATCH
     return store
 
@@ -70,7 +71,7 @@ def test_forked_scores_equal_serial_scores(monkeypatch):
 
 def test_a_small_store_is_scored_serially(monkeypatch):
     cores(monkeypatch, 2)
-    store = experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=240, seed=0)))
     *_, used = score_probes(PROTOCOL, PROBES, store, init_params(TINY_MODEL), TINY_MODEL, stride=1)
     assert used == 1  # 74 queries: fewer than one batch per worker
 
@@ -251,6 +252,7 @@ import os, sys, time
 from tsicl import trainer
 from tsicl.context import build_context_dataset
 from tsicl.model import ModelConfig, init_params
+from tsicl.series import build_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -258,7 +260,8 @@ def half(*args):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(120)
 trainer._batch_loss_graph = half
-data = build_context_dataset(generate(SynthSpec(count=1, length=240)), [TaskKind.FORECAST], WindowSpec(4), 0, seed=0)
+store = build_store(generate(SynthSpec(count=1, length=240)))
+data = build_context_dataset(store, "train", [TaskKind.FORECAST], WindowSpec(4), 0, seed=0)
 config = ModelConfig(patch_size=4, d_model=8, n_layers=1, n_heads=2, ff_mult=2)
 trainer.train(init_params(config), [data], [data], config, trainer.TrainConfig(batch_size=4))
 """
@@ -275,7 +278,7 @@ BATCH = 17
 def training_data(variant: str) -> tuple[ModelConfig, list[ContextDataset], list[ContextDataset]]:
     """69 training samples per demo count: batches of 17 split 9 + 8, and each dataset ends in a batch of 1."""
     tasks = [TaskKind.FORECAST, TaskKind.IMPUTE]
-    store = experiment.store_from_channels(generate(SynthSpec(count=2, length=240, seed=0)), "synth")
+    store = build_store(generate(SynthSpec(count=2, length=240, seed=0)))
     _, train_parts, valid_parts = zip(*build_train_valid(store, tasks, WINDOW, [0, 1], seed=0))
     assert [len(part) for part in train_parts] == [69, 69] and 69 % BATCH == 1 and BATCH % 2 == 1
     return replace(TINY_MODEL, variant=variant), list(train_parts), list(valid_parts)
@@ -342,7 +345,7 @@ def test_a_steps_summed_gradient_is_the_full_batch_gradient(monkeypatch):
     (dataset, first), (other, rest) = halves
     assert dataset is other and (len(first), len(rest)) == tuple(map(len, workers.shares(BATCH, 2))) == (9, 8)
     with ad.Tape() as tape:
-        tape.backward(trainer._batch_loss_graph(dataset, first + rest, start, config, False))
+        tape.backward(trainer._batch_loss_graph(dataset, first + rest, start, config, False, BATCH))
     full = np.concatenate([p.grad.ravel() for p in start.values()])
     assert np.linalg.norm(summed[0] - full) <= 1e-6 * np.linalg.norm(full)
 
