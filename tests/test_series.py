@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -205,14 +206,40 @@ class TestStore:
         assert loaded.meta == {"seed": 1}
 
 
-def test_a_loaded_store_saves_to_the_same_bytes(pipeline_dir, tmp_path):
-    """``save_store(load_store(p))`` rewrites ``p`` byte for byte: the pipeline's store, and a 3-channel CSV's
-    whose channels differ in scale and one is constant (its std floored)."""
+def ingest_three_channels(tmp_path):
+    """The store ``ingest`` writes for a 3-channel CSV whose channels differ in scale and one is constant (its
+    std floored)."""
     rows = np.random.default_rng(0).normal(size=(37, 2)) * [1.0, 1e3] + [0.0, 5.0]
     csv = tmp_path / "three.csv"
     csv.write_text("timestamp,a,b,c\n" + "".join(f"{t},{a!r},{b!r},2.5\n" for t, (a, b) in enumerate(rows.tolist())))
     settings = {"csv": csv, "store": tmp_path / "three.json", "out_dir": tmp_path}
     assert main(["ingest", *(arg for key, value in settings.items() for arg in ("--set", f"{key}={value}"))]) == 0
-    for path in (pipeline_dir / "store.json", tmp_path / "three.json"):
+    return tmp_path / "three.json"
+
+
+def test_a_loaded_store_saves_to_the_same_bytes(pipeline_dir, tmp_path):
+    """``save_store(load_store(p))`` rewrites ``p`` byte for byte: the pipeline's store, and a 3-channel CSV's."""
+    for path in (pipeline_dir / "store.json", ingest_three_channels(tmp_path)):
         save_store(load_store(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+# SHA-256 of a loaded store's content, whatever the file's layout: its values' little-endian float64 bytes, then
+# its bounds, stats, channels and dataset as JSON. The pipeline's store pins numpy's Generator stream through
+# synth, as BUILD_DECISIONS_SHA256 does; both pin the same bits of np.mean, np.std and the z-score.
+STORE_CONTENT_SHA256 = {
+    "pipeline": "3fbd70ef78dae64b18bb6b8910bb4a10f5607d4261bb04ca504bf10c22ada949",
+    "three_channels": "e81b9443333eadfdf410658c19c1546bebe2e30eeddde4d6fa0297b308ee4aa7",
+}
+
+
+def store_content_digest(store) -> str:
+    digest = hashlib.sha256(store.values.astype("<f8").tobytes())
+    stats = [[s.mean, s.std] for s in store.stats]
+    digest.update(json.dumps([store.bounds.tolist(), stats, store.channels, store.dataset]).encode())
+    return digest.hexdigest()
+
+
+def test_store_content_is_pinned(pipeline_dir, tmp_path):
+    paths = {"pipeline": pipeline_dir / "store.json", "three_channels": ingest_three_channels(tmp_path)}
+    assert {name: store_content_digest(load_store(path)) for name, path in paths.items()} == STORE_CONTENT_SHA256
