@@ -29,6 +29,8 @@ float32 operand to float64 under numpy >= 2 (NEP 50).
 A checkpoint is one JSON file: ``meta``, the parameters' one ``dtype`` and per
 parameter its ``shape`` and ``data``, the standard base64 (RFC 4648) of its
 values' little-endian bytes in that dtype, so it reads back bit for bit.
+``encode_array`` and ``decode_array`` are that byte format, which the series
+store's file shares.
 
 Gradients are never updated in place. A backward rule may hand the same array,
 or a view of it, to several inputs (``add``, ``concat``), so
@@ -468,7 +470,26 @@ def mse_loss(pred: Tensor, target: np.ndarray, count: int | None = None) -> Tens
     return _finish(out, backward)
 
 
-_CHECKPOINT_DTYPES = {"float32": "<f4", "float64": "<f8"}  # each with its values' byte layout
+_ARRAY_DTYPES = {"float32": "<f4", "float64": "<f8"}  # each with its values' byte layout
+
+
+def encode_array(a: np.ndarray) -> str:
+    """The standard base64 (RFC 4648) of ``a``'s values' little-endian bytes in its dtype, float32 or float64."""
+    return base64.b64encode(a.astype(_ARRAY_DTYPES[a.dtype.name], copy=False).tobytes()).decode()
+
+
+def decode_array(text: str, dtype: str) -> np.ndarray:
+    """The 1-d, writable, native-order array of ``dtype`` that ``encode_array`` wrote as ``text``.
+
+    A dtype not in the table, text that is not base64, a byte count that is not
+    a whole number of values, or a non-finite value is a ``ValueError``.
+    """
+    if dtype not in _ARRAY_DTYPES:
+        raise ValueError(f"dtype {dtype!r} is not one of {tuple(_ARRAY_DTYPES)}")
+    values = np.frombuffer(base64.b64decode(text, validate=True), _ARRAY_DTYPES[dtype]).astype(dtype)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("a non-finite value")
+    return values
 
 
 def save_params(params: dict[str, Parameter], path: str | Path, meta: dict | None = None) -> None:
@@ -484,8 +505,7 @@ def save_params(params: dict[str, Parameter], path: str | Path, meta: dict | Non
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise NumericalError(f"cannot checkpoint parameter {name}: it holds a non-finite value")
-        data = base64.b64encode(p.data.astype(_CHECKPOINT_DTYPES[dtypes[0]], copy=False).tobytes()).decode()
-        entries[name] = {"shape": list(p.data.shape), "data": data}
+        entries[name] = {"shape": list(p.data.shape), "data": encode_array(p.data)}
     payload = {"meta": meta or {}, "dtype": dtypes[0], "params": entries}
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
@@ -493,9 +513,9 @@ def save_params(params: dict[str, Parameter], path: str | Path, meta: dict | Non
 def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:
     """Parameters and meta of a ``save_params`` file, in the dtype it records.
 
-    A missing ``dtype`` or ``data``, ``data`` that is not base64 or whose byte
-    count does not fit ``shape``, a non-finite value, or a meta that is not an
-    object makes the file malformed.
+    A missing ``dtype`` or ``data``, ``data`` that ``decode_array`` refuses or
+    whose value count does not fit ``shape``, or a meta that is not an object
+    makes the file malformed.
     """
     path = Path(path)
     if not path.exists():
@@ -504,14 +524,9 @@ def load_params(path: str | Path) -> tuple[dict[str, Parameter], dict]:
     try:
         payload = json.loads(path.read_text())
         dtype = payload["dtype"]
-        if dtype not in _CHECKPOINT_DTYPES:
-            raise ValueError(f"dtype {dtype!r} is not one of {tuple(_CHECKPOINT_DTYPES)}")
         params = {}
         for name, entry in payload["params"].items():
-            raw = np.frombuffer(base64.b64decode(entry["data"], validate=True), _CHECKPOINT_DTYPES[dtype])
-            params[name] = Parameter(raw.astype(dtype).reshape(entry["shape"]), name)
-            if not np.all(np.isfinite(params[name].data)):
-                raise ValueError(f"parameter {name} holds a non-finite value")
+            params[name] = Parameter(decode_array(entry["data"], dtype).reshape(entry["shape"]), name)
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError(f"meta is a {type(meta).__name__}, not an object")

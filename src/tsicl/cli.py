@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, GeometryError, NumericalError
 from .evalharness import EvalReport, improvement_ratio, run_unseen_eval
 from .experiment import build_datasets, eval_protocol, model_config, synth_spec, train_config
 from .model import ModelConfig, init_params, param_shapes
-from .series import SplitStore, build_store, load_csv, load_store, save_store
+from .series import SplitStore, build_store, is_dataset_name, load_csv, load_store, save_store
 from .synthetic import generate, write_csv
 from .trainer import TrainConfig, train
 
@@ -150,9 +150,8 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         resolved[key] = _coerce(key, value)
     if resolved["seed"] < 0:  # numpy's SeedSequence takes no negative entropy
         raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
-    name = resolved["dataset_name"]
-    if "," in name or name.splitlines() not in ([], [name]):  # a field of every eval_report.csv row
-        raise ConfigError(f"dataset_name must hold no comma or line break, got {name!r}")
+    if not is_dataset_name(resolved["dataset_name"]):
+        raise ConfigError(f"dataset_name must hold no comma or line break, got {resolved['dataset_name']!r}")
     if len(set(resolved["channels"])) < len(resolved["channels"]):
         raise ConfigError(f"channels must not repeat a name, got {resolved['channels']}")
     return resolved

@@ -38,6 +38,7 @@ channels hold fewer than ``BATCH`` queries per worker (64, one
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
@@ -160,7 +161,10 @@ class EvalReport:
                 if not line or line.startswith("#"):
                     continue
                 bk, task, ds, hz, method, m_, a_, seed = line.split(",")
-                report.rows.append(EvalRow(bk, task, ds, int(hz), method, float(m_), float(a_), int(seed)))
+                mse, mae = float(m_), float(a_)
+                if not (0 <= mse < math.inf and 0 <= mae < math.inf):  # NaN fails both comparisons
+                    raise ValueError(f"mse {m_} and mae {a_} must be finite and not negative")
+                report.rows.append(EvalRow(bk, task, ds, int(hz), method, mse, mae, int(seed)))
         except ValueError as exc:
             raise DataError(f"malformed report {path}, line {lineno}: {exc}") from None
         return report

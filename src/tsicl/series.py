@@ -6,6 +6,13 @@ train split only. ``SplitStore`` lays the normalized timelines end to end in
 one flat table and records where each channel and split begins: it is the one
 place that knows where a split's values live, and everything downstream is
 rows of it.
+
+``save_store`` writes it as one JSON file: ``dataset``, ``meta``, per channel
+its ``mean``, ``std`` and ``rows`` (its four ``bounds``: its first row, the
+rows where its valid and test splits start, and its end row), and ``values``,
+the whole table as the standard base64 of its little-endian float64 bytes
+(``autodiff.encode_array``, the checkpoint's byte format), so it reads back bit
+for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import decode_array, encode_array
 from .errors import DataError
 
 STD_FLOOR = 1e-8
@@ -190,48 +198,46 @@ def build_store(d: RawDataset, meta: dict | None = None) -> SplitStore:
     return SplitStore(d.name, list(d.channels), np.concatenate(timelines), bounds, stats, dict(meta or {}))
 
 
+def is_dataset_name(name) -> bool:
+    """Whether ``name`` can be a dataset's name: a string with no comma or line break, since it is a field
+    of every ``eval_report.csv`` row."""
+    return isinstance(name, str) and "," not in name and name.splitlines() in ([], [name])
+
+
 def save_store(store: SplitStore, path: str | Path) -> None:
-    """The store as JSON: per channel its stats and per split its values and ``origin_offset``, its first time."""
-    channels = {}
-    for ch, stats, (first, *ends) in zip(store.channels, store.stats, store.bounds.tolist()):
-        splits = {split: {"origin_offset": lo - first, "values": store.values[lo:hi].tolist()}
-                  for split, lo, hi in zip(SPLIT_NAMES, [first, *ends], ends)}
-        channels[ch] = {"mean": stats.mean, "std": stats.std, "splits": splits}
-    payload = {"dataset": store.dataset, "meta": store.meta, "channels": channels}
+    """The store as the JSON file the module docstring describes: per channel its stats and its four
+    ``bounds`` as ``rows``, and the whole flat table as ``values``, base64 of its float64 bytes."""
+    channels = {ch: {"mean": stats.mean, "std": stats.std, "rows": rows}
+                for ch, stats, rows in zip(store.channels, store.stats, store.bounds.tolist())}
+    payload = {"dataset": store.dataset, "meta": store.meta, "channels": channels, "values": encode_array(store.values)}
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def load_store(path: str | Path) -> SplitStore:
-    """The store a ``save_store`` file holds: one or more channels, each split exactly into ``SPLIT_NAMES``,
-    which tile its timeline from time 0 in that order. Replay finds an example's split by its span, so splits
-    that overlap would hand it the wrong one."""
+    """The store a ``save_store`` file holds: a dataset name ``is_dataset_name`` accepts and one or more
+    channels, whose rows tile the table in order from row 0, each channel's from the previous one's end.
+    Replay finds an example's split by its rows, so rows that overlap would hand it the wrong one."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such store: {path}")
-    # JSONDecodeError is a ValueError; a bad key, type or shape is a malformed file too
+    # JSONDecodeError and binascii.Error are ValueErrors; a bad key, type or shape is a malformed file too
     try:
         payload = json.loads(path.read_text())
-        dataset, meta = payload["dataset"], payload.get("meta", {})
-        if not payload["channels"]:
+        dataset, meta, channels = payload["dataset"], payload.get("meta", {}), payload["channels"]
+        if not is_dataset_name(dataset):
+            raise ValueError(f"dataset {dataset!r} is not a string free of commas and line breaks")
+        if not channels:
             raise ValueError("no channels")
-        stats, parts = [], []
-        for ch, entry in payload["channels"].items():
-            if sorted(entry["splits"]) != sorted(SPLIT_NAMES):
-                raise ValueError(f"channel {ch!r} has splits {sorted(entry['splits'])}, not {list(SPLIT_NAMES)}")
+        stats, bounds = [], [[0] * 4]
+        for ch, entry in channels.items():
+            rows = entry["rows"]
+            if [type(r) for r in rows] != [int] * 4 or rows[0] != bounds[-1][3] or sorted(rows) != rows:
+                raise ValueError(f"the rows {rows} of channel {ch!r} are not 4 rows in order from row {bounds[-1][3]}")
             stats.append(NormStats(mean=entry["mean"], std=entry["std"]))
-            splits = [entry["splits"][split] for split in SPLIT_NAMES]
-            for split, sp in zip(SPLIT_NAMES, splits):
-                parts.append(np.array(sp["values"], dtype=np.float64))
-                if parts[-1].ndim != 1:
-                    raise ValueError(f"channel {ch!r}, split {split!r}: values of shape {parts[-1].shape}, not 1-d")
-                if not np.isfinite(parts[-1]).all():
-                    raise ValueError(f"non-finite value in channel {ch!r}, split {split!r}")
-            origins, lengths = [sp["origin_offset"] for sp in splits], [len(v) for v in parts[-3:]]
-            if any(type(o) is not int for o in origins) or origins != [0, lengths[0], lengths[0] + lengths[1]]:
-                raise ValueError(f"the splits of channel {ch!r}, at origin offsets {origins} and of lengths "
-                                 f"{lengths}, do not tile its timeline from 0")
+            bounds.append(rows)
+        values = decode_array(payload["values"], "float64")
+        if len(values) != bounds[-1][3]:
+            raise ValueError(f"values holds {len(values)} rows, but its last channel ends at row {bounds[-1][3]}")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"malformed store {path}: {exc!r}") from None
-    ends = np.cumsum([0, *map(len, parts)])
-    bounds = ends[np.arange(len(stats))[:, None] * len(SPLIT_NAMES) + np.arange(len(SPLIT_NAMES) + 1)]
-    return SplitStore(dataset, list(payload["channels"]), np.concatenate(parts), bounds, stats, meta)
+    return SplitStore(dataset, list(channels), values, np.array(bounds[1:], dtype=np.int64), stats, meta)

@@ -20,7 +20,7 @@ from tsicl.cli import main
 from tsicl.context import build_context_dataset, read_jsonl
 from tsicl.errors import DataError, NumericalError
 from tsicl.model import ModelConfig, init_params
-from tsicl.series import build_store, load_store
+from tsicl.series import SPLIT_NAMES, build_store, load_store
 from tsicl.synthetic import SynthSpec, generate
 from tsicl.tasks import TaskKind, WindowSpec
 
@@ -109,29 +109,48 @@ def copy_over(source: str, target: str):
     return garble
 
 
+def set_store_values(payload, rows, value):
+    """The store's ``rows`` of its flat table set to ``value``, as little-endian float64 bytes."""
+    values = np.frombuffer(base64.b64decode(payload["values"]), "<f8").copy()
+    values[rows] = value
+    payload["values"] = base64.b64encode(values.tobytes()).decode()
+
+
 def nan_train_value(payload):
-    """One train value of the store's first channel set to NaN."""
-    next(iter(payload["channels"].values()))["splits"]["train"]["values"][0] = float("nan")
+    """The first train value of the store's first channel set to NaN."""
+    set_store_values(payload, next(iter(payload["channels"].values()))["rows"][0], float("nan"))
+
+
+def shift_last_channel(by: int):
+    """The store's last channel's rows ``by`` rows from where the channel before it ends."""
+    def edit(payload):
+        entry = list(payload["channels"].values())[-1]
+        entry["rows"] = [r + by for r in entry["rows"]]
+
+    return edit
 
 
 def drop_split(name: str):
+    """The row where the store's first channel's ``name`` split starts, dropped from its rows."""
     def edit(payload):
-        del next(iter(payload["channels"].values()))["splits"][name]
+        del next(iter(payload["channels"].values()))["rows"][SPLIT_NAMES.index(name)]
 
     return edit
 
 
 def untiled_splits(payload):
-    """Every channel's valid split moved to origin 0, over its train split."""
+    """Every channel's valid split moved to start where its test split starts, and its test split to where its
+    valid split started: the two overlap."""
     for entry in payload["channels"].values():
-        entry["splits"]["valid"]["origin_offset"] = 0
+        rows = entry["rows"]
+        rows[1], rows[2] = rows[2], rows[1]
 
 
 def shifted_splits(payload):
-    """Every split of every channel 5 steps later: they still tile a timeline, but one that starts at 5."""
+    """Every row of every channel 5 rows later: the channels still tile a timeline, but one that starts at row
+    5, past a gap."""
     for entry in payload["channels"].values():
-        for split in entry["splits"].values():
-            split["origin_offset"] += 5
+        entry["rows"] = [r + 5 for r in entry["rows"]]
 
 
 def repeated_csv_channel(out_dir: Path) -> Path:
@@ -165,6 +184,8 @@ def undecodable_csv(out_dir: Path) -> Path:
         pytest.param("build", edit_json("store.json", drop_split("train")), id="store_without_a_train_split"),
         pytest.param("build", edit_json("store.json", untiled_splits), id="store_splits_not_tiling_the_timeline"),
         pytest.param("build", edit_json("store.json", shifted_splits), id="store_train_split_not_at_origin_0"),
+        pytest.param("build", edit_json("store.json", lambda payload: payload.update(dataset="a,b")),
+                     id="store_dataset_holding_a_comma"),
         pytest.param("ingest", repeated_csv_channel, id="csv_header_repeating_a_channel"),
         pytest.param("eval", edit_json("store.json", drop_split("test")), id="store_without_a_test_split"),
         pytest.param("eval", edit_json("store.json", lambda payload: payload.update(channels={})),
@@ -262,17 +283,37 @@ def test_replay_refuses_a_record_build_never_writes(pipeline_dir, tmp_path, caps
 class TestMalformedFiles:
     def test_store(self, pipeline_dir, tmp_path):
         payload = json.loads((pipeline_dir / "store.json").read_text())
-        split = {"origin_offset": 0, "values": [[1.0, 2.0]]}  # a 2-d channel
-        splits = {name: split for name in ("train", "valid", "test")}
-        cases = {
-            "truncated": (pipeline_dir / "store.json").read_text()[:100],
-            "missing_key": json.dumps({k: v for k, v in payload.items() if k != "channels"}),
-            "bad_shape": json.dumps({**payload, "channels": {"c": {"mean": 0.0, "std": 1.0, "splits": splits}}}),
+        assert len(payload["channels"]) == 2
+        channel = {"mean": 0.0, "std": 1.0, "rows": [0, 1, 2, 3]}  # 3 rows, but the table holds the pipeline's
+        table = base64.b64decode(payload["values"])
+
+        def edited(edit) -> str:
+            """The pipeline's store after ``edit`` of a copy of its payload."""
+            copy = json.loads(json.dumps(payload))
+            edit(copy)
+            return json.dumps(copy)
+
+        cases = {  # case -> (file text, what the error names)
+            "truncated": ((pipeline_dir / "store.json").read_text()[:100], ""),
+            "missing_key": (json.dumps({k: v for k, v in payload.items() if k != "channels"}), "'channels'"),
+            "bad_shape": (json.dumps({**payload, "channels": {"c": channel}}), "ends at row 3"),
+            # a channel as stores were written before they held bytes: a decimal list per split
+            "decimal_splits": (json.dumps({"dataset": "d", "meta": {}, "channels": {"c": {
+                "mean": 0.0, "std": 1.0, "splits": {"train": {"origin_offset": 0, "values": [1.0]}}}}}), "'rows'"),
+            "infinity": (edited(lambda p: set_store_values(p, 3, float("inf"))), "non-finite"),
+            "negative_infinity": (edited(lambda p: set_store_values(p, 3, float("-inf"))), "non-finite"),
+            "not_base64": (edited(lambda p: p.update(values="*" + p["values"][1:])), "base64"),
+            "bytes_not_a_multiple_of_8": (edited(lambda p: p.update(values=base64.b64encode(table[:-4]).decode())),
+                                          "multiple of element size"),
+            "overlapping_channels": (edited(shift_last_channel(-1)), "in order from row"),
+            "channels_leaving_a_gap": (edited(shift_last_channel(1)), "in order from row"),
+            "dataset_not_a_string": (edited(lambda p: p.update(dataset=["synth"])), "dataset"),
+            "dataset_holding_a_line_break": (edited(lambda p: p.update(dataset="synth\n")), "dataset"),
         }
-        for name, text in cases.items():
-            path = tmp_path / f"{name}.json"
+        for case, (text, why) in cases.items():
+            path = tmp_path / f"{case}.json"
             path.write_text(text)
-            with pytest.raises(DataError, match=f"malformed store .*{name}.json"):
+            with pytest.raises(DataError, match=f"malformed store .*{case}.json.*{why}"):
                 load_store(path)
 
     def test_checkpoint(self, pipeline_dir, tmp_path):
@@ -337,11 +378,19 @@ class TestMalformedFiles:
                 read_jsonl(path, store)
 
     def test_eval_report(self, pipeline_dir, tmp_path):
+        def with_error(row: str, k: int, value: str) -> str:
+            """``row`` with its field k, an error, set to ``value``."""
+            fields = row.split(",")
+            return ",".join([*fields[:k], value, *fields[k + 1:]])
+
         header, first, *_ = (pipeline_dir / "eval_report.csv").read_text().splitlines()
         cases = {
             "cut_row": "\n".join([header, first[:30]]),
             "missing_field": "\n".join([header, first.rsplit(",", 1)[0]]) + "\n",
             "bad_number": "\n".join([header, first.rsplit(",", 1)[0] + ",zero"]) + "\n",
+            **{f"{metric}_{name}": "\n".join([header, with_error(first, k, value)]) + "\n"
+               for k, metric in ((5, "mse"), (6, "mae"))
+               for name, value in (("nan", "nan"), ("infinite", "inf"), ("negative", "-1.0"))},
         }
         for case, text in cases.items():
             path = tmp_path / f"{case}.csv"

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import store_of
 from tsicl.cli import main
 from tsicl.errors import DataError
-from tsicl.series import SPLIT_NAMES, RawDataset, build_store, load_csv, load_store, save_store
+from tsicl.series import SPLIT_NAMES, NormStats, RawDataset, build_store, load_csv, load_store, save_store
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -131,10 +133,11 @@ class TestChronologicalSplit:
         assert np.array_equal(timeline(store, 0), (np.arange(t) - stats.mean) / stats.std)
 
     def test_split_labels(self, tmp_path):
-        """A store file keys each channel's splits train, valid and test, at their first times."""
-        save_store(store_of_columns(np.arange(20)), tmp_path / "store.json")
-        splits = json.loads((tmp_path / "store.json").read_text())["channels"]["a"]["splits"]
-        assert {name: split["origin_offset"] for name, split in splits.items()} == {"train": 0, "valid": 12, "test": 16}
+        """A store file gives each channel's rows: its first row, where its valid and test splits start, its end."""
+        save_store(store_of_columns(np.arange(20), np.arange(20)), tmp_path / "store.json")
+        channels = json.loads((tmp_path / "store.json").read_text())["channels"]
+        rows = {name: entry["rows"] for name, entry in channels.items()}
+        assert rows == {"a": [0, 12, 16, 20], "b": [20, 32, 36, 40]}
 
 
 def two_pass_stats(values):
@@ -243,3 +246,16 @@ def store_content_digest(store) -> str:
 def test_store_content_is_pinned(pipeline_dir, tmp_path):
     paths = {"pipeline": pipeline_dir / "store.json", "three_channels": ingest_three_channels(tmp_path)}
     assert {name: store_content_digest(load_store(path)) for name, path in paths.items()} == STORE_CONTENT_SHA256
+
+
+def test_the_file_holds_the_table_as_float64_bytes(pipeline_dir, tmp_path):
+    """``values`` is the table's own little-endian bytes, and −0.0 and a subnormal read back bit for bit."""
+    store = load_store(pipeline_dir / "store.json")
+    payload = json.loads((pipeline_dir / "store.json").read_text())
+    assert base64.b64decode(payload["values"], validate=True) == store.values.astype("<f8").tobytes()
+    edge = store_of(("a", [-0.0, 5e-324], [-5e-324], [np.finfo(np.float64).smallest_normal / 3]))
+    edge.stats = [NormStats(mean=0.0, std=1.0)]
+    save_store(edge, tmp_path / "edge.json")
+    loaded = load_store(tmp_path / "edge.json")
+    assert loaded.values.tobytes() == edge.values.tobytes() and np.signbit(loaded.values[0])
+    assert np.array_equal(loaded.bounds, edge.bounds)
